@@ -1,37 +1,21 @@
 """Hot per-edge kernels: numba-jitted with a pure-numpy/python fallback.
 
 The stream pass spends nearly all of its time here (field-sketch
-accumulation, reservoir sampling, union-find).  Set the environment
-variable ``STREAMCOLOR_BACKEND=numpy`` to force the fallback path; the
-default uses numba when it imports.  ``python -m streamcolor.bench``
-compares the two.
+accumulation, reservoir sampling, union-find).  The numba kernels are used
+when numba imports (it is the optional ``numba`` extra); otherwise the
+numpy fallbacks run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_REQUESTED = os.environ.get("STREAMCOLOR_BACKEND", "").strip().lower()
-if _REQUESTED not in ("", "numba", "numpy"):
-    raise RuntimeError(f"STREAMCOLOR_BACKEND must be 'numba' or 'numpy', got {_REQUESTED!r}")
+try:
+    from numba import njit
 
-if _REQUESTED != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
+    HAVE_NUMBA = True
+except ImportError:  # numba is an optional extra; the numpy fallbacks run
     HAVE_NUMBA = False
-
-ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def backend() -> str:
-    return ACTIVE_BACKEND
 
 
 # ---------------------------------------------------------------------------

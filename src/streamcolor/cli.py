@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, GeneratorSpecError, ValueError, FileNotFoundError) as e:
+    except (ParseError, GeneratorSpecError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -229,16 +229,6 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
         C.provenance[v] = 1
 
 
-def measure_gap(v: int, C: PartialColoring, oracle, delta: int) -> int:
-    """Available colors minus remaining uncolored degree (test instrument;
-    reads true adjacency)."""
-    nbrs = oracle.neighbors(v)
-    used = {int(C.colors[u]) for u in nbrs if C.colors[u]}
-    avail = delta - len(used)
-    colored = sum(1 for u in nbrs if C.colors[u])
-    return avail - (len(nbrs) - colored)
-
-
 # ---------------------------------------------------------------------------
 # Phase 3 greedy + residue strip
 # ---------------------------------------------------------------------------

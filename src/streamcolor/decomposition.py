@@ -110,16 +110,6 @@ class SampleCollector:
         )
 
 
-def collect_samples(stream, params: ParamSet, seed: int, delta: int) -> DecompSamples:
-    """Consume one full pass into decomposition samples."""
-    coll = SampleCollector(stream.meta.n, delta, params, seed)
-    for block in stream.chunks():
-        coll.update_chunk(
-            np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
-        )
-    return coll.finalize()
-
-
 # ---------------------------------------------------------------------------
 # Decomposition structure
 # ---------------------------------------------------------------------------

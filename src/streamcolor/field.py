@@ -63,16 +63,6 @@ def canonical_prime(n: int) -> int:
     return next_prime(max(n, 101))
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    n: int
-    p: int
-
-    @classmethod
-    def for_n(cls, n: int) -> "FieldParams":
-        return cls(n=n, p=canonical_prime(n))
-
-
 # ---------------------------------------------------------------------------
 # Measurement matrices
 # ---------------------------------------------------------------------------
@@ -103,14 +93,10 @@ def vandermonde_sum(r: int, p: int, vertices) -> np.ndarray:
     return P.sum(axis=0) % p
 
 
-def random_check_column(zseed: int, r: int, u: int, alpha: int, p: int) -> np.ndarray:
-    """Column u of the alpha x n random check matrix for sketch level r,
-    materialized from a counter-mode PRF instead of being stored."""
-    rows = np.arange(alpha, dtype=np.int64)
-    return prf_mod(zseed, r, u, rows, p)
-
-
 def random_check_sum(zseed: int, r: int, vertices, alpha: int, p: int) -> np.ndarray:
+    """Sum of the vertices' columns of the alpha x n random check matrix for
+    sketch level r; columns are materialized from a counter-mode PRF
+    instead of being stored."""
     vs = np.asarray(sorted(vertices), dtype=np.int64)
     if vs.size == 0:
         return np.zeros(alpha, dtype=np.int64)
@@ -186,11 +172,6 @@ class SketchBank:
                 self._Y[r], self._Z[r], self._pos[r], us, vs, self.p, self.zseed, r
             )
 
-    def update_edge(self, u: int, v: int) -> None:
-        self.update_chunk(
-            np.asarray([u], dtype=np.int64), np.asarray([v], dtype=np.int64)
-        )
-
     def raw(self, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         i = self._pos[r][v]
         if i < 0:
@@ -203,30 +184,6 @@ class SketchBank:
         for r in self.rates:
             total += self._Y[r].shape[0] * (2 * r + self.alpha) * logp
         return total
-
-    def save(self, path: str) -> None:
-        """Binary dump: header {n, delta, p, alpha, seed}, then per-rate
-        sampled ids and y/z vectors."""
-        blobs = {"header": np.asarray([self.n, self.delta, self.p, self.alpha, self.seed])}
-        for r in self.rates:
-            blobs[f"ids_{r}"] = self._ids[r]
-            blobs[f"y_{r}"] = self._Y[r]
-            blobs[f"z_{r}"] = self._Z[r]
-        np.savez(path, **blobs)
-
-    @classmethod
-    def load(cls, path: str, params: ParamSet) -> "SketchBank":
-        with np.load(path) as blobs:
-            n, delta, p, alpha, seed = (int(x) for x in blobs["header"])
-            bank = cls(n, delta, params, seed)
-            if bank.p != p or bank.alpha != alpha:
-                raise ValueError("dump was written with different parameters")
-            for r in bank.rates:
-                if not np.array_equal(bank._ids[r], blobs[f"ids_{r}"]):
-                    raise ValueError("dump sampling disagrees with the seed")
-                bank._Y[r] = blobs[f"y_{r}"]
-                bank._Z[r] = blobs[f"z_{r}"]
-        return bank
 
 
 def measure_relative(bank: SketchBank, v: int, r: int, ref: set[int]) -> Measurement:

@@ -353,5 +353,4 @@ def source_from_spec(spec: str, seed: int = 0):
         t=params.get("t"),
     )
     src = StreamSource(inst.n, inst.edges, seed=seed, name=spec)
-    src.declared_delta = inst.delta
     return src

@@ -12,7 +12,7 @@ whenever the verifier accepts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -155,23 +155,8 @@ class ConflictGraph:
         return self.m * 2 * max(1, int(np.ceil(np.log2(max(2, self.n)))))
 
 
-def conflict_keep(edge: tuple[int, int], palettes: PaletteSet) -> bool:
-    """True iff the endpoints sampled at least one common color."""
-    u, v = edge
-    return bool((palettes.masks[u] & palettes.masks[v]).any())
-
-
 def conflict_keep_chunk(us: np.ndarray, vs: np.ndarray, palettes: PaletteSet) -> np.ndarray:
     return (palettes.masks[us] & palettes.masks[vs]).any(axis=1)
-
-
-def build_conflict_graph(stream, palettes: PaletteSet) -> ConflictGraph:
-    """Filter one full pass into the conflict graph."""
-    h = ConflictGraph(stream.meta.n)
-    for block in stream.chunks():
-        keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
-        h.add_chunk(block[keep, 0], block[keep, 1])
-    return h
 
 
 def palette_space_report(palettes: PaletteSet, h: ConflictGraph) -> dict:

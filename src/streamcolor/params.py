@@ -128,20 +128,13 @@ class ParamSet:
 
     # ---- derived thresholds ----
 
-    def friend_cut(self, delta: int) -> float:
-        """Edges into an almost-clique at or above which a vertex is a friend."""
-        return 2 * delta / self.beta
-
-    def stranger_cut(self, delta: int) -> float:
-        """Edges into an almost-clique below which a vertex is a stranger."""
-        return delta / self.beta
-
     def friend_test_threshold(self, delta: int) -> float:
         """Decision threshold on |I_sample(v) & K| for the friend tester.
 
-        Sits halfway between the stranger and friend expectations under
-        the effective (clamped) neighbor-sampling rate; with the
-        unclamped rate beta^2/delta this is the classic 1.5*beta.
+        Sits halfway between the stranger (< delta/beta edges into K) and
+        friend (>= 2*delta/beta) expectations under the effective (clamped)
+        neighbor-sampling rate; with the unclamped rate beta^2/delta this is
+        the classic 1.5*beta.
         """
         return 1.5 * (delta / self.beta) * self.isample_rate(delta)
 

@@ -126,35 +126,46 @@ def _non_edges_in(vertices, has_edge) -> list[tuple[int, int]]:
     return out
 
 
-def _attempt(src, n, delta, params, run_seed, shadow):
-    """One main pass plus post-processing; raises RunFailure on bad luck."""
-    palettes = sample_palettes(n, delta, params, run_seed)
+def _main_pass(src, n, delta, params, seed):
+    """The one main pass: every edge chunk feeds the palette filter into H,
+    the decomposition samplers and the sketch bank together."""
+    palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
-    collector = SampleCollector(n, delta, params, run_seed)
-    bank = SketchBank(n, delta, params, run_seed)
-
-    main = src.open()
-    for block in main.chunks():
+    collector = SampleCollector(n, delta, params, seed)
+    bank = SketchBank(n, delta, params, seed)
+    for block in src.open().chunks():
         us = np.ascontiguousarray(block[:, 0])
         vs = np.ascontiguousarray(block[:, 1])
         keep = conflict_keep_chunk(us, vs, palettes)
         conflict.add_chunk(us[keep], vs[keep])
         collector.update_chunk(us, vs)
         bank.update_chunk(us, vs)
-    samples = collector.finalize()
+    return palettes, conflict, collector.finalize(), bank
 
+
+def _decompose(shadow, samples, conflict, params, delta):
+    """Partition, annotate and classify; verified against the shadow when
+    there is one (the report is None in heuristic mode)."""
     if shadow is not None:
         dec = compute_decomposition(shadow, params, delta)
         report = verify_decomposition(dec, shadow, params.eps, delta)
-        if not report.ok:
-            raise DecompositionFailed(
-                report.violations[:3], "verification gate rejected the decomposition"
-            )
         annotate_cliques(dec, params, delta, oracle=shadow)
     else:
         dec = compute_decomposition(None, params, delta, samples=samples, conflict=conflict)
+        report = None
         annotate_cliques(dec, params, delta, stored_adjacency=conflict.adj)
     classify_friendly_lonely(dec, samples, params, delta)
+    return dec, report
+
+
+def _attempt(src, n, delta, params, run_seed, shadow):
+    """One main pass plus post-processing; raises RunFailure on bad luck."""
+    palettes, conflict, samples, bank = _main_pass(src, n, delta, params, run_seed)
+    dec, report = _decompose(shadow, samples, conflict, params, delta)
+    if report is not None and not report.ok:
+        raise DecompositionFailed(
+            report.violations[:3], "verification gate rejected the decomposition"
+        )
 
     critical_helpers = {}
     friendly_helpers = {}
@@ -355,7 +366,8 @@ def color_run(cfg: RunConfig) -> RunResult:
 
 def decompose_run(source: str, seed: int = 0, mode: str = "desk",
                   no_shadow: bool = False) -> tuple[object, object | None]:
-    """Partition + classification for the `decompose` subcommand.
+    """Partition + classification for the `decompose` subcommand, from the
+    same pre-pass and main pass as the first attempt of `color_run`.
 
     Returns (decomposition, verification report); the report is None in
     heuristic (no-shadow) mode where there is nothing to verify against.
@@ -366,27 +378,8 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     params = ParamSet.make(mode, src.n, delta)
     params.validate_for(delta)
 
-    collector = SampleCollector(src.n, delta, params, seed)
-    conflict = ConflictGraph(src.n)
-    palettes = sample_palettes(src.n, delta, params, seed)
-    for block in src.open().chunks():
-        us = np.ascontiguousarray(block[:, 0])
-        vs = np.ascontiguousarray(block[:, 1])
-        keep = conflict_keep_chunk(us, vs, palettes)
-        conflict.add_chunk(us[keep], vs[keep])
-        collector.update_chunk(us, vs)
-    samples = collector.finalize()
-
-    if shadow is not None:
-        dec = compute_decomposition(shadow, params, delta)
-        report = verify_decomposition(dec, shadow, params.eps, delta)
-        annotate_cliques(dec, params, delta, oracle=shadow)
-    else:
-        dec = compute_decomposition(None, params, delta, samples=samples, conflict=conflict)
-        report = None
-        annotate_cliques(dec, params, delta, stored_adjacency=conflict.adj)
-    classify_friendly_lonely(dec, samples, params, delta)
-    return dec, report
+    _, conflict, samples, _ = _main_pass(src, src.n, delta, params, seed)
+    return _decompose(shadow, samples, conflict, params, delta)
 
 
 def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,

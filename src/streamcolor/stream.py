@@ -1,4 +1,4 @@
-"""Edge streams: single-pass enforcement, pre-scan census, colorability gate.
+"""Edge streams: single-pass enforcement, census types, colorability gate.
 
 The stream abstraction materializes its source once (file or generator),
 then hands out strictly sequential single-consumption passes.  Arrival
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcolor._kernels import uf_roots, uf_union_batch
 from streamcolor.params import rng_for
 
 
@@ -31,7 +30,6 @@ class ParseError(ValueError):
 class StreamMeta:
     n: int
     m: int | None = None        # filled after a completed pass
-    delta: int | None = None    # filled by census, or declared by a generator
     seed: int = 0
 
 
@@ -39,7 +37,7 @@ class EdgeStream:
     """One pass over the edges; pulling after exhaustion raises.
 
     Re-opening (a fresh pass from the same source) is reserved for the
-    pre-pass/main-pass pair, the verifier, and test-harness shadows.
+    pre-pass/main-pass pair and the verifier.
     """
 
     def __init__(self, meta: StreamMeta, edges: np.ndarray):
@@ -62,11 +60,6 @@ class EdgeStream:
             yield block
         self.consumed = True
         self.meta.m = total
-
-    def __iter__(self):
-        for block in self.chunks():
-            for u, v in block:
-                yield int(u), int(v)
 
 
 class StreamSource:
@@ -132,11 +125,6 @@ class StreamSource:
         return cls(n, arr, seed=seed, name=os.path.basename(path))
 
 
-def open_stream(source: str, seed: int = 0) -> EdgeStream:
-    """Open a single pass over a file path or a generator spec string."""
-    return stream_source(source, seed=seed).open()
-
-
 def stream_source(source: str, seed: int = 0) -> StreamSource:
     from streamcolor.generators import is_generator_spec, source_from_spec
 
@@ -184,33 +172,6 @@ class ComponentCensus:
         return out
 
 
-def degree_census(stream: EdgeStream) -> tuple[np.ndarray, StreamMeta]:
-    """Per-vertex degrees (and max degree) from one full pass, O(n) words."""
-    n = stream.meta.n
-    degrees = np.zeros(n, dtype=np.int64)
-    for block in stream.chunks():
-        degrees += np.bincount(block[:, 0], minlength=n)
-        degrees += np.bincount(block[:, 1], minlength=n)
-    meta = stream.meta
-    meta.delta = int(degrees.max()) if n else 0
-    return degrees, meta
-
-
-def component_census(stream: EdgeStream) -> tuple[ComponentCensus, StreamMeta]:
-    """Degrees plus union-find component structure from one pass, O(n) words."""
-    n = stream.meta.n
-    degrees = np.zeros(n, dtype=np.int64)
-    parent = np.arange(n, dtype=np.int64)
-    for block in stream.chunks():
-        degrees += np.bincount(block[:, 0], minlength=n)
-        degrees += np.bincount(block[:, 1], minlength=n)
-        uf_union_batch(parent, np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1]))
-    roots = uf_roots(parent)
-    meta = stream.meta
-    meta.delta = int(degrees.max()) if n else 0
-    return ComponentCensus(n=n, roots=roots, degrees=degrees), meta
-
-
 COLORABLE = "Colorable"
 CLIQUE_COMPONENT = "CliqueComponent"
 ODD_CYCLE_COMPONENT = "OddCycleComponent"
@@ -251,7 +212,8 @@ def check_colorability(census: ComponentCensus, delta: int) -> list[ComponentVer
 
 
 # ---------------------------------------------------------------------------
-# Shadow copy (test harness / reference decomposer; outside the space budget)
+# Shadow adjacency (built by the pre-pass for the reference decomposer and
+# final verification; outside the space budget)
 # ---------------------------------------------------------------------------
 
 
@@ -304,10 +266,3 @@ class AdjacencyOracle:
             for v in self._sets[u]:
                 if u < v:
                     yield u, v
-
-
-def shadow_copy(stream: EdgeStream) -> AdjacencyOracle:
-    """Materialize full adjacency from a fresh stream (harness only)."""
-    blocks = [block.copy() for block in stream.chunks()]
-    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    return AdjacencyOracle(stream.meta.n, edges)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from streamcolor.decomposition import SampleCollector
+from streamcolor.palette import ConflictGraph, conflict_keep_chunk
+from streamcolor.pipeline import _prepass
 from streamcolor.stream import AdjacencyOracle, StreamSource
 
 
@@ -9,9 +12,41 @@ def oracle_from_edges(n, edges) -> AdjacencyOracle:
 
 
 def source_of(inst, seed=0) -> StreamSource:
-    src = StreamSource(inst.n, inst.edges, seed=seed)
-    src.declared_delta = inst.delta
-    return src
+    return StreamSource(inst.n, inst.edges, seed=seed)
+
+
+def shadow_of(src) -> AdjacencyOracle:
+    """The shadow the pipeline's pre-pass builds (one pass over src)."""
+    return _prepass(src, want_shadow=True)[1]
+
+
+def collect_samples(stream, params, seed: int, delta: int):
+    """Consume one full pass into decomposition samples."""
+    coll = SampleCollector(stream.meta.n, delta, params, seed)
+    for block in stream.chunks():
+        coll.update_chunk(
+            np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
+        )
+    return coll.finalize()
+
+
+def build_conflict_graph(stream, palettes) -> ConflictGraph:
+    """Filter one full pass into the conflict graph."""
+    h = ConflictGraph(stream.meta.n)
+    for block in stream.chunks():
+        keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
+        h.add_chunk(block[keep, 0], block[keep, 1])
+    return h
+
+
+def measure_gap(v: int, C, oracle, delta: int) -> int:
+    """Available colors minus remaining uncolored degree (reads true
+    adjacency)."""
+    nbrs = oracle.neighbors(v)
+    used = {int(C.colors[u]) for u in nbrs if C.colors[u]}
+    avail = delta - len(used)
+    colored = sum(1 for u in nbrs if C.colors[u])
+    return avail - (len(nbrs) - colored)
 
 
 def syndrome_of(x: np.ndarray, r: int, p: int) -> np.ndarray:

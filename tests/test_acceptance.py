@@ -12,7 +12,6 @@ import pytest
 from streamcolor.coloring import PartialColoring, colorful_matching, offline_brooks
 from streamcolor.decomposition import (
     classify_friendly_lonely,
-    collect_samples,
     compute_decomposition,
     verify_decomposition,
 )
@@ -31,9 +30,15 @@ from streamcolor.coloring import l_perfect_matching
 from streamcolor.palette import ConflictGraph, sample_palettes
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import SUCCESS, RunConfig, color_run, verify_coloring
-from streamcolor.stream import shadow_copy
 
-from conftest import oracle_from_edges, random_sparse_vector, source_of, syndrome_of
+from conftest import (
+    collect_samples,
+    oracle_from_edges,
+    random_sparse_vector,
+    shadow_of,
+    source_of,
+    syndrome_of,
+)
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = ""):
@@ -286,7 +291,7 @@ def test_criterion_06_helper_recovery():
     for seed in range(100):
         inst = generate_instance("hard-phase6", delta, count=1, seed=seed)
         src = source_of(inst, seed=seed)
-        oracle = shadow_copy(src.open())
+        oracle = shadow_of(src)
         params = ParamSet.desk(inst.n, delta)
         dec = compute_decomposition(oracle, params, delta)
         samples = collect_samples(src.open(), params, seed, delta)

@@ -107,9 +107,19 @@ def test_delta_flag_is_checked(tmp_path):
     assert rc == 4
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert run(["gen", "--spec", "bogus:delta=4", "--out", tmp_path / "z"]) == 4
     assert run(["color", "--input", tmp_path / "missing.txt", "--out", tmp_path / "w"]) == 4
+    # a directory is an unreadable path too: usage error, not a crash
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    colors = tmp_path / "c.txt"
+    colors.write_text("0 1\n")
+    capsys.readouterr()
+    assert run(["color", "--input", folder, "--out", tmp_path / "w"]) == 4
+    assert run(["verify", "--graph", folder, "--coloring", colors, "--delta", 1]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2
 
 
 def test_no_shadow_mode_still_colors(tmp_path):

@@ -8,7 +8,6 @@ from streamcolor.coloring import (
     colorful_matching,
     greedy_sparse,
     l_perfect_matching,
-    measure_gap,
     offline_brooks,
     one_shot,
     phase5_critical,
@@ -22,7 +21,7 @@ from streamcolor.palette import ConflictGraph
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, color_run
 
-from conftest import oracle_from_edges, uniform_palettes
+from conftest import build_conflict_graph, measure_gap, oracle_from_edges, uniform_palettes
 
 
 def _conflict_from(n, edges):
@@ -125,7 +124,7 @@ def test_one_shot_independent_set_retained():
 
 def test_one_shot_proper_on_true_graph():
     from streamcolor.generators import generate_instance
-    from streamcolor.palette import build_conflict_graph, sample_palettes
+    from streamcolor.palette import sample_palettes
     from conftest import source_of
 
     inst = generate_instance("mixed", 12, count=1, seed=7)
@@ -143,7 +142,7 @@ def test_one_shot_opens_gap_for_sparse_vertices():
     # planted locally-sparse vertices at delta=64: the mean slack between
     # available colors and remaining degree goes positive after one-shot
     from streamcolor.generators import generate_instance
-    from streamcolor.palette import build_conflict_graph, sample_palettes
+    from streamcolor.palette import sample_palettes
     from conftest import source_of
 
     delta = 64
@@ -207,7 +206,7 @@ def test_greedy_sparse_failure_surfaces():
 
 def test_greedy_sparse_random_graphs_never_fail():
     from streamcolor.generators import generate_instance
-    from streamcolor.palette import build_conflict_graph, sample_palettes
+    from streamcolor.palette import sample_palettes
     from conftest import source_of
 
     delta = 32
@@ -312,7 +311,7 @@ def test_phase5_k4_minus_edge_pattern():
 
 def test_phase5_statistical_on_clique_minus_edge():
     from streamcolor.generators import generate_instance
-    from streamcolor.palette import build_conflict_graph, sample_palettes
+    from streamcolor.palette import sample_palettes
     from streamcolor.field import SketchBank
     from streamcolor.helpers import build_recovery_graph, find_critical_helper
     from conftest import source_of
@@ -463,6 +462,26 @@ def test_phase_extension_discipline():
             assert not (colors[u] and colors[u] == colors[v])
 
 
+@pytest.mark.parametrize("no_shadow", [False, True])
+def test_decompose_run_shows_the_decomposition_color_run_used(no_shadow):
+    from streamcolor.pipeline import decompose_run
+
+    spec, seed = "mixed:delta=16,seed=2", 2
+    res = color_run(RunConfig(source=spec, seed=seed, retries=0, no_shadow=no_shadow))
+    assert res.status == "success" and res.report["attempts"] == 1
+    dec, report = decompose_run(spec, seed=seed, no_shadow=no_shadow)
+    assert (report is None) == no_shadow
+
+    def fields(d):
+        return [
+            (k.vertices, k.size_class, k.non_edges, k.holey, k.kind, k.witness)
+            for k in d.cliques
+        ]
+
+    assert dec.cliques and fields(dec) == fields(res.dec)
+    assert dec.v_sparse == res.dec.v_sparse
+
+
 def test_shared_witness_is_recolored_twice():
     # two friendly delta-cliques hanging off one witness: phase 6 must
     # recolor the same outside vertex once per clique, burning one fresh
@@ -472,13 +491,13 @@ def test_shared_witness_is_recolored_twice():
     from streamcolor.decomposition import (
         annotate_cliques,
         classify_friendly_lonely,
-        collect_samples,
         compute_decomposition,
     )
     from streamcolor.field import SketchBank
     from streamcolor.helpers import build_recovery_graph, find_friendly_helper
-    from streamcolor.palette import build_conflict_graph, sample_palettes
-    from streamcolor.stream import StreamSource, shadow_copy
+    from streamcolor.palette import sample_palettes
+    from streamcolor.stream import StreamSource
+    from conftest import collect_samples, shadow_of
 
     delta = 16
     K1, K2, w = list(range(delta)), list(range(delta, 2 * delta)), 2 * delta
@@ -488,7 +507,7 @@ def test_shared_witness_is_recolored_twice():
     edges += [(v, w) for v in K2[: delta // 2]]
     n = 2 * delta + 1
     src = StreamSource(n, np.array(edges), seed=3)
-    oracle = shadow_copy(src.open())
+    oracle = shadow_of(src)
     params = ParamSet.desk(n, delta)
 
     dec = compute_decomposition(oracle, params, delta)

@@ -14,7 +14,6 @@ from streamcolor.decomposition import (
     Decomposition,
     SampleCollector,
     classify_friendly_lonely,
-    collect_samples,
     compute_decomposition,
     count_non_edges,
     friend_stranger_test,
@@ -24,9 +23,9 @@ from streamcolor.decomposition import (
 )
 from streamcolor.generators import generate_instance
 from streamcolor.params import ParamSet
-from streamcolor.stream import StreamSource, shadow_copy
+from streamcolor.stream import StreamSource
 
-from conftest import oracle_from_edges, source_of
+from conftest import collect_samples, oracle_from_edges, shadow_of, source_of
 
 
 def _clique_edges(vertices):
@@ -331,7 +330,7 @@ def test_tie_at_threshold_is_stranger():
 def _classified(fam, delta, seed):
     inst = generate_instance(fam, delta, count=1, seed=seed)
     src = source_of(inst, seed=seed)
-    oracle = shadow_copy(src.open())
+    oracle = shadow_of(src)
     params = ParamSet.desk(inst.n, delta)
     dec = compute_decomposition(oracle, params, delta)
     samples = collect_samples(src.open(), params, seed, delta)

@@ -218,20 +218,6 @@ def test_measure_relative_unsampled_vertex_errors():
         measure_relative(bank, unsampled, r, set())
 
 
-def test_bank_dump_round_trip(tmp_path):
-    n, delta = 12, 4
-    params = ParamSet.desk(n, delta, beta=6)
-    bank = _bank_for([(0, 1), (0, 2), (3, 4)], n, delta)
-    path = str(tmp_path / "bank.npz")
-    bank.save(path)
-    loaded = SketchBank.load(path, params)
-    for r in bank.rates:
-        for v in bank.sampled(r):
-            ya, za = bank.raw(v, r)
-            yb, zb = loaded.raw(v, r)
-            assert np.array_equal(ya, yb) and np.array_equal(za, zb)
-
-
 def test_measure_relative_clique_minus_edge_signs():
     # v in a K5 minus edge (a,b), reference = K: entries are 1 on
     # neighbors outside K (none) and p-1 on K-members missing from N(v)

@@ -3,7 +3,6 @@ import numpy as np
 from streamcolor.decomposition import (
     FRIENDLY,
     classify_friendly_lonely,
-    collect_samples,
     compute_decomposition,
 )
 from streamcolor.field import SketchBank
@@ -14,9 +13,8 @@ from streamcolor.helpers import (
     find_friendly_helper,
 )
 from streamcolor.params import ParamSet
-from streamcolor.stream import shadow_copy
 
-from conftest import oracle_from_edges, source_of
+from conftest import collect_samples, oracle_from_edges, shadow_of, source_of
 
 
 def _bank_from(inst, params, seed):
@@ -77,7 +75,7 @@ def test_critical_helper_statistical():
 def _friendly_setup(seed, delta=16):
     inst = generate_instance("hard-phase6", delta, count=1, seed=seed)
     src = source_of(inst, seed=seed)
-    oracle = shadow_copy(src.open())
+    oracle = shadow_of(src)
     params = ParamSet.desk(inst.n, delta)
     dec = compute_decomposition(oracle, params, delta)
     samples = collect_samples(src.open(), params, seed, delta)

@@ -6,14 +6,13 @@ import pytest
 from streamcolor.generators import generate_instance
 from streamcolor.palette import (
     ConflictGraph,
-    build_conflict_graph,
-    conflict_keep,
+    conflict_keep_chunk,
     palette_space_report,
     sample_palettes,
 )
 from streamcolor.params import ParamSet
 
-from conftest import oracle_from_edges, source_of
+from conftest import build_conflict_graph, oracle_from_edges, source_of, uniform_palettes
 
 
 def test_l1_is_a_single_color_in_range():
@@ -65,39 +64,23 @@ def test_membership_independence_across_colors():
     assert abs(p_hat - 8 / 40) < 0.02
 
 
-def _tiny_palettes(n, delta, lists):
-    """Hand-built palettes: every list per vertex equals lists[v]."""
-    params = ParamSet.desk(n, delta)
-    pal = sample_palettes(n, delta, params, seed=0)
-    for v, colors in enumerate(lists):
-        colors = frozenset(colors)
-        pal.l2[v] = colors
-        pal.l3[v] = colors
-        pal.l4_star[v] = colors
-        pal.l5[v] = colors
-        pal.l4[v] = [colors] * params.beta
-        pal.l6[v] = [colors] * (2 * params.beta)
-        pal.l1[v] = min(colors)
-        pal.masks[v] = 0
-        for c in colors:
-            pal.masks[v, (c - 1) // 64] |= np.uint64(1) << np.uint64((c - 1) % 64)
-    return pal
+def _keeps(pal, edges) -> list[bool]:
+    us, vs = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return conflict_keep_chunk(us, vs, pal).tolist()
 
 
 def test_conflict_keep_basic():
-    pal = _tiny_palettes(2, 10, [{1, 2}, {2, 9}])
-    assert conflict_keep((0, 1), pal)
-    pal2 = _tiny_palettes(2, 10, [{1, 2}, {3, 9}])
-    assert not conflict_keep((0, 1), pal2)
+    pal = uniform_palettes(2, 10, [{1, 2}, {2, 9}])
+    assert _keeps(pal, [(0, 1)]) == [True]
+    pal2 = uniform_palettes(2, 10, [{1, 2}, {3, 9}])
+    assert _keeps(pal2, [(0, 1)]) == [False]
 
 
 def test_conflict_keep_beyond_one_mask_word():
     # colors past 64 live in the second mask word
-    pal = _tiny_palettes(3, 100, [{70}, {70}, {1}])
+    pal = uniform_palettes(3, 100, [{70}, {70}, {1}])
     assert pal.masks.shape[1] == 2
-    assert conflict_keep((0, 1), pal)
-    assert not conflict_keep((0, 2), pal)
-    assert not conflict_keep((1, 2), pal)
+    assert _keeps(pal, [(0, 1), (0, 2), (1, 2)]) == [True, False, False]
 
 
 def test_possibly_monochromatic_edges_are_kept_exhaustively():
@@ -105,9 +88,9 @@ def test_possibly_monochromatic_edges_are_kept_exhaustively():
     # own lists, each edge that could go monochromatic is stored
     n, delta = 5, 4
     lists = [{1, 2}, {2, 3}, {3, 4}, {1, 4}, {2, 4}]
-    pal = _tiny_palettes(n, delta, lists)
+    pal = uniform_palettes(n, delta, lists)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    kept = {e for e in edges if conflict_keep(e, pal)}
+    kept = {e for e, keep in zip(edges, _keeps(pal, edges)) if keep}
     for assignment in itertools.product(*[sorted(s) for s in lists]):
         for u, v in edges:
             if assignment[u] == assignment[v]:
@@ -117,11 +100,11 @@ def test_possibly_monochromatic_edges_are_kept_exhaustively():
 def test_conflict_graph_extremes():
     inst = generate_instance("clique-minus-edge", 3, count=1, seed=0)
     n = inst.n
-    equal = _tiny_palettes(n, 3, [{1}] * n)
+    equal = uniform_palettes(n, 3, [{1}] * n)
     h = build_conflict_graph(source_of(inst).open(), equal)
     assert h.m == inst.edges.shape[0]  # everything shared: H = G
 
-    disjoint = _tiny_palettes(4, 8, [{1}, {2}, {3}, {4}])
+    disjoint = uniform_palettes(4, 8, [{1}, {2}, {3}, {4}])
     h2 = build_conflict_graph(source_of(inst).open(), disjoint)
     assert h2.m == 0
 
@@ -155,7 +138,7 @@ def test_space_report_formula_exact():
     assert rep["h_edges"] == h.m
 
     empty = ConflictGraph(4)
-    rep0 = palette_space_report(_tiny_palettes(4, 4, [{1}] * 4), empty)
+    rep0 = palette_space_report(uniform_palettes(4, 4, [{1}] * 4), empty)
     assert rep0["h_edges"] == 0
 
 

@@ -9,15 +9,12 @@ from streamcolor.stream import (
     StreamError,
     StreamSource,
     check_colorability,
-    component_census,
-    degree_census,
-    open_stream,
-    shadow_copy,
     stream_source,
 )
 from streamcolor.generators import generate_instance
+from streamcolor.pipeline import _prepass
 
-from conftest import source_of
+from conftest import shadow_of, source_of
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -26,17 +23,25 @@ def _write(tmp_path, text, name="g.txt"):
     return str(path)
 
 
+def _edges(stream):
+    return [tuple(e) for block in stream.chunks() for e in block.tolist()]
+
+
+def _census(src):
+    return _prepass(src, want_shadow=False)[0]
+
+
 def test_file_format_echo(tmp_path):
     path = _write(tmp_path, "3\n0 1\n1 2\n")
-    st = open_stream(path)
+    st = stream_source(path).open()
     assert st.meta.n == 3
-    assert sorted(tuple(e) for e in st) == [(0, 1), (1, 2)]
+    assert sorted(_edges(st)) == [(0, 1), (1, 2)]
     assert st.meta.m == 2
 
 
 def test_file_comments_and_blanks(tmp_path):
     path = _write(tmp_path, "# graph\n4\n\n0 1  # edge\n2 3\n")
-    assert len(open_stream(path)) == 2
+    assert len(stream_source(path).open()) == 2
 
 
 @pytest.mark.parametrize(
@@ -52,12 +57,12 @@ def test_file_comments_and_blanks(tmp_path):
 def test_parse_errors_carry_line_numbers(tmp_path, text, line):
     path = _write(tmp_path, text)
     with pytest.raises(ParseError) as err:
-        open_stream(path)
+        stream_source(path)
     assert err.value.line == line
 
 
 def test_generator_spec_stream():
-    st = open_stream("clique-pairs:Δ=4,pairs=1")
+    st = stream_source("clique-pairs:Δ=4,pairs=1").open()
     assert len(st) == 2 * 10  # two K5 blocks keep their edge count after switching
     assert st.meta.n == 10
 
@@ -75,9 +80,9 @@ def test_single_pass_enforcement():
 
 def test_delivery_order_is_seeded_shuffle():
     spec = "clique-pairs:delta=4,count=2,seed=5"  # pin the instance; vary delivery
-    a = [tuple(e) for e in stream_source(spec, seed=1).open()]
-    b = [tuple(e) for e in stream_source(spec, seed=1).open()]
-    c = [tuple(e) for e in stream_source(spec, seed=2).open()]
+    a = _edges(stream_source(spec, seed=1).open())
+    b = _edges(stream_source(spec, seed=1).open())
+    c = _edges(stream_source(spec, seed=2).open())
     assert a == b
     assert sorted(a) == sorted(c)
     assert a != c
@@ -85,41 +90,41 @@ def test_delivery_order_is_seeded_shuffle():
 
 def test_degree_census_small_cases(tmp_path):
     k4 = _write(tmp_path, "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
-    degs, meta = degree_census(open_stream(k4))
-    assert degs.tolist() == [3, 3, 3, 3] and meta.delta == 3
+    degs = _census(stream_source(k4)).degrees
+    assert degs.tolist() == [3, 3, 3, 3]
 
     star = _write(tmp_path, "5\n0 1\n0 2\n0 3\n0 4\n", name="s.txt")
-    degs, meta = degree_census(open_stream(star))
-    assert degs.tolist() == [4, 1, 1, 1, 1] and meta.delta == 4
+    degs = _census(stream_source(star)).degrees
+    assert degs.tolist() == [4, 1, 1, 1, 1]
 
 
 def test_degree_census_matches_shadow_on_generated():
     for fam in ("clique-pairs", "lonely-clique", "hard-phase6"):
         inst = generate_instance(fam, 8, count=2, seed=3)
         src = source_of(inst)
-        degs, meta = degree_census(src.open())
-        sh = shadow_copy(src.open())
-        assert meta.delta == inst.delta
+        degs = _census(src).degrees
+        sh = shadow_of(src)
+        assert degs.max() == inst.delta
         assert degs.tolist() == [sh.degree(v) for v in range(inst.n)]
 
 
 def test_check_colorability_verdicts():
     tri = StreamSource(3, np.array([(0, 1), (1, 2), (0, 2)]))
-    cen, _ = component_census(tri.open())
+    cen = _census(tri)
     assert [v.verdict for v in check_colorability(cen, 2)] == [ODD_CYCLE_COMPONENT]
 
     k5 = StreamSource(5, np.array([(u, v) for u in range(5) for v in range(u + 1, 5)]))
-    cen, _ = component_census(k5.open())
+    cen = _census(k5)
     assert [v.verdict for v in check_colorability(cen, 4)] == [CLIQUE_COMPONENT]
 
     k4e = StreamSource(4, np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    cen, _ = component_census(k4e.open())
+    cen = _census(k4e)
     assert [v.verdict for v in check_colorability(cen, 3)] == [COLORABLE]
 
 
 def test_check_colorability_rejects_wrong_delta():
     k4e = StreamSource(4, np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    cen, _ = component_census(k4e.open())
+    cen = _census(k4e)
     with pytest.raises(ValueError):
         check_colorability(cen, 5)
 
@@ -127,7 +132,7 @@ def test_check_colorability_rejects_wrong_delta():
 def test_generated_families_are_colorable_until_clique_injected():
     inst = generate_instance("mixed", 8, count=1, seed=2)
     src = source_of(inst)
-    cen, _ = component_census(src.open())
+    cen = _census(src)
     assert all(v.verdict == COLORABLE for v in check_colorability(cen, 8))
 
     # bolt a pure (delta+1)-clique component on: exactly it flips
@@ -136,7 +141,7 @@ def test_generated_families_are_colorable_until_clique_injected():
         [(inst.n + u, inst.n + v) for u in range(k) for v in range(u + 1, k)]
     )
     bigger = StreamSource(inst.n + k, np.concatenate([inst.edges, extra]))
-    cen, _ = component_census(bigger.open())
+    cen = _census(bigger)
     verdicts = check_colorability(cen, inst.delta)
     flipped = [v for v in verdicts if v.verdict == CLIQUE_COMPONENT]
     assert len(flipped) == 1
@@ -146,7 +151,7 @@ def test_generated_families_are_colorable_until_clique_injected():
 
 def test_shadow_copy_matches_generator():
     inst = generate_instance("clique-pairs", 4, count=1, seed=7)
-    sh = shadow_copy(source_of(inst).open())
+    sh = shadow_of(source_of(inst))
     want = {(min(u, v), max(u, v)) for u, v in inst.edges.tolist()}
     got = set(sh.edges())
     assert got == want
@@ -154,7 +159,7 @@ def test_shadow_copy_matches_generator():
 
 
 def test_shadow_bit_ops():
-    sh = shadow_copy(StreamSource(3, np.array([(0, 1), (1, 2)])).open())
+    sh = shadow_of(StreamSource(3, np.array([(0, 1), (1, 2)])))
     assert sh.neighbors(1) == {0, 2}
     assert sh.common_count(0, 2) == 1
     assert sh.count_in(1, sh.mask_of([0, 2])) == 2
