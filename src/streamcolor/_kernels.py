@@ -1,22 +1,14 @@
-"""Hot per-edge kernels: numba-jitted with a pure-numpy/python fallback.
+"""Hot stream kernels, vectorized over one edge chunk at a time.
 
 The stream pass spends nearly all of its time here (field-sketch
-accumulation, reservoir sampling, union-find).  The numba kernels are used
-when numba imports (it is the optional ``numba`` extra); otherwise the
-numpy fallbacks run.
+accumulation, reservoir sampling, union-find).  Each kernel takes a whole
+chunk of edges and leaves the same state the one-edge-at-a-time
+definition would.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; the numpy fallbacks run
-    HAVE_NUMBA = False
-
 
 # ---------------------------------------------------------------------------
 # splitmix64 counter-mode PRF: all stream-side randomness that has to be
@@ -56,69 +48,67 @@ def prf_uniform(seed: int, a, b, c=0):
     return prf_u64(seed, a, b, c).astype(np.float64) / 2.0**64
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _prf_u64_scalar(seed, a, b, c):
-        x = np.uint64(seed) + np.uint64(a) * _KA + np.uint64(b) * _KB + np.uint64(c) * _KC
-        z = x + _M1
-        z = (z ^ (z >> np.uint64(30))) * _M2
-        z = (z ^ (z >> np.uint64(27))) * _M3
-        return z ^ (z >> np.uint64(31))
-
-
 # ---------------------------------------------------------------------------
 # Field-sketch accumulation.  For each stored endpoint w of an incoming edge
-# {u, w}: y(w) += (powers of the other endpoint's column id) mod p, and
-# z(w) += PRF-materialized random-matrix column mod p.
+# {o, w} at rate r: y(w) += ((o+1)^k mod p for k < 2r), and
+# z(w) += PRF-materialized random-matrix column of o, all mod p.
 # ---------------------------------------------------------------------------
 
-
-def _sketch_update_rate_numpy(Y, Z, pos, us, vs, p, zseed, ridx):
-    two_r = Y.shape[1]
-    alpha = Z.shape[1]
-    rows = np.arange(alpha, dtype=np.uint64)
-    for src, dst in ((us, vs), (vs, us)):
-        hit = pos[dst] >= 0
-        if not hit.any():
-            continue
-        t = pos[dst[hit]]
-        col = (src[hit].astype(np.int64) + 1) % p
-        P = np.empty((col.size, two_r), dtype=np.int64)
-        P[:, 0] = 1
-        for k in range(1, two_r):
-            P[:, k] = P[:, k - 1] * col % p
-        np.add.at(Y, t, P)
-        C = prf_mod(zseed, ridx, src[hit][:, None], rows[None, :], p)
-        np.add.at(Z, t, C)
-    Y %= p
-    Z %= p
+_POWER_BLOCK = 16  # power rows built at a time; bounds the temporaries
 
 
-if HAVE_NUMBA:
+def sketch_update(Y: dict, Z: dict, pos: dict, us, vs, p: int, zseed: int) -> None:
+    """Add one chunk of edges to the sketches of every rate.
 
-    @njit(cache=True)
-    def _sketch_update_rate_numba(Y, Z, pos, us, vs, p, zseed, ridx):
-        two_r = Y.shape[1]
-        alpha = Z.shape[1]
-        for i in range(us.shape[0]):
-            for d in range(2):
-                w = vs[i] if d == 0 else us[i]
-                o = us[i] if d == 0 else vs[i]
-                t = pos[w]
-                if t < 0:
-                    continue
-                col = (o + 1) % p
-                acc = 1
-                for k in range(two_r):
-                    Y[t, k] = (Y[t, k] + acc) % p
-                    acc = acc * col % p
-                for k in range(alpha):
-                    Z[t, k] = (Z[t, k] + _prf_u64_scalar(zseed, ridx, o, k) % np.uint64(p)) % p
+    ``Y[r]``, ``Z[r]`` and ``pos[r]`` are rate r's (stored, 2r) and
+    (stored, alpha) sums and its vertex -> row map (-1 = not stored).
+    Both directions of every edge are grouped by the receiving endpoint,
+    the powers up to the largest rate are summed per endpoint once, and
+    each rate adds the first 2r of those sums at the endpoints it stores.
+    Every partial sum stays below deg * p < 2^63, so the result is the
+    exact sum mod p.
+    """
+    if us.size == 0:
+        return
+    dst = np.concatenate([vs, us])
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    src = np.concatenate([us, vs])[order]
+    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+    sizes = np.diff(np.r_[starts, dst.size])
+    ends = dst[starts]
 
-    sketch_update_rate = _sketch_update_rate_numba
-else:
-    sketch_update_rate = _sketch_update_rate_numpy
+    stored = {}  # rate -> (mask of the groups it stores, their rows)
+    for r, pos_r in pos.items():
+        t = pos_r[ends]
+        g = t >= 0
+        if g.any():
+            stored[r] = (g, t[g])
+    if not stored:
+        return
+
+    col = (src + 1) % p
+    acc = np.ones_like(col)
+    rows = 2 * max(stored)
+    for k0 in range(0, rows, _POWER_BLOCK):
+        k1 = min(rows, k0 + _POWER_BLOCK)
+        P = np.empty((k1 - k0, col.size), dtype=np.int64)
+        for k in range(k1 - k0):
+            P[k] = acc
+            acc = acc * col
+            acc -= acc // p * p  # acc % p; numpy's int64 // by a scalar is the faster op
+        S = np.add.reduceat(P, starts, axis=1)
+        for r, (g, t) in stored.items():
+            hi = min(k1, 2 * r)
+            if hi > k0:
+                Y[r][t, k0:hi] = (Y[r][t, k0:hi] + S[: hi - k0, g].T) % p
+
+    for r, (g, t) in stored.items():
+        picked = src[np.repeat(g, sizes)]
+        sub_starts = np.r_[0, np.cumsum(sizes[g])[:-1]]
+        alpha_rows = np.arange(Z[r].shape[1], dtype=np.int64)
+        C = prf_mod(zseed, r, picked[None, :], alpha_rows[:, None], p)
+        Z[r][t] = (Z[r][t] + np.add.reduceat(C, sub_starts, axis=1).T) % p
 
 
 # ---------------------------------------------------------------------------
@@ -126,95 +116,70 @@ else:
 # ---------------------------------------------------------------------------
 
 
-def _reservoir_update_numpy(res, counts, us, vs, seed):
+def reservoir_update(res, counts, us, vs, seed: int) -> None:
+    """Algorithm R over one chunk of arrivals.
+
+    Edge i delivers (us[i] gets vs[i]) then (vs[i] gets us[i]).  An arrival
+    that is vertex a's c-th ever goes to slot c while c < capacity, and
+    otherwise to slot prf(seed, a, c) mod (c+1) if that is below capacity;
+    when one chunk sends several arrivals to the same slot, the last wins.
+    """
     size = res.shape[1]
-    for i in range(us.shape[0]):
-        for a, b in ((int(us[i]), int(vs[i])), (int(vs[i]), int(us[i]))):
-            c = counts[a]
-            if c < size:
-                res[a, c] = b
-            else:
-                # reduce in uint64 as _reservoir_update_numba does: a Python int >= 2^63
-                # mixed with np.int64 raises OverflowError under NumPy 2
-                j = int(prf_u64(seed, a, c) % np.uint64(c + 1))
-                if j < size:
-                    res[a, j] = b
-            counts[a] = c + 1
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _reservoir_update_numba(res, counts, us, vs, seed):
-        size = res.shape[1]
-        for i in range(us.shape[0]):
-            for d in range(2):
-                a = us[i] if d == 0 else vs[i]
-                b = vs[i] if d == 0 else us[i]
-                c = counts[a]
-                if c < size:
-                    res[a, c] = b
-                else:
-                    j = int(_prf_u64_scalar(seed, a, c, 0) % np.uint64(c + 1))
-                    if j < size:
-                        res[a, j] = b
-                counts[a] = c + 1
-
-    reservoir_update = _reservoir_update_numba
-else:
-    reservoir_update = _reservoir_update_numpy
+    a = np.stack([us, vs], axis=1).ravel()
+    b = np.stack([vs, us], axis=1).ravel()
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    first = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    rank = np.arange(a.size) - np.repeat(first, np.diff(np.r_[first, a.size]))
+    c = counts[a] + rank
+    j = c.copy()
+    full = c >= size
+    if full.any():
+        cf = c[full]
+        j[full] = (prf_u64(seed, a[full], cf) % (cf + 1).astype(np.uint64)).astype(np.int64)
+    keep = np.flatnonzero(j < size)[::-1]           # latest arrival first
+    _, last = np.unique(a[keep] * size + j[keep], return_index=True)
+    keep = keep[last]
+    res[a[keep], j[keep]] = b[keep]
+    counts += np.bincount(a, minlength=counts.size)
 
 
 # ---------------------------------------------------------------------------
-# Union-find over the edge stream (component census).
+# Union-find over the edge stream (component census).  Every hook puts the
+# larger root under the smaller one, so each vertex's parent is at most
+# itself and every root is its component's minimum vertex.
 # ---------------------------------------------------------------------------
 
 
-def _uf_find_py(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _roots_of(parent, x):
+    """Roots of the vertices x by pointer jumping; halves the paths walked."""
+    r = parent[x]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            break
+        gp = parent[up]
+        parent[r] = gp
+        r = gp
+    parent[x] = r
+    return r
 
 
-def _uf_union_batch_numpy(parent, us, vs):
-    for i in range(us.shape[0]):
-        a = _uf_find_py(parent, int(us[i]))
-        b = _uf_find_py(parent, int(vs[i]))
-        if a != b:
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _uf_union_batch_numba(parent, us, vs):
-        for i in range(us.shape[0]):
-            x = us[i]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = vs[i]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                if x < y:
-                    parent[y] = x
-                else:
-                    parent[x] = y
-
-    uf_union_batch = _uf_union_batch_numba
-else:
-    uf_union_batch = _uf_union_batch_numpy
+def uf_union_batch(parent, us, vs) -> None:
+    """Union the endpoints of every edge of one chunk (hook and jump)."""
+    a, b = us, vs
+    while a.size:
+        ra, rb = _roots_of(parent, a), _roots_of(parent, b)
+        split = ra != rb
+        a, b = ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
 def uf_roots(parent: np.ndarray) -> np.ndarray:
     """Flatten a union-find parent array to root labels."""
     out = parent.copy()
-    for v in range(out.shape[0]):
-        out[v] = _uf_find_py(out, v)
-    return out
+    while True:
+        up = out[out]
+        if np.array_equal(up, out):
+            return out
+        out = up

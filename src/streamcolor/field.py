@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from streamcolor._kernels import prf_mod, sketch_update_rate
+from streamcolor._kernels import prf_mod, sketch_update
 from streamcolor.params import ParamSet, child_seed, rng_for, sketch_rates
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,7 @@ class SketchBank:
         return self._pos[r][v] >= 0
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        for r in self.rates:
-            sketch_update_rate(
-                self._Y[r], self._Z[r], self._pos[r], us, vs, self.p, self.zseed, r
-            )
+        sketch_update(self._Y, self._Z, self._pos, us, vs, self.p, self.zseed)
 
     def raw(self, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         i = self._pos[r][v]

@@ -62,15 +62,6 @@ class PaletteSet:
     l6: list[list[frozenset[int]]]       # 2*beta lists per vertex
     masks: np.ndarray = field(repr=False)  # (n, words) uint64 union masks
 
-    def union(self, v: int) -> set[int]:
-        out = {int(self.l1[v])}
-        out |= self.l2[v] | self.l3[v] | self.l4_star[v] | self.l5[v]
-        for s in self.l4[v]:
-            out |= s
-        for s in self.l6[v]:
-            out |= s
-        return out
-
     def list_sizes(self, v: int) -> int:
         return (
             1
@@ -164,14 +155,12 @@ def palette_space_report(palettes: PaletteSet, h: ConflictGraph) -> dict:
     log_delta = max(1, int(np.ceil(np.log2(max(2, palettes.delta)))))
     log_n = max(1, int(np.ceil(np.log2(max(2, palettes.n)))))
     entries = palettes.total_list_entries()
-    union_sizes = [len(palettes.union(v)) for v in range(palettes.n)]
-    hist: dict[int, int] = {}
-    for s in union_sizes:
-        hist[s] = hist.get(s, 0) + 1
+    union_sizes = np.bitwise_count(palettes.masks).sum(axis=1)  # |union of v's lists|
+    sizes, counts = np.unique(union_sizes, return_counts=True)
     return {
         "list_entries": entries,
         "list_bits": entries * log_delta,
-        "union_size_histogram": dict(sorted(hist.items())),
+        "union_size_histogram": dict(zip(sizes.tolist(), counts.tolist())),
         "h_edges": h.m,
         "h_bits": h.m * 2 * log_n,
         "bits": entries * log_delta + h.m * 2 * log_n,

@@ -100,11 +100,7 @@ def _prepass(src: StreamSource, want_shadow: bool):
     for block in stream.chunks():
         degrees += np.bincount(block[:, 0], minlength=n)
         degrees += np.bincount(block[:, 1], minlength=n)
-        uf_union_batch(
-            parent,
-            np.ascontiguousarray(block[:, 0]),
-            np.ascontiguousarray(block[:, 1]),
-        )
+        uf_union_batch(parent, block[:, 0], block[:, 1])
         m += block.shape[0]
         if blocks is not None:
             blocks.append(block.copy())

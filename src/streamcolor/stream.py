@@ -156,20 +156,23 @@ class ComponentCensus:
     degrees: np.ndarray
 
     def components(self) -> list[ComponentStat]:
-        out = []
-        for root in np.unique(self.roots):
-            members = np.flatnonzero(self.roots == root)
-            degs = self.degrees[members]
-            out.append(
-                ComponentStat(
-                    vertices=[int(v) for v in members],
-                    vcount=members.size,
-                    ecount=int(degs.sum()) // 2,  # every edge stays inside its component
-                    max_degree=int(degs.max()),
-                    min_degree=int(degs.min()),
-                )
-            )
-        return out
+        """One stat per component, in ascending root order."""
+        order = np.argsort(self.roots, kind="stable")
+        roots = self.roots[order]
+        starts = np.flatnonzero(np.r_[True, roots[1:] != roots[:-1]])
+        degs = self.degrees[order]
+        # every edge stays inside its component
+        ecounts = np.add.reduceat(degs, starts) // 2
+        maxs = np.maximum.reduceat(degs, starts)
+        mins = np.minimum.reduceat(degs, starts)
+        verts = order.tolist()
+        bounds = starts.tolist() + [len(verts)]
+        return [
+            ComponentStat(vertices=verts[a:b], vcount=b - a,
+                          ecount=e, max_degree=hi, min_degree=lo)
+            for a, b, e, hi, lo in zip(bounds, bounds[1:], ecounts.tolist(),
+                                       maxs.tolist(), mins.tolist())
+        ]
 
 
 COLORABLE = "Colorable"
@@ -227,9 +230,9 @@ class AdjacencyOracle:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.m = edges.shape[0]
         self._sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self._sets[int(u)].add(int(v))
-            self._sets[int(v)].add(int(u))
+        for u, v in edges.tolist():
+            self._sets[u].add(v)
+            self._sets[v].add(u)
         words = max(1, (n + 63) // 64)
         self._bits = np.zeros((n, words), dtype=np.uint64)
         if self.m:
@@ -252,9 +255,9 @@ class AdjacencyOracle:
         return int(np.bitwise_count(self._bits[u] & self._bits[v]).sum())
 
     def mask_of(self, vertices) -> np.ndarray:
+        vs = np.fromiter(vertices, dtype=np.int64)
         mask = np.zeros(self._bits.shape[1], dtype=np.uint64)
-        for v in vertices:
-            mask[v // 64] |= np.uint64(1) << np.uint64(v % 64)
+        np.bitwise_or.at(mask, vs // 64, np.uint64(1) << (vs % 64).astype(np.uint64))
         return mask
 
     def count_in(self, v: int, mask: np.ndarray) -> int:

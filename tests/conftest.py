@@ -69,6 +69,17 @@ def random_sparse_vector(rng, n: int, k: int, p: int) -> np.ndarray:
     return x
 
 
+def palette_union(pal, v: int) -> set[int]:
+    """Every color in any of v's sampled lists."""
+    out = {int(pal.l1[v])}
+    out |= pal.l2[v] | pal.l3[v] | pal.l4_star[v] | pal.l5[v]
+    for s in pal.l4[v]:
+        out |= s
+    for s in pal.l6[v]:
+        out |= s
+    return out
+
+
 def uniform_palettes(n, delta, lists, params=None):
     """Palettes whose every list per vertex equals lists[v] (tests only)."""
     from streamcolor.palette import sample_palettes

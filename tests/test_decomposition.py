@@ -129,7 +129,7 @@ def _run_kernel(kernel, n, size, us, vs, seed):
     return res, counts
 
 
-def test_reservoir_update_numpy_over_capacity():
+def test_reservoir_update_over_capacity():
     # past capacity the PRF draw is reduced mod (count + 1); draws >= 2^63
     # must not overflow and must pick the same slot exact arithmetic picks
     n, size, us, vs = _over_capacity_input()
@@ -137,20 +137,9 @@ def test_reservoir_update_numpy_over_capacity():
     want_res, want_counts, draws = _reservoir_reference(n, size, us, vs, seed)
     assert len(draws) == len(us) - size
     assert any(r >= 2**63 for r in draws)
-    res, counts = _run_kernel(_kernels._reservoir_update_numpy, n, size, us, vs, seed)
+    res, counts = _run_kernel(_kernels.reservoir_update, n, size, us, vs, seed)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(res, want_res)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not enabled")
-def test_reservoir_update_numba_matches_numpy():
-    pytest.importorskip("numba")
-    n, size, us, vs = _over_capacity_input()
-    seed = 7
-    want = _run_kernel(_kernels._reservoir_update_numpy, n, size, us, vs, seed)
-    got = _run_kernel(_kernels._reservoir_update_numba, n, size, us, vs, seed)
-    np.testing.assert_array_equal(got[1], want[1])
-    np.testing.assert_array_equal(got[0], want[0])
 
 
 def test_sample_rate_clamps_to_everyone():

@@ -12,7 +12,13 @@ from streamcolor.palette import (
 )
 from streamcolor.params import ParamSet
 
-from conftest import build_conflict_graph, oracle_from_edges, source_of, uniform_palettes
+from conftest import (
+    build_conflict_graph,
+    oracle_from_edges,
+    palette_union,
+    source_of,
+    uniform_palettes,
+)
 
 
 def test_l1_is_a_single_color_in_range():
@@ -121,7 +127,7 @@ def test_h_subgraph_and_no_false_drops_exhaustive():
         for v in h.neighbors(u):
             assert oracle.has_edge(u, v)
     for u, v in inst.edges.tolist():
-        if pal.union(u) & pal.union(v):
+        if palette_union(pal, u) & palette_union(pal, v):
             assert v in h.neighbors(u)
 
 

@@ -122,6 +122,32 @@ def test_check_colorability_verdicts():
     assert [v.verdict for v in check_colorability(cen, 3)] == [COLORABLE]
 
 
+def _components_by_scan(census):
+    """The census listing as one scan of all n roots per component."""
+    out = []
+    for root in np.unique(census.roots):
+        members = np.flatnonzero(census.roots == root)
+        degs = census.degrees[members]
+        out.append((members.tolist(), members.size, int(degs.sum()) // 2,
+                    int(degs.max()), int(degs.min())))
+    return out
+
+
+def test_components_match_a_per_root_scan_on_many_components():
+    # ~3k components: 1000 disjoint edges, a path, a star, 1980 isolated
+    # vertices, all under shuffled labels
+    n = 4000
+    perm = np.random.default_rng(5).permutation(n)
+    edges = [tuple(perm[2 * i : 2 * i + 2]) for i in range(1000)]
+    edges += [(perm[i], perm[i + 1]) for i in range(2000, 2009)]
+    edges += [(perm[2010], perm[i]) for i in range(2011, 2020)]
+    cen = _census(StreamSource(n, np.array(edges)))
+    got = [(c.vertices, c.vcount, c.ecount, c.max_degree, c.min_degree)
+           for c in cen.components()]
+    assert len(got) == 2982
+    assert got == _components_by_scan(cen)
+
+
 def test_check_colorability_rejects_wrong_delta():
     k4e = StreamSource(4, np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
     cen = _census(k4e)
