@@ -35,15 +35,21 @@ def test_clamped_rate_gives_full_palette():
     assert all(pal.l2[v] == frozenset(range(1, 7)) for v in range(20))
 
 
-def test_list_size_concentration():
-    # mean |L2| over vertices = beta within 4 sigma; delta=100, beta=8
+@pytest.mark.parametrize("which, q_const", [("l2", 1.0), ("l4", 50.0)])
+def test_list_size_concentration(which, q_const):
+    # mean list size = delta * rate within 4 sigma; delta=100, beta=8.
+    # q_const=50 puts the L4 rate near 0.0013, below 1/delta
     n, delta, beta = 1000, 100, 8
-    params = ParamSet.desk(n, delta, beta=beta, eps=1 / 40)
+    params = ParamSet.desk(n, delta, beta=beta, eps=1 / 40, q_const=q_const)
     pal = sample_palettes(n, delta, params, seed=3)
-    sizes = np.array([len(pal.l2[v]) for v in range(n)])
-    rate = beta / delta
-    sigma_of_mean = np.sqrt(delta * rate * (1 - rate) / n)
-    assert abs(sizes.mean() - beta) <= 4 * sigma_of_mean
+    if which == "l2":
+        rate = params.l2_rate(delta)
+        sizes = np.array([len(s) for s in pal.l2])
+    else:
+        rate = params.q_rate(delta)
+        sizes = np.array([len(s) for row in pal.l4 for s in row])
+    sigma_of_mean = np.sqrt(delta * rate * (1 - rate) / sizes.size)
+    assert abs(sizes.mean() - delta * rate) <= 4 * sigma_of_mean
 
 
 def test_paper_mode_clamps_with_warning():
