@@ -29,7 +29,7 @@ from streamcolor.decomposition import (
     SMALL,
     Decomposition,
 )
-from streamcolor.palette import ConflictGraph, PaletteSet
+from streamcolor.palette import ConflictGraph, PaletteSet, colors_of
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -186,7 +186,7 @@ def build_palette_graph(
     for v in left:
         blocked = C.used_nearby(v)
         adj.append(
-            [rindex[c] for c in sorted(lists(v)) if c in rindex and c not in blocked]
+            [rindex[c] for c in colors_of(lists(v)) if c in rindex and c not in blocked]
         )
     return PaletteGraph(left=left, right=right, adj=adj)
 
@@ -241,7 +241,7 @@ def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
         if C.colors[v]:
             continue
         blocked = C.used_nearby(v)
-        for c in sorted(palettes.l3[v]):
+        for c in colors_of(palettes.l3[v]):
             if c not in blocked:
                 C.assign(v, c, 3)
                 break
@@ -281,7 +281,7 @@ def colorful_matching(
         for a, b in alive:
             if C.colors[a] or C.colors[b]:
                 continue
-            if c not in list_of(a) or c not in list_of(b):
+            if not (list_of(a)[c - 1] and list_of(b)[c - 1]):
                 continue
             if not C.try_assign(a, c, 4):
                 continue
@@ -334,7 +334,7 @@ def phase5_critical(
     neighborhood is stored), then finish K by palette matching."""
     u, v = helper.u, helper.v
     blocked = C.used_nearby(u) | C.used_nearby(v)
-    shared = next((c for c in sorted(palettes.l5[u]) if c not in blocked), None)
+    shared = next((c for c in colors_of(palettes.l5[u]) if c not in blocked), None)
     if shared is None:
         raise RunFailure("phase5", f"no free pair color for non-edge ({u},{v})")
     C.assign(u, shared, 5)
@@ -362,7 +362,7 @@ def phase6_friendly(
         raise RunFailure("phase6", f"recolor lists exhausted at witness {u}")
     lst = palettes.l6[u][count]
     blocked = C.used_nearby(u) | C.used_nearby(w)
-    shared = next((c for c in sorted(lst) if c not in blocked), None)
+    shared = next((c for c in colors_of(lst) if c not in blocked), None)
     if shared is None:
         raise RunFailure("phase6", f"no recolor color for witness {u}")
     C.recolor(u, shared, 6)
@@ -403,7 +403,6 @@ class PhaseResult:
     colored_by: dict[int, int]       # clique index -> phase that colored it
     responsible: dict[int, int]      # clique index -> phase per classification
     recolored: list[int]
-    out_of_list_known: set[int]      # vertices with full stored neighborhoods
 
 
 def run_phases(
@@ -498,7 +497,6 @@ def run_phases(
         colored_by=colored_by,
         responsible=responsible,
         recolored=C.recolored,
-        out_of_list_known=set(recovery.known) if recovery is not None else set(),
     )
 
 

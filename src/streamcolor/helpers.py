@@ -60,9 +60,6 @@ class RecoveryGraph:
                 self.adj[x].add(center)
                 self.m += 1
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
     def stored_bits(self) -> int:
         return self.m * 2 * max(1, int(np.ceil(np.log2(max(2, self.n)))))
 

@@ -1,10 +1,14 @@
 """Per-vertex color-list sampling and the conflict-graph edge filter.
 
-Each vertex samples six independent lists over the colors 1..delta; an
-edge is stored iff the endpoint lists intersect, since those are the
-only edges that can ever become monochromatic when vertices stick to
-their sampled colors.  List membership is mirrored in per-vertex bit
-masks so the stream filter is a vectorized AND.
+Each vertex samples six independent lists over the colors 1..delta.  A
+list is a boolean row over the palette whose column c-1 is set when
+color c is in it: L2, L3, L4* and L5 are (n, delta) arrays, the beta
+pair-lists L4 are (n, beta, delta) and the 2*beta recolor lists L6 are
+(n, 2*beta, delta); L1 is one color per vertex.  An edge is stored iff
+the endpoint lists intersect, since those are the only edges that can
+ever become monochromatic when vertices stick to their sampled colors.
+The filter reads per-vertex uint64 union masks packed from the rows, so
+it is a vectorized AND.
 """
 
 from __future__ import annotations
@@ -17,64 +21,54 @@ import numpy as np
 from streamcolor.params import ParamSet, rng_for
 
 
-def _mask_words(delta: int) -> int:
-    return max(1, (delta + 63) // 64)
-
-
-def _sample_color_sets(rng, n: int, delta: int, rate: float) -> list[frozenset[int]]:
-    """n independent Bernoulli(rate) subsets of 1..delta.
-
-    Bulk-samples a boolean matrix when the expected list size is a fair
-    share of the palette; skips by geometric gaps when the rate is tiny.
-    """
+def _draw_lists(rng, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """Independent Bernoulli(rate) memberships for an (n, [k,] delta)
+    array of lists, drawn one (n, delta) block per list index."""
     if rate >= 1.0:
-        full = frozenset(range(1, delta + 1))
-        return [full] * n
-    if rate * delta >= 1.0 or rate > 0.02:
-        hits = rng.random((n, delta)) < rate
-        return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in hits]
-    out = []
-    for _ in range(n):
-        picks = []
-        c = 0
-        while True:
-            c += int(rng.geometric(rate))
-            if c > delta:
-                break
-            picks.append(c)
-        out.append(frozenset(picks))
+        return np.ones(shape, dtype=bool)
+    n, delta = shape[0], shape[-1]
+    out = np.empty(shape, dtype=bool)
+    for block in out.reshape(n, -1, delta).transpose(1, 0, 2):
+        block[...] = rng.random((n, delta)) < rate
     return out
+
+
+def colors_of(row: np.ndarray) -> list[int]:
+    """The colors of one list row, ascending."""
+    return (np.flatnonzero(row) + 1).tolist()
 
 
 @dataclass
 class PaletteSet:
-    """All sampled lists plus union bit masks used by the edge filter."""
+    """All sampled lists plus the union bit masks the edge filter reads."""
 
     n: int
     delta: int
     beta: int
-    l1: np.ndarray                       # one uniform color per vertex
-    l2: list[frozenset[int]]
-    l3: list[frozenset[int]]
-    l4_star: list[frozenset[int]]
-    l4: list[list[frozenset[int]]]       # beta short pair-lists per vertex
-    l5: list[frozenset[int]]
-    l6: list[list[frozenset[int]]]       # 2*beta lists per vertex
-    masks: np.ndarray = field(repr=False)  # (n, words) uint64 union masks
+    l1: np.ndarray                       # (n,) one uniform color per vertex
+    l2: np.ndarray                       # (n, delta) bool
+    l3: np.ndarray                       # (n, delta) bool
+    l4_star: np.ndarray                  # (n, delta) bool
+    l4: np.ndarray                       # (n, beta, delta) bool pair-lists
+    l5: np.ndarray                       # (n, delta) bool
+    l6: np.ndarray                       # (n, 2*beta, delta) bool
+    masks: np.ndarray = field(init=False, repr=False)  # (n, words) uint64
 
-    def list_sizes(self, v: int) -> int:
-        return (
-            1
-            + len(self.l2[v])
-            + len(self.l3[v])
-            + len(self.l4_star[v])
-            + sum(len(s) for s in self.l4[v])
-            + len(self.l5[v])
-            + sum(len(s) for s in self.l6[v])
-        )
+    def __post_init__(self):
+        self.masks = union_masks(self)
 
     def total_list_entries(self) -> int:
-        return sum(self.list_sizes(v) for v in range(self.n))
+        lists = (self.l2, self.l3, self.l4_star, self.l4, self.l5, self.l6)
+        return self.n + sum(int(np.count_nonzero(a)) for a in lists)
+
+
+def union_masks(pal: PaletteSet) -> np.ndarray:
+    """(n, words) uint64 masks: bit c-1 of v's row is set iff color c is
+    in any of v's lists."""
+    union = pal.l2 | pal.l3 | pal.l4_star | pal.l5 | pal.l4.any(axis=1) | pal.l6.any(axis=1)
+    union[np.arange(pal.n), pal.l1 - 1] = True
+    bits = np.pad(union, ((0, 0), (0, -pal.delta % 64)))
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteSet:
@@ -96,28 +90,15 @@ def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteS
             warnings.warn(f"paper-mode rates clamped to 1 at delta={delta}: {clamped}")
 
     l1 = rng.integers(1, delta + 1, size=n).astype(np.int64)
-    l2 = _sample_color_sets(rng, n, delta, rates["l2"])
-    l3 = _sample_color_sets(rng, n, delta, rates["l3"])
-    l4_star = _sample_color_sets(rng, n, delta, rates["l4_star"])
-    l4_by_i = [_sample_color_sets(rng, n, delta, rates["l4_i"]) for _ in range(beta)]
-    l4 = [[l4_by_i[i][v] for i in range(beta)] for v in range(n)]
-    l5 = _sample_color_sets(rng, n, delta, rates["l5"])
-    l6_by_i = [_sample_color_sets(rng, n, delta, rates["l6_i"]) for _ in range(2 * beta)]
-    l6 = [[l6_by_i[i][v] for i in range(2 * beta)] for v in range(n)]
-
-    words = _mask_words(delta)
-    masks = np.zeros((n, words), dtype=np.uint64)
-    for v in range(n):
-        mask = masks[v]
-        for c in (
-            {int(l1[v])} | l2[v] | l3[v] | l4_star[v] | l5[v]
-            | set().union(*l4[v]) | set().union(*l6[v])
-        ):
-            mask[(c - 1) // 64] |= np.uint64(1) << np.uint64((c - 1) % 64)
-
+    l2 = _draw_lists(rng, (n, delta), rates["l2"])
+    l3 = _draw_lists(rng, (n, delta), rates["l3"])
+    l4_star = _draw_lists(rng, (n, delta), rates["l4_star"])
+    l4 = _draw_lists(rng, (n, beta, delta), rates["l4_i"])
+    l5 = _draw_lists(rng, (n, delta), rates["l5"])
+    l6 = _draw_lists(rng, (n, 2 * beta, delta), rates["l6_i"])
     return PaletteSet(
         n=n, delta=delta, beta=beta, l1=l1, l2=l2, l3=l3,
-        l4_star=l4_star, l4=l4, l5=l5, l6=l6, masks=masks,
+        l4_star=l4_star, l4=l4, l5=l5, l6=l6,
     )
 
 
@@ -141,9 +122,6 @@ class ConflictGraph:
 
     def neighbors(self, v: int) -> set[int]:
         return self.adj[v]
-
-    def stored_bits(self) -> int:
-        return self.m * 2 * max(1, int(np.ceil(np.log2(max(2, self.n)))))
 
 
 def conflict_keep_chunk(us: np.ndarray, vs: np.ndarray, palettes: PaletteSet) -> np.ndarray:

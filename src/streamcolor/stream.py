@@ -221,9 +221,7 @@ def check_colorability(census: ComponentCensus, delta: int) -> list[ComponentVer
 
 
 class AdjacencyOracle:
-    """Full adjacency structure, flagged out-of-budget for space accounting."""
-
-    out_of_budget = True
+    """Full adjacency structure, outside the space accounting."""
 
     def __init__(self, n: int, edges: np.ndarray):
         self.n = n

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from streamcolor.decomposition import SampleCollector
-from streamcolor.palette import ConflictGraph, conflict_keep_chunk
+from streamcolor.palette import (
+    ConflictGraph,
+    colors_of,
+    conflict_keep_chunk,
+    sample_palettes,
+    union_masks,
+)
+from streamcolor.params import ParamSet
 from streamcolor.pipeline import _prepass
 from streamcolor.stream import AdjacencyOracle, StreamSource
 
@@ -70,35 +77,24 @@ def random_sparse_vector(rng, n: int, k: int, p: int) -> np.ndarray:
 
 
 def palette_union(pal, v: int) -> set[int]:
-    """Every color in any of v's sampled lists."""
+    """Every color in any of v's sampled lists, read from the list rows."""
     out = {int(pal.l1[v])}
-    out |= pal.l2[v] | pal.l3[v] | pal.l4_star[v] | pal.l5[v]
-    for s in pal.l4[v]:
-        out |= s
-    for s in pal.l6[v]:
-        out |= s
+    for row in (pal.l2[v], pal.l3[v], pal.l4_star[v], pal.l5[v], *pal.l4[v], *pal.l6[v]):
+        out |= set(colors_of(row))
     return out
 
 
 def uniform_palettes(n, delta, lists, params=None):
     """Palettes whose every list per vertex equals lists[v] (tests only)."""
-    from streamcolor.palette import sample_palettes
-    from streamcolor.params import ParamSet
-
     params = params or ParamSet.desk(n, delta)
     pal = sample_palettes(n, delta, params, seed=0)
     for v, colors in enumerate(lists):
-        colors = frozenset(colors)
-        pal.l2[v] = colors
-        pal.l3[v] = colors
-        pal.l4_star[v] = colors
-        pal.l5[v] = colors
-        pal.l4[v] = [colors] * params.beta
-        pal.l6[v] = [colors] * (2 * params.beta)
+        row = np.zeros(delta, dtype=bool)
+        row[[c - 1 for c in colors]] = True
+        for lst in (pal.l2, pal.l3, pal.l4_star, pal.l5, pal.l4, pal.l6):
+            lst[v] = row
         pal.l1[v] = min(colors)
-        pal.masks[v] = 0
-        for c in colors:
-            pal.masks[v, (c - 1) // 64] |= np.uint64(1) << np.uint64((c - 1) % 64)
+    pal.masks = union_masks(pal)
     return pal
 
 

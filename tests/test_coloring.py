@@ -349,7 +349,7 @@ def test_phase5_no_color_failure_path():
     # block every色 on the pair via an adversarial hand state: color the
     # common neighbors with all of 1..3 is impossible (only 2 of them), so
     # shrink the list instead
-    pal.l5[2] = frozenset()
+    pal.l5[2] = False
     with pytest.raises(RunFailure):
         phase5_critical([0, 1, 2, 3], helper, C, pal)
 
@@ -518,8 +518,8 @@ def test_shared_witness_is_recolored_twice():
 
     pal = sample_palettes(n, delta, params, seed=3)
     for v in range(n):  # starve phase 4 so both cliques reach phase 6
-        pal.l4[v] = [frozenset()] * params.beta
-        pal.l4_star[v] = frozenset()
+        pal.l4[v] = False
+        pal.l4_star[v] = False
     h = build_conflict_graph(src.open(), pal)
     bank = SketchBank(n, delta, params, 3)
     for block in src.open().chunks():
