@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from streamcolor.decomposition import SampleCollector
+from streamcolor.decomposition import (
+    AlmostClique,
+    Decomposition,
+    SampleCollector,
+    compute_decomposition,
+)
+from streamcolor.generators import generate_instance
 from streamcolor.palette import (
     ConflictGraph,
     colors_of,
@@ -44,6 +50,35 @@ def build_conflict_graph(stream, palettes) -> ConflictGraph:
         keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
         h.add_chunk(block[keep, 0], block[keep, 1])
     return h
+
+
+def planted_mistakes():
+    """Two wrong decompositions with their oracles, as (decomposition,
+    oracle, params, delta): a clique member moved to the sparse side, and
+    two disjoint blocks merged into one clique."""
+    delta = 16
+    inst = generate_instance("clique-minus-edge", delta, count=1, seed=2)
+    oracle = oracle_from_edges(inst.n, inst.edges)
+    params = ParamSet.desk(inst.n, delta)
+    dec = compute_decomposition(oracle, params, delta)
+    # one endpoint of the missing edge; its neighborhood is a clique
+    K = dec.cliques[0].vertices
+    endpoint = next(
+        v for v in K if any(not oracle.has_edge(v, u) for u in K if u != v)
+    )
+    moved = Decomposition(
+        n=dec.n,
+        v_sparse=[endpoint],
+        cliques=[AlmostClique(vertices=[v for v in K if v != endpoint])],
+    )
+    inst2 = generate_instance("clique-minus-edge", delta, count=2, seed=2)
+    oracle2 = oracle_from_edges(inst2.n, inst2.edges)
+    merged = Decomposition(
+        n=inst2.n,
+        v_sparse=[],
+        cliques=[AlmostClique(vertices=list(range(inst2.n)))],
+    )
+    return [(moved, oracle, params, delta), (merged, oracle2, params, delta)]
 
 
 def measure_gap(v: int, C, oracle, delta: int) -> int:

@@ -25,7 +25,7 @@ from streamcolor.generators import generate_instance
 from streamcolor.params import ParamSet
 from streamcolor.stream import StreamSource
 
-from conftest import collect_samples, oracle_from_edges, shadow_of, source_of
+from conftest import collect_samples, oracle_from_edges, planted_mistakes, shadow_of, source_of
 
 
 def _clique_edges(vertices):
@@ -202,34 +202,12 @@ def test_partition_totality_across_families():
 
 
 def test_verify_catches_planted_mistakes():
-    delta = 16
-    inst = generate_instance("clique-minus-edge", delta, count=1, seed=2)
-    oracle = oracle_from_edges(inst.n, inst.edges)
-    params = ParamSet.desk(inst.n, delta)
-    dec = compute_decomposition(oracle, params, delta)
-
-    # move one endpoint of the missing edge to the sparse side; its
-    # neighborhood is a clique, so the sparse-side check must object
-    K = dec.cliques[0].vertices
-    endpoint = next(
-        v for v in K if any(not oracle.has_edge(v, u) for u in K if u != v)
-    )
-    broken = Decomposition(
-        n=dec.n,
-        v_sparse=[endpoint],
-        cliques=[AlmostClique(vertices=[v for v in K if v != endpoint])],
-    )
-    rep = verify_decomposition(broken, oracle, params.eps, delta)
+    # the moved vertex's neighborhood is a clique, so the sparse-side check
+    # must object; the merged blocks give inside-non-neighbor violations
+    (moved, oracle, params, delta), (merged, oracle2, _, _) = planted_mistakes()
+    rep = verify_decomposition(moved, oracle, params.eps, delta)
     assert any("not eps-sparse" in v for v in rep.violations)
 
-    # merge two disjoint blocks into one: inside-non-neighbor violation
-    inst2 = generate_instance("clique-minus-edge", delta, count=2, seed=2)
-    oracle2 = oracle_from_edges(inst2.n, inst2.edges)
-    merged = Decomposition(
-        n=inst2.n,
-        v_sparse=[],
-        cliques=[AlmostClique(vertices=list(range(inst2.n)))],
-    )
     rep2 = verify_decomposition(merged, oracle2, params.eps, delta)
     assert any("non-neighbors inside" in v or "size" in v for v in rep2.violations)
 

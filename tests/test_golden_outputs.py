@@ -1,9 +1,11 @@
-"""Golden digests of fixed-seed colorings, reports and palette masks.
+"""Golden digests of fixed-seed colorings, reports, palette masks and
+decompositions.
 
-Only fields that do not depend on how the sampled lists are stored are
-pinned: the colors, the clique report, the space report and the union
-masks the stream filter reads.  A refactor of the palette storage must
-leave all of them byte-identical.
+Only fields that do not depend on how the lists and graphs are stored are
+pinned: the colors, the clique report, the space report, the union masks
+the stream filter reads, the decomposition `decompose_run` returns and the
+ordered violation list of `verify_decomposition`.  A refactor of the
+palette or graph storage must leave all of them byte-identical.
 """
 
 import hashlib
@@ -11,9 +13,12 @@ import json
 
 import pytest
 
+from streamcolor.decomposition import verify_decomposition
 from streamcolor.palette import sample_palettes
 from streamcolor.params import ParamSet
-from streamcolor.pipeline import RunConfig, color_run
+from streamcolor.pipeline import RunConfig, color_run, decompose_run
+
+from conftest import planted_mistakes
 
 # spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON);
 # both shadow modes give the same three digests on these instances.
@@ -35,6 +40,26 @@ RUNS = {
     ),
 }
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"
+# (spec, no_shadow) -> sha256 of the decompose_run JSON (see _decomposition_view)
+DECOMPOSITIONS = {
+    ("clique-pairs:delta=16,count=4,seed=1", False):
+        "a8e63a3440b46181c2b61dbc89e50da5ac31a20341fd74073b41b74c8c0d3209",
+    ("clique-pairs:delta=16,count=4,seed=1", True):
+        "100fd715b58eb5ec11132cd405c5a068756d01f55243805c8072fe699df6d712",
+    ("mixed:delta=32,count=2,seed=1", False):
+        "2947a9c3523b8cb2edfc3463be78f2fcc4cf71730604a0375cb0e25c7357115c",
+    ("mixed:delta=32,count=2,seed=1", True):
+        "e33a99e03bef61cf0fbadc3f49d31adb93fe99848ec4a37c21fd67f651050fad",
+    ("random-regular:delta=16,n=400,seed=1", False):
+        "239cca8ab2f32bd9c573cbe403cbac0828639610320c6867c7e2a414072bf8ab",
+    ("random-regular:delta=16,n=400,seed=1", True):
+        "0274708000cc15e8c8c7c53b2597dc48b7dbbd34e17f18c4f5628089fce3d3ff",
+}
+# sha256 of the violations JSON for each decomposition of planted_mistakes()
+PLANTED_VIOLATIONS = (
+    "3cafdb723762425e1a7b28ec43b09c2f689e3ef6495ff0106b9912f5f9372b51",
+    "9463e3a3ecb2c52a2c26e71c5291c7fb59db57c492d0ca8d73f33d54c88f982e",
+)
 
 
 def _sha(data: bytes) -> str:
@@ -62,3 +87,29 @@ def test_palette_masks_golden():
     pal = sample_palettes(300, 100, ParamSet.desk(300, 100, beta=8), seed=5)
     assert pal.masks.shape == (300, 2)
     assert _sha(pal.masks.tobytes()) == MASKS
+
+
+def _decomposition_view(dec, report) -> dict:
+    return {
+        "v_sparse": dec.v_sparse,
+        "cliques": [
+            {"vertices": k.vertices, "size_class": k.size_class, "non_edges": k.non_edges,
+             "holey": k.holey, "kind": k.kind, "witness": k.witness}
+            for k in dec.cliques
+        ],
+        "violations": None if report is None else report.violations,
+    }
+
+
+@pytest.mark.parametrize("spec, no_shadow", sorted(DECOMPOSITIONS))
+def test_decompose_run_golden(spec, no_shadow):
+    dec, report = decompose_run(spec, seed=1, no_shadow=no_shadow)
+    assert _json_sha(_decomposition_view(dec, report)) == DECOMPOSITIONS[spec, no_shadow]
+
+
+def test_planted_mistake_violations_golden():
+    got = tuple(
+        _json_sha(verify_decomposition(dec, oracle, params.eps, delta).violations)
+        for dec, oracle, params, delta in planted_mistakes()
+    )
+    assert got == PLANTED_VIOLATIONS
