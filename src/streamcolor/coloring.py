@@ -29,7 +29,8 @@ from streamcolor.decomposition import (
     SMALL,
     Decomposition,
 )
-from streamcolor.palette import ConflictGraph, PaletteSet, colors_of
+from streamcolor.graph import Graph
+from streamcolor.palette import PaletteSet, colors_of
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -53,11 +54,16 @@ class PartialColoring:
     """Vertex -> color in 1..delta (0 = uncolored), proper on H + H+ at
     all times, with per-phase provenance."""
 
-    def __init__(self, n: int, delta: int, conflict: ConflictGraph, recovery=None):
+    def __init__(self, n: int, delta: int, conflict: Graph, recovery: Graph | None = None):
         self.n = n
         self.delta = delta
         self.conflict = conflict
         self.recovery = recovery
+        # every stored edge, H and H+ together
+        if recovery is None or not recovery.m:
+            self.stored = conflict
+        else:
+            self.stored = Graph(n, np.concatenate([conflict.edges(), recovery.edges()]))
         self.colors = np.zeros(n, dtype=np.int64)
         self.provenance = np.zeros(n, dtype=np.int8)
         self.recolored: list[int] = []
@@ -65,15 +71,9 @@ class PartialColoring:
     def color(self, v: int) -> int:
         return int(self.colors[v])
 
-    def stored_neighbors(self, v: int):
-        if self.recovery is None:
-            return self.conflict.adj[v]
-        return self.conflict.adj[v] | self.recovery.adj[v]
-
     def used_nearby(self, v: int) -> set[int]:
-        return {
-            int(self.colors[u]) for u in self.stored_neighbors(v) if self.colors[u]
-        }
+        near = self.colors[self.stored.row(v)]
+        return set(near[near != UNCOLORED].tolist())
 
     def try_assign(self, v: int, c: int, phase: int) -> bool:
         """Assign if no stored neighbor holds c; False on conflict."""
@@ -216,17 +216,15 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
     """Activate each vertex with probability 1/alpha and keep its single
     sampled color iff no stored neighbor tentatively picked the same one
     (both sides of a collision drop out)."""
-    n = C.n
     rng = rng_for(seed, "oneshot")
-    active = rng.random(n) < params.activation_rate()
+    active = rng.random(C.n) < params.activation_rate()
     x = np.where(active, palettes.l1, 0)
-    keep = []
-    for v in np.flatnonzero(x):
-        if all(x[u] != x[v] for u in C.conflict.adj[v]):
-            keep.append(int(v))
-    for v in keep:
-        C.colors[v] = x[v]
-        C.provenance[v] = 1
+    e = C.conflict.edges()
+    clash = e[(x[e[:, 0]] == x[e[:, 1]]) & (x[e[:, 0]] != 0)]
+    keep = x != 0
+    keep[clash.ravel()] = False
+    C.colors[keep] = x[keep]
+    C.provenance[keep] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +404,7 @@ class PhaseResult:
 
 
 def run_phases(
-    conflict: ConflictGraph,
+    conflict: Graph,
     recovery,
     palettes: PaletteSet,
     dec: Decomposition,

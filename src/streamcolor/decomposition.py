@@ -6,7 +6,9 @@ non-edges among their neighbors) and disjoint almost-cliques.  The
 reference decomposer reads the shadow adjacency (it stands in for an
 external streaming construction and is excluded from the space budget);
 its output is always verified, never trusted.  A sample-based heuristic
-sits behind the same interface with no guarantees.
+sits behind the same interface with no guarantees.  Both read the
+common-neighbor counts of one `graph.pair_counts` pass, and every check
+is a whole-array operation over the graph's sorted adjacency lists.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from streamcolor._kernels import prf_uniform, reservoir_update
+from streamcolor._kernels import prf_uniform, reservoir_update, uf_roots, uf_union_batch
+from streamcolor.graph import Graph, pair_counts
 from streamcolor.params import ParamSet, child_seed, rng_for
-from streamcolor.stream import AdjacencyOracle
 
 SMALL, CRITICAL, LARGE = "small", "critical", "large"
 FRIEND, STRANGER = "Friend", "Stranger"
@@ -40,10 +42,10 @@ class DecompSamples:
     n: int
     delta: int
     sample_members: np.ndarray            # bool: vertices with full stored neighborhoods
-    sample_adj: dict[int, set[int]]
+    sample_adj: Graph                     # row v: v's neighborhood if v is a member
     reservoir: np.ndarray                 # (n, cap) uniform distinct neighbors
     reservoir_counts: np.ndarray
-    isample: list[set[int]]               # per-vertex Bernoulli neighbor samples
+    isample: Graph                        # row v: v's Bernoulli sample of its neighbors
     isample_rate: float
 
     def nsample(self, v: int) -> list[int]:
@@ -52,9 +54,9 @@ class DecompSamples:
 
     def stored_bits(self) -> int:
         log_n = max(1, int(np.ceil(np.log2(max(2, self.n)))))
-        total = sum(len(s) for s in self.sample_adj.values())
+        total = self.sample_adj.indices.size
         total += int(np.minimum(self.reservoir_counts, self.reservoir.shape[1]).sum())
-        total += sum(len(s) for s in self.isample)
+        total += self.isample.indices.size
         return total * log_n
 
 
@@ -88,26 +90,21 @@ class SampleCollector:
                 self._ipairs.append(np.stack([a[keep], b[keep]], axis=1))
 
     def finalize(self) -> DecompSamples:
-        sample_adj: dict[int, set[int]] = {
-            int(v): set() for v in np.flatnonzero(self.members)
-        }
-        for block in self._sample_pairs:
-            for a, b in block.tolist():
-                sample_adj[a].add(b)
-        isample: list[set[int]] = [set() for _ in range(self.n)]
-        for block in self._ipairs:
-            for a, b in block.tolist():
-                isample[a].add(b)
         return DecompSamples(
             n=self.n,
             delta=self.delta,
             sample_members=self.members,
-            sample_adj=sample_adj,
+            sample_adj=_lists_of(self.n, self._sample_pairs),
             reservoir=self.reservoir,
             reservoir_counts=self.counts,
-            isample=isample,
+            isample=_lists_of(self.n, self._ipairs),
             isample_rate=self.isample_rate,
         )
+
+
+def _lists_of(n: int, blocks: list[np.ndarray]) -> Graph:
+    pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    return Graph.from_pairs(n, pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +135,6 @@ class Decomposition:
     v_sparse: list[int]
     cliques: list[AlmostClique]
 
-    def clique_of(self) -> dict[int, int]:
-        out = {}
-        for i, k in enumerate(self.cliques):
-            for v in k.vertices:
-                out[v] = i
-        return out
-
 
 def size_class_of(size: int, delta: int) -> str:
     if size <= delta:
@@ -154,33 +144,21 @@ def size_class_of(size: int, delta: int) -> str:
     return LARGE
 
 
-def is_eps_sparse(v: int, oracle: AdjacencyOracle, eps: float, delta: int) -> bool:
-    """At least eps^2*delta^2/2 non-edges among the neighbors of v."""
-    nbrs = oracle.neighbors(v)
-    d = len(nbrs)
-    if d < 2:
-        return False
-    mask = oracle.mask_of(nbrs)
-    inside = sum(oracle.count_in(u, mask) for u in nbrs) // 2
-    non_edges = d * (d - 1) // 2 - inside
+def is_eps_sparse(oracle: Graph, eps: float, delta: int) -> np.ndarray:
+    """Per vertex: at least eps^2*delta^2/2 non-edges among its neighbors,
+    which number d(d-1)/2 - t(v)."""
+    d = oracle.degrees
+    non_edges = d * (d - 1) // 2 - oracle.triangles()
     threshold = eps * eps * delta * delta / 2
     # inclusive, with a relative guard for float noise in the threshold
-    return non_edges >= threshold * (1 - 1e-9)
+    return (d >= 2) & (non_edges >= threshold * (1 - 1e-9))
 
 
-def count_non_edges(K, oracle: AdjacencyOracle) -> int:
-    """Unordered non-adjacent pairs inside K (test oracle)."""
-    verts = sorted(K)
-    mask = oracle.mask_of(verts)
-    inside = sum(oracle.count_in(v, mask) for v in verts) // 2
-    return len(verts) * (len(verts) - 1) // 2 - inside
-
-
-def count_non_edges_stored(K, adjacency: list[set[int]]) -> int:
-    """Non-edge count of K judged only from stored edges (budget mode)."""
-    verts = sorted(K)
-    inside = sum(len(adjacency[v] & set(verts)) for v in verts) // 2
-    return len(verts) * (len(verts) - 1) // 2 - inside
+def count_non_edges(K, graph: Graph) -> int:
+    """Unordered pairs inside K that are not edges of the graph."""
+    verts = np.asarray(sorted(K), dtype=np.int64)
+    inside, _ = graph.within(verts)
+    return verts.size * (verts.size - 1) // 2 - inside.size // 2
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +166,31 @@ def count_non_edges_stored(K, adjacency: list[set[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_violation(K: set[int], oracle: AdjacencyOracle, eps: float, delta: int) -> str | None:
-    size = len(K)
+def _cluster_violation(K: np.ndarray, oracle: Graph, eps: float, delta: int) -> str | None:
+    """The first failed almost-clique check of the sorted cluster K, naming
+    the smallest violating vertex."""
+    size = K.size
     if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
         return f"size {size} outside [(1-5e)D, (1+5e)D]"
-    mask = oracle.mask_of(K)
-    for v in K:
-        inside = oracle.count_in(v, mask)
-        if size - 1 - inside > 10 * eps * delta:
-            return f"vertex {v} has {size - 1 - inside} non-neighbors inside"
-        if oracle.degree(v) - inside > 10 * eps * delta:
-            return f"vertex {v} has {oracle.degree(v) - inside} neighbors outside"
+    i, _ = oracle.within(K)
+    inside = np.bincount(i, minlength=size)
+    non_nbrs = (size - 1 - inside).tolist()
+    outside = (oracle.degrees[K] - inside).tolist()
+    slack = 10 * eps * delta
+    for v, a, b in zip(K.tolist(), non_nbrs, outside):
+        if a > slack:
+            return f"vertex {v} has {a} non-neighbors inside"
+        if b > slack:
+            return f"vertex {v} has {b} neighbors outside"
     return None
 
 
 def compute_decomposition(
-    oracle: AdjacencyOracle | None,
+    oracle: Graph | None,
     params: ParamSet,
     delta: int,
     samples: DecompSamples | None = None,
-    conflict=None,
+    conflict: Graph | None = None,
 ) -> Decomposition:
     """Partition vertices into sparse ones and disjoint almost-cliques.
 
@@ -216,102 +199,69 @@ def compute_decomposition(
     when it has that many link partners, and almost-cliques are the
     connected components of the link graph on dense vertices.  Clusters
     that fail the almost-clique checks shed their locally-sparse members
-    or fail loudly.  Heuristic mode estimates the same link counts from
-    neighbor samples and carries no guarantees.
+    or fail loudly.  Heuristic mode estimates the same link counts on the
+    edges of H from the neighbor samples, |I(u) & I(v)| / rate^2, and
+    carries no guarantees.
     """
     eps = params.eps
+    cut = (1 - 10 * eps) * delta
     if oracle is not None:
         n = oracle.n
-        edge_iter = oracle.edges()
-
-        def common(u, v):
-            return oracle.common_count(u, v)
-
+        edges = oracle.edges()
+        linked = oracle.common >= cut
     else:
         if samples is None or conflict is None:
             raise ValueError("heuristic mode needs samples and a conflict graph")
         n = conflict.n
-        edge_iter = (
-            (u, v) for u in range(n) for v in conflict.neighbors(u) if u < v
-        )
+        edges = conflict.edges()
+        # row w: every vertex whose sample holds w, so pairs in a row count
+        # the sampled neighbors two vertices share
+        rows, cols = samples.isample.pairs()
+        holders = Graph.from_pairs(n, cols, rows)
         rate = max(samples.isample_rate, 1e-9)
+        common, _ = pair_counts(holders, edges[:, 0] * n + edges[:, 1])
+        linked = common / (rate * rate) >= cut
+    us, vs = edges[linked, 0], edges[linked, 1]
+    dense = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) >= cut
+    join = dense[us] & dense[vs]
+    parent = np.arange(n, dtype=np.int64)
+    uf_union_batch(parent, us[join], vs[join])
+    roots = uf_roots(parent)
 
-        def common(u, v):
-            return len(samples.isample[u] & samples.isample[v]) / (rate * rate)
-
-    cut = (1 - 10 * eps) * delta
-    partners: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_iter:
-        if common(u, v) >= cut:
-            partners[u].append(v)
-            partners[v].append(u)
-    dense = np.array([len(partners[v]) >= cut for v in range(n)])
-
-    parent = np.arange(n)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        if not dense[u]:
-            continue
-        for v in partners[u]:
-            if dense[v]:
-                a, b = find(u), find(v)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-    clusters: dict[int, set[int]] = {}
-    for v in np.flatnonzero(dense):
-        clusters.setdefault(find(int(v)), set()).add(int(v))
-
+    # clusters in ascending root order (every root is its cluster's minimum)
+    members = np.flatnonzero(dense)
+    members = members[np.argsort(roots[members], kind="stable")]
+    splits = np.flatnonzero(np.diff(roots[members])) + 1
+    sparse = is_eps_sparse(oracle, eps, delta) if oracle is not None else None
     cliques: list[AlmostClique] = []
-    demoted: set[int] = set()
-    for K in clusters.values():
+    for K in np.split(members, splits):
         if oracle is not None:
-            while K:
+            while K.size:
                 why = _cluster_violation(K, oracle, eps, delta)
                 if why is None:
                     break
-                droppable = {v for v in K if is_eps_sparse(v, oracle, eps, delta)}
-                if not droppable:
-                    raise DecompositionFailed(K, why)
-                K -= droppable
-                demoted |= droppable
-        if K:
+                droppable = sparse[K]
+                if not droppable.any():
+                    raise DecompositionFailed(K.tolist(), why)
+                K = K[~droppable]
+        if K.size:
             cliques.append(
-                AlmostClique(
-                    vertices=sorted(K),
-                    size_class=size_class_of(len(K), delta),
-                )
+                AlmostClique(vertices=K.tolist(), size_class=size_class_of(K.size, delta))
             )
     cliques.sort(key=lambda k: k.vertices[0])
 
-    in_clique = set()
+    in_clique = np.zeros(n, dtype=bool)
     for k in cliques:
-        in_clique |= k.vset
-    v_sparse = sorted(set(range(n)) - in_clique)
-    return Decomposition(n=n, v_sparse=v_sparse, cliques=cliques)
+        in_clique[k.vertices] = True
+    return Decomposition(n=n, v_sparse=np.flatnonzero(~in_clique).tolist(), cliques=cliques)
 
 
-def annotate_cliques(
-    dec: Decomposition,
-    params: ParamSet,
-    delta: int,
-    oracle: AdjacencyOracle | None = None,
-    stored_adjacency: list[set[int]] | None = None,
-) -> None:
-    """Fill non-edge counts and holey flags, from the oracle when present
-    or from stored edges otherwise."""
+def annotate_cliques(dec: Decomposition, params: ParamSet, delta: int, graph: Graph) -> None:
+    """Fill non-edge counts and holey flags as judged from the graph: the
+    shadow when there is one, the stored edges of H otherwise."""
     thr = params.holey_threshold(delta)
     for k in dec.cliques:
-        if oracle is not None:
-            k.non_edges = count_non_edges(k.vertices, oracle)
-        else:
-            k.non_edges = count_non_edges_stored(k.vertices, stored_adjacency)
+        k.non_edges = count_non_edges(k.vertices, graph)
         k.holey = k.non_edges >= thr
 
 
@@ -329,8 +279,16 @@ class DecompReport:
         return not self.violations
 
 
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of keys in a sorted table, and whether each key is there."""
+    pos = np.searchsorted(table, keys)
+    found = pos < table.size
+    found[found] = table[pos[found]] == keys[found]
+    return pos, found
+
+
 def verify_decomposition(
-    dec: Decomposition, oracle: AdjacencyOracle, eps: float, delta: int
+    dec: Decomposition, oracle: Graph, eps: float, delta: int
 ) -> DecompReport:
     report = DecompReport()
     seen: dict[int, int] = {}
@@ -345,32 +303,47 @@ def verify_decomposition(
     if len(dec.v_sparse) + sum(len(k) for k in dec.cliques) != dec.n:
         report.violations.append("partition does not cover all vertices")
 
+    # near[x] = i*n + u: u has hits[x] neighbors among the members of clique i
+    n = oracle.n
+    sizes = np.array([len(k) for k in dec.cliques], dtype=np.int64)
+    label = np.repeat(np.arange(sizes.size), sizes)
+    verts = np.array([v for k in dec.cliques for v in k.vertices], dtype=np.int64)
+    member = np.unique(label * n + verts)
+    owner, nbrs = oracle.rows_of(member % n)
+    near, hits = np.unique((member // n)[owner] * n + nbrs, return_counts=True)
+
     slack = 10 * eps * delta
+    pos, found = _find(near, label * n + verts)
+    inside = np.zeros(verts.size, dtype=np.int64)
+    inside[found] = hits[pos[found]]
+    non_nbrs = sizes[label] - 1 - inside
+    outside = oracle.degrees[verts] - inside
+    msgs: list[list[str]] = [[] for _ in dec.cliques]
+    for j in np.flatnonzero((non_nbrs > slack) | (outside > slack)).tolist():
+        i, v = int(label[j]), int(verts[j])
+        if non_nbrs[j] > slack:
+            msgs[i].append(f"clique {i}: {v} has {int(non_nbrs[j])} non-neighbors inside")
+        if outside[j] > slack:
+            msgs[i].append(f"clique {i}: {v} has {int(outside[j])} neighbors outside")
+    # an outsider qualifies when size - hits < slack; one with no neighbor
+    # inside qualifies only for a clique smaller than the slack
+    _, is_member = _find(member, near)
+    outsiders = near[~is_member & (sizes[near // n] - hits < slack)]
     for i, k in enumerate(dec.cliques):
         size = len(k)
         if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
             report.violations.append(f"clique {i}: size {size} out of range")
-        mask = oracle.mask_of(k.vertices)
-        for v in k.vertices:
-            inside = oracle.count_in(v, mask)
-            if size - 1 - inside > slack:
-                report.violations.append(
-                    f"clique {i}: {v} has {size - 1 - inside} non-neighbors inside"
-                )
-            if oracle.degree(v) - inside > slack:
-                report.violations.append(
-                    f"clique {i}: {v} has {oracle.degree(v) - inside} neighbors outside"
-                )
-        members = k.vset
-        for u in range(dec.n):
-            if u in members:
-                continue
-            if size - oracle.count_in(u, mask) < slack:
-                report.violations.append(
-                    f"clique {i}: outsider {u} has too few non-neighbors inside"
-                )
+        report.violations += msgs[i]
+        if size < slack:
+            flagged = sorted(set(range(dec.n)) - k.vset)
+        else:
+            flagged = (outsiders[outsiders // n == i] % n).tolist()
+        report.violations += [
+            f"clique {i}: outsider {u} has too few non-neighbors inside" for u in flagged
+        ]
+    sparse = is_eps_sparse(oracle, eps, delta)
     for v in dec.v_sparse:
-        if not is_eps_sparse(v, oracle, eps, delta):
+        if not sparse[v]:
             report.violations.append(f"sparse vertex {v} is not eps-sparse")
     return report
 
@@ -380,17 +353,17 @@ def verify_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def friend_stranger_test(
-    v: int, K, isample_v: set[int], params: ParamSet, delta: int
-) -> str:
-    """Classify an outside vertex from its sampled edge count into K.
+def friend_stranger_test(sampled_edges, params: ParamSet, delta: int):
+    """Classify outside vertices from their sampled edge counts into K.
 
     Friends (>= 2*delta/beta true edges) land above the threshold with
     high probability, strangers (< delta/beta) below; ties go to
-    Stranger.  No promise is made inside the gap.
+    Stranger.  No promise is made inside the gap.  Takes a count or an
+    array of counts and answers alike.
     """
-    x = len(isample_v & set(K))
-    return FRIEND if x > params.friend_test_threshold(delta) else STRANGER
+    return np.where(
+        np.asarray(sampled_edges) > params.friend_test_threshold(delta), FRIEND, STRANGER
+    )
 
 
 def classify_friendly_lonely(
@@ -399,20 +372,21 @@ def classify_friendly_lonely(
     """Assign each almost-clique to friendly (with a witness) or lonely.
 
     The friendly side contains every clique with a friend and no lonely
-    clique lands there; social cliques may end up on either side.
+    clique lands there; social cliques may end up on either side.  The
+    witness is the smallest outside vertex that the friend test accepts.
     """
-    touches: dict[int, set[int]] = {}
-    clique_idx = dec.clique_of()
-    for u in range(dec.n):
-        for w in samples.isample[u]:
-            i = clique_idx.get(w)
-            if i is not None and clique_idx.get(u) != i:
-                touches.setdefault(i, set()).add(u)
+    n = dec.n
+    label = np.full(n, -1, dtype=np.int64)
     for i, k in enumerate(dec.cliques):
-        k.kind = LONELY
-        k.witness = None
-        for u in sorted(touches.get(i, ())):
-            if friend_stranger_test(u, k.vertices, samples.isample[u], params, delta) == FRIEND:
-                k.kind = FRIENDLY
-                k.witness = u
-                break
+        label[k.vertices] = i
+    holder, held = samples.isample.pairs()
+    into = label[held]
+    touch = (into >= 0) & (label[holder] != into)
+    # one entry per (clique, outside vertex): its sampled edges into the clique
+    codes, sampled = np.unique(into[touch] * n + holder[touch], return_counts=True)
+    friend = friend_stranger_test(sampled, params, delta) == FRIEND
+    cliques, first = np.unique(codes[friend] // n, return_index=True)
+    witness = dict(zip(cliques.tolist(), (codes[friend][first] % n).tolist()))
+    for i, k in enumerate(dec.cliques):
+        k.witness = witness.get(i)
+        k.kind = FRIENDLY if k.witness is not None else LONELY

@@ -23,6 +23,7 @@ from streamcolor.field import (
     safe_recover,
     vandermonde_sum,
 )
+from streamcolor.graph import Graph
 
 
 @dataclass
@@ -42,26 +43,16 @@ class FriendlyHelper:
     n_w: set[int]
 
 
-class RecoveryGraph:
-    """Union of the recovered neighborhood stars; the vertices in
-    ``known`` have their complete adjacency stored here."""
+class RecoveryGraph(Graph):
+    """Union of the recovered neighborhood stars, given as (center,
+    neighborhood) pairs; the vertices in ``known`` have their complete
+    adjacency stored here."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        self.known: set[int] = set()
-        self.m = 0
-
-    def add_star(self, center: int, neighborhood: set[int]) -> None:
-        self.known.add(center)
-        for x in neighborhood:
-            if x not in self.adj[center]:
-                self.adj[center].add(x)
-                self.adj[x].add(center)
-                self.m += 1
-
-    def stored_bits(self) -> int:
-        return self.m * 2 * max(1, int(np.ceil(np.log2(max(2, self.n)))))
+    def __init__(self, n: int, stars=()):
+        stars = list(stars)
+        self.known: set[int] = {center for center, _ in stars}
+        edges = [(center, x) for center, nbhd in stars for x in nbhd]
+        super().__init__(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def _decode_neighborhood(
@@ -178,10 +169,7 @@ def build_recovery_graph(
     friendly: dict[int, FriendlyHelper],
 ) -> RecoveryGraph:
     """Union of all recovered neighborhood stars."""
-    g = RecoveryGraph(n)
-    for h in critical.values():
-        g.add_star(h.v, h.n_v)
+    stars = [(h.v, h.n_v) for h in critical.values()]
     for h in friendly.values():
-        g.add_star(h.v, h.n_v)
-        g.add_star(h.w, h.n_w)
-    return g
+        stars += [(h.v, h.n_v), (h.w, h.n_w)]
+    return RecoveryGraph(n, stars)

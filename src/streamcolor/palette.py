@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from streamcolor.graph import Graph
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -103,35 +104,28 @@ def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteS
 
 
 class ConflictGraph:
-    """Adjacency over the stored (possibly-monochromatic) edges."""
+    """The stored (possibly-monochromatic) edges, kept chunk by chunk during
+    the pass; `build` turns them into the graph H."""
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        self.m = 0
-
-    def add_edge(self, u: int, v: int) -> None:
-        if v not in self.adj[u]:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            self.m += 1
+        self._chunks: list[np.ndarray] = []
 
     def add_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        for u, v in zip(us.tolist(), vs.tolist()):
-            self.add_edge(u, v)
+        self._chunks.append(np.stack([us, vs], axis=1))
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
+    def build(self) -> Graph:
+        edges = np.concatenate(self._chunks) if self._chunks else np.empty((0, 2), dtype=np.int64)
+        return Graph(self.n, edges)
 
 
 def conflict_keep_chunk(us: np.ndarray, vs: np.ndarray, palettes: PaletteSet) -> np.ndarray:
     return (palettes.masks[us] & palettes.masks[vs]).any(axis=1)
 
 
-def palette_space_report(palettes: PaletteSet, h: ConflictGraph) -> dict:
+def palette_space_report(palettes: PaletteSet, h: Graph) -> dict:
     """Deterministic bit accounting; shadow structures are not included."""
     log_delta = max(1, int(np.ceil(np.log2(max(2, palettes.delta)))))
-    log_n = max(1, int(np.ceil(np.log2(max(2, palettes.n)))))
     entries = palettes.total_list_entries()
     union_sizes = np.bitwise_count(palettes.masks).sum(axis=1)  # |union of v's lists|
     sizes, counts = np.unique(union_sizes, return_counts=True)
@@ -140,6 +134,6 @@ def palette_space_report(palettes: PaletteSet, h: ConflictGraph) -> dict:
         "list_bits": entries * log_delta,
         "union_size_histogram": dict(zip(sizes.tolist(), counts.tolist())),
         "h_edges": h.m,
-        "h_bits": h.m * 2 * log_n,
-        "bits": entries * log_delta + h.m * 2 * log_n,
+        "h_bits": h.stored_bits(),
+        "bits": entries * log_delta + h.stored_bits(),
     }

@@ -27,6 +27,7 @@ from streamcolor.decomposition import (
     verify_decomposition,
 )
 from streamcolor.field import SketchBank
+from streamcolor.graph import Graph
 from streamcolor.helpers import build_recovery_graph, find_critical_helper, find_friendly_helper
 from streamcolor.palette import (
     ConflictGraph,
@@ -37,7 +38,6 @@ from streamcolor.palette import (
 from streamcolor.params import DELTA_MIN_PIPELINE, ParamSet
 from streamcolor.stream import (
     COLORABLE,
-    AdjacencyOracle,
     ComponentCensus,
     StreamSource,
     check_colorability,
@@ -48,6 +48,10 @@ from streamcolor._kernels import uf_roots, uf_union_batch
 SUCCESS = "success"
 NOT_COLORABLE = "not-colorable"
 PIPELINE_FAILED = "pipeline-failed"
+
+# The pre-pass builds the shadow through this name, which perfbench's
+# tracer times as the shadow build.
+AdjacencyOracle = Graph
 
 
 @dataclass
@@ -75,7 +79,7 @@ class RunResult:
     # rich attachments for tests and tooling
     delta: int = 0
     params: ParamSet | None = None
-    shadow: AdjacencyOracle | None = None
+    shadow: Graph | None = None
     palettes: object = None
     conflict: object = None
     recovery: object = None
@@ -112,14 +116,15 @@ def _prepass(src: StreamSource, want_shadow: bool):
     return census, shadow, m
 
 
-def _non_edges_in(vertices, has_edge) -> list[tuple[int, int]]:
-    verts = sorted(vertices)
-    out = []
-    for i, a in enumerate(verts):
-        for b in verts[i + 1 :]:
-            if not has_edge(a, b):
-                out.append((a, b))
-    return out
+def _non_edges_in(vertices, graphs) -> list[tuple[int, int]]:
+    """The pairs a < b of the vertices that no graph joins, ascending."""
+    verts = np.asarray(sorted(vertices), dtype=np.int64)
+    joined = np.zeros((verts.size, verts.size), dtype=bool)
+    for g in graphs:
+        i, j = g.within(verts)
+        joined[i, j] = True
+    a, b = np.nonzero(np.triu(~joined, 1))
+    return list(zip(verts[a].tolist(), verts[b].tolist()))
 
 
 def _main_pass(src, n, delta, params, seed):
@@ -136,7 +141,7 @@ def _main_pass(src, n, delta, params, seed):
         conflict.add_chunk(us[keep], vs[keep])
         collector.update_chunk(us, vs)
         bank.update_chunk(us, vs)
-    return palettes, conflict, collector.finalize(), bank
+    return palettes, conflict.build(), collector.finalize(), bank
 
 
 def _decompose(shadow, samples, conflict, params, delta):
@@ -145,11 +150,11 @@ def _decompose(shadow, samples, conflict, params, delta):
     if shadow is not None:
         dec = compute_decomposition(shadow, params, delta)
         report = verify_decomposition(dec, shadow, params.eps, delta)
-        annotate_cliques(dec, params, delta, oracle=shadow)
+        annotate_cliques(dec, params, delta, shadow)
     else:
         dec = compute_decomposition(None, params, delta, samples=samples, conflict=conflict)
         report = None
-        annotate_cliques(dec, params, delta, stored_adjacency=conflict.adj)
+        annotate_cliques(dec, params, delta, conflict)
     classify_friendly_lonely(dec, samples, params, delta)
     return dec, report
 
@@ -178,14 +183,9 @@ def _attempt(src, n, delta, params, run_seed, shadow):
             friendly_helpers[i] = h
     recovery = build_recovery_graph(n, critical_helpers, friendly_helpers)
 
-    if shadow is not None:
-        has_edge = shadow.has_edge
-    else:
-        def has_edge(a, b, _c=conflict, _r=recovery):
-            return b in _c.adj[a] or b in _r.adj[a]
-
+    graphs = (shadow,) if shadow is not None else (conflict, recovery)
     non_edges_of = {
-        i: _non_edges_in(k.vertices, has_edge) for i, k in enumerate(dec.cliques)
+        i: _non_edges_in(k.vertices, graphs) for i, k in enumerate(dec.cliques)
     }
 
     phase_result = col.run_phases(
@@ -232,12 +232,14 @@ def _attempt(src, n, delta, params, run_seed, shadow):
     }
 
 
-def _verify_against_shadow(colors: np.ndarray, shadow: AdjacencyOracle, delta: int) -> None:
+def _verify_against_shadow(colors: np.ndarray, shadow: Graph, delta: int) -> None:
     if (colors < 1).any() or (colors > delta).any():
         raise col.ColoringError("final coloring out of range")
-    for u, v in shadow.edges():
-        if colors[u] == colors[v]:
-            raise col.ColoringError(f"monochromatic edge ({u},{v})")
+    e = shadow.edges()
+    same = np.flatnonzero(colors[e[:, 0]] == colors[e[:, 1]])
+    if same.size:
+        u, v = e[same[0]].tolist()
+        raise col.ColoringError(f"monochromatic edge ({u},{v})")
 
 
 def color_run(cfg: RunConfig) -> RunResult:
@@ -272,7 +274,8 @@ def color_run(cfg: RunConfig) -> RunResult:
         adj_source = shadow
         if adj_source is None:  # offline path stores the graph by definition
             _, adj_source, _ = _prepass(src, want_shadow=True)
-        colors = col.offline_brooks(adj_source._sets, max(delta, 1))
+        adj = [adj_source.neighbors(v) for v in range(n)]
+        colors = col.offline_brooks(adj, max(delta, 1))
         report = base_report | {
             "status": SUCCESS,
             "pipeline": "offline",

@@ -212,58 +212,3 @@ def check_colorability(census: ComponentCensus, delta: int) -> list[ComponentVer
         else:
             verdicts.append(ComponentVerdict(COLORABLE, stat))
     return verdicts
-
-
-# ---------------------------------------------------------------------------
-# Shadow adjacency (built by the pre-pass for the reference decomposer and
-# final verification; outside the space budget)
-# ---------------------------------------------------------------------------
-
-
-class AdjacencyOracle:
-    """Full adjacency structure, outside the space accounting."""
-
-    def __init__(self, n: int, edges: np.ndarray):
-        self.n = n
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self.m = edges.shape[0]
-        self._sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges.tolist():
-            self._sets[u].add(v)
-            self._sets[v].add(u)
-        words = max(1, (n + 63) // 64)
-        self._bits = np.zeros((n, words), dtype=np.uint64)
-        if self.m:
-            us, vs = edges[:, 0], edges[:, 1]
-            for a, b in ((us, vs), (vs, us)):
-                np.bitwise_or.at(
-                    self._bits, (a, b // 64), np.uint64(1) << (b % 64).astype(np.uint64)
-                )
-
-    def neighbors(self, v: int) -> set[int]:
-        return self._sets[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._sets[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
-
-    def common_count(self, u: int, v: int) -> int:
-        return int(np.bitwise_count(self._bits[u] & self._bits[v]).sum())
-
-    def mask_of(self, vertices) -> np.ndarray:
-        vs = np.fromiter(vertices, dtype=np.int64)
-        mask = np.zeros(self._bits.shape[1], dtype=np.uint64)
-        np.bitwise_or.at(mask, vs // 64, np.uint64(1) << (vs % 64).astype(np.uint64))
-        return mask
-
-    def count_in(self, v: int, mask: np.ndarray) -> int:
-        """Number of neighbors of v inside the masked vertex set."""
-        return int(np.bitwise_count(self._bits[v] & mask).sum())
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self._sets[u]:
-                if u < v:
-                    yield u, v

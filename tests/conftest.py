@@ -17,18 +17,19 @@ from streamcolor.palette import (
 )
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _prepass
-from streamcolor.stream import AdjacencyOracle, StreamSource
+from streamcolor.graph import Graph
+from streamcolor.stream import StreamSource
 
 
-def oracle_from_edges(n, edges) -> AdjacencyOracle:
-    return AdjacencyOracle(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+def oracle_from_edges(n, edges) -> Graph:
+    return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def source_of(inst, seed=0) -> StreamSource:
     return StreamSource(inst.n, inst.edges, seed=seed)
 
 
-def shadow_of(src) -> AdjacencyOracle:
+def shadow_of(src) -> Graph:
     """The shadow the pipeline's pre-pass builds (one pass over src)."""
     return _prepass(src, want_shadow=True)[1]
 
@@ -43,13 +44,13 @@ def collect_samples(stream, params, seed: int, delta: int):
     return coll.finalize()
 
 
-def build_conflict_graph(stream, palettes) -> ConflictGraph:
-    """Filter one full pass into the conflict graph."""
+def build_conflict_graph(stream, palettes) -> Graph:
+    """Filter one full pass into the conflict graph H."""
     h = ConflictGraph(stream.meta.n)
     for block in stream.chunks():
         keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
         h.add_chunk(block[keep, 0], block[keep, 1])
-    return h
+    return h.build()
 
 
 def planted_mistakes():

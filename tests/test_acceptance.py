@@ -27,7 +27,7 @@ from streamcolor.field import (
 from streamcolor.generators import generate_instance
 from streamcolor.helpers import find_critical_helper, find_friendly_helper
 from streamcolor.coloring import l_perfect_matching
-from streamcolor.palette import ConflictGraph, sample_palettes
+from streamcolor.palette import sample_palettes
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import SUCCESS, RunConfig, color_run, verify_coloring
 
@@ -365,10 +365,10 @@ def e2e_stats():
                         word, bit = (c - 1) // 64, (c - 1) % 64
                         in_list = bool(pal.masks[v, word] >> np.uint64(bit) & np.uint64(1))
                         if not in_list:
-                            if v not in rec.known or rec.adj[v] != shadow.neighbors(v):
+                            if v not in rec.known or rec.neighbors(v) != shadow.neighbors(v):
                                 out_viol += 1
                     for v in rec.known:
-                        if rec.adj[v] != shadow.neighbors(v):
+                        if rec.neighbors(v) != shadow.neighbors(v):
                             known_bad += 1
                 stats.append(
                     RunStats(family, delta, seed, ok, passes, attempts, out_viol, known_bad)
@@ -481,9 +481,7 @@ def test_criterion_11_colorful_matching_size():
         ]
         target = params.matching_target(len(F), delta)
         targets.add(target)
-        h = ConflictGraph(inst.n)
-        for u, v in inst.edges.tolist():
-            h.add_edge(u, v)
+        h = oracle  # every edge stored
         best = 0
         for i in range(params.beta):
             C = PartialColoring(inst.n, delta, h)

@@ -17,7 +17,6 @@ from streamcolor.coloring import (
 )
 from streamcolor.decomposition import AlmostClique
 from streamcolor.helpers import CriticalHelper, FriendlyHelper, RecoveryGraph
-from streamcolor.palette import ConflictGraph
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, color_run
 
@@ -25,10 +24,7 @@ from conftest import build_conflict_graph, measure_gap, oracle_from_edges, unifo
 
 
 def _conflict_from(n, edges):
-    h = ConflictGraph(n)
-    for u, v in edges:
-        h.add_edge(u, v)
-    return h
+    return oracle_from_edges(n, edges)
 
 
 # ---- matching ---------------------------------------------------------------
@@ -294,8 +290,7 @@ def _k4_minus_edge_setup():
     delta = 3
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]  # missing (2,3)
     h = _conflict_from(4, edges)
-    rec = RecoveryGraph(4)
-    rec.add_star(3, {0, 1})
+    rec = RecoveryGraph(4, [(3, {0, 1})])
     C = PartialColoring(4, delta, h, rec)
     pal = uniform_palettes(4, delta, [{1, 2, 3}] * 4)
     helper = CriticalHelper(u=2, v=3, n_v={0, 1}, rate=2)
@@ -359,9 +354,7 @@ def test_phase6_increments_witness_counter_and_colors_clique():
     delta = 3
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)]
     h = _conflict_from(5, edges)
-    rec = RecoveryGraph(5)
-    rec.add_star(0, {1, 2, 3})   # v = 0
-    rec.add_star(2, {0, 1})      # w = 2
+    rec = RecoveryGraph(5, [(0, {1, 2, 3}), (2, {0, 1})])   # v = 0, w = 2
     C = PartialColoring(5, delta, h, rec)
     pal = uniform_palettes(5, delta, [{1, 2, 3}] * 5)
     C.assign(3, 1, 3)  # witness already colored; phase 6 may overwrite
@@ -511,7 +504,7 @@ def test_shared_witness_is_recolored_twice():
     params = ParamSet.desk(n, delta)
 
     dec = compute_decomposition(oracle, params, delta)
-    annotate_cliques(dec, params, delta, oracle=oracle)
+    annotate_cliques(dec, params, delta, oracle)
     samples = collect_samples(src.open(), params, 3, delta)
     classify_friendly_lonely(dec, samples, params, delta)
     assert [k.witness for k in dec.cliques] == [w, w]

@@ -12,6 +12,7 @@ from streamcolor.decomposition import (
     STRANGER,
     AlmostClique,
     Decomposition,
+    DecompositionFailed,
     SampleCollector,
     classify_friendly_lonely,
     compute_decomposition,
@@ -38,14 +39,14 @@ def _clique_edges(vertices):
 def test_eps_sparse_clique_member_false():
     delta = 6
     oracle = oracle_from_edges(delta + 1, _clique_edges(list(range(delta + 1))))
-    assert not is_eps_sparse(0, oracle, 0.4, delta)
+    assert not is_eps_sparse(oracle, 0.4, delta)[0]
 
 
 def test_eps_sparse_star_center_true():
     # star center, delta=10, eps=0.4: C(10,2)=45 >= 8
     edges = [(0, v) for v in range(1, 11)]
     oracle = oracle_from_edges(11, edges)
-    assert is_eps_sparse(0, oracle, 0.4, 10)
+    assert is_eps_sparse(oracle, 0.4, 10)[0]
 
 
 def test_eps_sparse_threshold_inclusive():
@@ -57,11 +58,11 @@ def test_eps_sparse_threshold_inclusive():
     removed = inner[:8]
     edges += [e for e in inner if e not in removed]
     oracle = oracle_from_edges(11, edges)
-    assert is_eps_sparse(0, oracle, eps, delta)
+    assert is_eps_sparse(oracle, eps, delta)[0]
     # one fewer non-edge: false
     edges2 = [(0, v) for v in verts] + [e for e in inner if e not in removed[:7]]
     oracle2 = oracle_from_edges(11, edges2)
-    assert not is_eps_sparse(0, oracle2, eps, delta)
+    assert not is_eps_sparse(oracle2, eps, delta)[0]
 
 
 # ---- sample collection -----------------------------------------------------
@@ -171,7 +172,7 @@ def test_sparse_only_graph_has_no_cliques():
     params = ParamSet.desk(inst.n, delta)
     dec = compute_decomposition(oracle, params, delta)
     assert dec.cliques == []
-    assert all(is_eps_sparse(v, oracle, params.eps, delta) for v in dec.v_sparse)
+    assert is_eps_sparse(oracle, params.eps, delta)[dec.v_sparse].all()
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -210,6 +211,20 @@ def test_verify_catches_planted_mistakes():
 
     rep2 = verify_decomposition(merged, oracle2, params.eps, delta)
     assert any("non-neighbors inside" in v or "size" in v for v in rep2.violations)
+
+
+def test_failed_cluster_names_its_smallest_violator():
+    # a clique S joined to all of two disjoint cliques A and B: the cluster
+    # sheds the sparse S, and then every vertex of A and B has 40
+    # non-neighbors inside with nothing left to drop.  The ids spread so
+    # that a hash-ordered scan would not meet 1000 first.
+    S, A, B = list(range(61)), list(range(1000, 1040)), list(range(2040, 2080))
+    edges = _clique_edges(S) + _clique_edges(A) + _clique_edges(B)
+    edges += [(s, x) for s in S for x in A + B]
+    oracle = oracle_from_edges(2100, edges)
+    params = ParamSet.desk(2100, 80)
+    with pytest.raises(DecompositionFailed, match="vertex 1000 has 40 non-neighbors inside"):
+        compute_decomposition(oracle, params, 80)
 
 
 def test_hand_built_valid_decomposition_passes():
@@ -258,7 +273,7 @@ def test_size_classes():
 
 def test_friend_stranger_no_edges_is_stranger():
     params = ParamSet.desk(100, 16)
-    assert friend_stranger_test(0, range(1, 17), set(), params, 16) == STRANGER
+    assert friend_stranger_test(0, params, 16) == STRANGER
 
 
 def test_friend_stranger_planted_rates(rng):
@@ -275,11 +290,11 @@ def test_friend_stranger_planted_rates(rng):
     for _ in range(trials):
         nbrs = rng.choice(K, size=friend_edges, replace=False)
         sample = {int(v) for v in nbrs[rng.random(friend_edges) < rate]}
-        if friend_stranger_test(0, K, sample, params, delta) != FRIEND:
+        if friend_stranger_test(len(sample & set(K)), params, delta) != FRIEND:
             misses_f += 1
         nbrs = rng.choice(K, size=stranger_edges, replace=False)
         sample = {int(v) for v in nbrs[rng.random(stranger_edges) < rate]}
-        if friend_stranger_test(0, K, sample, params, delta) != STRANGER:
+        if friend_stranger_test(len(sample & set(K)), params, delta) != STRANGER:
             misses_s += 1
     assert misses_f <= 10  # >= 95% right on each side
     assert misses_s <= 10
@@ -289,9 +304,9 @@ def test_tie_at_threshold_is_stranger():
     params = ParamSet.desk(100, 16, beta=8)
     cut = params.friend_test_threshold(16)
     assert cut == 3.0  # clamped sample rate 1 scales the classic 1.5*beta cut
-    K = list(range(1, 17))
-    assert friend_stranger_test(0, K, {1, 2, 3}, params, 16) == STRANGER
-    assert friend_stranger_test(0, K, {1, 2, 3, 4}, params, 16) == FRIEND
+    assert friend_stranger_test(3, params, 16) == STRANGER
+    assert friend_stranger_test(4, params, 16) == FRIEND
+    assert friend_stranger_test(np.array([3, 4]), params, 16).tolist() == [STRANGER, FRIEND]
 
 
 def _classified(fam, delta, seed):

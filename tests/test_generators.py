@@ -86,7 +86,7 @@ def test_lonely_clique_sparse_at_high_delta():
         dec = compute_decomposition(oracle, params, delta)
         assert verify_decomposition(dec, oracle, params.eps, delta).ok
         assert [sorted(k.vertices) for k in dec.cliques] == [sorted(inst.cores[0])]
-        assert all(is_eps_sparse(v, oracle, params.eps, delta) for v in dec.v_sparse)
+        assert is_eps_sparse(oracle, params.eps, delta)[dec.v_sparse].all()
 
 
 def test_hard_phase6_shape():

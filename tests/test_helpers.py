@@ -142,5 +142,5 @@ def test_recovery_graph_contents():
     # the star of the recovered vertex, nothing else
     assert g.known == {h.v}
     assert g.m == len(h.n_v) == oracle.degree(h.v)
-    for x in g.adj[h.v]:
+    for x in g.neighbors(h.v):
         assert oracle.has_edge(h.v, x)

@@ -146,7 +146,7 @@ def test_space_report_formula_exact():
     assert rep["bits"] == want
     assert rep["h_edges"] == h.m
 
-    empty = ConflictGraph(4)
+    empty = ConflictGraph(4).build()
     rep0 = palette_space_report(uniform_palettes(4, 4, [{1}] * 4), empty)
     assert rep0["h_edges"] == 0
 

@@ -179,13 +179,18 @@ def test_shadow_copy_matches_generator():
     inst = generate_instance("clique-pairs", 4, count=1, seed=7)
     sh = shadow_of(source_of(inst))
     want = {(min(u, v), max(u, v)) for u, v in inst.edges.tolist()}
-    got = set(sh.edges())
+    got = set(map(tuple, sh.edges().tolist()))
     assert got == want
     assert all(sh.degree(v) == 4 for v in range(inst.n))
 
 
-def test_shadow_bit_ops():
-    sh = shadow_of(StreamSource(3, np.array([(0, 1), (1, 2)])))
+def test_shadow_rows_and_counts():
+    # path 0-1-2 plus the chord 0-2: one triangle
+    sh = shadow_of(StreamSource(4, np.array([(0, 1), (1, 2), (0, 2)])))
     assert sh.neighbors(1) == {0, 2}
-    assert sh.common_count(0, 2) == 1
-    assert sh.count_in(1, sh.mask_of([0, 2])) == 2
+    assert sh.row(3).size == 0 and not sh.has_edge(0, 3)
+    assert sh.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert sh.common.tolist() == [1, 1, 1]
+    assert sh.triangles().tolist() == [1, 1, 1, 0]
+    i, j = sh.within(np.array([0, 1, 3]))
+    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]
