@@ -58,7 +58,6 @@ class PartialColoring:
         self.n = n
         self.delta = delta
         self.conflict = conflict
-        self.recovery = recovery
         # every stored edge, H and H+ together
         if recovery is None or not recovery.m:
             self.stored = conflict
