@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-PAIR_CHUNK = 1 << 16  # pairs looked up at a time; bounds the temporaries
+PAIR_CHUNK = 1 << 14  # pairs looked up at a time; bounds the temporaries
 
 
 class Graph:
@@ -118,8 +118,9 @@ class Graph:
     def triangles(self) -> np.ndarray:
         """t(v), the number of edges among the neighbors of each vertex:
         half the sum of the common counts over v's edges."""
-        e = self.edges()
-        per_end = np.bincount(e[:, 0], self.common, self.n) + np.bincount(e[:, 1], self.common, self.n)
+        e, common = self.edges(), self.common
+        per_end = np.bincount(e[:, 0], weights=common, minlength=self.n)
+        per_end += np.bincount(e[:, 1], weights=common, minlength=self.n)
         return per_end.astype(np.int64) // 2
 
 
@@ -149,8 +150,10 @@ def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.nd
             for lo in range(0, ii.size, PAIR_CHUNK):  # one long list in parts
                 pa = (base + ii[lo : lo + PAIR_CHUNK]).ravel()
                 pb = (base + jj[lo : lo + PAIR_CHUNK]).ravel()
-                q = lists.indices[pa] * n + lists.indices[pb]
-                pos = np.minimum(np.searchsorted(edge_codes, q), m - 1)
+                q = lists.indices[pa] * n
+                q += lists.indices[pb]
+                pos = np.searchsorted(edge_codes, q)
+                np.minimum(pos, m - 1, out=pos)
                 hit = edge_codes[pos] == q
                 np.add.at(per_code, pos[hit], 1)
                 np.add.at(per_entry, pa[hit], 1)
