@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from streamcolor._kernels import prf_uniform, reservoir_update, uf_roots, uf_union_batch
-from streamcolor.graph import Graph, pair_counts
+from streamcolor.graph import Graph, pair_counts, sorted_unique
 from streamcolor.params import ParamSet, child_seed, rng_for
 
 SMALL, CRITICAL, LARGE = "small", "critical", "large"
@@ -308,7 +308,7 @@ def verify_decomposition(
     sizes = np.array([len(k) for k in dec.cliques], dtype=np.int64)
     label = np.repeat(np.arange(sizes.size), sizes)
     verts = np.array([v for k in dec.cliques for v in k.vertices], dtype=np.int64)
-    member = np.unique(label * n + verts)
+    member = sorted_unique(label * n + verts)
     owner, nbrs = oracle.rows_of(member % n)
     near, hits = np.unique((member // n)[owner] * n + nbrs, return_counts=True)
 

@@ -21,6 +21,14 @@ import numpy as np
 PAIR_CHUNK = 1 << 14  # pairs looked up at a time; bounds the temporaries
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending, from one sort.  (Without
+    counts, numpy 2.4's np.unique hashes; on 2M int64 codes that took 2 s
+    where the sort takes 0.03 s.)"""
+    a = np.sort(a)
+    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+
+
 class Graph:
     """Sorted adjacency lists over the vertices 0..n-1."""
 
@@ -37,7 +45,7 @@ class Graph:
         return g
 
     def _fill(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        codes = np.unique(rows * n + cols)
+        codes = sorted_unique(rows * n + cols)
         self.n = n
         self.indices = codes % n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -141,7 +149,7 @@ def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.nd
     if m == 0:
         return per_code, per_entry
     deg = lists.degrees
-    for d in np.unique(deg[deg >= 2]).tolist():
+    for d in sorted_unique(deg[deg >= 2]).tolist():
         starts = lists.indptr[:-1][deg == d]
         ii, jj = np.triu_indices(d, 1)
         per = max(1, PAIR_CHUNK // ii.size)  # whole lists per chunk
