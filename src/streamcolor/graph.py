@@ -103,11 +103,6 @@ class Graph:
         hit = verts[j] == nbrs
         return i[hit], j[hit]
 
-    def edge_codes(self) -> np.ndarray:
-        """Sorted codes u*n + v of the edges u < v."""
-        e = self.edges()
-        return e[:, 0] * self.n + e[:, 1]
-
     @cached_property
     def common(self) -> np.ndarray:
         """Common-neighbor count of every edge, in edges() order.
