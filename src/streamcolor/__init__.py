@@ -1,7 +1,7 @@
 """Single-pass streaming max-degree (Delta) graph coloring.
 
 The pipeline ingests an edge stream once, keeping only palette-filtered
-edges, decomposition samples, and prime-field sketches, then colors the
+edges, Bernoulli neighbor samples, and prime-field sketches, then colors the
 graph with at most Delta colors in post-processing (or reports that a
 component is a (Delta+1)-clique / odd cycle, where no such coloring
 exists).

@@ -1,9 +1,9 @@
 """Hot stream kernels, vectorized over one edge chunk at a time.
 
-The stream pass spends nearly all of its time here (field-sketch
-accumulation, reservoir sampling, union-find).  Each kernel takes a whole
-chunk of edges and leaves the same state the one-edge-at-a-time
-definition would.
+The stream passes spend nearly all of their time here (the PRF that
+draws the neighbor samples and the sketch check columns, field-sketch
+accumulation, union-find).  Each kernel takes a whole chunk of edges and
+leaves the same state the one-edge-at-a-time definition would.
 """
 
 from __future__ import annotations
@@ -109,39 +109,6 @@ def sketch_update(Y: dict, Z: dict, pos: dict, us, vs, p: int, zseed: int) -> No
         alpha_rows = np.arange(Z[r].shape[1], dtype=np.int64)
         C = prf_mod(zseed, r, picked[None, :], alpha_rows[:, None], p)
         Z[r][t] = (Z[r][t] + np.add.reduceat(C, sub_starts, axis=1).T) % p
-
-
-# ---------------------------------------------------------------------------
-# Per-vertex neighbor reservoirs (uniform without replacement over arrivals).
-# ---------------------------------------------------------------------------
-
-
-def reservoir_update(res, counts, us, vs, seed: int) -> None:
-    """Algorithm R over one chunk of arrivals.
-
-    Edge i delivers (us[i] gets vs[i]) then (vs[i] gets us[i]).  An arrival
-    that is vertex a's c-th ever goes to slot c while c < capacity, and
-    otherwise to slot prf(seed, a, c) mod (c+1) if that is below capacity;
-    when one chunk sends several arrivals to the same slot, the last wins.
-    """
-    size = res.shape[1]
-    a = np.stack([us, vs], axis=1).ravel()
-    b = np.stack([vs, us], axis=1).ravel()
-    order = np.argsort(a, kind="stable")
-    a, b = a[order], b[order]
-    first = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-    rank = np.arange(a.size) - np.repeat(first, np.diff(np.r_[first, a.size]))
-    c = counts[a] + rank
-    j = c.copy()
-    full = c >= size
-    if full.any():
-        cf = c[full]
-        j[full] = (prf_u64(seed, a[full], cf) % (cf + 1).astype(np.uint64)).astype(np.int64)
-    keep = np.flatnonzero(j < size)[::-1]           # latest arrival first
-    _, last = np.unique(a[keep] * size + j[keep], return_index=True)
-    keep = keep[last]
-    res[a[keep], j[keep]] = b[keep]
-    counts += np.bincount(a, minlength=counts.size)
 
 
 # ---------------------------------------------------------------------------

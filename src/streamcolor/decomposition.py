@@ -1,12 +1,14 @@
-"""Sparse-dense decomposition: stream samples, a verified reference
-decomposer, and the friend/stranger and friendly/lonely testers.
+"""Sparse-dense decomposition: the Bernoulli neighbor samples of the main
+pass, a verified reference decomposer, and the friend/stranger and
+friendly/lonely testers.
 
 The decomposition splits vertices into locally sparse ones (many
 non-edges among their neighbors) and disjoint almost-cliques.  The
 reference decomposer reads the shadow adjacency (it stands in for an
 external streaming construction and is excluded from the space budget);
-its output is always verified, never trusted.  A sample-based heuristic
-sits behind the same interface with no guarantees.  Both read the
+its output is always verified, never trusted.  A heuristic over the
+neighbor samples sits behind the same interface with no guarantees; the
+friend/lonely test reads the same samples.  Both decomposers read the
 common-neighbor counts of one `graph.pair_counts` pass, and every check
 is a whole-array operation over the graph's sorted adjacency lists.
 """
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from streamcolor._kernels import prf_uniform, reservoir_update, uf_roots, uf_union_batch
+from streamcolor._kernels import prf_uniform, uf_roots, uf_union_batch
 from streamcolor.graph import Graph, pair_counts, sorted_unique
-from streamcolor.params import ParamSet, child_seed, rng_for
+from streamcolor.params import ParamSet, child_seed
 
 SMALL, CRITICAL, LARGE = "small", "critical", "large"
 FRIEND, STRANGER = "Friend", "Stranger"
@@ -37,74 +39,27 @@ class DecompositionFailed(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecompSamples:
-    n: int
-    delta: int
-    sample_members: np.ndarray            # bool: vertices with full stored neighborhoods
-    sample_adj: Graph                     # row v: v's neighborhood if v is a member
-    reservoir: np.ndarray                 # (n, cap) uniform distinct neighbors
-    reservoir_counts: np.ndarray
-    isample: Graph                        # row v: v's Bernoulli sample of its neighbors
-    isample_rate: float
-
-    def nsample(self, v: int) -> list[int]:
-        k = min(int(self.reservoir_counts[v]), self.reservoir.shape[1])
-        return [int(x) for x in self.reservoir[v, :k]]
-
-    def stored_bits(self) -> int:
-        log_n = max(1, int(np.ceil(np.log2(max(2, self.n)))))
-        total = self.sample_adj.indices.size
-        total += int(np.minimum(self.reservoir_counts, self.reservoir.shape[1]).sum())
-        total += self.isample.indices.size
-        return total * log_n
-
-
 class SampleCollector:
-    """Chunk-at-a-time collector sharing the main pass with the other
-    stream consumers."""
+    """Chunk-at-a-time collector of the Bernoulli neighbor samples, sharing
+    the main pass with the other stream consumers: v keeps its neighbor w
+    when prf(seed, v, w) falls below the isample rate."""
 
     def __init__(self, n: int, delta: int, params: ParamSet, seed: int):
         self.n = n
-        self.delta = delta
-        self.params = params
-        rng = rng_for(seed, "sample")
-        self.members = rng.random(n) < params.sample_rate(n, delta)
-        cap = min(params.neighbor_reservoir_size(n), delta)
-        self.reservoir = np.full((n, max(1, cap)), -1, dtype=np.int64)
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.res_seed = child_seed(seed, "reservoir")
-        self.isample_rate = params.isample_rate(delta)
-        self.i_seed = child_seed(seed, "isample")
-        self._sample_pairs: list[np.ndarray] = []
-        self._ipairs: list[np.ndarray] = []
+        self.rate = params.isample_rate(delta)
+        self.seed = child_seed(seed, "isample")
+        self._pairs: list[np.ndarray] = []
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        reservoir_update(self.reservoir, self.counts, us, vs, self.res_seed)
         for a, b in ((us, vs), (vs, us)):
-            hit = self.members[a]
-            if hit.any():
-                self._sample_pairs.append(np.stack([a[hit], b[hit]], axis=1))
-            keep = prf_uniform(self.i_seed, a, b) < self.isample_rate
+            keep = prf_uniform(self.seed, a, b) < self.rate
             if keep.any():
-                self._ipairs.append(np.stack([a[keep], b[keep]], axis=1))
+                self._pairs.append(np.stack([a[keep], b[keep]], axis=1))
 
-    def finalize(self) -> DecompSamples:
-        return DecompSamples(
-            n=self.n,
-            delta=self.delta,
-            sample_members=self.members,
-            sample_adj=_lists_of(self.n, self._sample_pairs),
-            reservoir=self.reservoir,
-            reservoir_counts=self.counts,
-            isample=_lists_of(self.n, self._ipairs),
-            isample_rate=self.isample_rate,
-        )
-
-
-def _lists_of(n: int, blocks: list[np.ndarray]) -> Graph:
-    pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    return Graph.from_pairs(n, pairs[:, 0], pairs[:, 1])
+    def finalize(self) -> Graph:
+        """The sample as directed lists: row v holds v's sampled neighbors."""
+        pairs = np.concatenate(self._pairs) if self._pairs else np.empty((0, 2), dtype=np.int64)
+        return Graph.from_pairs(self.n, pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +144,7 @@ def compute_decomposition(
     oracle: Graph | None,
     params: ParamSet,
     delta: int,
-    samples: DecompSamples | None = None,
+    isample: Graph | None = None,
     conflict: Graph | None = None,
 ) -> Decomposition:
     """Partition vertices into sparse ones and disjoint almost-cliques.
@@ -210,15 +165,15 @@ def compute_decomposition(
         edges = oracle.edges()
         linked = oracle.common >= cut
     else:
-        if samples is None or conflict is None:
-            raise ValueError("heuristic mode needs samples and a conflict graph")
+        if isample is None or conflict is None:
+            raise ValueError("heuristic mode needs isample and a conflict graph")
         n = conflict.n
         edges = conflict.edges()
         # row w: every vertex whose sample holds w, so pairs in a row count
         # the sampled neighbors two vertices share
-        rows, cols = samples.isample.pairs()
+        rows, cols = isample.pairs()
         holders = Graph.from_pairs(n, cols, rows)
-        rate = max(samples.isample_rate, 1e-9)
+        rate = max(params.isample_rate(delta), 1e-9)
         common, _ = pair_counts(holders, edges[:, 0] * n + edges[:, 1])
         linked = common / (rate * rate) >= cut
     us, vs = edges[linked, 0], edges[linked, 1]
@@ -367,7 +322,7 @@ def friend_stranger_test(sampled_edges, params: ParamSet, delta: int):
 
 
 def classify_friendly_lonely(
-    dec: Decomposition, samples: DecompSamples, params: ParamSet, delta: int
+    dec: Decomposition, isample: Graph, params: ParamSet, delta: int
 ) -> None:
     """Assign each almost-clique to friendly (with a witness) or lonely.
 
@@ -379,7 +334,7 @@ def classify_friendly_lonely(
     label = np.full(n, -1, dtype=np.int64)
     for i, k in enumerate(dec.cliques):
         label[k.vertices] = i
-    holder, held = samples.isample.pairs()
+    holder, held = isample.pairs()
     into = label[held]
     touch = (into >= 0) & (label[holder] != into)
     # one entry per (clique, outside vertex): its sampled edges into the clique

@@ -68,18 +68,6 @@ def canonical_prime(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def vandermonde_column(r: int, p: int, u: int) -> np.ndarray:
-    """Column of the 2r-row power matrix for vertex u (column id u+1):
-    entry i is (u+1)^i mod p, i = 0..2r-1."""
-    out = np.empty(2 * r, dtype=np.int64)
-    base = (u + 1) % p
-    acc = 1
-    for i in range(2 * r):
-        out[i] = acc
-        acc = acc * base % p
-    return out
-
-
 def vandermonde_sum(r: int, p: int, vertices) -> np.ndarray:
     """Sum of columns for a vertex set, i.e. the sketch of its indicator."""
     vs = np.asarray(sorted(vertices), dtype=np.int64)

@@ -3,7 +3,7 @@ pass that the decomposition and its verification read.
 
 Row v of a `Graph` is ``indices[indptr[v]:indptr[v+1]]``, ascending and
 without repeats.  The shadow, the conflict graph H, the recovery graph H+
-and the decomposition samplers are all graphs of this type, built in one
+and the neighbor samples are all graphs of this type, built in one
 vectorized sort from an array of edges or (row, column) pairs.
 
 `pair_counts` is an edge-iterator triangle pass (Schank & Wagner 2005;
@@ -58,8 +58,9 @@ class Graph:
         return self.indices.size // 2
 
     def stored_bits(self) -> int:
-        """Both directions of every edge at ceil(log2 n) bits each."""
-        return self.m * 2 * max(1, int(np.ceil(np.log2(max(2, self.n)))))
+        """Every list entry at ceil(log2 n) bits: both directions of each
+        undirected edge, each pair once in directed lists."""
+        return self.indices.size * max(1, int(np.ceil(np.log2(max(2, self.n)))))
 
     def row(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

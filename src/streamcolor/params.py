@@ -39,9 +39,7 @@ class ParamSet:
     eps: float
     holey_mult: float
     ell_mult: float
-    gamma: int = 2
     q_const: float = 1.0      # divisor constant in the pair-list rate
-    reservoir_size: int | None = None  # override; default derived from eps
 
     def __post_init__(self):
         if self.mode not in ("paper", "desk"):
@@ -78,10 +76,10 @@ class ParamSet:
         return replace(base, **overrides) if overrides else base
 
     @classmethod
-    def make(cls, mode: str, n: int, delta: int, **overrides) -> "ParamSet":
+    def make(cls, mode: str, n: int, delta: int) -> "ParamSet":
         if mode == "paper":
-            return cls.paper(n, **overrides)
-        return cls.desk(n, delta, **overrides)
+            return cls.paper(n)
+        return cls.desk(n, delta)
 
     def validate_for(self, delta: int) -> None:
         """Check the slack constraints for a concrete max degree."""
@@ -111,14 +109,6 @@ class ParamSet:
 
     def l6_rate(self, delta: int) -> float:
         return min(1.0, self.beta**2 / delta)
-
-    def sample_rate(self, n: int, delta: int) -> float:
-        return min(1.0, self.gamma * _log2(n) / delta)
-
-    def neighbor_reservoir_size(self, n: int) -> int:
-        if self.reservoir_size is not None:
-            return self.reservoir_size
-        return math.ceil(self.gamma * _log2(n) / self.eps**2)
 
     def isample_rate(self, delta: int) -> float:
         return min(1.0, self.beta**2 / delta)
@@ -156,8 +146,6 @@ _TAGS = {
     "stream": 1,
     "palette": 2,
     "oneshot": 3,
-    "sample": 4,
-    "reservoir": 5,
     "isample": 6,
     "vr": 7,
     "phir": 8,

@@ -3,8 +3,8 @@
 A run makes exactly two passes over the edges: the pre-pass does the
 degree census, the component colorability gate, and (by default) the
 shadow copy that feeds the reference decomposer and final verification;
-the main pass feeds the palette filter, the decomposition samplers, and
-the sketch bank simultaneously.  Each retry re-seeds every randomized
+the main pass feeds the palette filter, the neighbor sampler, and the
+sketch bank simultaneously.  Each retry re-seeds every randomized
 component and costs one more main pass.
 """
 
@@ -63,8 +63,6 @@ class RunConfig:
     delta: int | None = None           # assert against the census
     no_shadow: bool = False            # heuristic decomposition, no verification
     budget: int | None = None          # bytes; store-and-solve when the graph fits
-    delta_min: int = DELTA_MIN_PIPELINE
-    overrides: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.retries < 0:
@@ -129,7 +127,7 @@ def _non_edges_in(vertices, graphs) -> list[tuple[int, int]]:
 
 def _main_pass(src, n, delta, params, seed):
     """The one main pass: every edge chunk feeds the palette filter into H,
-    the decomposition samplers and the sketch bank together."""
+    the neighbor sampler and the sketch bank together."""
     palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
     collector = SampleCollector(n, delta, params, seed)
@@ -144,7 +142,7 @@ def _main_pass(src, n, delta, params, seed):
     return palettes, conflict.build(), collector.finalize(), bank
 
 
-def _decompose(shadow, samples, conflict, params, delta):
+def _decompose(shadow, isample, conflict, params, delta):
     """Partition, annotate and classify; verified against the shadow when
     there is one (the report is None in heuristic mode)."""
     if shadow is not None:
@@ -152,17 +150,17 @@ def _decompose(shadow, samples, conflict, params, delta):
         report = verify_decomposition(dec, shadow, params.eps, delta)
         annotate_cliques(dec, params, delta, shadow)
     else:
-        dec = compute_decomposition(None, params, delta, samples=samples, conflict=conflict)
+        dec = compute_decomposition(None, params, delta, isample=isample, conflict=conflict)
         report = None
         annotate_cliques(dec, params, delta, conflict)
-    classify_friendly_lonely(dec, samples, params, delta)
+    classify_friendly_lonely(dec, isample, params, delta)
     return dec, report
 
 
 def _attempt(src, n, delta, params, run_seed, shadow):
     """One main pass plus post-processing; raises RunFailure on bad luck."""
-    palettes, conflict, samples, bank = _main_pass(src, n, delta, params, run_seed)
-    dec, report = _decompose(shadow, samples, conflict, params, delta)
+    palettes, conflict, isample, bank = _main_pass(src, n, delta, params, run_seed)
+    dec, report = _decompose(shadow, isample, conflict, params, delta)
     if report is not None and not report.ok:
         raise DecompositionFailed(
             report.violations[:3], "verification gate rejected the decomposition"
@@ -206,7 +204,7 @@ def _attempt(src, n, delta, params, run_seed, shadow):
         "palette_bits": space["list_bits"],
         "h_edges": space["h_edges"],
         "h_bits": space["h_bits"],
-        "sample_bits": samples.stored_bits(),
+        "sample_bits": isample.stored_bits(),
         "sketch_bits": bank.stored_bits(),
         "hplus_bits": recovery.stored_bits(),
         "shadow_excluded": True,
@@ -223,7 +221,7 @@ def _attempt(src, n, delta, params, run_seed, shadow):
         "conflict": conflict,
         "recovery": recovery,
         "dec": dec,
-        "samples": samples,
+        "isample": isample,
         "bank": bank,
         "phase_result": phase_result,
         "space": space_report,
@@ -270,7 +268,7 @@ def color_run(cfg: RunConfig) -> RunResult:
         )
 
     raw_bytes = m * 2 * 8
-    if delta < cfg.delta_min or (cfg.budget is not None and raw_bytes <= cfg.budget):
+    if delta < DELTA_MIN_PIPELINE or (cfg.budget is not None and raw_bytes <= cfg.budget):
         adj_source = shadow
         if adj_source is None:  # offline path stores the graph by definition
             _, adj_source, _ = _prepass(src, want_shadow=True)
@@ -286,7 +284,7 @@ def color_run(cfg: RunConfig) -> RunResult:
             status=SUCCESS, colors=colors, report=report, delta=delta, shadow=adj_source
         )
 
-    params = ParamSet.make(cfg.mode, n, delta, **cfg.overrides)
+    params = ParamSet.make(cfg.mode, n, delta)
     params.validate_for(delta)
 
     failures: list[dict] = []
@@ -377,8 +375,8 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     params = ParamSet.make(mode, src.n, delta)
     params.validate_for(delta)
 
-    _, conflict, samples, _ = _main_pass(src, src.n, delta, params, seed)
-    return _decompose(shadow, samples, conflict, params, delta)
+    _, conflict, isample, _ = _main_pass(src, src.n, delta, params, seed)
+    return _decompose(shadow, isample, conflict, params, delta)
 
 
 def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,

@@ -35,7 +35,8 @@ def shadow_of(src) -> Graph:
 
 
 def collect_samples(stream, params, seed: int, delta: int):
-    """Consume one full pass into decomposition samples."""
+    """Consume one full pass into the Bernoulli neighbor samples, as a
+    Graph whose row v holds v's sampled neighbors."""
     coll = SampleCollector(stream.meta.n, delta, params, seed)
     for block in stream.chunks():
         coll.update_chunk(

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from streamcolor import _kernels
 from streamcolor.decomposition import (
     CRITICAL,
     FRIEND,
@@ -24,7 +23,8 @@ from streamcolor.decomposition import (
 )
 from streamcolor.generators import generate_instance
 from streamcolor.params import ParamSet
-from streamcolor.stream import StreamSource
+from streamcolor.pipeline import RunConfig, _main_pass, color_run
+from streamcolor.stream import stream_source
 
 from conftest import collect_samples, oracle_from_edges, planted_mistakes, shadow_of, source_of
 
@@ -68,86 +68,37 @@ def test_eps_sparse_threshold_inclusive():
 # ---- sample collection -----------------------------------------------------
 
 
-def test_reservoir_fills_small_degrees():
-    params = ParamSet.desk(10, 5)
-    inst_edges = np.array([(0, v) for v in range(1, 4)])
-    src = StreamSource(10, inst_edges)
-    samples = collect_samples(src.open(), params, seed=1, delta=5)
-    assert sorted(samples.nsample(0)) == [1, 2, 3]
+def test_collector_keeps_neighbors_at_the_isample_rate():
+    # unclamped sampling: delta=400, beta=16 -> isample rate 0.64
+    n, delta = 2000, 400
+    params = ParamSet.desk(n, delta, beta=16)
+    rate = params.isample_rate(delta)
+    assert rate == 0.64
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, n, size=(2, 30_000))
+    codes = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    codes = rng.permutation(codes[codes // n != codes % n])[:20_000]
+    us, vs = codes // n, codes % n
+    coll = SampleCollector(n, delta, params, seed=4)
+    for lo in range(0, codes.size, 4096):
+        coll.update_chunk(us[lo : lo + 4096], vs[lo : lo + 4096])
+    isample = coll.finalize()
+    rows, cols = isample.pairs()
+    directed = np.concatenate([codes, vs * n + us])
+    assert np.isin(rows * n + cols, directed).all()  # only true neighbors
+    kept = rows.size / directed.size
+    sigma = np.sqrt(rate * (1 - rate) / directed.size)
+    assert abs(kept - rate) <= 4 * sigma, kept
 
 
-def test_reservoir_uniformity():
-    # degree-20 vertex, reservoir of 5: inclusion frequency 0.25 +- 4 sigma
-    n, deg, cap = 21, 20, 5
-    edges = np.array([(0, v) for v in range(1, deg + 1)])
-    params = ParamSet.desk(n, deg, reservoir_size=cap)
-    hits = np.zeros(n, dtype=np.int64)
-    trials = 10_000
-    for s in range(trials):
-        src = StreamSource(n, edges, seed=s)
-        coll = SampleCollector(n, deg, params, seed=s)
-        for block in src.open().chunks():
-            coll.update_chunk(np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1]))
-        for x in coll.finalize().nsample(0):
-            hits[x] += 1
-    freq = hits[1:] / trials
-    sigma = np.sqrt(0.25 * 0.75 / trials)
-    assert (np.abs(freq - 0.25) <= 4 * sigma + 1e-12).all(), freq
-
-
-def _over_capacity_input():
-    # reservoir of 4; vertex 0 receives 24 arrivals, every neighbor one
-    size, deg = 4, 24
-    us = np.zeros(deg, dtype=np.int64)
-    vs = np.arange(1, deg + 1, dtype=np.int64)
-    return deg + 1, size, us, vs
-
-
-def _reservoir_reference(n, size, us, vs, seed):
-    """Algorithm R written with Python ints on both sides of the modulo."""
-    res = [[-1] * size for _ in range(n)]
-    counts = [0] * n
-    draws = []
-    for u, v in zip(us.tolist(), vs.tolist()):
-        for a, b in ((u, v), (v, u)):
-            c = counts[a]
-            if c < size:
-                res[a][c] = b
-            else:
-                r = int(_kernels.prf_u64(seed, a, c))
-                draws.append(r)
-                j = r % (c + 1)
-                if j < size:
-                    res[a][j] = b
-            counts[a] = c + 1
-    return np.array(res, dtype=np.int64), np.array(counts, dtype=np.int64), draws
-
-
-def _run_kernel(kernel, n, size, us, vs, seed):
-    res = np.full((n, size), -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    kernel(res, counts, us, vs, seed)
-    return res, counts
-
-
-def test_reservoir_update_over_capacity():
-    # past capacity the PRF draw is reduced mod (count + 1); draws >= 2^63
-    # must not overflow and must pick the same slot exact arithmetic picks
-    n, size, us, vs = _over_capacity_input()
-    seed = 7
-    want_res, want_counts, draws = _reservoir_reference(n, size, us, vs, seed)
-    assert len(draws) == len(us) - size
-    assert any(r >= 2**63 for r in draws)
-    res, counts = _run_kernel(_kernels.reservoir_update, n, size, us, vs, seed)
-    np.testing.assert_array_equal(counts, want_counts)
-    np.testing.assert_array_equal(res, want_res)
-
-
-def test_sample_rate_clamps_to_everyone():
-    n, delta = 40, 3  # gamma*log2(n)/delta > 1
-    params = ParamSet.desk(n, delta)
-    coll = SampleCollector(n, delta, params, seed=2)
-    assert coll.members.all()
+def test_sample_bits_count_the_neighbor_samples():
+    spec = "random-regular:delta=16,n=400,seed=1"
+    res = color_run(RunConfig(source=spec, seed=1))
+    assert res.report["attempts"] == 1
+    src = stream_source(spec, seed=1)
+    isample = _main_pass(src, src.n, 16, res.params, 1)[2]
+    assert isample.indices.size == 2 * res.report["m"]  # rate 1 keeps every neighbor
+    assert res.report["space"]["sample_bits"] == isample.stored_bits()
 
 
 # ---- the decomposition itself ----------------------------------------------

@@ -12,7 +12,6 @@ from streamcolor.field import (
     random_check_apply,
     recover_sparse,
     safe_recover,
-    vandermonde_column,
     vandermonde_sum,
     verify_candidate,
 )
@@ -32,10 +31,10 @@ def test_prime_selection():
 
 
 def test_vandermonde_column_values():
-    # entry i is (u+1)^i mod p, columns indexed from 1
-    assert vandermonde_column(2, 11, 2).tolist() == [1, 3, 9, 5]
-    assert vandermonde_column(1, 11, 9).tolist() == [1, 10]
-    assert vandermonde_column(3, 101, 0).tolist() == [1] * 6
+    # the sketch of {u} is u's power column: entry i is (u+1)^i mod p
+    assert vandermonde_sum(2, 11, [2]).tolist() == [1, 3, 9, 5]
+    assert vandermonde_sum(1, 11, [9]).tolist() == [1, 10]
+    assert vandermonde_sum(3, 101, [0]).tolist() == [1] * 6
 
 
 def test_recover_named_example():

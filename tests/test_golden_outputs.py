@@ -26,17 +26,17 @@ RUNS = {
     "random-regular:delta=16,n=400,seed=1": (
         "149898e2b8165bf0dc610c61352e9d3c092f4c3f1d654185706065059d82947e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "20b0583280093fdb9efdf522fde919b4f9049d88191fc3ffb887ab5f70e2b7e9",
+        "d5c0aaf23022bb3e4ec58a0055c95cfea8500e2b32a69a218f663c1c79edd1ea",
     ),
     "mixed:delta=32,count=2,seed=1": (
         "b5224c016b150588121fa0723addde30dc991a35545e301e9f74b601446a173f",
         "7ea26bd02ad11a4ce9fe12fbfee5a4f8adfea9a0559fb4b4b5ee48c768136894",
-        "80b4c275d722e302acbf547b5b5a07663eec947094047d410ef707b9981fe2f7",
+        "7706908d115981014b390c9889fae452875455406a74eda4ac79616b37b3d4e0",
     ),
     "clique-pairs:delta=16,count=4,seed=1": (
         "82da737ac57de11e27c31033b76966dc2f14ef8fea4aedf7e6b6a8bd12092ae6",
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
-        "d469104a02aec57e517a5a60c3cf0ab351dffa883074d8129245aae31da1c2ca",
+        "816b10b9968df8fed45bd10ff7af9f4fce4ca455fb51162034fd04de18891661",
     ),
 }
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"

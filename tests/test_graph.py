@@ -99,6 +99,12 @@ def test_pair_counts_of_a_sample_against_a_subgraph(seed):
     assert per_code.tolist() == [len(sample_of[u] & sample_of[v]) for u, v in h.edges().tolist()]
 
 
+def test_stored_bits_count_every_list_entry():
+    # ceil(log2 5) = 3 bits for each of the three entries of directed lists
+    assert Graph.from_pairs(5, [0, 0, 1], [1, 2, 3]).stored_bits() == 9
+    assert Graph(5, np.array([(0, 1), (1, 2), (3, 4)])).stored_bits() == 18
+
+
 def test_within_and_rows_of():
     g = Graph(6, np.array([(0, 1), (0, 2), (1, 2), (2, 5), (3, 4)]))
     owner, nbrs = g.rows_of(np.array([2, 4]))

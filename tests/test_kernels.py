@@ -1,9 +1,9 @@
 """Golden digests of the stream kernels' state.
 
 The digests were taken from the per-edge reference kernels (a Python loop
-over edges with ``np.add.at`` scatters per sketch rate, Algorithm R one
-arrival at a time, path-halving union-find).  The chunk-vectorized kernels
-must leave the same state bit for bit.
+over edges with ``np.add.at`` scatters per sketch rate, path-halving
+union-find).  The chunk-vectorized kernels must leave the same state bit
+for bit.
 """
 
 import hashlib
@@ -16,14 +16,10 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import _main_pass
 from streamcolor.stream import stream_source
 
-from conftest import collect_samples
-
 SPEC = "random-regular:delta=16,n=400,seed=3"
 GOLDEN = {
     "main_bank": "7fac1eb1d646e188797ac0c652af49e3e6b95b37f4f9e8b780f57fb4a1daefc6",
     "subset_bank": "aee28d9813ddbfff9728c6ab9d7ac218e1d8623721bfdafa4f01cfc6da8a240a",
-    "reservoir_default": "7bafc2cdf50ff88790c75d8bab2e3452f456bd77192b5519b76b617997d87d69",
-    "reservoir_four": "b9d43aa39d703dd92859dfee9dc097345447d06ed7be5df283d7906b712f70eb",
     "uf_roots": "d02cdc21c6890cf61eceda3fc719c8ac0bfd7cf4b98b6e48549c094640504543",
 }
 
@@ -70,27 +66,6 @@ def test_sketch_bank_with_a_subsampled_rate_golden():
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
         )
     assert _bank_digest(bank) == GOLDEN["subset_bank"]
-
-
-def _reservoir_digest(reservoir_size):
-    src = stream_source(SPEC, seed=3)
-    overrides = {} if reservoir_size is None else {"reservoir_size": reservoir_size}
-    params = ParamSet.desk(src.n, 16, **overrides)
-    samples = collect_samples(src.open(), params, 3, 16)
-    return samples, _digest(samples.reservoir, samples.reservoir_counts)
-
-
-def test_reservoirs_golden_at_default_capacity():
-    samples, got = _reservoir_digest(None)
-    assert samples.reservoir.shape == (400, 16)
-    assert got == GOLDEN["reservoir_default"]
-
-
-def test_reservoirs_golden_past_capacity():
-    samples, got = _reservoir_digest(4)
-    assert samples.reservoir.shape == (400, 4)
-    assert (samples.reservoir_counts > 4).all()
-    assert got == GOLDEN["reservoir_four"]
 
 
 def test_union_find_roots_golden():

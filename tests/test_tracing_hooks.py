@@ -1,0 +1,35 @@
+"""The benchmark's tracer patches names of `streamcolor.pipeline` and of the
+main-pass consumers by attribute.  A refactor that renames one of them, or
+stops calling it through those names, breaks `perfbench/run.py --trace 1`;
+this test makes that fail here instead."""
+
+import importlib.util
+from pathlib import Path
+
+import streamcolor.pipeline as pipeline
+from streamcolor.pipeline import SUCCESS, RunConfig, color_run
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_exist_and_record_a_run():
+    tracing = _load_tracing()
+    for name in tracing.PIPELINE_NAMES:
+        assert hasattr(pipeline, name), name
+
+    with tracing.Tracer() as tracer:
+        cfg = RunConfig(source="random-regular:delta=16,n=200,seed=1", seed=1)
+        res = tracer.wrap(tracing.ROOT_SPAN, color_run)(cfg)
+    assert res.status == SUCCESS
+    assert tracer.gate_violations() == []
+    names = {span[0] for span in tracer.spans}
+    assert {"decomposition.collect", "decomposition.finalize"} <= names
+    summary = tracer.summary(res, res.shadow.degrees, 1.0)
+    assert summary["space.sample_bits"] == res.report["space"]["sample_bits"]
