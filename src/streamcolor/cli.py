@@ -13,8 +13,10 @@ import sys
 import numpy as np
 
 from streamcolor.field import (
+    MAX_PRIME,
     Measurement,
     canonical_prime,
+    check_prime,
     random_check_apply,
     recover_sparse,
     safe_recover,
@@ -194,6 +196,7 @@ def cmd_report(args) -> int:
 def cmd_demo_recover(args) -> int:
     n = args.n
     p = args.p if args.p else canonical_prime(n)
+    check_prime(p, n)
     r = args.r if args.r else args.k
     rng = np.random.default_rng(args.seed)
     x = np.zeros(n, dtype=np.int64)
@@ -269,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("demo-recover", help="sparse-recovery round trip demo")
     d.add_argument("--n", type=int, default=32)
     d.add_argument("--k", type=int, default=3)
-    d.add_argument("--p", type=int, default=None)
+    d.add_argument("--p", type=int, default=None,
+                   help=f"prime modulus with n <= p <= {MAX_PRIME} "
+                   "(default: the smallest prime >= max(n, 101))")
     d.add_argument("--r", type=int, default=None, help="recovery bound (default k)")
     d.add_argument("--seed", type=int, default=0)
     d.set_defaults(fn=cmd_demo_recover)

@@ -1,17 +1,37 @@
-"""Prime-field measurement sketches and exact k-sparse recovery.
+"""Prime-field measurement sketches and verified sparse recovery.
 
 Every stored vertex w keeps two running sums over F_p: ``y(w)``, the
-first 2r power-sum syndromes of the indicator vector of its neighbors
-(a Vandermonde sketch with column j = vertex id + 1), and ``z(w)``, an
-alpha-row random-matrix sketch used to verify recovered candidates.
-A vector with at most r nonzero entries is reconstructed from y alone
-(minimal linear recurrence + root location + a small Vandermonde
-solve); the z check makes recovery safe to attempt on vectors that are
-not actually sparse.
+first 2r power-sum syndromes s_t = sum_j x_j * a_j^t of the indicator
+vector x of its neighbors, where vertex j has node a_j = (j + 1) mod p (a
+Vandermonde sketch), and ``z(w)``, an alpha-row random-matrix sketch that
+verifies whatever the syndromes decode to.
+
+Recovery takes a block of syndrome rows at one sketch level
+(`recover_batch`); `recover_sparse` and `safe_recover` are its one-row
+case.  Each row yields the unique vector with at most r nonzeros that
+matches its 2r syndromes, as (support, values), or is refused:
+
+1. Berlekamp–Massey gives the shortest linear recurrence, of length L,
+   vectorized over the rows.
+2. The support is the set of vertices whose node is a root of the
+   recurrence's polynomial; one Horner pass over fixed-size blocks of
+   nodes evaluates the polynomials of all rows.
+3. Forney's formula gives the values, O(L^2) per row and batched over the
+   rows with equal L.
+4. A row stands only if 1 <= L <= r, it has exactly L roots, every value
+   is nonzero and the values reproduce all 2r syndromes.
+5. The random check matrix, materialized by one PRF call for the supports
+   of all candidates, must map each candidate onto its z.  A wrong
+   candidate survives with probability p^-alpha, so recovery is safe to
+   attempt on vectors that are not actually sparse.
+
+All arithmetic is int64: every product of two residues is reduced mod p
+before it is summed, which is exact for p up to MAX_PRIME.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -57,6 +77,20 @@ def next_prime(m: int) -> int:
     return m
 
 
+MAX_PRIME = math.isqrt(2**63 - 1)  # largest p with p*p in int64
+
+
+def check_prime(p: int, n: int) -> None:
+    """Raise ValueError unless p is a prime that gives n vertices distinct
+    nodes and whose products fit in int64."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if p < n:
+        raise ValueError(f"p={p} is below n={n}, so two vertices would share a node")
+    if p > MAX_PRIME:
+        raise ValueError(f"p={p} is above {MAX_PRIME}, the largest p whose products fit in int64")
+
+
 def canonical_prime(n: int) -> int:
     """Smallest prime >= max(n, 101); the floor keeps verification strong
     even for tiny vertex counts."""
@@ -68,39 +102,45 @@ def canonical_prime(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _powers(x: np.ndarray, count: int, p: int) -> np.ndarray:
+    """x^t mod p for t < count, in a new last axis, by doubling."""
+    P = np.empty(x.shape + (count,), dtype=np.int64)
+    P[..., 0] = 1
+    step, xs = 1, x % p
+    while step < count:
+        m = min(step, count - step)
+        P[..., step : step + m] = P[..., :m] * xs[..., None] % p
+        xs = xs * xs % p
+        step += m
+    return P
+
+
 def vandermonde_sum(r: int, p: int, vertices) -> np.ndarray:
     """Sum of columns for a vertex set, i.e. the sketch of its indicator."""
     vs = np.asarray(sorted(vertices), dtype=np.int64)
-    if vs.size == 0:
-        return np.zeros(2 * r, dtype=np.int64)
-    P = np.empty((vs.size, 2 * r), dtype=np.int64)
-    P[:, 0] = 1
-    cols = (vs + 1) % p
-    for i in range(1, 2 * r):
-        P[:, i] = P[:, i - 1] * cols % p
-    return P.sum(axis=0) % p
+    return _powers(vs + 1, 2 * r, p).sum(axis=0) % p
+
+
+def _check_terms(zseed: int, r: int, support: np.ndarray, values: np.ndarray,
+                 alpha: int, p: int) -> np.ndarray:
+    """Each entry's column of the alpha x n random check matrix for sketch
+    level r times its value, mod p; columns are materialized from a
+    counter-mode PRF instead of being stored."""
+    rows = np.arange(alpha, dtype=np.int64)
+    C = prf_mod(zseed, r, support[:, None], rows[None, :], p)
+    return C * (np.asarray(values, dtype=np.int64)[:, None] % p) % p
 
 
 def random_check_sum(zseed: int, r: int, vertices, alpha: int, p: int) -> np.ndarray:
-    """Sum of the vertices' columns of the alpha x n random check matrix for
-    sketch level r; columns are materialized from a counter-mode PRF
-    instead of being stored."""
+    """Sum of the vertices' columns of the random check matrix."""
     vs = np.asarray(sorted(vertices), dtype=np.int64)
-    if vs.size == 0:
-        return np.zeros(alpha, dtype=np.int64)
-    rows = np.arange(alpha, dtype=np.int64)
-    C = prf_mod(zseed, r, vs[:, None], rows[None, :], p)
-    return C.sum(axis=0) % p
+    return _check_terms(zseed, r, vs, np.ones_like(vs), alpha, p).sum(axis=0) % p
 
 
 def random_check_apply(zseed: int, r: int, x: np.ndarray, alpha: int, p: int) -> np.ndarray:
     """Random check matrix applied to a (typically sparse) vector x."""
     supp = np.flatnonzero(x)
-    if supp.size == 0:
-        return np.zeros(alpha, dtype=np.int64)
-    rows = np.arange(alpha, dtype=np.int64)
-    C = prf_mod(zseed, r, supp[:, None], rows[None, :], p)
-    return (C * np.asarray(x, dtype=np.int64)[supp][:, None]).sum(axis=0) % p
+    return _check_terms(zseed, r, supp, np.asarray(x)[supp], alpha, p).sum(axis=0) % p
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +150,9 @@ def random_check_apply(zseed: int, r: int, x: np.ndarray, alpha: int, p: int) ->
 
 @dataclass
 class Measurement:
-    """A 2r-entry syndrome plus its alpha-entry verification companion."""
+    """A 2r-entry syndrome plus its alpha-entry verification companion, or
+    a block of them: ``vec`` (k, 2r) and ``check`` (k, alpha), one row per
+    measured vector."""
 
     r: int
     vec: np.ndarray
@@ -157,9 +199,10 @@ class SketchBank:
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
         sketch_update(self._Y, self._Z, self._pos, us, vs, self.p, self.zseed)
 
-    def raw(self, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    def raw(self, v, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """y and z of vertex v, or their rows for an array of vertices."""
         i = self._pos[r][v]
-        if i < 0:
+        if np.any(i < 0):
             raise KeyError(f"vertex {v} not sampled at rate {r}")
         return self._Y[r][i], self._Z[r][i]
 
@@ -171,8 +214,9 @@ class SketchBank:
         return total
 
 
-def measure_relative(bank: SketchBank, v: int, r: int, ref: set[int]) -> Measurement:
-    """Measurement of x = chi(N(v)) - chi(ref) over F_p.
+def measure_relative(bank: SketchBank, v, r: int, ref) -> Measurement:
+    """Measurement of x = chi(N(v)) - chi(ref) over F_p; for an array of
+    vertices, a block with one row per vertex.
 
     Entries of x are 1 on N(v) \\ ref, p-1 on ref \\ N(v), 0 elsewhere, so
     x is sparse whenever v's neighborhood nearly matches the reference set.
@@ -186,6 +230,12 @@ def measure_relative(bank: SketchBank, v: int, r: int, ref: set[int]) -> Measure
 # ---------------------------------------------------------------------------
 # Recovery
 # ---------------------------------------------------------------------------
+
+Sparse = tuple[np.ndarray, np.ndarray]  # (sorted support, nonzero values)
+
+_ROOT_BLOCK = 1 << 14  # nodes per Horner block of the root search
+_EMPTY = np.zeros(0, dtype=np.int64)  # support and values of the zero vector
+_EMPTY.flags.writeable = False
 
 
 def berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, list[int]]:
@@ -224,50 +274,161 @@ def berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, list[int]]:
     return L, [c % p for c in C[: L + 1]]
 
 
-def _char_roots(C: list[int], n: int, p: int) -> np.ndarray:
-    """Roots of the characteristic polynomial sum C[i]*a^(L-i) among 1..n."""
-    js = np.arange(1, n + 1, dtype=np.int64)
-    acc = np.full(n, C[0], dtype=np.int64)
-    for c in C[1:]:
-        acc = (acc * js + c) % p
-    return js[acc == 0]
+def _recurrences(S: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp–Massey for every row of S: linear complexities L (k,) and
+    connection polynomials C (k, T+1), each row a nonzero multiple of the
+    monic one (C[:, 0] != 0, zero past column L).
+
+    A batch runs the inversion-free form vectorized over the rows: C gets
+    gamma*C - d*x^m*B instead of C - (d/gamma)*x^m*B.  One row runs
+    `berlekamp_massey` on Python ints, which costs far less than a numpy
+    step's call overhead at one row.
+    """
+    k, T = S.shape
+    C = np.zeros((k, T + 1), dtype=np.int64)
+    if k == 1:
+        L, c = berlekamp_massey(S[0], p)
+        C[0, : len(c)] = c
+        return np.array([L]), C
+    C[:, 0] = 1
+    # x^m * B lives in a window of buf that moves one column left per step,
+    # so multiplying by x is free; columns left of the window stay zero.
+    buf = np.zeros((k, 2 * T + 1), dtype=np.int64)
+    buf[:, T + 1] = 1
+    gamma = np.ones(k, dtype=np.int64)
+    L = np.zeros(k, dtype=np.int64)
+    R = S[:, ::-1]
+    for i in range(T):
+        B = buf[:, T - i : 2 * T + 1 - i]
+        d = (C[:, : i + 1] * R[:, T - 1 - i :] % p).sum(axis=1) % p
+        swap = (d != 0) & (2 * L <= i)
+        nxt = (gamma[:, None] * C - d[:, None] * B) % p
+        np.copyto(B, C, where=swap[:, None])
+        gamma = np.where(swap, d, gamma)
+        L = np.where(swap, i + 1 - L, L)
+        C = nxt
+    return L, C
 
 
-def _solve_vandermonde(roots: np.ndarray, s: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve sum_e a_e * roots_e^t = s_t for t = 0..L-1 by elimination mod p."""
-    L = roots.size
-    M = np.empty((L, L + 1), dtype=np.int64)
-    row = np.ones(L, dtype=np.int64)
-    for t in range(L):
-        M[t, :L] = row
-        M[t, L] = s[t] % p
-        row = row * roots % p
-    for col in range(L):
-        piv = None
-        for rr in range(col, L):
-            if M[rr, col] % p:
-                piv = rr
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        inv = pow(int(M[col, col]), p - 2, p)
-        M[col] = M[col] * inv % p
-        for rr in range(L):
-            if rr != col and M[rr, col]:
-                M[rr] = (M[rr] - M[rr, col] * M[col]) % p
-    return M[:, L] % p
+def _roots(C: np.ndarray, L: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, vertex) pairs, row-major, where the node of the vertex is a
+    root of the row's polynomial sum_i C[i]*a^(L-i).
+
+    One Horner pass evaluates all rows over blocks of _ROOT_BLOCK nodes,
+    so the work array is rows x block, never rows x n.
+    """
+    g, top = C.shape[0], int(L.max())
+    if L.min() == top:
+        D = C[:, : top + 1]
+    else:  # descending coefficients, left-padded with zeros to degree `top`
+        col = np.arange(top + 1) - (top - L)[:, None]
+        D = np.where(col >= 0, C[np.arange(g)[:, None], col], 0)
+    rows, verts = [], []
+    for lo in range(0, n, _ROOT_BLOCK):
+        # node j+1 unreduced: at j+1 = p, multiplying by p acts as by 0
+        x = np.arange(lo + 1, min(n, lo + _ROOT_BLOCK) + 1, dtype=np.int64)
+        a = np.repeat(D[:, :1], x.size, axis=1)
+        for t in range(1, top + 1):
+            a *= x
+            a += D[:, t : t + 1]
+            a %= p
+        row, col = np.divmod(np.flatnonzero(a == 0), x.size)
+        rows.append(row)
+        verts.append(col + lo)
+    if len(rows) == 1:
+        return rows[0], verts[0]
+    rows, verts = np.concatenate(rows), np.concatenate(verts)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], verts[order]
 
 
-def _syndromes_of(support: np.ndarray, coeffs: np.ndarray, count: int, p: int) -> np.ndarray:
-    cols = (support + 1) % p
-    out = np.empty(count, dtype=np.int64)
-    row = np.ones(support.size, dtype=np.int64)
-    for t in range(count):
-        out[t] = int((coeffs * row).sum() % p)
-        row = row * cols % p
+def _inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p: the inverse of a nonzero a, 0 for 0."""
+    return np.array([pow(v, p - 2, p) for v in a.ravel().tolist()],
+                    dtype=np.int64).reshape(a.shape)
+
+
+def _forney(S: np.ndarray, C: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
+    """Values at the L known roots of every row, by Forney's formula.
+
+    With Omega = S(z)*C(z) mod z^L, the value at root a_e is
+    rev(Omega)(a_e) / char'(a_e), where char(a) = sum_i C[i]*a^(L-i) and
+    rev(Omega)(a) = a^(L-1)*Omega(1/a).  Both carry C's scale factor, and
+    no node is inverted, so node 0 (vertex n-1 when p = n) needs no special
+    case.  S is (g, 2r), C (g, L+1), P the roots' powers (g, L, >= L).
+    """
+    ell = C.shape[1] - 1
+    i = np.arange(ell)
+    lag = i[:, None] - i[None, :]
+    omega = (C[:, None, :ell] * S[:, np.maximum(lag, 0)] % p * (lag >= 0)).sum(axis=2) % p
+    # coefficients of a^0..a^(L-1) in rev(Omega) and in char'
+    coef = np.stack([omega[:, ::-1], (i + 1) % p * C[:, ell - 1 :: -1] % p], axis=1)
+    num, den = (coef[:, :, None, :] * P[:, None, :, :ell] % p).sum(axis=3).transpose(1, 0, 2) % p
+    return num * _inverse(den, p) % p
+
+
+def _decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
+    """Unverified decode of every row of a (k, 2r) syndrome block: the
+    unique vector with at most r nonzeros matching the row, as (support,
+    values), or None when the checks refuse the row."""
+    S = np.asarray(S, dtype=np.int64) % p
+    if S.ndim != 2 or S.shape[1] != 2 * r:
+        raise ValueError(f"measurement rows must have length {2 * r}")
+    L, C = _recurrences(S, p)
+    lengths = L.tolist()
+    # L = 0 exactly for an all-zero row, the syndrome of the zero vector
+    out: list[Sparse | None] = [(_EMPTY, _EMPTY) if ell == 0 else None for ell in lengths]
+    live = [i for i, ell in enumerate(lengths) if 1 <= ell <= r]
+    if not live:
+        return out
+    S, L, C = S[live], L[live], C[live]
+    rows, verts = _roots(C, L, n, p)
+    found = np.bincount(rows, minlength=len(live))
+    split = found == L  # exactly L roots: the locator splits over the nodes
+    if not split.any():
+        return out
+    first = np.cumsum(found) - found
+    for ell in sorted(set(L[split].tolist())):
+        sel = np.flatnonzero(split & (L == ell))
+        supp = verts[first[sel, None] + np.arange(ell)]
+        S_sel, P = S[sel], _powers(supp + 1, 2 * r, p)
+        vals = _forney(S_sel, C[sel, : ell + 1], P, p)
+        synd = (vals[:, :, None] * P % p).sum(axis=1) % p
+        good = (vals != 0).all(axis=1) & (synd == S_sel).all(axis=1)
+        for j in np.flatnonzero(good).tolist():
+            out[live[sel[j]]] = (supp[j], vals[j])
     return out
+
+
+def recover_batch(meas: Measurement, p: int, n: int, zseed: int,
+                  alpha: int) -> list[Sparse | None]:
+    """Verified recovery of every row of a measurement block at one sketch
+    level: ``meas.vec`` is (k, 2r), ``meas.check`` is (k, alpha).
+
+    Row i gives (support, values) of the recovered vector, or None when it
+    is refused.  Every candidate must pass the random check; one PRF call
+    materializes the check columns of all candidates' supports.
+    """
+    out = _decode_rows(meas.vec, meas.r, p, n)
+    cand = [i for i, got in enumerate(out) if got is not None]
+    if not cand:
+        return out
+    owner = np.repeat(np.arange(len(cand)), [out[i][0].size for i in cand])
+    terms = _check_terms(zseed, meas.r,
+                         np.concatenate([out[i][0] for i in cand]),
+                         np.concatenate([out[i][1] for i in cand]), alpha, p)
+    got = np.zeros((len(cand), alpha), dtype=np.int64)
+    np.add.at(got, owner, terms)
+    want = np.asarray(meas.check, dtype=np.int64)[cand]
+    for j in np.flatnonzero((got % p != want % p).any(axis=1)).tolist():
+        out[cand[j]] = None
+    return out
+
+
+def _dense(got: Sparse, n: int) -> np.ndarray:
+    x = np.zeros(n, dtype=np.int64)
+    x[got[0]] = got[1]
+    return x
 
 
 def recover_sparse(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | None:
@@ -276,25 +437,8 @@ def recover_sparse(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | Non
 
     None is a value (the input was not r-sparse), not a fault.
     """
-    s = np.asarray(meas, dtype=np.int64) % p
-    if s.shape[0] != 2 * r:
-        raise ValueError(f"measurement must have length {2 * r}")
-    x = np.zeros(n, dtype=np.int64)
-    if not s.any():
-        return x
-    L, C = berlekamp_massey(s, p)
-    if L == 0 or L > r:
-        return None
-    roots = _char_roots(C, n, p)
-    if roots.size != L:
-        return None
-    coeffs = _solve_vandermonde(roots, s, p)
-    if coeffs is None or (coeffs == 0).any():
-        return None
-    if not np.array_equal(_syndromes_of(roots - 1, coeffs, 2 * r, p), s):
-        return None
-    x[roots - 1] = coeffs
-    return x
+    got = _decode_rows(np.asarray(meas)[None], r, p, n)[0]
+    return None if got is None else _dense(got, n)
 
 
 def verify_candidate(check: np.ndarray, zseed: int, r: int, x: np.ndarray,
@@ -309,18 +453,16 @@ def verify_candidate(check: np.ndarray, zseed: int, r: int, x: np.ndarray,
 
 def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
                  alpha: int) -> np.ndarray | None:
-    """Recover then verify; None means 'fail' (refused, not wrong).
+    """Recover then verify one measurement; None means 'fail' (refused,
+    not wrong).
 
     When the measured vector really is r-sparse this never fails and
     never returns a wrong vector; otherwise a wrong vector survives with
     probability at most p^-alpha.
     """
-    x = recover_sparse(meas.vec, meas.r, p, n)
-    if x is None:
-        return None
-    if not verify_candidate(meas.check, zseed, meas.r, x, alpha, p):
-        return None
-    return x
+    one = Measurement(r=meas.r, vec=np.asarray(meas.vec)[None], check=np.asarray(meas.check)[None])
+    got = recover_batch(one, p, n, zseed, alpha)[0]
+    return None if got is None else _dense(got, n)
 
 
 # ---------------------------------------------------------------------------

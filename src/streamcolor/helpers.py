@@ -4,10 +4,19 @@ For an almost-clique K whose coloring needs out-of-palette moves, the
 bank yields either a critical helper (a non-adjacent pair u, v inside K
 together with v's full neighborhood) or a friendly helper (an outside
 non-stranger u, an edge u-v, a non-edge u-w with v, w in K adjacent,
-plus both full neighborhoods).  Neighborhoods come from verified sparse
-recovery: chi(N(w)) - chi(K) is sparse for clique members, and at the
-top sampling level chi(N(w)) itself is, so a recovered vector is exact
-whenever the verifier accepts it.
+plus both full neighborhoods).
+
+Neighborhoods come from verified sparse recovery (`streamcolor.field`).
+For a clique member w, chi(N(w)) - chi(K) has one entry per non-neighbor
+inside K and one per neighbor outside, so it is sparse; at the top
+sketch level chi(N(w)) itself is.  A recovered vector is exact whenever
+the verifier accepts it, and `_decode_neighborhood` refuses any that
+cannot be a neighborhood indicator.
+
+The critical search recovers all unresolved members stored at a level
+as one batch, level by level.  The friendly search stops at its first
+triple, so it recovers one member at a time, lazily, through
+`safe_recover`.
 """
 
 from __future__ import annotations
@@ -16,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcolor.field import (
-    Measurement,
-    SketchBank,
-    random_check_sum,
-    safe_recover,
-    vandermonde_sum,
-)
+from streamcolor.field import SketchBank, measure_relative, recover_batch, safe_recover
 from streamcolor.graph import Graph
 
 
@@ -56,56 +59,23 @@ class RecoveryGraph(Graph):
 
 
 def _decode_neighborhood(
-    x: np.ndarray, ref: list[int], center: int, p: int, delta: int
+    support: np.ndarray, values: np.ndarray, ref: set[int], center: int, p: int, delta: int
 ) -> set[int] | None:
-    """Turn a recovered x = chi(N) - chi(ref) back into N, rejecting any
-    vector that cannot be a neighborhood indicator."""
-    full = x.copy()
-    if ref:
-        full[ref] = (full[ref] + 1) % p
-    on = full == 1
-    if not (on | (full == 0)).all():
+    """Turn a recovered x = chi(N) - chi(ref), given by its support and
+    values, back into N, rejecting any vector that cannot be a neighborhood
+    indicator: x must be p-1 (a non-neighbor) or 0 on ref and 1 (a
+    neighbor) or 0 elsewhere."""
+    nbrs = set(ref)
+    for j, a in zip(support.tolist(), values.tolist()):
+        if j in ref and a == p - 1:
+            nbrs.discard(j)
+        elif j not in ref and a == 1:
+            nbrs.add(j)
+        else:
+            return None
+    if center in nbrs or len(nbrs) > delta:
         return None
-    if full[center] != 0:
-        return None
-    nbrs = np.flatnonzero(on)
-    if nbrs.size > delta:
-        return None
-    return {int(b) for b in nbrs}
-
-
-class _RecoveryCache:
-    """Memoized verified recoveries against a fixed reference set."""
-
-    def __init__(self, bank: SketchBank, ref: list[int]):
-        self.bank = bank
-        self.ref = sorted(ref)
-        self._ref_syn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._hits: dict[tuple[int, int], set[int] | None] = {}
-
-    def _ref_for(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        if r not in self._ref_syn:
-            self._ref_syn[r] = (
-                vandermonde_sum(r, self.bank.p, self.ref),
-                random_check_sum(self.bank.zseed, r, self.ref, self.bank.alpha, self.bank.p),
-            )
-        return self._ref_syn[r]
-
-    def neighborhood(self, w: int, r: int) -> set[int] | None:
-        key = (w, r)
-        if key in self._hits:
-            return self._hits[key]
-        bank = self.bank
-        out = None
-        if bank.in_rate(w, r):
-            y, z = bank.raw(w, r)
-            ref_y, ref_z = self._ref_for(r)
-            meas = Measurement(r=r, vec=(y - ref_y) % bank.p, check=(z - ref_z) % bank.p)
-            x = safe_recover(meas, bank.p, bank.n, bank.zseed, bank.alpha)
-            if x is not None:
-                out = _decode_neighborhood(x, self.ref, w, bank.p, bank.delta)
-        self._hits[key] = out
-        return out
+    return nbrs
 
 
 def find_critical_helper(K, bank: SketchBank) -> CriticalHelper | None:
@@ -119,15 +89,18 @@ def find_critical_helper(K, bank: SketchBank) -> CriticalHelper | None:
     """
     verts = sorted(K)
     kset = set(verts)
-    cache = _RecoveryCache(bank, verts)
     resolved: dict[int, set[int]] = {}
     for r in bank.rates:
-        for w in verts:
-            if w in resolved:
-                continue  # the decoded vector is exact; higher rates agree
-            nbhd = cache.neighborhood(w, r)
-            if nbhd is not None:
-                resolved[w] = nbhd
+        # the decoded vectors are exact, so a resolved member is not retried
+        todo = [w for w in verts if w not in resolved and bank.in_rate(w, r)]
+        if todo:
+            meas = measure_relative(bank, np.array(todo), r, verts)
+            got = recover_batch(meas, bank.p, bank.n, bank.zseed, bank.alpha)
+            for w, sv in zip(todo, got):
+                nbhd = None if sv is None else _decode_neighborhood(
+                    *sv, kset, w, bank.p, bank.delta)
+                if nbhd is not None:
+                    resolved[w] = nbhd
         candidates = {w: kset - nbhd - {w} for w, nbhd in resolved.items()}
         incident: dict[int, int] = {}
         for w, partners in candidates.items():
@@ -149,13 +122,25 @@ def find_friendly_helper(K, witness: int, bank: SketchBank) -> FriendlyHelper | 
     r = bank.rates[-1]
     verts = sorted(K)
     kset = set(verts)
-    cache = _RecoveryCache(bank, [])
+    known: dict[int, set[int] | None] = {}
+
+    def neighborhood(w: int) -> set[int] | None:
+        if w not in known:
+            known[w] = None
+            if bank.in_rate(w, r):
+                x = safe_recover(measure_relative(bank, w, r, ()), bank.p, bank.n,
+                                 bank.zseed, bank.alpha)
+                if x is not None:
+                    supp = np.flatnonzero(x)
+                    known[w] = _decode_neighborhood(supp, x[supp], set(), w, bank.p, bank.delta)
+        return known[w]
+
     for w in verts:
-        n_w = cache.neighborhood(w, r)
+        n_w = neighborhood(w)
         if n_w is None or witness in n_w:
             continue
         for v in sorted(n_w & kset):
-            n_v = cache.neighborhood(v, r)
+            n_v = neighborhood(v)
             if n_v is None:
                 continue
             if witness in n_v and w in n_v:

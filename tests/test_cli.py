@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from streamcolor import cli
 from streamcolor import pipeline as pl
 from streamcolor.coloring import RunFailure
+from streamcolor.field import MAX_PRIME, next_prime
 
 
 def run(argv):
@@ -192,6 +195,21 @@ def test_demo_recover_paths(capsys):
     assert run(["demo-recover", "--n", 32, "--k", 5, "--r", 2]) == 0
     out = capsys.readouterr().out
     assert "fail" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", 16, "--k", 2, "--p", 15],                           # not prime
+    ["--n", 200, "--k", 2, "--p", 101],                         # p < n: nodes collide
+    ["--n", 16, "--k", 2, "--p", next_prime(MAX_PRIME + 1)],    # products overflow int64
+])
+def test_demo_recover_rejects_bad_prime(argv, capsys):
+    assert run(["demo-recover", *argv]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_demo_recover_large_prime(capsys):
+    assert run(["demo-recover", "--n", 64, "--k", 8, "--p", 2**31 - 1]) == 0
+    assert "exact=True" in capsys.readouterr().out
 
 
 def test_cmd_color_verify_closed_loop(tmp_path):

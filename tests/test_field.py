@@ -1,15 +1,23 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
+from streamcolor._kernels import prf_mod
 from streamcolor.field import (
+    MAX_PRIME,
     Measurement,
     SketchBank,
     berlekamp_massey,
     brute_force_decode,
     canonical_prime,
+    check_prime,
     is_prime,
     measure_relative,
+    next_prime,
     random_check_apply,
+    recover_batch,
     recover_sparse,
     safe_recover,
     vandermonde_sum,
@@ -137,6 +145,107 @@ def test_safe_recover_paths(rng):
             wrongs += 1
     assert wrongs == 0
     assert fails >= 490  # a 3-sparse x rarely has a consistent sparser twin
+
+
+def _check_of(x, r, p, zseed, alpha) -> np.ndarray:
+    """Independent random check of x: the PRF's columns, summed on Python ints."""
+    supp = np.flatnonzero(x)
+    cols = prf_mod(zseed, r, supp[:, None], np.arange(alpha)[None, :], p)
+    return np.array([sum(int(c) * int(x[j]) for c, j in zip(cols[:, t], supp)) % p
+                     for t in range(alpha)], dtype=np.int64)
+
+
+def _measure_rows(xs, r, p, zseed, alpha) -> Measurement:
+    return Measurement(
+        r=r,
+        vec=np.array([syndrome_of(x, r, p) for x in xs]).reshape(-1, 2 * r),
+        check=np.array([_check_of(x, r, p, zseed, alpha) for x in xs]).reshape(-1, alpha),
+    )
+
+
+def _dense(got, n):
+    if got is None:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[got[0]] = got[1]
+    return x
+
+
+def _same(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_roundtrip_at_large_prime(p, rng):
+    # products of two residues fill most of int64 here; every sum must
+    # reduce them first
+    n, alpha, zseed = 64, 8, 21
+    for k in range(1, 9):
+        xs = [random_sparse_vector(rng, n, k, p) for _ in range(12)]
+        meas = _measure_rows(xs, k, p, zseed, alpha)
+        batch = recover_batch(meas, p, n, zseed, alpha)
+        for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
+            assert np.array_equal(random_check_apply(zseed, k, x, alpha, p), check)
+            assert np.array_equal(_dense(got, n), x)
+            one = safe_recover(Measurement(r=k, vec=vec, check=check), p, n, zseed, alpha)
+            assert one is not None and np.array_equal(one, x)
+
+
+@pytest.mark.parametrize("n", [64, 101, 1009])
+def test_batch_matches_single_and_brute_force(n):
+    # p = n for the primes 101 and 1009, so vertex n-1 has node 0; every
+    # third nonzero row puts an entry there
+    p = canonical_prime(n)
+    rng = np.random.default_rng(n)
+    alpha, zseed = 8, 11
+    for r in (1, 2, 3, 5):
+        xs = []
+        for i in range(24):
+            k = (0, 1 + i % r, 1 + (i + 1) % r, r + 1 + i % 3)[i % 4]
+            x = random_sparse_vector(rng, n, k, p)
+            if k and i % 3 == 0 and not x[n - 1]:
+                j = np.flatnonzero(x)[0]
+                x[n - 1], x[j] = x[j], 0
+            xs.append(x)
+        meas = _measure_rows(xs, r, p, zseed, alpha)
+        batch = recover_batch(meas, p, n, zseed, alpha)
+        assert len(batch) == len(xs)
+        # the brute-force oracle enumerates all C(n, r) supports
+        oracle = r <= 3 and comb(n, r) <= 200_000
+        for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
+            one = safe_recover(Measurement(r=r, vec=vec, check=check), p, n, zseed, alpha)
+            assert _same(_dense(got, n), one)
+            assert _same(one, x if np.count_nonzero(x) <= r else None)
+            if oracle:
+                assert _same(recover_sparse(vec, r, p, n), brute_force_decode(vec, r, p, n))
+
+
+def test_root_search_memory_is_bounded():
+    # 33 rows over n = 131072 nodes: one rows x n int64 array would be 34 MB
+    n, r, alpha, zseed = 131072, 2, 8, 3
+    p = canonical_prime(n)
+    rng = np.random.default_rng(9)
+    xs = [random_sparse_vector(rng, n, 1 + i % 4, p) for i in range(33)]
+    meas = _measure_rows(xs, r, p, zseed, alpha)
+    tracemalloc.start()
+    try:
+        got = recover_batch(meas, p, n, zseed, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for x, row in zip(xs, got):
+        assert _same(_dense(row, n), x if np.count_nonzero(x) <= r else None)
+
+
+def test_check_prime_bounds():
+    check_prime(101, 101)
+    check_prime(2**31 - 1, 64)
+    for p, n in ((15, 16), (101, 200), (next_prime(MAX_PRIME + 1), 16)):
+        with pytest.raises(ValueError):
+            check_prime(p, n)
+    assert MAX_PRIME**2 < 2**63 <= (MAX_PRIME + 1) ** 2
 
 
 def test_berlekamp_massey_linearity_degree():

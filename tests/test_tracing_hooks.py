@@ -1,7 +1,7 @@
-"""The benchmark's tracer patches names of `streamcolor.pipeline` and of the
-main-pass consumers by attribute.  A refactor that renames one of them, or
-stops calling it through those names, breaks `perfbench/run.py --trace 1`;
-this test makes that fail here instead."""
+"""The benchmark's tracer patches names of `streamcolor.pipeline`, of the
+main-pass consumers and `helpers.safe_recover` by attribute.  A refactor
+that renames one of them, or stops calling it through those names, breaks
+`perfbench/run.py --trace 1`; these tests make that fail here instead."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,21 @@ def test_tracer_hooks_exist_and_record_a_run():
     assert {"decomposition.collect", "decomposition.finalize"} <= names
     summary = tracer.summary(res, res.shadow.degrees, 1.0)
     assert summary["space.sample_bits"] == res.report["space"]["sample_bits"]
+
+
+def test_tracer_records_helper_spans():
+    # the mixed family has critical and friendly cliques, so both helper
+    # searches run; only the friendly one recovers through safe_recover
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        cfg = RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1)
+        res = tracer.wrap(tracing.ROOT_SPAN, color_run)(cfg)
+    assert res.status == SUCCESS
+    assert tracer.gate_violations() == []
+    names = [span[0] for span in tracer.spans]
+    assert "helpers.critical" in names and "helpers.friendly" in names
+    recover = [span for span in tracer.spans if span[0] == "field.recover"]
+    assert recover
+    assert all(tracer.spans[span[1]][0] == "helpers.friendly" for span in recover)
+    summary = tracer.summary(res, res.shadow.degrees, 1.0)
+    assert summary["field.recover_calls"] == len(recover)
