@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcolor.field import SketchBank, measure_relative, recover_batch, safe_recover
+from streamcolor.field import (
+    Measurement,
+    SketchBank,
+    measure_relative,
+    recover_batch,
+    safe_recover,
+)
 from streamcolor.graph import Graph
 
 
@@ -128,7 +134,8 @@ def find_friendly_helper(K, witness: int, bank: SketchBank) -> FriendlyHelper | 
         if w not in known:
             known[w] = None
             if bank.in_rate(w, r):
-                x = safe_recover(measure_relative(bank, w, r, ()), bank.p, bank.n,
+                y, z = bank.raw(w, r)  # chi(N(w)) itself is sparse at the top level
+                x = safe_recover(Measurement(r=r, vec=y, check=z), bank.p, bank.n,
                                  bank.zseed, bank.alpha)
                 if x is not None:
                     supp = np.flatnonzero(x)
