@@ -311,19 +311,17 @@ def _recurrences(S: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _roots(C: np.ndarray, L: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, vertex) pairs, row-major, where the node of the vertex is a
-    root of the row's polynomial sum_i C[i]*a^(L-i).
+    """(row, vertex) pairs, sorted, where the node of the vertex is a root
+    of the row's polynomial sum_i C[i]*a^(L-i).
 
     One Horner pass evaluates all rows over blocks of _ROOT_BLOCK nodes,
     so the work array is rows x block, never rows x n.
     """
     g, top = C.shape[0], int(L.max())
-    if L.min() == top:
-        D = C[:, : top + 1]
-    else:  # descending coefficients, left-padded with zeros to degree `top`
-        col = np.arange(top + 1) - (top - L)[:, None]
-        D = np.where(col >= 0, C[np.arange(g)[:, None], col], 0)
-    rows, verts = [], []
+    # descending coefficients, left-padded with zeros to degree `top`
+    col = np.arange(top + 1) - (top - L)[:, None]
+    D = np.where(col >= 0, C[np.arange(g)[:, None], col], 0)
+    codes = []
     for lo in range(0, n, _ROOT_BLOCK):
         # node j+1 unreduced: at j+1 = p, multiplying by p acts as by 0
         x = np.arange(lo + 1, min(n, lo + _ROOT_BLOCK) + 1, dtype=np.int64)
@@ -333,13 +331,8 @@ def _roots(C: np.ndarray, L: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np
             a += D[:, t : t + 1]
             a %= p
         row, col = np.divmod(np.flatnonzero(a == 0), x.size)
-        rows.append(row)
-        verts.append(col + lo)
-    if len(rows) == 1:
-        return rows[0], verts[0]
-    rows, verts = np.concatenate(rows), np.concatenate(verts)
-    order = np.argsort(rows, kind="stable")
-    return rows[order], verts[order]
+        codes.append(row * n + lo + col)
+    return np.divmod(np.sort(np.concatenate(codes)), n)
 
 
 def _inverse(a: np.ndarray, p: int) -> np.ndarray:

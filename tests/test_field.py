@@ -194,8 +194,9 @@ def test_roundtrip_at_large_prime(p, rng):
 
 @pytest.mark.parametrize("n", [64, 101, 1009])
 def test_batch_matches_single_and_brute_force(n):
-    # p = n for the primes 101 and 1009, so vertex n-1 has node 0; every
-    # third nonzero row puts an entry there
+    # p = n for the primes 101 and 1009, so vertex n-1 has node 0; some
+    # nonzero rows move an entry there.  Each block mixes zero rows, rows
+    # with 1..r nonzeros and rows with more than r, so L varies in a block.
     p = canonical_prime(n)
     rng = np.random.default_rng(n)
     alpha, zseed = 8, 11
