@@ -31,7 +31,7 @@ from streamcolor.pipeline import (
     decompose_run,
     verify_coloring,
 )
-from streamcolor.stream import ParseError
+from streamcolor.stream import ParseError, first_repeat, read_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -46,18 +46,20 @@ def write_coloring(path: str, colors: np.ndarray) -> None:
             fh.write(f"{v} {int(c)}\n")
 
 
+_COLOR_MESSAGES = ("expected 'vertex color', got {!r}", "non-integer entry in {!r}",
+                   "entry out of range in {!r}")
+
+
 def read_coloring(path: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'vertex color', got {line!r}", lineno)
-            out[int(parts[0])] = int(parts[1])
-    return out
+    """Read 'vertex color' lines, in the syntax of `stream.read_pairs`. A
+    vertex given twice raises ParseError at its second line."""
+    _, pairs, lines, fault = read_pairs(path, _COLOR_MESSAGES)
+    i = first_repeat(pairs[:, 0])
+    if i >= 0:
+        raise ParseError(f"vertex {int(pairs[i, 0])} repeated", int(lines[i]))
+    if fault is not None:
+        raise fault
+    return dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def write_edge_list(path: str, n: int, edges: np.ndarray) -> None:

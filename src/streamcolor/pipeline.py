@@ -387,10 +387,11 @@ def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,
     n = src.n
     arr = np.zeros(n, dtype=np.int64)
     if isinstance(colors, dict):
-        for v, c in colors.items():
-            if not 0 <= v < n:
-                return False, f"vertex {v} out of range"
-            arr[v] = c
+        vs = np.fromiter(colors, dtype=np.int64, count=len(colors))
+        outside = (vs < 0) | (vs >= n)
+        if outside.any():
+            return False, f"vertex {int(vs[outside.argmax()])} out of range"
+        arr[vs] = np.fromiter(colors.values(), dtype=np.int64, count=len(colors))
     else:
         arr = np.asarray(colors, dtype=np.int64)
         if arr.shape[0] != n:

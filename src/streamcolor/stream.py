@@ -1,4 +1,15 @@
-"""Edge streams: single-pass enforcement, census types, colorability gate.
+"""Edge streams: the edge-list reader, single-pass enforcement, census
+types, colorability gate.
+
+`StreamSource.from_file` reads an edge-list file: a vertex-count header,
+then one edge 'u v' per line. `read_pairs` reads it with numpy in blocks
+of `BLOCK_BYTES` (256 KiB) cut at a newline, so no per-line Python code
+runs on a valid file, and whole-array checks find every fault. The syntax,
+shared with the colors file that `streamcolor verify` reads: ASCII decimal
+integers with an optional sign, separated by ASCII whitespace; '#' starts
+a comment that runs to the end of the line; a line ends at a line feed (a
+carriage return is whitespace, so CRLF files read the same). A faulty
+file raises `ParseError` naming its earliest faulty line, counted from 1.
 
 The stream abstraction materializes its source once (file or generator),
 then hands out strictly sequential single-consumption passes.  Arrival
@@ -8,7 +19,9 @@ so every run exercises an arbitrary-looking but reproducible order.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +87,7 @@ class StreamSource:
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.passes = 0
         order = rng_for(seed, "stream").permutation(self._edges.shape[0])
-        self._delivery = self._edges[order]
+        self._delivery = np.take(self._edges, order, axis=0)
 
     @property
     def m(self) -> int:
@@ -87,42 +100,216 @@ class StreamSource:
 
     @classmethod
     def from_file(cls, path: str, seed: int = 0) -> "StreamSource":
-        n = None
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if n is None:
-                    try:
-                        n = int(line)
-                    except ValueError:
-                        raise ParseError(f"expected vertex count, got {line!r}", lineno)
-                    if n < 1:
-                        raise ParseError("vertex count must be >= 1", lineno)
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParseError(f"expected 'u v', got {line!r}", lineno)
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(f"non-integer endpoint in {line!r}", lineno)
-                if u == v:
-                    raise ParseError(f"self-loop {u}", lineno)
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ParseError(f"endpoint out of range in {line!r}", lineno)
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    raise ParseError(f"duplicate edge {key}", lineno)
-                seen.add(key)
-                edges.append(key)
+        """Read an edge-list file: a vertex-count header n >= 1, then one
+        edge 'u v' per line with u != v, both in [0, n), and no edge twice
+        in either orientation. Edges keep file order, each as (min, max).
+
+        The syntax is `read_pairs`': ASCII decimal integers, whitespace
+        separated, '#' comments, blank lines skipped. The file is read in
+        blocks of `BLOCK_BYTES` bytes, each checked as whole arrays; the
+        duplicate check is one sort of min*base+max codes over all edges.
+
+        A faulty file raises `ParseError` at its earliest faulty line;
+        within a line the checks run in the order arity, integer,
+        self-loop, range, duplicate. A duplicate is reported at its second
+        occurrence. An endpoint past int64 is out of range, even when both
+        endpoints are the same number.
+        """
+        n, edges, lines, fault = read_pairs(path, _EDGE_MESSAGES, header=True)
         if n is None:
             raise ParseError("empty input: missing vertex-count header")
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        return cls(n, arr, seed=seed, name=os.path.basename(path))
+        u, v = edges[:, 0], edges[:, 1]
+        loop = u == v
+        lo = np.minimum(u, v)
+        np.maximum(u, v, out=v)
+        u[:] = lo
+        bad = loop | (lo < 0) | (v >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            line = int(lines[i])
+            if loop[i]:
+                fault = ParseError(f"self-loop {int(lo[i])}", line)
+            else:
+                fault = ParseError(_EDGE_MESSAGES[2].format(_line_text(path, line)), line)
+            edges = edges[:i]
+        del lo, loop, bad
+        base = int(edges[:, 1].max()) + 1 if edges.size else 1
+        if base <= _MAX_CODE_BASE:
+            keys = edges[:, 0] * base + edges[:, 1]
+        else:   # (lo, hi) records sort the same way, only slower
+            keys = np.ascontiguousarray(edges).view(_PAIR).ravel()
+        i = first_repeat(keys)
+        if i >= 0:
+            raise ParseError(f"duplicate edge {tuple(edges[i].tolist())}", int(lines[i]))
+        if fault is not None:
+            raise fault
+        return cls(n, edges, seed=seed, name=os.path.basename(path))
+
+
+# ---------------------------------------------------------------------------
+# Two-integer line files: the edge list and the colors file
+# ---------------------------------------------------------------------------
+
+BLOCK_BYTES = 1 << 18
+# messages for a line of the wrong arity, a non-integer, an integer past int64
+_EDGE_MESSAGES = ("expected 'u v', got {!r}", "non-integer endpoint in {!r}",
+                  "endpoint out of range in {!r}")
+_MAX_DIGITS = 18                                # every 18-digit integer fits int64
+_MAX_CODE_BASE = 3037000499                     # base * base < 2**63
+_PAIR = np.dtype([("lo", np.int64), ("hi", np.int64)])
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _blocks(path: str):
+    """The file's bytes in blocks of about BLOCK_BYTES, each cut after its
+    last newline (a line longer than a block joins the next one); the last
+    block gets a newline if the file lacks one."""
+    rest = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(BLOCK_BYTES):
+            data = rest + chunk
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                yield data[:cut]
+            rest = data[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _line_text(path: str, line: int) -> str:
+    """Line `line` (from 1) as error messages quote it: the text before any
+    '#', stripped."""
+    with open(path, "rb") as fh:
+        raw = next(itertools.islice(fh, line - 1, None))
+    return raw.split(b"#", 1)[0].strip().decode("utf-8", "replace")
+
+
+def _vertex_count(path: str, line: int, fields: int) -> int:
+    """The header on line `line`, which holds `fields` fields."""
+    text = _line_text(path, line)
+    if fields != 1 or _INTEGER.fullmatch(text) is None:
+        raise ParseError(f"expected vertex count, got {text!r}", line)
+    if int(text) < 1:
+        raise ParseError("vertex count must be >= 1", line)
+    return int(text)
+
+
+def _integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+              other: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values of the tokens [starts, ends) of buf, the tokens that are not
+    an optionally signed decimal integer, and those past int64.
+    `other` holds the positions of the token bytes that are not digits."""
+    lead = buf[starts]
+    sign = (lead == ord("+")) | (lead == ord("-"))
+    first = starts + sign
+    width = ends - first
+    bad = np.flatnonzero(width == 0)
+    if other.size:
+        # a non-digit byte is allowed only as the sign of its token
+        other = other[~np.isin(other, starts[sign], assume_unique=True)]
+        bad = np.union1d(bad, np.searchsorted(starts, other, side="right") - 1)
+    vals = np.zeros(starts.size, dtype=np.int64)
+    for j in range(min(int(width.max(initial=0)), _MAX_DIGITS)):
+        digit = np.take(buf, first + j, mode="clip") - ord("0")
+        np.copyto(vals, vals * 10 + digit, where=width > j)
+    vals[lead == ord("-")] *= -1
+    wide = []
+    for t in np.flatnonzero(width > _MAX_DIGITS):
+        value = 0 if t in bad else int(buf[starts[t]:ends[t]].tobytes())
+        if -(1 << 63) <= value < 1 << 63:
+            vals[t] = value
+        else:
+            wide.append(t)
+    return vals, bad, np.array(wide, dtype=np.int64)
+
+
+def read_pairs(path: str, messages: tuple[str, str, str], header: bool = False):
+    """Read a file whose lines each hold two integers, with numpy.
+
+    Syntax: a line ends at '\\n'; '#' starts a comment to the line's end;
+    fields are separated by ASCII whitespace (space, tab, CR, LF, VT, FF);
+    a field is an ASCII decimal integer with an optional '+' or '-';
+    lines with no field are skipped. With `header`, the first non-blank
+    line holds a single integer, the vertex count, which must be >= 1; a
+    fault there raises at once.
+
+    The file is read in blocks of `BLOCK_BYTES` cut at their last newline.
+    Each block is tokenized as whole arrays: a whitespace mask, token
+    starts and ends, a token -> line map from a running newline count, the
+    arity of each line from a `bincount`, and one int64 value per token.
+
+    Returns (header or None, pairs, lines, fault): pairs is (k, 2) int64 in
+    file order, lines the file line (from 1) of each pair, and fault a
+    `ParseError` for the earliest line with the wrong number of fields
+    (messages[0]), a non-integer (messages[1]) or an integer past int64
+    (messages[2]), each formatted with the line's text, or None. Pairs stop
+    before the fault's line, and no block after it is read.
+    """
+    n = None
+    pairs, lines = [], []
+    fault = None
+    first_line = 1
+    for data in _blocks(path):
+        buf = np.frombuffer(data, dtype=np.uint8)
+        newlines = np.cumsum(buf == ord("\n"), dtype=np.int32)
+        space = (buf == ord(" ")) | ((buf - ord("\t")) < 5)   # space, \t \n \v \f \r
+        if b"#" in data:
+            space |= _comments(buf, newlines)
+        nlines = int(newlines[-1])
+        bounds = np.flatnonzero(np.diff(~space, prepend=False))
+        starts, ends = bounds[0::2], bounds[1::2]
+        tline = newlines[starts]            # block line (from 0) of each token
+        if header and n is None:
+            if not starts.size:
+                first_line += nlines
+                continue
+            line = first_line + int(tline[0])
+            n = _vertex_count(path, line, int(np.count_nonzero(tline == tline[0])))
+            space[: ends[0]] = True                 # the header is no field
+            starts, ends, tline = starts[1:], ends[1:], tline[1:]
+        arity = np.bincount(tline, minlength=nlines)
+        other = np.flatnonzero(~space & ((buf - ord("0")) > 9))
+        vals, bad, wide = _integers(buf, starts, ends, other)
+        # block lines failing each check, in the order a line is checked
+        faults = [np.flatnonzero((arity != 0) & (arity != 2)), tline[bad], tline[wide]]
+        stop = min((int(f.min()) for f in faults if f.size), default=nlines)
+        if stop < nlines:
+            kind = next(k for k, f in enumerate(faults) if stop in f)
+            line = first_line + stop
+            fault = ParseError(messages[kind].format(_line_text(path, line)), line)
+        k = int(np.searchsorted(tline, stop))
+        if k:
+            pairs.append(vals[:k].reshape(-1, 2))
+            lines.append(first_line + tline[:k:2])
+        if fault is not None:
+            break
+        first_line += nlines
+    if not pairs:
+        return n, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), fault
+    return n, np.concatenate(pairs), np.concatenate(lines), fault
+
+
+def _comments(buf: np.ndarray, newlines: np.ndarray) -> np.ndarray:
+    """Mask of the bytes from each line's first '#' to its end."""
+    hashes = np.flatnonzero(buf == ord("#"))
+    hline = newlines[hashes]
+    first = hashes[np.r_[True, hline[1:] != hline[:-1]]]
+    stop = np.flatnonzero(buf == ord("\n"))[newlines[first]]
+    mark = np.zeros(buf.size, dtype=np.int8)
+    mark[first] = 1
+    mark[stop] = -1
+    return np.cumsum(mark, dtype=np.int8).astype(bool)
+
+
+def first_repeat(keys: np.ndarray) -> int:
+    """Index of the earliest entry of keys equal to an earlier one, or -1.
+    One sort on the way; the stable argsort only when there is a repeat."""
+    s = np.sort(keys)
+    if not (s[1:] == s[:-1]).any():
+        return -1
+    order = np.argsort(keys, kind="stable")
+    later = np.flatnonzero(keys[order[1:]] == keys[order[:-1]]) + 1
+    return int(order[later].min())
 
 
 def stream_source(source: str, seed: int = 0) -> StreamSource:

@@ -18,11 +18,51 @@ from streamcolor.palette import (
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _prepass
 from streamcolor.graph import Graph
-from streamcolor.stream import StreamSource
+from streamcolor.stream import ParseError, StreamSource
 
 
 def oracle_from_edges(n, edges) -> Graph:
     return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def reference_edge_list(path) -> tuple[int, np.ndarray]:
+    """The line-by-line edge-list reader that `StreamSource.from_file`
+    replaced, kept as its oracle: (n, edges as (min, max) in file order)."""
+    n = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if n is None:
+                try:
+                    n = int(line)
+                except ValueError:
+                    raise ParseError(f"expected vertex count, got {line!r}", lineno)
+                if n < 1:
+                    raise ParseError("vertex count must be >= 1", lineno)
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected 'u v', got {line!r}", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"non-integer endpoint in {line!r}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop {u}", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"endpoint out of range in {line!r}", lineno)
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ParseError(f"duplicate edge {key}", lineno)
+            seen.add(key)
+            edges.append(key)
+    if n is None:
+        raise ParseError("empty input: missing vertex-count header")
+    return n, np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def source_of(inst, seed=0) -> StreamSource:

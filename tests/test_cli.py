@@ -224,3 +224,39 @@ def test_cmd_color_verify_closed_loop(tmp_path):
         assert run(["gen", "--spec", fam, "--out", graph]) == 0
         assert run(["color", "--input", graph, "--seed", 5, "--retries", 3, "--out", out]) == 0
         assert run(["verify", "--graph", graph, "--coloring", out, "--delta", delta]) == 0
+
+
+def test_verify_rejects_a_repeated_vertex(tmp_path, capsys):
+    # the second entry for vertex 1 clashes with vertex 0; it must not
+    # silently replace the first
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n0 1\n1 2\n")
+    colors = tmp_path / "c.txt"
+    colors.write_text("0 1\n1 1\n2 1\n1 2\n")
+    capsys.readouterr()
+    assert run(["verify", "--graph", graph, "--coloring", colors, "--delta", 2]) == 4
+    assert "line 4: vertex 1 repeated" in capsys.readouterr().err
+
+
+def test_verify_names_the_line_of_a_bad_entry(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n0 1\n1 2\n")
+    colors = tmp_path / "c.txt"
+    for text, line in [("0 1\n# two\n1 x\n2 1\n", 3), ("0 1\n1 2 3\n", 2),
+                       ("0 1\n1 2\n2 99999999999999999999\n", 3)]:
+        colors.write_text(text)
+        capsys.readouterr()
+        assert run(["verify", "--graph", graph, "--coloring", colors, "--delta", 2]) == 4
+        assert f"line {line}: " in capsys.readouterr().err
+    colors.write_text("0 1\n1 2\n2 1  # last\n")
+    assert run(["verify", "--graph", graph, "--coloring", colors, "--delta", 2]) == 0
+
+
+def test_verify_coloring_reads_a_dict(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n0 1\n1 2\n")
+    assert pl.verify_coloring(str(graph), {2: 1, 0: 1, 1: 2}, 2) == (True, "ok")
+    assert pl.verify_coloring(str(graph), {0: 1, 7: 2, -1: 1}, 2) == (False, "vertex 7 out of range")
+    assert pl.verify_coloring(str(graph), {0: 1, 2: 2}, 2) == (False, "vertex 1 uncolored")
+    assert pl.verify_coloring(str(graph), {0: 1, 1: 1, 2: 2}, 2) == (
+        False, "monochromatic edge (0,1)")

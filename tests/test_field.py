@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -79,6 +80,57 @@ def test_brute_force_agreement(rng):
             fast = recover_sparse(meas, k, p, n)
             slow = brute_force_decode(meas, k, p, n)
             assert np.array_equal(fast, slow)
+
+
+def _first_solution_by_enumeration(meas, r, p, n):
+    """brute_force_decode's contract in plain Python: for e = 1..r and each
+    support of size e in combinations order, solve the first e syndrome
+    equations by Gauss-Jordan mod p; return the first solution with no
+    zero value that matches all 2r syndromes."""
+    s = [int(x) % p for x in meas]
+    if not any(s):
+        return [0] * n
+    for e in range(1, r + 1):
+        for supp in combinations(range(n), e):
+            xs = [(j + 1) % p for j in supp]
+            m = [[pow(x, t, p) for x in xs] + [s[t]] for t in range(e)]
+            for c in range(e):
+                piv = next((i for i in range(c, e) if m[i][c]), None)
+                if piv is None:
+                    break
+                m[c], m[piv] = m[piv], m[c]
+                inv = pow(m[c][c], p - 2, p)
+                m[c] = [v * inv % p for v in m[c]]
+                for i in range(e):
+                    if i != c:
+                        f = m[i][c]
+                        m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
+            else:
+                a = [row[e] for row in m]
+                if all(a) and all(
+                    sum(ai * pow(x, t, p) for ai, x in zip(a, xs)) % p == s[t]
+                    for t in range(2 * r)
+                ):
+                    out = [0] * n
+                    for j, ai in zip(supp, a):
+                        out[j] = ai
+                    return out
+    return None
+
+
+@pytest.mark.parametrize("n,p", [(5, 101), (8, 11), (12, 13), (12, 101)])
+def test_brute_force_matches_plain_enumeration(n, p):
+    rng = np.random.default_rng(n * p)
+    for r in (1, 2, 3):
+        for i in range(40):
+            if i % 2:
+                meas = rng.integers(0, p, size=2 * r)
+            else:
+                meas = syndrome_of(random_sparse_vector(rng, n, int(rng.integers(0, r + 2)), p), r, p)
+            got = brute_force_decode(meas, r, p, n)
+            want = _first_solution_by_enumeration(meas, r, p, n)
+            assert (got is None) == (want is None)
+            assert got is None or got.tolist() == want
 
 
 def test_oversparse_rejected_by_oracle(rng):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from streamcolor import stream
 from streamcolor.stream import (
     CLIQUE_COMPONENT,
     COLORABLE,
@@ -14,7 +17,7 @@ from streamcolor.stream import (
 from streamcolor.generators import generate_instance
 from streamcolor.pipeline import _prepass
 
-from conftest import shadow_of, source_of
+from conftest import reference_edge_list, shadow_of, source_of
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -59,6 +62,175 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, line):
     with pytest.raises(ParseError) as err:
         stream_source(path)
     assert err.value.line == line
+
+
+# -- the vectorized reader against the line-by-line reference ---------------
+
+SEPARATORS = (" ", "  ", "\t", " \t ")
+
+
+def _number(rng, x):
+    """x in decimal, now and then signed or zero-padded (to 24 digits)."""
+    r = rng.random()
+    return f"+{x}" if r < 0.1 else f"00{x}" if r < 0.2 else f"{x:024d}" if r < 0.25 else str(x)
+
+
+def _random_lines(rng, n, m):
+    """A valid edge list as (lines, indices of the edge lines): m distinct
+    edges over n vertices in random orientation and spacing, with comments
+    and blank lines between them."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines, at = ["# random edge list", "  ", _number(rng, n) + rng.choice(["", " # n", "\t"])], []
+    for i in rng.choice(len(pairs), size=m, replace=False):
+        u, v = pairs[i] if rng.random() < 0.5 else pairs[i][::-1]
+        line = _number(rng, u) + rng.choice(SEPARATORS) + _number(rng, v)
+        r = rng.random()
+        if r < 0.1:
+            line += " # note 1 2"
+        elif r < 0.2:
+            line = "\t" + line + "  "
+        at.append(len(lines))
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "   ", "# c", "\t# x 1 2"])))
+    return lines, at
+
+
+def _write_lines(path, rng, lines):
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    text = newline.join(lines) + (newline if rng.random() < 0.7 else "")
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+def _read_vectorized(path):
+    src = StreamSource.from_file(path)
+    return src.n, src._edges
+
+
+def _read_both(path):
+    out = []
+    for read in (reference_edge_list, _read_vectorized):
+        try:
+            out.append(read(path))
+        except ParseError as err:
+            out.append(err)
+    return out
+
+
+def _assert_same(path):
+    """Both readers give the same (n, edges), or a ParseError with the same
+    line and message; returns the reference's result."""
+    want, got = _read_both(path)
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError), (path, want)
+        assert (got.line, str(got)) == (want.line, str(want))
+    else:
+        assert not isinstance(got, ParseError), (path, got)
+        assert got[0] == want[0]
+        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+    return want
+
+
+def _edge_at(line):
+    """The two integers of an edge line, or None."""
+    fields = line.split("#")[0].split()
+    try:
+        return tuple(int(x) for x in fields) if len(fields) == 2 else None
+    except ValueError:
+        return None
+
+
+def _corrupt(rng, kind, n, lines, at):
+    """Put one fault of `kind` into lines; return the index of its line."""
+    i = int(rng.choice(at))
+    u, v = _edge_at(lines[i])
+    if kind == "self-loop":
+        lines[i] = f"{u} {u}"
+    elif kind == "range":
+        lines[i] = str(rng.choice([f"{u} {n}", f"-1 {v}", f"{u} 99999999999999999999",
+                                   f"-99999999999999999999 {v}", f"{u} {n + 10 ** 19}"]))
+    elif kind == "duplicate":
+        j = int(rng.choice([k for k in at if k < i] or [i]))
+        a, b = _edge_at(lines[j])
+        lines.insert(i + 1, f"{a} {b}" if rng.random() < 0.5 else f"{b}\t{a}")
+        i += 1
+    elif kind == "arity":
+        lines[i] = str(rng.choice([f"{u}", f"{u} {v} {u}", f"{u} {v} 7 # c", "x", f"{u} {v} y"]))
+    elif kind == "non-integer":
+        lines[i] = str(rng.choice([f"{u} x", f"1.5 {v}", f"{u} 0x1f", f"{u} --2",
+                                   f"{u} +", f"{u}-1 {v}", f"{u} {v}e1", f"- {v}"]))
+    elif kind == "header":
+        i = 2
+        lines[i] = str(rng.choice(["x", "3 4", "0", "-2", "1.0", "+", "0 # zero"]))
+    return i
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reader_matches_reference_on_valid_files(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    lines, _ = _random_lines(rng, n, int(rng.integers(0, min(120, n * (n - 1) // 2) + 1)))
+    path = _write_lines(tmp_path / "g.txt", rng, lines)
+    for block in (stream.BLOCK_BYTES, int(rng.integers(1, 64))):
+        monkeypatch.setattr(stream, "BLOCK_BYTES", block)
+        _assert_same(path)
+
+
+KINDS = ["self-loop", "range", "duplicate", "arity", "non-integer", "header"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reader_matches_reference_on_corrupted_files(tmp_path, monkeypatch, kind):
+    """One or two faults at random lines, read whole, in small blocks, and
+    with the first fault on the first line of a block."""
+    for seed in range(15):
+        rng = np.random.default_rng([seed, len(kind)])
+        n = int(rng.integers(3, 30))
+        lines, at = _random_lines(rng, n, int(rng.integers(2, min(80, n * (n - 1) // 2) + 1)))
+        if seed % 3 == 0:   # first a fault of any kind anywhere
+            _corrupt(rng, str(rng.choice(KINDS[:-1])), n, lines, at)
+            at = [k for k in range(3, len(lines)) if _edge_at(lines[k])]
+        i = _corrupt(rng, kind, n, lines, at)
+        path = _write_lines(tmp_path / f"g{seed}.txt", rng, lines)
+        data = open(path, "rb").read()
+        line_start = len(b"\n".join(data.split(b"\n")[:i])) + 1
+        for block in (stream.BLOCK_BYTES, int(rng.integers(1, 64)), line_start):
+            monkeypatch.setattr(stream, "BLOCK_BYTES", block)
+            assert isinstance(_assert_same(path), ParseError)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "# only comments\n  \n\t# more\n", "# no newline at the end",
+    "5", "5\n# nothing else",
+    # endpoints too large for min*n+max codes in int64
+    "10000000000\n0 9999999999\n9999999999 5\n", "10000000000\n0 9999999999\n9999999999 0\n",
+])
+def test_reader_matches_reference_on_small_files(tmp_path, text):
+    _assert_same(_write(tmp_path, text))
+
+
+def test_reader_memory_bound(tmp_path):
+    """A 16-regular graph on n = 128000 (m = 1,024,000, a 12 MB file, the
+    size of the random-regular Delta=16 file at that n): the whole read,
+    StreamSource included, peaks under 96 MB of tracemalloc. The per-line
+    reader peaked at 196 MB."""
+    n = 128000
+    label = np.random.default_rng(0).permutation(n)
+    v = np.arange(n)
+    edges = np.concatenate([np.stack([label[v], label[(v + k) % n]], axis=1)
+                            for k in range(1, 9)])
+    path = tmp_path / "rr16.txt"
+    path.write_text(f"{n}\n" + "".join(f"{a} {b}\n" for a, b in edges.tolist()))
+    del edges
+    tracemalloc.start()
+    try:
+        src = StreamSource.from_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert src.m == 1024000
+    assert peak < 96e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_generator_spec_stream():
