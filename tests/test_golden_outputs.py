@@ -2,9 +2,10 @@
 decompositions.
 
 Only fields that do not depend on how the lists and graphs are stored are
-pinned: the colors, the clique report, the space report, the union masks
-the stream filter reads, the decomposition `decompose_run` returns and the
-ordered violation list of `verify_decomposition`.  A refactor of the
+pinned: the colors, the phase that colored each vertex, the clique report,
+the space report, the union masks the stream filter reads, the
+decomposition `decompose_run` returns and the ordered violation list of
+`verify_decomposition`.  A refactor of the
 palette or graph storage must leave all of them byte-identical.
 """
 
@@ -20,23 +21,27 @@ from streamcolor.pipeline import RunConfig, color_run, decompose_run
 
 from conftest import planted_mistakes
 
-# spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON);
-# both shadow modes give the same three digests on these instances.
+# spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON,
+# provenance bytes); both shadow modes give the same four digests on these
+# instances.
 RUNS = {
     "random-regular:delta=16,n=400,seed=1": (
         "149898e2b8165bf0dc610c61352e9d3c092f4c3f1d654185706065059d82947e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "d5c0aaf23022bb3e4ec58a0055c95cfea8500e2b32a69a218f663c1c79edd1ea",
+        "bc0eb9f0c41ad964388f86401f990893dc23a3c7614d827e53292de00183ff57",
     ),
     "mixed:delta=32,count=2,seed=1": (
         "b5224c016b150588121fa0723addde30dc991a35545e301e9f74b601446a173f",
         "7ea26bd02ad11a4ce9fe12fbfee5a4f8adfea9a0559fb4b4b5ee48c768136894",
         "7706908d115981014b390c9889fae452875455406a74eda4ac79616b37b3d4e0",
+        "64bc871e6c6b5af717b62e2a01513fa6c6d392e8b13abe5f430f4df7e990afe6",
     ),
     "clique-pairs:delta=16,count=4,seed=1": (
         "82da737ac57de11e27c31033b76966dc2f14ef8fea4aedf7e6b6a8bd12092ae6",
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
         "816b10b9968df8fed45bd10ff7af9f4fce4ca455fb51162034fd04de18891661",
+        "b4ebf43892ee2980cc4c19104150d7000026e8ff5c6a98f338858179e21580ba",
     ),
 }
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"
@@ -78,6 +83,7 @@ def test_fixed_seed_run_golden(spec, no_shadow):
         _sha(res.colors.tobytes()),
         _json_sha(res.report["cliques"]),
         _json_sha(res.report["space"]),
+        _sha(res.phase_result.provenance.tobytes()),
     )
     assert got == RUNS[spec]
 
