@@ -40,10 +40,20 @@ EXIT_PIPELINE = 3
 EXIT_USAGE = 4
 
 
+WRITE_BLOCK = 1 << 16  # lines formatted per write
+
+
+def _write_pairs(fh, first: np.ndarray, second: np.ndarray) -> None:
+    """One 'first second' line per entry, formatted a block at a time."""
+    for s in range(0, first.size, WRITE_BLOCK):
+        block = slice(s, s + WRITE_BLOCK)
+        fh.write("".join(map("{} {}\n".format, first[block].tolist(), second[block].tolist())))
+
+
 def write_coloring(path: str, colors: np.ndarray) -> None:
+    colors = np.asarray(colors, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        for v, c in enumerate(colors):
-            fh.write(f"{v} {int(c)}\n")
+        _write_pairs(fh, np.arange(colors.size), colors)
 
 
 _COLOR_MESSAGES = ("expected 'vertex color', got {!r}", "non-integer entry in {!r}",
@@ -63,10 +73,10 @@ def read_coloring(path: str) -> dict[int, int]:
 
 
 def write_edge_list(path: str, n: int, edges: np.ndarray) -> None:
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n}\n")
-        for u, v in edges:
-            fh.write(f"{int(u)} {int(v)}\n")
+        _write_pairs(fh, edges[:, 0], edges[:, 1])
 
 
 def cmd_color(args) -> int:

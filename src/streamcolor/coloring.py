@@ -12,6 +12,14 @@ random), then the sparse vertices, then a residue strip, then the
 non-edge-rich almost-cliques, then the out-of-palette moves for
 critical and for friendly small almost-cliques (the latter recolors one
 outside witness).
+
+A set of colors has one form throughout: a bool row over the palette
+whose column c-1 is set when color c is in it.  The sampled lists, the
+colors a vertex's stored neighbors hold (`PartialColoring.blocked`) and
+the colors still free inside a clique are all such rows, and a phase
+picks a color as the first set column of their combination.  Phase 4's
+beta shared-color matchings are computed side by side without writing
+the coloring; only the largest is assigned.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from streamcolor.decomposition import (
     SMALL,
     Decomposition,
 )
-from streamcolor.graph import Graph
-from streamcolor.palette import PaletteSet, colors_of
+from streamcolor.graph import Graph, sorted_unique
+from streamcolor.palette import PaletteSet
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -67,28 +75,29 @@ class PartialColoring:
         self.provenance = np.zeros(n, dtype=np.int8)
         self.recolored: list[int] = []
 
-    def color(self, v: int) -> int:
-        return int(self.colors[v])
+    def blocked(self, v: int) -> np.ndarray:
+        """(delta,) bool: column c-1 is set when a stored neighbor of v
+        holds color c."""
+        row = np.zeros(self.delta + 1, dtype=bool)
+        row[self.colors[self.stored.row(v)]] = True
+        return row[1:]
 
-    def used_nearby(self, v: int) -> set[int]:
-        near = self.colors[self.stored.row(v)]
-        return set(near[near != UNCOLORED].tolist())
+    def blocked_rows(self, verts: np.ndarray) -> np.ndarray:
+        """(len(verts), delta) bool: `blocked` of several vertices."""
+        owner, nbrs = self.stored.rows_of(verts)
+        rows = np.zeros((verts.size, self.delta + 1), dtype=bool)
+        rows[owner, self.colors[nbrs]] = True
+        return rows[:, 1:]
 
-    def try_assign(self, v: int, c: int, phase: int) -> bool:
-        """Assign if no stored neighbor holds c; False on conflict."""
+    def assign(self, v: int, c: int, phase: int) -> None:
         if not 1 <= c <= self.delta:
             raise ColoringError(f"color {c} out of range 1..{self.delta}")
         if self.colors[v]:
             raise ColoringError(f"vertex {v} already colored")
-        if c in self.used_nearby(v):
-            return False
+        if self.blocked(v)[c - 1]:
+            raise ColoringError(f"conflict assigning {c} to {v} in phase {phase}")
         self.colors[v] = c
         self.provenance[v] = phase
-        return True
-
-    def assign(self, v: int, c: int, phase: int) -> None:
-        if not self.try_assign(v, c, phase):
-            raise ColoringError(f"conflict assigning {c} to {v} in phase {phase}")
 
     def uncolor(self, v: int) -> None:
         self.colors[v] = UNCOLORED
@@ -96,12 +105,18 @@ class PartialColoring:
 
     def recolor(self, v: int, c: int, phase: int) -> None:
         """Assign possibly overwriting v's color (phase-6 witness move)."""
-        if c in self.used_nearby(v):
+        if self.blocked(v)[c - 1]:
             raise ColoringError(f"recolor conflict at {v}")
         if self.colors[v]:
             self.recolored.append(v)
         self.colors[v] = c
         self.provenance[v] = phase
+
+
+def first_color(row: np.ndarray) -> int | None:
+    """The smallest color of a bool row, or None when it is empty."""
+    hits = np.flatnonzero(row)
+    return int(hits[0]) + 1 if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -163,46 +178,32 @@ def l_perfect_matching(adj: list[list[int]], n_right: int) -> list[int] | None:
     return match_l
 
 
-@dataclass
-class PaletteGraph:
-    """Bipartite graph between uncolored clique vertices and the colors
-    unused inside the clique; edges respect the sampled lists and the
-    stored-neighbor availability of each vertex."""
-
-    left: list[int]
-    right: list[int]
-    adj: list[list[int]]
-
-
-def build_palette_graph(
-    K, C: PartialColoring, lists, exclude=frozenset()
-) -> PaletteGraph:
-    left = [v for v in sorted(K) if not C.colors[v] and v not in exclude]
-    used_in_k = {int(C.colors[v]) for v in K if C.colors[v]}
-    right = [c for c in range(1, C.delta + 1) if c not in used_in_k]
-    rindex = {c: j for j, c in enumerate(right)}
-    adj = []
-    for v in left:
-        blocked = C.used_nearby(v)
-        adj.append(
-            [rindex[c] for c in colors_of(lists(v)) if c in rindex and c not in blocked]
-        )
-    return PaletteGraph(left=left, right=right, adj=adj)
-
-
 def color_clique_by_matching(
-    K, C: PartialColoring, lists, phase: int, exclude=frozenset()
+    K, C: PartialColoring, lists: np.ndarray, phase: int, exclude=()
 ) -> bool:
     """Extend C to every uncolored vertex of K via an L-perfect matching
-    of the palette graph; False (and C untouched) when none exists."""
-    g = build_palette_graph(K, C, lists, exclude=exclude)
-    if not g.left:
+    of the palette graph; False (and C untouched) when none exists.
+
+    The palette graph joins each uncolored vertex of K (bar `exclude`) to
+    the colors of its row of the (n, delta) `lists` that no vertex of K
+    holds and no stored neighbor of it holds.
+    """
+    K = np.sort(np.asarray(K, dtype=np.int64))
+    left = K[(C.colors[K] == UNCOLORED) & ~np.isin(K, exclude)]
+    if not left.size:
         return True
-    match = l_perfect_matching(g.adj, len(g.right))
+    free = np.ones(C.delta + 1, dtype=bool)
+    free[C.colors[K]] = False
+    free = free[1:]
+    right = np.flatnonzero(free)               # right node -> color - 1
+    index = np.cumsum(free) - 1                # color - 1 -> right node
+    avail = lists[left] & free & ~C.blocked_rows(left)
+    adj = [index[np.flatnonzero(row)].tolist() for row in avail]
+    match = l_perfect_matching(adj, right.size)
     if match is None:
         return False
-    for v, j in zip(g.left, match):
-        C.assign(v, g.right[j], phase)
+    for v, j in zip(left.tolist(), match):
+        C.assign(v, int(right[j]) + 1, phase)
     return True
 
 
@@ -232,27 +233,24 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
 
 
 def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
-    """Color the sparse vertices in id order, each from its own large
-    list, skipping colors its stored neighbors hold."""
+    """Color the sparse vertices in id order, each with the smallest color
+    of its own large list that its stored neighbors do not hold."""
     for v in sorted(v_sparse):
         if C.colors[v]:
             continue
-        blocked = C.used_nearby(v)
-        for c in colors_of(palettes.l3[v]):
-            if c not in blocked:
-                C.assign(v, c, 3)
-                break
-        else:
+        c = first_color(palettes.l3[v] & ~C.blocked(v))
+        if c is None:
             raise RunFailure("phase3", f"no free sampled color at sparse vertex {v}")
+        C.assign(v, c, 3)
 
 
 def strip_residue(C: PartialColoring, keep) -> None:
-    """Drop every color outside the kept set (one-shot leftovers inside
-    almost-cliques that later phases will recolor from scratch)."""
-    keep = set(keep)
-    for v in range(C.n):
-        if C.colors[v] and v not in keep:
-            C.uncolor(v)
+    """Drop every color outside the kept vertices (one-shot leftovers
+    inside almost-cliques that later phases will recolor from scratch)."""
+    drop = np.ones(C.n, dtype=bool)
+    drop[np.fromiter(keep, dtype=np.int64)] = False
+    C.colors[drop] = UNCOLORED
+    C.provenance[drop] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,60 +259,64 @@ def strip_residue(C: PartialColoring, keep) -> None:
 
 
 def colorful_matching(
-    K, C: PartialColoring, list_of, non_edges
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Greedily give both endpoints of stored non-edges a shared sampled
-    color, colors in ascending order, one non-edge per color.
+    C: PartialColoring, lists: np.ndarray, non_edges
+) -> list[list[tuple[int, int, int]]]:
+    """For every list index i of the (n, beta, delta) pair-lists, the
+    greedy shared-color matching of the non-edges under list i, as
+    (a, b, color) triples with a < b; C is left untouched.
 
-    A pair that is secretly an edge cannot slip through: a shared sampled
-    color means the edge would sit in H, so the live properness check
-    rejects it and the pair is skipped.
+    Colors go in ascending order.  Each goes to the first alive pair
+    (ascending) whose endpoints are uncolored, both hold the color in
+    list i, and have no stored neighbor holding it; the endpoints of a
+    matched pair leave every later pair.  A listed pair that is a stored
+    edge never matches: a shared sampled color would have put it in H.
+
+    The beta matchings run side by side, one color at a time over a
+    (beta, pairs) mask.
     """
-    alive = [tuple(sorted(f)) for f in non_edges]
-    alive = sorted(set(alive))
-    matched: list[tuple[int, int]] = []
-    assigned: list[int] = []
-    for c in range(1, C.delta + 1):
-        for a, b in alive:
-            if C.colors[a] or C.colors[b]:
-                continue
-            if not (list_of(a)[c - 1] and list_of(b)[c - 1]):
-                continue
-            if not C.try_assign(a, c, 4):
-                continue
-            if not C.try_assign(b, c, 4):
-                C.uncolor(a)
-                continue
-            matched.append((a, b))
-            assigned += [a, b]
-            alive = [f for f in alive if a not in f and b not in f]
-            break
-    return matched, assigned
+    beta = lists.shape[1]
+    trials: list[list[tuple[int, int, int]]] = [[] for _ in range(beta)]
+    f = np.asarray(non_edges, dtype=np.int64).reshape(-1, 2)
+    codes = sorted_unique(f.min(axis=1) * C.n + f.max(axis=1))
+    a, b = codes // C.n, codes % C.n
+    verts = sorted_unique(np.concatenate([a, b]))
+    la, lb = np.searchsorted(verts, a), np.searchsorted(verts, b)
+    adj_i, adj_j = C.stored.within(verts)
+    edge = np.isin(la * verts.size + lb, adj_i * verts.size + adj_j)
+    alive = ~edge & (C.colors[a] == UNCOLORED) & (C.colors[b] == UNCOLORED)
+    la, lb = la[alive], lb[alive]
+    if not la.size:
+        return trials
+    # usable[c - 1, i, x]: color c is in list i of verts[x], unblocked there
+    usable = lists[verts] & ~C.blocked_rows(verts)[:, None, :]
+    usable = np.ascontiguousarray(usable.transpose(2, 1, 0))
+    matched = np.zeros((beta, verts.size), dtype=bool)
+    for c in range(C.delta):
+        ok = usable[c] & ~matched
+        rows, cols = np.nonzero(ok[:, la] & ok[:, lb])
+        if not rows.size:
+            continue
+        first = np.r_[True, rows[1:] != rows[:-1]]  # each list's first hit
+        won, x, y = rows[first], la[cols[first]], lb[cols[first]]
+        matched[won, x] = matched[won, y] = True
+        for i, u, v in zip(won.tolist(), verts[x].tolist(), verts[y].tolist()):
+            trials[i].append((u, v, c + 1))
+    return trials
 
 
-def phase4_color(
-    K, C: PartialColoring, palettes: PaletteSet, non_edges, params: ParamSet
-) -> bool:
-    """Best-of-beta shared-color matchings, then palette matching for the
-    rest of K; on failure C is rolled back and the clique is deferred."""
-    best_i, best_size = None, 0
-    for i in range(params.beta):
-        matched, assigned = colorful_matching(
-            K, C, lambda v, i=i: palettes.l4[v][i], non_edges
-        )
-        for v in assigned:
-            C.uncolor(v)
-        if len(matched) > best_size:
-            best_i, best_size = i, len(matched)
-    assigned = []
-    if best_i is not None:
-        _, assigned = colorful_matching(
-            K, C, lambda v, i=best_i: palettes.l4[v][i], non_edges
-        )
-    if color_clique_by_matching(K, C, lambda v: palettes.l4_star[v], phase=4):
+def phase4_color(K, C: PartialColoring, palettes: PaletteSet, non_edges) -> bool:
+    """Assign the largest of the beta shared-color matchings (the first
+    among equals), then palette-match the rest of K from L4*; on failure
+    the matched pairs are uncolored again and the clique is deferred."""
+    best = max(colorful_matching(C, palettes.l4, non_edges), key=len)
+    for a, b, c in best:
+        C.assign(a, c, 4)
+        C.assign(b, c, 4)
+    if color_clique_by_matching(K, C, palettes.l4_star, phase=4):
         return True
-    for v in assigned:
-        C.uncolor(v)
+    for a, b, _ in best:
+        C.uncolor(a)
+        C.uncolor(b)
     return False
 
 
@@ -330,13 +332,12 @@ def phase5_critical(
     partner's list (legal for the recovered vertex because its whole
     neighborhood is stored), then finish K by palette matching."""
     u, v = helper.u, helper.v
-    blocked = C.used_nearby(u) | C.used_nearby(v)
-    shared = next((c for c in colors_of(palettes.l5[u]) if c not in blocked), None)
+    shared = first_color(palettes.l5[u] & ~C.blocked(u) & ~C.blocked(v))
     if shared is None:
         raise RunFailure("phase5", f"no free pair color for non-edge ({u},{v})")
     C.assign(u, shared, 5)
     C.assign(v, shared, 5)
-    if not color_clique_by_matching(K, C, lambda w: palettes.l5[w], phase=5):
+    if not color_clique_by_matching(K, C, palettes.l5, phase=5):
         raise RunFailure("phase5", f"palette matching failed on clique of {K[0]}")
 
 
@@ -357,21 +358,16 @@ def phase6_friendly(
     count = i_u.get(u, 0)
     if count >= 2 * params.beta:
         raise RunFailure("phase6", f"recolor lists exhausted at witness {u}")
-    lst = palettes.l6[u][count]
-    blocked = C.used_nearby(u) | C.used_nearby(w)
-    shared = next((c for c in colors_of(lst) if c not in blocked), None)
+    shared = first_color(palettes.l6[u, count] & ~C.blocked(u) & ~C.blocked(w))
     if shared is None:
         raise RunFailure("phase6", f"no recolor color for witness {u}")
     C.recolor(u, shared, 6)
     i_u[u] = count + 1
     C.assign(w, shared, 6)
     last = 2 * params.beta - 1
-    if not color_clique_by_matching(
-        K, C, lambda x: palettes.l6[x][last], phase=6, exclude={v}
-    ):
+    if not color_clique_by_matching(K, C, palettes.l6[:, last], phase=6, exclude=(v,)):
         raise RunFailure("phase6", f"palette matching failed on clique of {K[0]}")
-    blocked_v = C.used_nearby(v)
-    final = next((c for c in range(1, C.delta + 1) if c not in blocked_v), None)
+    final = first_color(~C.blocked(v))
     if final is None:
         raise ColoringError(f"no color left for held-back vertex {v}")
     C.assign(v, final, 6)
@@ -435,9 +431,7 @@ def run_phases(
 
     for i, k in enumerate(dec.cliques):
         if k.size_class == SMALL and k.kind == LONELY:
-            if not color_clique_by_matching(
-                k.vertices, C, lambda v: palettes.l2[v], phase=2
-            ):
+            if not color_clique_by_matching(k.vertices, C, palettes.l2, phase=2):
                 raise RunFailure("phase2", f"matching failed on clique {i}")
             colored_by[i] = 2
     snap("phase2")
@@ -445,9 +439,9 @@ def run_phases(
     greedy_sparse(C, dec.v_sparse, palettes)
     snap("phase3")
 
-    keep = set(dec.v_sparse)
+    keep = list(dec.v_sparse)
     for i in colored_by:
-        keep |= dec.cliques[i].vset
+        keep += dec.cliques[i].vertices
     strip_residue(C, keep)
     snap("strip")
 
@@ -455,7 +449,7 @@ def run_phases(
     for i, k in enumerate(dec.cliques):
         if i in colored_by:
             continue
-        if phase4_color(k.vertices, C, palettes, non_edges_of[i], params):
+        if phase4_color(k.vertices, C, palettes, non_edges_of[i]):
             colored_by[i] = 4
         else:
             deferred.append(i)

@@ -434,16 +434,6 @@ def recover_sparse(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | Non
     return None if got is None else _dense(got, n)
 
 
-def verify_candidate(check: np.ndarray, zseed: int, r: int, x: np.ndarray,
-                     alpha: int, p: int) -> bool:
-    """True iff the random check matrix maps x onto the companion vector.
-
-    A wrong candidate slips through with probability p^-alpha.
-    """
-    got = random_check_apply(zseed, r, x, alpha, p)
-    return np.array_equal(got % p, np.asarray(check, dtype=np.int64) % p)
-
-
 def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
                  alpha: int) -> np.ndarray | None:
     """Recover then verify one measurement; None means 'fail' (refused,

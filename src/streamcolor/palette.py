@@ -34,11 +34,6 @@ def _draw_lists(rng, shape: tuple[int, ...], rate: float) -> np.ndarray:
     return out
 
 
-def colors_of(row: np.ndarray) -> list[int]:
-    """The colors of one list row, ascending."""
-    return (np.flatnonzero(row) + 1).tolist()
-
-
 @dataclass
 class PaletteSet:
     """All sampled lists plus the union bit masks the edge filter reads."""

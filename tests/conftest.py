@@ -10,7 +10,6 @@ from streamcolor.decomposition import (
 from streamcolor.generators import generate_instance
 from streamcolor.palette import (
     ConflictGraph,
-    colors_of,
     conflict_keep_chunk,
     sample_palettes,
     union_masks,
@@ -157,8 +156,64 @@ def palette_union(pal, v: int) -> set[int]:
     """Every color in any of v's sampled lists, read from the list rows."""
     out = {int(pal.l1[v])}
     for row in (pal.l2[v], pal.l3[v], pal.l4_star[v], pal.l5[v], *pal.l4[v], *pal.l6[v]):
-        out |= set(colors_of(row))
+        out |= set((np.flatnonzero(row) + 1).tolist())
     return out
+
+
+def oracle_colorful_matching(C, list_of, non_edges) -> list[tuple[int, int, int]]:
+    """The trial-and-undo shared-color matching that
+    `coloring.colorful_matching` replaced, kept as its oracle.
+
+    It writes each candidate pair into C as it goes: colors ascending,
+    the first alive pair whose endpoints are uncolored and both hold the
+    color in `list_of`, unless a stored neighbor of a holds it, or of b
+    (a itself, when the "non-edge" is a stored edge, which is rolled back).
+    Returns the matched (a, b, color) triples; C keeps them.
+    """
+
+    def try_assign(v, c):
+        if (C.colors[C.stored.row(v)] == c).any():
+            return False
+        C.colors[v] = c
+        C.provenance[v] = 4
+        return True
+
+    alive = sorted({tuple(sorted(f)) for f in non_edges})
+    matched = []
+    for c in range(1, C.delta + 1):
+        for a, b in alive:
+            if C.colors[a] or C.colors[b]:
+                continue
+            if not (list_of(a)[c - 1] and list_of(b)[c - 1]):
+                continue
+            if not try_assign(a, c):
+                continue
+            if not try_assign(b, c):
+                C.uncolor(a)
+                continue
+            matched.append((a, b, c))
+            alive = [f for f in alive if a not in f and b not in f]
+            break
+    return matched
+
+
+def oracle_phase4_matching(C, l4, non_edges):
+    """Phase 4's old best-of-beta selection over the (n, beta, delta)
+    pair-lists: each trial is written into C and undone, then the first
+    largest is run again and left in C.  Returns every trial's triples
+    and the chosen index (None when every trial is empty)."""
+    trials, best_i, best_size = [], None, 0
+    for i in range(l4.shape[1]):
+        matched = oracle_colorful_matching(C, lambda v, i=i: l4[v][i], non_edges)
+        for a, b, _ in matched:
+            C.uncolor(a)
+            C.uncolor(b)
+        trials.append(matched)
+        if len(matched) > best_size:
+            best_i, best_size = i, len(matched)
+    if best_i is not None:
+        oracle_colorful_matching(C, lambda v: l4[v][best_i], non_edges)
+    return trials, best_i
 
 
 def uniform_palettes(n, delta, lists, params=None):

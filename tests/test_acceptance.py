@@ -481,14 +481,13 @@ def test_criterion_11_colorful_matching_size():
         ]
         target = params.matching_target(len(F), delta)
         targets.add(target)
-        h = oracle  # every edge stored
-        best = 0
-        for i in range(params.beta):
-            C = PartialColoring(inst.n, delta, h)
-            matched, _ = colorful_matching(K, C, lambda v, i=i: pal.l4[v][i], F)
-            for a, b in matched:
+        C = PartialColoring(inst.n, delta, oracle)  # every edge stored
+        trials = colorful_matching(C, pal.l4, F)
+        assert len(trials) == params.beta
+        for matched in trials:
+            for a, b, _ in matched:
                 assert not oracle.has_edge(a, b)
-            best = max(best, len(matched))
+        best = max(len(matched) for matched in trials)
         if best >= target:
             hits += 1
     _verdict(

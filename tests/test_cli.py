@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from streamcolor import cli
@@ -260,3 +261,27 @@ def test_verify_coloring_reads_a_dict(tmp_path):
     assert pl.verify_coloring(str(graph), {0: 1, 2: 2}, 2) == (False, "vertex 1 uncolored")
     assert pl.verify_coloring(str(graph), {0: 1, 1: 1, 2: 2}, 2) == (
         False, "monochromatic edge (0,1)")
+
+
+def _write_lines(path, header, pairs):
+    """The per-line writer the block writers replaced: one write a line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(f"{header}\n")
+        for u, v in pairs:
+            fh.write(f"{int(u)} {int(v)}\n")
+
+
+@pytest.mark.parametrize("m", [0, 1, cli.WRITE_BLOCK, 2 * cli.WRITE_BLOCK + 5])
+def test_writers_match_a_per_line_writer(tmp_path, m):
+    rng = np.random.default_rng(m)
+    n = 3 * cli.WRITE_BLOCK if m else 4
+    edges = rng.integers(0, n, size=(m, 2))
+    cli.write_edge_list(str(tmp_path / "got.txt"), n, edges)
+    _write_lines(tmp_path / "want.txt", n, edges)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    colors = rng.integers(1, 300, size=n)
+    cli.write_coloring(str(tmp_path / "got.colors"), colors)
+    _write_lines(tmp_path / "want.colors", None, enumerate(colors))
+    assert (tmp_path / "got.colors").read_bytes() == (tmp_path / "want.colors").read_bytes()

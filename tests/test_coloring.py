@@ -10,6 +10,7 @@ from streamcolor.coloring import (
     l_perfect_matching,
     offline_brooks,
     one_shot,
+    phase4_color,
     phase5_critical,
     phase6_friendly,
     responsible_phase,
@@ -79,10 +80,10 @@ def test_color_clique_trivial_cases():
     # everyone already colored: nothing to do, still succeeds
     for v, c in zip(K, (1, 2, 3, 4, 5)):
         C.assign(v, c, 2)
-    assert color_clique_by_matching(K, C, lambda v: pal.l2[v], phase=2)
+    assert color_clique_by_matching(K, C, pal.l2, phase=2)
     # a full-palette K5 block at delta=5 gets 5 distinct colors
     C2 = PartialColoring(n, delta, h)
-    assert color_clique_by_matching(K, C2, lambda v: pal.l2[v], phase=2)
+    assert color_clique_by_matching(K, C2, pal.l2, phase=2)
     assert sorted(int(C2.colors[v]) for v in K) == [1, 2, 3, 4, 5]
 
 
@@ -233,33 +234,30 @@ def test_strip_residue():
 def test_colorful_matching_empty_f():
     C = PartialColoring(4, 3, _conflict_from(4, []))
     pal = uniform_palettes(4, 3, [{1, 2, 3}] * 4)
-    matched, assigned = colorful_matching([0, 1, 2, 3], C, lambda v: pal.l4[v][0], [])
-    assert matched == [] and assigned == []
+    assert colorful_matching(C, pal.l4, []) == [[]] * pal.beta
+    assert not C.colors.any()
 
 
 def test_colorful_matching_single_pair():
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, []))
-    matched, assigned = colorful_matching(
-        [0, 1, 2, 3], C, lambda v: pal.l4[v][0], [(0, 3)]
-    )
-    assert matched == [(0, 3)]
-    assert C.colors[0] == C.colors[3] == 2
+    assert colorful_matching(C, pal.l4, [(0, 3)]) == [[(0, 3, 2)]] * pal.beta
+    assert not C.colors.any()  # a computation: C is never written
 
 
 def test_colorful_matching_skips_true_edges():
-    # a "non-edge" that is actually stored: live check rejects the pair
+    # a "non-edge" that is actually stored never matches
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, [(0, 3)]))
-    matched, _ = colorful_matching([0, 1, 2, 3], C, lambda v: pal.l4[v][0], [(0, 3)])
-    assert matched == []
+    assert colorful_matching(C, pal.l4, [(0, 3)]) == [[]] * pal.beta
     assert not C.colors.any()
 
 
 def test_colorful_matching_is_a_non_edge_matching(rng):
-    # endpoints pairwise distinct and pairs non-adjacent in the true graph
+    # per list: endpoints pairwise distinct, pairs non-adjacent in the true
+    # graph, one pair per color, and the color in both endpoints' list
     from streamcolor.generators import generate_instance
 
     delta = 16
@@ -275,12 +273,96 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
     ]
     h = _conflict_from(inst.n, inst.edges.tolist())
     C = PartialColoring(inst.n, delta, h)
-    matched, _ = colorful_matching(K, C, lambda v: pal.l4[v][0], F)
-    ends = [x for f in matched for x in f]
-    assert len(ends) == len(set(ends))
-    for a, b in matched:
-        assert not oracle.has_edge(a, b)
-        assert C.colors[a] == C.colors[b]
+    trials = colorful_matching(C, pal.l4, F)
+    assert len(trials) == params.beta and any(trials)
+    for i, matched in enumerate(trials):
+        ends = [x for a, b, _ in matched for x in (a, b)]
+        assert len(ends) == len(set(ends))
+        assert len({c for _, _, c in matched}) == len(matched)
+        for a, b, c in matched:
+            assert not oracle.has_edge(a, b)
+            assert pal.l4[a, i, c - 1] and pal.l4[b, i, c - 1]
+    assert not C.colors.any()
+
+
+def _holey_phase4_case(rng, delta, seed):
+    """A holey clique K with 8 stored outside neighbors, as (K, C, pal, F):
+    F lists K's non-edges with repeats in both orientations plus a few
+    stored edges; the outside vertices and three of K are pre-colored."""
+    from streamcolor.generators import generate_instance
+    from streamcolor.graph import Graph
+    from streamcolor.palette import sample_palettes
+
+    # under (delta+1)/2 planted pairs leave some vertex at degree delta
+    t = None if seed % 2 else int(rng.integers(1, delta // 2))
+    inst = generate_instance("holey-clique", delta, count=1, seed=seed, t=t)
+    k, extra = inst.n, 8
+    n = k + extra
+    K = list(range(k))
+    truth = oracle_from_edges(k, inst.edges)
+    non_edges = [(a, b) for a in K for b in K if a < b and not truth.has_edge(a, b)]
+    listed_edges = inst.edges[rng.choice(len(inst.edges), size=5)].tolist()
+    F = non_edges + [(b, a) for a, b in non_edges[::2]] + non_edges[::3] + listed_edges
+    F = [tuple(F[i]) for i in rng.permutation(len(F))]
+    outside = np.stack([rng.integers(0, k, 4 * extra), rng.integers(k, n, 4 * extra)], axis=1)
+    C = PartialColoring(n, delta, Graph(n, np.concatenate([inst.edges, outside])))
+    pal = sample_palettes(n, delta, ParamSet.desk(n, delta), seed=seed)
+    for v in list(range(k, n)) + rng.choice(k, size=3, replace=False).tolist():
+        free = np.flatnonzero(~C.blocked(v)) + 1
+        C.assign(v, int(rng.choice(free)), 2)
+    return K, C, pal, F
+
+
+@pytest.mark.parametrize("delta", [16, 32])
+def test_colorful_matching_equals_trial_and_undo_oracle(rng, delta):
+    import copy
+
+    from conftest import oracle_phase4_matching
+
+    matched_any = 0
+    for seed in range(12):
+        K, C, pal, F = _holey_phase4_case(rng, delta, seed)
+        if seed == 5:
+            pal.l4[:] = False  # every trial empty
+        old = copy.deepcopy(C)
+        want, best_i = oracle_phase4_matching(old, pal.l4, F)
+        before = C.colors.copy()
+        got = colorful_matching(C, pal.l4, F)
+        assert np.array_equal(C.colors, before)
+        assert got == want
+        best = max(got, key=len)
+        assert best == ([] if best_i is None else want[best_i])
+        for a, b, c in best:
+            C.assign(a, c, 4)
+            C.assign(b, c, 4)
+        assert np.array_equal(C.colors, old.colors)
+        assert np.array_equal(C.provenance, old.provenance)
+        matched_any += bool(best)
+    assert matched_any >= 8
+
+
+def test_phase4_color_equals_trial_and_undo_oracle(rng):
+    import copy
+
+    from conftest import oracle_phase4_matching
+
+    outcomes = set()
+    for seed in range(12):
+        K, C, pal, F = _holey_phase4_case(rng, 16, seed)
+        if seed % 3 == 0:
+            pal.l4_star[:] = pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5)
+        old = copy.deepcopy(C)
+        trials, best_i = oracle_phase4_matching(old, pal.l4, F)
+        want = color_clique_by_matching(K, old, pal.l4_star, phase=4)
+        if not want and best_i is not None:
+            for a, b, _ in trials[best_i]:
+                old.uncolor(a)
+                old.uncolor(b)
+        assert phase4_color(K, C, pal, F) == want
+        assert np.array_equal(C.colors, old.colors)
+        assert np.array_equal(C.provenance, old.provenance)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # ---- phase 5 / phase 6 direct drives ---------------------------------------

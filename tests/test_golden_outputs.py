@@ -5,8 +5,8 @@ Only fields that do not depend on how the lists and graphs are stored are
 pinned: the colors, the phase that colored each vertex, the clique report,
 the space report, the union masks the stream filter reads, the
 decomposition `decompose_run` returns and the ordered violation list of
-`verify_decomposition`.  A refactor of the
-palette or graph storage must leave all of them byte-identical.
+`verify_decomposition`.  A refactor of the palette or graph storage must
+leave all of them byte-identical.
 """
 
 import hashlib

@@ -51,3 +51,6 @@ def test_tracer_records_helper_spans():
     assert all(tracer.spans[span[1]][0] == "helpers.friendly" for span in recover)
     summary = tracer.summary(res, res.shadow.degrees, 1.0)
     assert summary["field.recover_calls"] == len(recover)
+    # every vertex carries the phase that colored it
+    phases = [summary[f"coloring.phase{k}_vertices"] for k in range(1, 7)]
+    assert sum(phases) == res.report["n"]
