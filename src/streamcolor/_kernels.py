@@ -49,66 +49,66 @@ def prf_uniform(seed: int, a, b, c=0):
 
 
 # ---------------------------------------------------------------------------
-# Field-sketch accumulation.  For each stored endpoint w of an incoming edge
-# {o, w} at rate r: y(w) += ((o+1)^k mod p for k < 2r), and
-# z(w) += PRF-materialized random-matrix column of o, all mod p.
+# Field-sketch accumulation.  For each endpoint w of an incoming edge {o, w}:
+# w's power-sum columns gain ((o+1)^k mod p for k < 2*r_max), and w's check
+# block of each rate r gains the PRF-materialized random-matrix column of o
+# at r.
 # ---------------------------------------------------------------------------
 
-_POWER_BLOCK = 16  # power rows built at a time; bounds the temporaries
+_COLUMN_BLOCK = 16  # state columns built and gathered at a time; bounds the temporaries
 
 
-def sketch_update(Y: dict, Z: dict, pos: dict, us, vs, p: int, zseed: int) -> None:
-    """Add one chunk of edges to the sketches of every rate.
+def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int):
+    """The state columns of the vertices ``ends``, in blocks of at most
+    _COLUMN_BLOCK: yields (first column, block laid out (columns, |ends|)).
 
-    ``Y[r]``, ``Z[r]`` and ``pos[r]`` are rate r's (stored, 2r) and
-    (stored, alpha) sums and its vertex -> row map (-1 = not stored).
-    Both directions of every edge are grouped by the receiving endpoint,
-    the powers up to the largest rate are summed per endpoint once, and
-    each rate adds the first 2r of those sums at the endpoints it stores.
-    Every partial sum stays below deg * p < 2^63, so the result is the
-    exact sum mod p.
+    Columns [0, 2*r_max) are the powers (v+1)^k mod p; then each rate's
+    alpha check columns, PRF(zseed, r, v, row) mod p.
+    """
+    width = 2 * rates[-1]
+    node = (ends + 1) % p
+    acc = np.ones_like(node)
+    for c0 in range(0, width, _COLUMN_BLOCK):
+        block = np.empty((min(_COLUMN_BLOCK, width - c0), ends.size), dtype=np.int64)
+        for k in range(block.shape[0]):
+            block[k] = acc
+            acc = acc * node
+            acc -= acc // p * p  # acc % p; numpy's int64 // by a scalar is the faster op
+        yield c0, block
+    check = np.arange(len(rates) * alpha, dtype=np.int64)
+    rate_of = np.asarray(rates, dtype=np.int64)[check // alpha]
+    for c0 in range(0, check.size, _COLUMN_BLOCK):
+        c = check[c0 : c0 + _COLUMN_BLOCK, None]
+        yield width + c0, prf_mod(zseed, rate_of[c], ends[None, :], c % alpha, p)
+
+
+def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) -> None:
+    """Add one chunk of edges to the sketch state ``W``.
+
+    W has one row per vertex: 2*rates[-1] power-sum columns, then alpha
+    check columns for each rate in turn, rates ascending (see
+    `_endpoint_columns`).  Both directions of every edge are grouped by
+    the receiving endpoint.  The chunk's sources are exactly its distinct
+    endpoints, so their columns are built once per endpoint, gathered per
+    incidence, summed per receiving endpoint and added to its row once.
+
+    Nothing is reduced mod p here: every column entry is below p, so a
+    vertex of degree deg < p sums to less than deg * p < p^2, which is
+    exact in int64 for p <= `field.MAX_PRIME`, the largest p with
+    p^2 < 2^63.
     """
     if us.size == 0:
         return
     dst = np.concatenate([vs, us])
-    order = np.argsort(dst, kind="stable")
+    order = np.argsort(dst)  # any order within a group: the sums are exact
     dst = dst[order]
     src = np.concatenate([us, vs])[order]
     starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-    sizes = np.diff(np.r_[starts, dst.size])
     ends = dst[starts]
-
-    stored = {}  # rate -> (mask of the groups it stores, their rows)
-    for r, pos_r in pos.items():
-        t = pos_r[ends]
-        g = t >= 0
-        if g.any():
-            stored[r] = (g, t[g])
-    if not stored:
-        return
-
-    col = (src + 1) % p
-    acc = np.ones_like(col)
-    rows = 2 * max(stored)
-    for k0 in range(0, rows, _POWER_BLOCK):
-        k1 = min(rows, k0 + _POWER_BLOCK)
-        P = np.empty((k1 - k0, col.size), dtype=np.int64)
-        for k in range(k1 - k0):
-            P[k] = acc
-            acc = acc * col
-            acc -= acc // p * p  # acc % p; numpy's int64 // by a scalar is the faster op
-        S = np.add.reduceat(P, starts, axis=1)
-        for r, (g, t) in stored.items():
-            hi = min(k1, 2 * r)
-            if hi > k0:
-                Y[r][t, k0:hi] = (Y[r][t, k0:hi] + S[: hi - k0, g].T) % p
-
-    for r, (g, t) in stored.items():
-        picked = src[np.repeat(g, sizes)]
-        sub_starts = np.r_[0, np.cumsum(sizes[g])[:-1]]
-        alpha_rows = np.arange(Z[r].shape[1], dtype=np.int64)
-        C = prf_mod(zseed, r, picked[None, :], alpha_rows[:, None], p)
-        Z[r][t] = (Z[r][t] + np.add.reduceat(C, sub_starts, axis=1).T) % p
+    idx = np.searchsorted(ends, src)
+    for c0, block in _endpoint_columns(ends, rates, alpha, p, zseed):
+        S = np.add.reduceat(np.take(block, idx, axis=1), starts, axis=1)
+        W[ends, c0 : c0 + S.shape[0]] += S.T
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ def run_phases(
     dec: Decomposition,
     critical_helpers: dict[int, object],
     friendly_helpers: dict[int, object],
-    non_edges_of: dict[int, list[tuple[int, int]]],
+    non_edges_of: dict[int, np.ndarray],
     params: ParamSet,
     seed: int,
     delta: int,
@@ -417,6 +417,8 @@ def run_phases(
     attempts every clique still uncolored, phase 5 takes critical
     leftovers (their helper structures), phase 6 the rest, which must be
     small, unholey, and friendly-routed or the decomposition was wrong.
+    ``non_edges_of`` maps every clique phase 2 does not take to its
+    non-edges, as (k, 2) pairs.
     """
     C = PartialColoring(dec.n, delta, conflict, recovery)
     colored_by: dict[int, int] = {}
@@ -430,7 +432,7 @@ def run_phases(
     snap("phase1")
 
     for i, k in enumerate(dec.cliques):
-        if k.size_class == SMALL and k.kind == LONELY:
+        if responsible[i] == 2:
             if not color_clique_by_matching(k.vertices, C, palettes.l2, phase=2):
                 raise RunFailure("phase2", f"matching failed on clique {i}")
             colored_by[i] = 2

@@ -164,6 +164,17 @@ class SketchBank:
 
     Rates are powers of two up to just past the max degree; each vertex
     joins level r independently with probability min(1, beta/(eps*r)).
+
+    One int64 state matrix holds every sketch, one row per vertex: the
+    2*r_max power sums of the top rate, then alpha check columns for each
+    rate.  Rate r's y(w) is the first 2r power sums of w's row, since the
+    power sums of every rate are those of one neighborhood, and its z(w) is
+    r's own check block, since the check matrix is keyed by r.  Rate r
+    reads only the rows it samples.
+
+    The sums are kept unreduced and reduced mod p when read.  A row sums
+    fewer than deg < n <= p residues, so it stays below p^2, which int64
+    holds for p <= MAX_PRIME; a bank whose prime is above it is refused.
     """
 
     def __init__(self, n: int, delta: int, params: ParamSet, seed: int):
@@ -172,46 +183,38 @@ class SketchBank:
         self.params = params
         self.seed = seed
         self.p = canonical_prime(n)
+        check_prime(self.p, n)
         self.alpha = params.alpha
         self.rates = sketch_rates(delta)
         self.zseed = child_seed(seed, "phir")
-        self._pos: dict[int, np.ndarray] = {}
-        self._ids: dict[int, np.ndarray] = {}
-        self._Y: dict[int, np.ndarray] = {}
-        self._Z: dict[int, np.ndarray] = {}
-        for r in self.rates:
-            rng = rng_for(seed, "vr", extra=r)
-            member = rng.random(n) < params.vr_rate(r)
-            ids = np.flatnonzero(member).astype(np.int64)
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[ids] = np.arange(ids.size)
-            self._ids[r] = ids
-            self._pos[r] = pos
-            self._Y[r] = np.zeros((ids.size, 2 * r), dtype=np.int64)
-            self._Z[r] = np.zeros((ids.size, self.alpha), dtype=np.int64)
+        self._member = np.stack([
+            rng_for(seed, "vr", extra=r).random(n) < params.vr_rate(r) for r in self.rates
+        ])
+        # column-major: a chunk adds each column at its endpoints
+        self._W = np.zeros((n, 2 * self.rates[-1] + len(self.rates) * self.alpha),
+                           dtype=np.int64, order="F")
 
     def sampled(self, r: int) -> np.ndarray:
-        return self._ids[r]
+        return np.flatnonzero(self._member[self.rates.index(r)])
 
     def in_rate(self, v: int, r: int) -> bool:
-        return self._pos[r][v] >= 0
+        return bool(self._member[self.rates.index(r), v])
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        sketch_update(self._Y, self._Z, self._pos, us, vs, self.p, self.zseed)
+        sketch_update(self._W, us, vs, self.rates, self.alpha, self.p, self.zseed)
 
     def raw(self, v, r: int) -> tuple[np.ndarray, np.ndarray]:
         """y and z of vertex v, or their rows for an array of vertices."""
-        i = self._pos[r][v]
-        if np.any(i < 0):
+        i = self.rates.index(r)
+        if not np.all(self._member[i, v]):
             raise KeyError(f"vertex {v} not sampled at rate {r}")
-        return self._Y[r][i], self._Z[r][i]
+        c = 2 * self.rates[-1] + i * self.alpha  # rate r's check block
+        return self._W[v, : 2 * r] % self.p, self._W[v, c : c + self.alpha] % self.p
 
     def stored_bits(self) -> int:
         logp = int(np.ceil(np.log2(self.p)))
-        total = 0
-        for r in self.rates:
-            total += self._Y[r].shape[0] * (2 * r + self.alpha) * logp
-        return total
+        stored = self._member.sum(axis=1).tolist()
+        return sum(s * (2 * r + self.alpha) * logp for s, r in zip(stored, self.rates))
 
 
 def measure_relative(bank: SketchBank, v, r: int, ref) -> Measurement:

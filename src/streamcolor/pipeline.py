@@ -114,32 +114,33 @@ def _prepass(src: StreamSource, want_shadow: bool):
     return census, shadow, m
 
 
-def _non_edges_in(vertices, graphs) -> list[tuple[int, int]]:
-    """The pairs a < b of the vertices that no graph joins, ascending."""
+def _non_edges_in(vertices, graphs) -> np.ndarray:
+    """The pairs a < b of the vertices that no graph joins, ascending, as
+    a (k, 2) int64 array."""
     verts = np.asarray(sorted(vertices), dtype=np.int64)
     joined = np.zeros((verts.size, verts.size), dtype=bool)
     for g in graphs:
         i, j = g.within(verts)
         joined[i, j] = True
     a, b = np.nonzero(np.triu(~joined, 1))
-    return list(zip(verts[a].tolist(), verts[b].tolist()))
+    return np.stack([verts[a], verts[b]], axis=1)
 
 
-def _main_pass(src, n, delta, params, seed):
+def _main_pass(src, n, delta, params, seed, bank=None):
     """The one main pass: every edge chunk feeds the palette filter into H,
-    the neighbor sampler and the sketch bank together."""
+    the neighbor sampler and, when one is given, the sketch bank together."""
     palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
     collector = SampleCollector(n, delta, params, seed)
-    bank = SketchBank(n, delta, params, seed)
     for block in src.open().chunks():
         us = np.ascontiguousarray(block[:, 0])
         vs = np.ascontiguousarray(block[:, 1])
         keep = conflict_keep_chunk(us, vs, palettes)
         conflict.add_chunk(us[keep], vs[keep])
         collector.update_chunk(us, vs)
-        bank.update_chunk(us, vs)
-    return palettes, conflict.build(), collector.finalize(), bank
+        if bank is not None:
+            bank.update_chunk(us, vs)
+    return palettes, conflict.build(), collector.finalize()
 
 
 def _decompose(shadow, isample, conflict, params, delta):
@@ -159,7 +160,8 @@ def _decompose(shadow, isample, conflict, params, delta):
 
 def _attempt(src, n, delta, params, run_seed, shadow):
     """One main pass plus post-processing; raises RunFailure on bad luck."""
-    palettes, conflict, isample, bank = _main_pass(src, n, delta, params, run_seed)
+    bank = SketchBank(n, delta, params, run_seed)
+    palettes, conflict, isample = _main_pass(src, n, delta, params, run_seed, bank)
     dec, report = _decompose(shadow, isample, conflict, params, delta)
     if report is not None and not report.ok:
         raise DecompositionFailed(
@@ -182,8 +184,11 @@ def _attempt(src, n, delta, params, run_seed, shadow):
     recovery = build_recovery_graph(n, critical_helpers, friendly_helpers)
 
     graphs = (shadow,) if shadow is not None else (conflict, recovery)
+    # phase 2 colors its cliques without reading their non-edges
     non_edges_of = {
-        i: _non_edges_in(k.vertices, graphs) for i, k in enumerate(dec.cliques)
+        i: _non_edges_in(k.vertices, graphs)
+        for i, k in enumerate(dec.cliques)
+        if col.responsible_phase(k) != 2
     }
 
     phase_result = col.run_phases(
@@ -375,14 +380,16 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     params = ParamSet.make(mode, src.n, delta)
     params.validate_for(delta)
 
-    _, conflict, isample, _ = _main_pass(src, src.n, delta, params, seed)
+    _, conflict, isample = _main_pass(src, src.n, delta, params, seed)
     return _decompose(shadow, isample, conflict, params, delta)
 
 
 def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,
                     delta: int, seed: int = 0) -> tuple[bool, str]:
-    """Stream the edges once and check the coloring is total, in range,
-    and has no monochromatic edge."""
+    """Check the coloring is total, in range, and has no monochromatic
+    edge; the edges are read in source order, so the first monochromatic
+    edge of the file is the one reported.  `seed` selects the instance of
+    a generator spec."""
     src = stream_source(graph_source, seed=seed)
     n = src.n
     arr = np.zeros(n, dtype=np.int64)
@@ -402,9 +409,9 @@ def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,
     if (arr < 1).any() or (arr > delta).any():
         v = int(np.flatnonzero((arr < 1) | (arr > delta))[0])
         return False, f"color out of range at vertex {v}: {int(arr[v])}"
-    for block in src.open().chunks():
-        same = arr[block[:, 0]] == arr[block[:, 1]]
-        if same.any():
-            i = int(np.flatnonzero(same)[0])
-            return False, f"monochromatic edge ({int(block[i, 0])},{int(block[i, 1])})"
+    e = src.edges
+    same = np.flatnonzero(arr[e[:, 0]] == arr[e[:, 1]])
+    if same.size:
+        u, v = e[same[0]].tolist()
+        return False, f"monochromatic edge ({u},{v})"
     return True, "ok"

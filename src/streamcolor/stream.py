@@ -50,7 +50,7 @@ class EdgeStream:
     """One pass over the edges; pulling after exhaustion raises.
 
     Re-opening (a fresh pass from the same source) is reserved for the
-    pre-pass/main-pass pair and the verifier.
+    pre-pass/main-pass pair; the verifier reads `StreamSource.edges`.
     """
 
     def __init__(self, meta: StreamMeta, edges: np.ndarray):
@@ -86,15 +86,23 @@ class StreamSource:
         self.name = name
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.passes = 0
-        order = rng_for(seed, "stream").permutation(self._edges.shape[0])
-        self._delivery = np.take(self._edges, order, axis=0)
+        self._delivery = None  # drawn by the first pass
 
     @property
     def m(self) -> int:
         return self._edges.shape[0]
 
+    @property
+    def edges(self) -> np.ndarray:
+        """Every edge in source order, for checks where order does not
+        matter; reading it is not a pass."""
+        return self._edges
+
     def open(self) -> EdgeStream:
         """Start a new pass (same delivery order every time)."""
+        if self._delivery is None:
+            order = rng_for(self.seed, "stream").permutation(self.m)
+            self._delivery = np.take(self._edges, order, axis=0)
         self.passes += 1
         return EdgeStream(StreamMeta(n=self.n, seed=self.seed), self._delivery)
 

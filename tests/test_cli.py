@@ -7,6 +7,7 @@ from streamcolor import cli
 from streamcolor import pipeline as pl
 from streamcolor.coloring import RunFailure
 from streamcolor.field import MAX_PRIME, next_prime
+from streamcolor.stream import stream_source
 
 
 def run(argv):
@@ -261,6 +262,15 @@ def test_verify_coloring_reads_a_dict(tmp_path):
     assert pl.verify_coloring(str(graph), {0: 1, 2: 2}, 2) == (False, "vertex 1 uncolored")
     assert pl.verify_coloring(str(graph), {0: 1, 1: 1, 2: 2}, 2) == (
         False, "monochromatic edge (0,1)")
+
+
+def test_verify_coloring_reports_the_first_monochromatic_edge_of_the_file(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("4\n3 2\n0 1\n1 2\n")
+    src = stream_source(str(graph), seed=1)
+    assert src.edges.tolist() == [[2, 3], [0, 1], [1, 2]] and src.passes == 0
+    assert pl.verify_coloring(str(graph), np.array([1, 1, 2, 2]), 2, seed=1) == (
+        False, "monochromatic edge (2,3)")
 
 
 def _write_lines(path, header, pairs):

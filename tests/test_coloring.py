@@ -538,12 +538,18 @@ def test_phase_extension_discipline():
 
 
 @pytest.mark.parametrize("no_shadow", [False, True])
-def test_decompose_run_shows_the_decomposition_color_run_used(no_shadow):
+def test_decompose_run_shows_the_decomposition_color_run_used(no_shadow, monkeypatch):
+    from streamcolor import pipeline
     from streamcolor.pipeline import decompose_run
 
     spec, seed = "mixed:delta=16,seed=2", 2
     res = color_run(RunConfig(source=spec, seed=seed, retries=0, no_shadow=no_shadow))
     assert res.status == "success" and res.report["attempts"] == 1
+
+    def no_bank(*args):
+        raise AssertionError("decompose_run reads no sketch bank")
+
+    monkeypatch.setattr(pipeline, "SketchBank", no_bank)
     dec, report = decompose_run(spec, seed=seed, no_shadow=no_shadow)
     assert (report is None) == no_shadow
 

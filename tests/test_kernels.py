@@ -9,9 +9,10 @@ for bit.
 import hashlib
 
 import numpy as np
+import pytest
 
-from streamcolor._kernels import uf_roots, uf_union_batch
-from streamcolor.field import SketchBank
+from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
+from streamcolor.field import MAX_PRIME, SketchBank, is_prime
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _main_pass
 from streamcolor.stream import stream_source
@@ -34,13 +35,14 @@ def _digest(*arrays) -> str:
 
 
 def _bank_digest(bank) -> str:
-    return _digest(*(m for r in bank.rates for m in (bank._Y[r], bank._Z[r])))
+    return _digest(*(m for r in bank.rates for m in bank.raw(bank.sampled(r), r)))
 
 
 def test_main_pass_sketch_bank_golden():
     src = stream_source(SPEC, seed=3)
     params = ParamSet.desk(src.n, 16)
-    bank = _main_pass(src, src.n, 16, params, 3)[3]
+    bank = SketchBank(src.n, 16, params, 3)
+    _main_pass(src, src.n, 16, params, 3, bank)
     assert bank.rates == [1, 2, 4, 8, 16]
     assert _bank_digest(bank) == GOLDEN["main_bank"]
 
@@ -66,6 +68,97 @@ def test_sketch_bank_with_a_subsampled_rate_golden():
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
         )
     assert _bank_digest(bank) == GOLDEN["subset_bank"]
+
+
+def _reference_sketches(bank, edges) -> dict:
+    """The per-edge definition of the bank: for every edge {o, w} and every
+    rate r that samples w, y(w) gains o's first 2r node powers and z(w)
+    gains o's check column at r, all mod p.  Returns rate -> (Y, Z), one
+    row per sampled vertex in `sampled` order."""
+    p, alpha, top = bank.p, bank.alpha, bank.rates[-1]
+    rows = np.arange(alpha, dtype=np.int64)
+    out = {}
+    for r in bank.rates:
+        ids = bank.sampled(r)
+        pos = np.full(bank.n, -1, dtype=np.int64)
+        pos[ids] = np.arange(ids.size)
+        out[r] = (np.zeros((ids.size, 2 * r), dtype=np.int64),
+                  np.zeros((ids.size, alpha), dtype=np.int64))
+    powers = np.ones((bank.n, 2 * top), dtype=np.int64)   # row o: (o+1)^k mod p
+    for k in range(1, 2 * top):
+        powers[:, k] = powers[:, k - 1] * (np.arange(1, bank.n + 1) % p) % p
+    for u, v in edges.tolist():
+        w = np.array([u, v])
+        o = np.array([v, u])
+        for r in bank.rates:
+            Y, Z = out[r]
+            at = np.array([bank.in_rate(x, r) for x in w.tolist()])
+            i = np.searchsorted(bank.sampled(r), w[at])
+            np.add.at(Y, i, powers[o[at], : 2 * r])
+            np.add.at(Z, i, prf_mod(bank.zseed, r, o[at, None], rows[None, :], p))
+    return {r: (Y % p, Z % p) for r, (Y, Z) in out.items()}
+
+
+def _feed(bank, edges, sizes) -> None:
+    lo = 0
+    for size in sizes:
+        block = edges[lo : lo + size]
+        bank.update_chunk(np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1]))
+        lo += size
+    assert lo == edges.shape[0]
+
+
+def _star(n: int, leaves: int) -> np.ndarray:
+    rng = np.random.default_rng(4)
+    outer = rng.choice(np.arange(1, n), size=leaves, replace=False)
+    hub = np.stack([np.zeros(leaves, dtype=np.int64), outer], axis=1)
+    rim = np.stack([outer[:-1], outer[1:]], axis=1)     # a path through the leaves
+    return np.concatenate([hub, np.sort(rim, axis=1)])
+
+
+@pytest.mark.parametrize("n, delta, beta, edges, sizes", [
+    # random stream in uneven chunks, one of them empty
+    (150, 16, None, _random_edges(np.random.default_rng(2), 150, 900), [1, 7, 0, 350, 41, 501]),
+    # the hub receives the whole second chunk
+    (1500, 16, None, _star(1500, 1200), [5, 1195, 0, 1199]),
+    # the top rate stores a strict subset of the vertices
+    (300, 256, 2, _random_edges(np.random.default_rng(6), 300, 1500), [400, 400, 0, 700]),
+])
+def test_sketch_bank_matches_the_per_edge_definition(n, delta, beta, edges, sizes):
+    params = ParamSet.desk(n, delta) if beta is None else ParamSet.desk(n, delta, beta=beta)
+    bank = SketchBank(n, delta, params, seed=9)
+    if beta is not None:
+        assert 0 < bank.sampled(bank.rates[-1]).size < n
+    _feed(bank, edges, sizes)
+    want = _reference_sketches(bank, edges)
+    for r in bank.rates:
+        y, z = bank.raw(bank.sampled(r), r)
+        assert np.array_equal(y, want[r][0]), r
+        assert np.array_equal(z, want[r][1]), r
+
+
+def test_sketch_update_is_exact_near_the_largest_prime():
+    p = next(q for q in range(MAX_PRIME, 0, -1) if is_prime(q))
+    rates, alpha, zseed, n = [1, 2, 4, 8], 8, 123, 1300
+    leaves = np.arange(1, n, dtype=np.int64)        # vertex 0 has degree 1299
+    W = np.zeros((n, 2 * rates[-1] + len(rates) * alpha), dtype=np.int64)
+    for part in np.array_split(leaves, 3):
+        sketch_update(W, np.zeros_like(part), part, rates, alpha, p, zseed)
+    assert W.max() > p                               # the state holds unreduced sums
+    nodes = [v + 1 for v in leaves.tolist()]
+    want = [sum(pow(a, k, p) for a in nodes) % p for k in range(2 * rates[-1])]
+    for r in rates:
+        cols = prf_mod(zseed, r, leaves[:, None], np.arange(alpha)[None, :], p)
+        want += [sum(c) % p for c in cols.T.tolist()]
+    assert (W[0] % p).tolist() == want
+    # each leaf received the hub's columns once
+    assert np.array_equal(W[1:], np.broadcast_to(W[1], W[1:].shape))
+
+
+def test_sketch_bank_refuses_a_prime_past_int64():
+    n = MAX_PRIME + 1          # refused before any row is allocated
+    with pytest.raises(ValueError, match="above"):
+        SketchBank(n, 16, ParamSet.desk(1000, 16), seed=1)
 
 
 def test_union_find_roots_golden():
