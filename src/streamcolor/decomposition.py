@@ -140,6 +140,26 @@ def _cluster_violation(K: np.ndarray, oracle: Graph, eps: float, delta: int) -> 
     return None
 
 
+def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray:
+    """|I(u) & I(v)| for each edge u < v of an ascending (k, 2) array,
+    where I(u) is u's row of the neighbor sample.
+
+    While the rate is 1 the sample is the graph's own adjacency and the
+    edges are among its edges, so `Graph.common` counts each triangle once,
+    from upper rows.  Below 1 the rows are not symmetric: row w of
+    ``holders`` is every vertex whose sample holds w, and the pairs of
+    every such row are looked up, each triangle three times.
+    """
+    n = isample.n
+    codes = edges[:, 0] * n + edges[:, 1]
+    if rate >= 1:
+        own = isample.edges()
+        return isample.common[np.searchsorted(own[:, 0] * n + own[:, 1], codes)]
+    rows, cols = isample.pairs()
+    holders = Graph.from_pairs(n, cols, rows)
+    return pair_counts(holders, codes)[0]
+
+
 def compute_decomposition(
     oracle: Graph | None,
     params: ParamSet,
@@ -169,12 +189,8 @@ def compute_decomposition(
             raise ValueError("heuristic mode needs isample and a conflict graph")
         n = conflict.n
         edges = conflict.edges()
-        # row w: every vertex whose sample holds w, so pairs in a row count
-        # the sampled neighbors two vertices share
-        rows, cols = isample.pairs()
-        holders = Graph.from_pairs(n, cols, rows)
         rate = max(params.isample_rate(delta), 1e-9)
-        common, _ = pair_counts(holders, edges[:, 0] * n + edges[:, 1])
+        common = sampled_common(isample, edges, rate)
         linked = common / (rate * rate) >= cut
     us, vs = edges[linked, 0], edges[linked, 1]
     dense = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) >= cut

@@ -14,10 +14,14 @@ matches its 2r syndromes, as (support, values), or is refused:
 1. Berlekamp–Massey gives the shortest linear recurrence, of length L,
    vectorized over the rows.
 2. The support is the set of vertices whose node is a root of the
-   recurrence's polynomial; one Horner pass over fixed-size blocks of
-   nodes evaluates the polynomials of all rows.
+   recurrence's polynomial.  A degree-1 polynomial C0*a + C1 has the one
+   root a = -C1/C0, the node of vertex (a - 1) mod p, kept only below n
+   (node 0 is vertex p - 1, a vertex only when p = n).  One Horner pass
+   over fixed-size blocks of nodes evaluates the polynomials of all
+   longer rows.
 3. Forney's formula gives the values, O(L^2) per row and batched over the
-   rows with equal L.
+   rows with equal L; at L = 1 the value is s_0.  Its inverses are one
+   vectorized power.
 4. A row stands only if 1 <= L <= r, it has exactly L roots, every value
    is nonzero and the values reproduce all 2r syndromes.
 5. The random check matrix, materialized by one PRF call for the supports
@@ -131,12 +135,6 @@ def _check_terms(zseed: int, r: int, support: np.ndarray, values: np.ndarray,
     return C * (np.asarray(values, dtype=np.int64)[:, None] % p) % p
 
 
-def random_check_sum(zseed: int, r: int, vertices, alpha: int, p: int) -> np.ndarray:
-    """Sum of the vertices' columns of the random check matrix."""
-    vs = np.asarray(sorted(vertices), dtype=np.int64)
-    return _check_terms(zseed, r, vs, np.ones_like(vs), alpha, p).sum(axis=0) % p
-
-
 def random_check_apply(zseed: int, r: int, x: np.ndarray, alpha: int, p: int) -> np.ndarray:
     """Random check matrix applied to a (typically sparse) vector x."""
     supp = np.flatnonzero(x)
@@ -217,17 +215,35 @@ class SketchBank:
         return sum(s * (2 * r + self.alpha) * logp for s, r in zip(stored, self.rates))
 
 
+def sketch_of(bank: SketchBank, r: int, sets) -> Measurement:
+    """Level-r measurements of the indicators of vertex sets, one row per
+    set: what a vertex whose neighborhood is exactly that set would store.
+    One power table and one PRF call serve all the sets."""
+    sets = [np.asarray(sorted(s), dtype=np.int64) for s in sets]
+    vs = np.concatenate(sets)
+    owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+    vec = np.zeros((len(sets), 2 * r), dtype=np.int64)
+    check = np.zeros((len(sets), bank.alpha), dtype=np.int64)
+    # a row sums at most n <= p residues, below p^2
+    np.add.at(vec, owner, _powers(vs + 1, 2 * r, bank.p))
+    np.add.at(check, owner, _check_terms(bank.zseed, r, vs, np.ones_like(vs), bank.alpha, bank.p))
+    return Measurement(r=r, vec=vec % bank.p, check=check % bank.p)
+
+
 def measure_relative(bank: SketchBank, v, r: int, ref) -> Measurement:
     """Measurement of x = chi(N(v)) - chi(ref) over F_p; for an array of
-    vertices, a block with one row per vertex.
+    vertices, a block with one row per vertex.  ``ref`` is a vertex set, or
+    a `sketch_of` measurement that broadcasts against v's rows, so one
+    reference serves many vertices.
 
     Entries of x are 1 on N(v) \\ ref, p-1 on ref \\ N(v), 0 elsewhere, so
     x is sparse whenever v's neighborhood nearly matches the reference set.
     """
+    if not isinstance(ref, Measurement):
+        one = sketch_of(bank, r, [ref])
+        ref = Measurement(r=r, vec=one.vec[0], check=one.check[0])
     y, z = bank.raw(v, r)
-    vec = (y - vandermonde_sum(r, bank.p, ref)) % bank.p
-    check = (z - random_check_sum(bank.zseed, r, ref, bank.alpha, bank.p)) % bank.p
-    return Measurement(r=r, vec=vec, check=check)
+    return Measurement(r=r, vec=(y - ref.vec) % bank.p, check=(z - ref.check) % bank.p)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +333,48 @@ def _roots(C: np.ndarray, L: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np
     """(row, vertex) pairs, sorted, where the node of the vertex is a root
     of the row's polynomial sum_i C[i]*a^(L-i).
 
-    One Horner pass evaluates all rows over blocks of _ROOT_BLOCK nodes,
-    so the work array is rows x block, never rows x n.
+    A degree-1 row C[0]*a + C[1] has the one root a = -C[1]/C[0], the node
+    of vertex (a - 1) mod p, which stands only below n (node 0 is vertex
+    p - 1).  One Horner pass evaluates all longer rows over blocks of
+    _ROOT_BLOCK nodes, so the work array is rows x block, never rows x n.
     """
-    g, top = C.shape[0], int(L.max())
-    # descending coefficients, left-padded with zeros to degree `top`
-    col = np.arange(top + 1) - (top - L)[:, None]
-    D = np.where(col >= 0, C[np.arange(g)[:, None], col], 0)
     codes = []
-    for lo in range(0, n, _ROOT_BLOCK):
-        # node j+1 unreduced: at j+1 = p, multiplying by p acts as by 0
-        x = np.arange(lo + 1, min(n, lo + _ROOT_BLOCK) + 1, dtype=np.int64)
-        a = np.repeat(D[:, :1], x.size, axis=1)
-        for t in range(1, top + 1):
-            a *= x
-            a += D[:, t : t + 1]
-            a %= p
-        row, col = np.divmod(np.flatnonzero(a == 0), x.size)
-        codes.append(row * n + lo + col)
+    one = np.flatnonzero(L == 1)
+    if one.size:
+        a = -C[one, 1] % p * _inverse(C[one, 0], p) % p
+        vert = (a - 1) % p
+        codes.append(one[vert < n] * n + vert[vert < n])
+    many = np.flatnonzero(L > 1)
+    if many.size:
+        C, L = C[many], L[many]
+        top = int(L.max())
+        # descending coefficients, left-padded with zeros to degree `top`
+        col = np.arange(top + 1) - (top - L)[:, None]
+        D = np.where(col >= 0, C[np.arange(many.size)[:, None], col], 0)
+        for lo in range(0, n, _ROOT_BLOCK):
+            # node j+1 unreduced: at j+1 = p, multiplying by p acts as by 0
+            x = np.arange(lo + 1, min(n, lo + _ROOT_BLOCK) + 1, dtype=np.int64)
+            a = np.repeat(D[:, :1], x.size, axis=1)
+            for t in range(1, top + 1):
+                a *= x
+                a += D[:, t : t + 1]
+                a %= p
+            row, col = np.divmod(np.flatnonzero(a == 0), x.size)
+            codes.append(many[row] * n + lo + col)
     return np.divmod(np.sort(np.concatenate(codes)), n)
 
 
 def _inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise a^(p-2) mod p: the inverse of a nonzero a, 0 for 0."""
-    return np.array([pow(v, p - 2, p) for v in a.ravel().tolist()],
-                    dtype=np.int64).reshape(a.shape)
+    """Elementwise a^(p-2) mod p, by square and multiply over the whole
+    array: the inverse of a nonzero a, 0 for 0."""
+    out = np.ones_like(a)
+    b, e = a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * b % p
+        b = b * b % p
+        e >>= 1
+    return out
 
 
 def _forney(S: np.ndarray, C: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
@@ -388,7 +421,8 @@ def _decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
         sel = np.flatnonzero(split & (L == ell))
         supp = verts[first[sel, None] + np.arange(ell)]
         S_sel, P = S[sel], _powers(supp + 1, 2 * r, p)
-        vals = _forney(S_sel, C[sel, : ell + 1], P, p)
+        # one nonzero: s_0 is its value
+        vals = S_sel[:, :1] if ell == 1 else _forney(S_sel, C[sel, : ell + 1], P, p)
         synd = (vals[:, :, None] * P % p).sum(axis=1) % p
         good = (vals != 0).all(axis=1) & (synd == S_sel).all(axis=1)
         for j in np.flatnonzero(good).tolist():
@@ -446,7 +480,8 @@ def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
     never returns a wrong vector; otherwise a wrong vector survives with
     probability at most p^-alpha.
     """
-    one = Measurement(r=meas.r, vec=np.asarray(meas.vec)[None], check=np.asarray(meas.check)[None])
+    one = Measurement(r=meas.r, vec=np.reshape(meas.vec, (1, -1)),
+                      check=np.reshape(meas.check, (1, -1)))
     got = recover_batch(one, p, n, zseed, alpha)[0]
     return None if got is None else _dense(got, n)
 

@@ -168,14 +168,18 @@ def _attempt(src, n, delta, params, run_seed, shadow):
             report.violations[:3], "verification gate rejected the decomposition"
         )
 
+    # one batched search for every critical clique; failures are still
+    # reported in clique order, interleaved with the friendly searches
+    critical = [i for i, k in enumerate(dec.cliques) if k.size_class == CRITICAL]
+    found = dict(zip(critical, find_critical_helper(
+        [dec.cliques[i].vertices for i in critical], bank))) if critical else {}
     critical_helpers = {}
     friendly_helpers = {}
     for i, k in enumerate(dec.cliques):
-        if k.size_class == CRITICAL:
-            h = find_critical_helper(k.vertices, bank)
-            if h is None:
+        if i in found:
+            if found[i] is None:
                 raise col.RunFailure("helpers", f"no pair recovered for critical clique {i}")
-            critical_helpers[i] = h
+            critical_helpers[i] = found[i]
         elif k.size_class == SMALL and not k.holey and k.kind == FRIENDLY:
             h = find_friendly_helper(k.vertices, k.witness, bank)
             if h is None:

@@ -279,7 +279,7 @@ def test_criterion_06_helper_recovery():
         inst = generate_instance("clique-minus-edge", delta, count=1, seed=seed)
         oracle = oracle_from_edges(inst.n, inst.edges)
         params = ParamSet.desk(inst.n, delta)
-        h = find_critical_helper(list(range(delta + 1)), _bank_of(inst, params, seed))
+        [h] = find_critical_helper([list(range(delta + 1))], _bank_of(inst, params, seed))
         if h is None:
             continue
         # zero-tolerance structure checks

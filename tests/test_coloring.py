@@ -404,7 +404,7 @@ def test_phase5_statistical_on_clique_minus_edge():
         src = source_of(inst, seed=seed)
         for block in src.open().chunks():
             bank.update_chunk(np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1]))
-        helper = find_critical_helper(list(range(delta + 1)), bank)
+        [helper] = find_critical_helper([list(range(delta + 1))], bank)
         if helper is None:
             continue
         rec = build_recovery_graph(inst.n, {0: helper}, {})

@@ -18,6 +18,7 @@ from streamcolor.decomposition import (
     count_non_edges,
     friend_stranger_test,
     is_eps_sparse,
+    sampled_common,
     size_class_of,
     verify_decomposition,
 )
@@ -99,6 +100,46 @@ def test_sample_bits_count_the_neighbor_samples():
     isample = _main_pass(src, src.n, 16, res.params, 1)[2]
     assert isample.indices.size == 2 * res.report["m"]  # rate 1 keeps every neighbor
     assert res.report["space"]["sample_bits"] == isample.stored_bits()
+
+
+def _sample_of(spec: str, seed: int):
+    src = stream_source(spec, seed=seed)
+    shadow = shadow_of(src)
+    delta = int(shadow.degrees.max())
+    params = ParamSet.desk(src.n, delta)
+    return shadow, params, delta, collect_samples(src.open(), params, seed, delta)
+
+
+def _shared_sampled(isample, edges):
+    """Oracle: |I(u) & I(v)| for every edge, from a dense sample matrix."""
+    A = np.zeros((isample.n, isample.n))
+    rows, cols = isample.pairs()
+    A[rows, cols] = 1
+    return (A @ A.T)[edges[:, 0], edges[:, 1]].astype(np.int64)  # exact below 2^53
+
+
+def test_pair_count_from_upper_rows_at_rate_one():
+    # at rate 1 the sample is G itself: the upper-row count (each triangle
+    # once) equals the full-row count (each triangle three times)
+    shadow, params, delta, isample = _sample_of("mixed:delta=16,count=2,seed=3", 3)
+    assert params.isample_rate(delta) == 1
+    edges = shadow.edges()[::3]  # a subset, as H is of G
+    upper = sampled_common(isample, edges, 1.0)
+    assert np.array_equal(upper, sampled_common(isample, edges, 0.5))  # full rows
+    assert np.array_equal(upper, _shared_sampled(isample, edges))
+    assert upper.any()
+
+
+def test_pair_count_keeps_full_rows_below_rate_one():
+    # delta = 256 with n below about 1800 is the one desk regime where the
+    # sample is thinned; its rows are then not symmetric
+    shadow, params, delta, isample = _sample_of("mixed:delta=256,count=1,seed=1", 1)
+    rate = params.isample_rate(delta)
+    assert delta == 256 and rate < 1
+    rows, cols = isample.pairs()
+    assert not np.isin(cols * isample.n + rows, rows * isample.n + cols).all()
+    edges = shadow.edges()
+    assert np.array_equal(sampled_common(isample, edges, rate), _shared_sampled(isample, edges))
 
 
 # ---- the decomposition itself ----------------------------------------------

@@ -275,6 +275,33 @@ def test_batch_matches_single_and_brute_force(n):
                 assert _same(recover_sparse(vec, r, p, n), brute_force_decode(vec, r, p, n))
 
 
+@pytest.mark.parametrize("n,p", [(101, 101), (64, 101), (1009, 1009), (600, 1009)])
+def test_degree_one_locators_against_brute_force(n, p):
+    # rows (s0, s0*a, s0*a^2, ...): a one-term recurrence with root a, whose
+    # vertex is a - 1 mod p.  Node 0 is vertex p - 1, a vertex only when
+    # p = n; at p > n every root whose vertex is n or more is refused.
+    rng = np.random.default_rng(n + p)
+    alpha, zseed = 8, 5
+    nodes = [0, 1, n % p, (n + 1) % p, p - 1, *rng.integers(0, p, 8).tolist()]
+    # the oracle enumerates all C(n, r) supports
+    for r in [r for r in (1, 2, 3) if comb(n, r) <= 200_000]:
+        S = np.array([[v * pow(a, t, p) % p for t in range(2 * r)]
+                      for a in nodes for v in (1, p - 1, int(rng.integers(1, p)))])
+        assert all(berlekamp_massey(row, p)[0] == 1 for row in S)
+        xs = [brute_force_decode(row, r, p, n) for row in S]
+        for row, a, x in zip(S, np.repeat(nodes, 3), xs):
+            vertex = (a - 1) % p
+            if vertex < n:
+                assert np.flatnonzero(x).tolist() == [vertex] and x[vertex] == row[0]
+            else:
+                assert x is None
+            assert _same(recover_sparse(row, r, p, n), x)
+        check = np.array([_check_of(x if x is not None else np.zeros(n, dtype=np.int64),
+                                    r, p, zseed, alpha) for x in xs])
+        batch = recover_batch(Measurement(r=r, vec=S, check=check), p, n, zseed, alpha)
+        assert all(_same(_dense(got, n), x) for got, x in zip(batch, xs))
+
+
 def test_root_search_memory_is_bounded():
     # 33 rows over n = 131072 nodes: one rows x n int64 array would be 34 MB
     n, r, alpha, zseed = 131072, 2, 8, 3

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 
+from streamcolor import helpers, pipeline
+from streamcolor.coloring import RunFailure
 from streamcolor.decomposition import (
     FRIENDLY,
     classify_friendly_lonely,
@@ -13,6 +16,7 @@ from streamcolor.helpers import (
     find_friendly_helper,
 )
 from streamcolor.params import ParamSet
+from streamcolor.stream import stream_source
 
 from conftest import collect_samples, oracle_from_edges, shadow_of, source_of
 
@@ -34,7 +38,7 @@ def test_critical_helper_finds_the_missing_edge():
     params = ParamSet.desk(inst.n, delta)
     bank = _bank_from(inst, params, seed=2)
     K = list(range(delta + 1))
-    h = find_critical_helper(K, bank)
+    [h] = find_critical_helper([K], bank)
     assert h is not None
     # the recovered pair is exactly the removed edge
     assert not oracle.has_edge(h.u, h.v)
@@ -53,7 +57,7 @@ def test_critical_helper_on_true_clique_fails():
     params = ParamSet.desk(k, delta)
     inst = type("I", (), {"n": k, "edges": np.array(edges), "delta": delta})
     bank = _bank_from(inst, params, seed=1)
-    assert find_critical_helper(list(range(k)), bank) is None
+    assert find_critical_helper([list(range(k))], bank) == [None]
 
 
 def test_critical_helper_statistical():
@@ -64,12 +68,76 @@ def test_critical_helper_statistical():
         params = ParamSet.desk(inst.n, delta)
         bank = _bank_from(inst, params, seed=seed)
         oracle = oracle_from_edges(inst.n, inst.edges)
-        h = find_critical_helper(list(range(delta + 1)), bank)
+        [h] = find_critical_helper([list(range(delta + 1))], bank)
         if h is not None:
             assert not oracle.has_edge(h.u, h.v)
             assert h.n_v == oracle.neighbors(h.v)
             found += 1
     assert found >= 99
+
+
+def test_batched_critical_search_equals_the_per_clique_one():
+    # disjoint (delta+1)-cliques in one bank, missing: one edge; nothing (a
+    # true clique, where no pair exists); a 4-cycle, so that every member
+    # with a non-neighbor has two and decodes only at level 4; one edge
+    delta = 16
+    k = delta + 1
+    removed = [{(0, 1)}, set(), {(0, 1), (1, 2), (2, 3), (0, 3)}, {(5, 9)}]
+    edges = [(b * k + i, b * k + j) for b, gone in enumerate(removed)
+             for i in range(k) for j in range(i + 1, k) if (i, j) not in gone]
+    n = k * len(removed)
+    inst = type("I", (), {"n": n, "edges": np.array(edges), "delta": delta})
+    bank = _bank_from(inst, ParamSet.desk(n, delta), seed=4)
+    oracle = oracle_from_edges(n, edges)
+    cliques = [list(range(b * k, (b + 1) * k)) for b in range(len(removed))]
+
+    got = find_critical_helper(cliques, bank)
+    assert got == [find_critical_helper([K], bank)[0] for K in cliques]
+    assert got[::-1] == find_critical_helper(cliques[::-1], bank)
+    assert got[1] is None
+    assert [h.rate for h in got if h is not None] == [2, 4, 2]
+    for h in filter(None, got):
+        assert not oracle.has_edge(h.u, h.v)
+        assert h.n_v == oracle.neighbors(h.v)
+
+
+@pytest.fixture(scope="module")
+def mixed_attempt():
+    # cliques 1 and 3 are critical, clique 2 friendly (0 is lonely)
+    src = stream_source("mixed:delta=16,count=1,seed=1", seed=1)
+    shadow = shadow_of(src)
+    delta = int(shadow.degrees.max())
+    args = (src, src.n, delta, ParamSet.desk(src.n, delta), 1, shadow)
+    cliques = [k.vertices for k in pipeline._attempt(*args)["dec"].cliques]
+    return args, cliques
+
+
+@pytest.mark.parametrize("bad_critical,bad_friendly,detail,friendly_searched", [
+    ({1}, {2}, "no pair recovered for critical clique 1", []),
+    ({3}, {2}, "no witness triple for friendly clique 2", [2]),
+    ({3}, set(), "no pair recovered for critical clique 3", [2]),
+], ids=["critical-first", "friendly-first", "critical-only"])
+def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_critical,
+                                                bad_friendly, detail, friendly_searched):
+    args, cliques = mixed_attempt
+    searches, friendly = [], []
+
+    def critical(Ks, bank):
+        searches.append([cliques.index(K) for K in Ks])
+        return [None if cliques.index(K) in bad_critical else h
+                for K, h in zip(Ks, find_critical_helper(Ks, bank))]
+
+    def friendly_helper(K, witness, bank):
+        friendly.append(cliques.index(K))
+        return None if friendly[-1] in bad_friendly else find_friendly_helper(K, witness, bank)
+
+    monkeypatch.setattr(pipeline, "find_critical_helper", critical)
+    monkeypatch.setattr(pipeline, "find_friendly_helper", friendly_helper)
+    with pytest.raises(RunFailure) as failure:
+        pipeline._attempt(*args)
+    assert failure.value.detail == detail
+    assert searches == [[1, 3]]  # one search over every critical clique
+    assert friendly == friendly_searched
 
 
 def _friendly_setup(seed, delta=16):
@@ -97,6 +165,30 @@ def test_friendly_helper_structure():
     assert oracle.has_edge(h.v, h.w)
     assert h.n_v == oracle.neighbors(h.v)
     assert h.n_w == oracle.neighbors(h.w)
+
+
+def test_friendly_ladder_returns_the_top_level_helper(monkeypatch):
+    inst, oracle, dec, bank = _friendly_setup(seed=5)
+    k = dec.cliques[0]
+    levels, real = [], helpers.safe_recover
+
+    def spy(meas, *rest):
+        levels.append(meas.r)
+        return real(meas, *rest)
+
+    monkeypatch.setattr(helpers, "safe_recover", spy)
+    h = find_friendly_helper(k.vertices, k.witness, bank)
+    assert levels[0] == bank.rates[0]  # the ladder starts at the cheapest level
+    assert max(levels) < bank.rates[-1]  # every member decoded relative to K
+
+    # no member stored below the top: only chi(N(w)) itself recovers
+    levels.clear()
+    bank._member[:-1] = False
+    top = find_friendly_helper(k.vertices, k.witness, bank)
+    assert set(levels) == {bank.rates[-1]}
+    assert top == h
+    assert top.n_v == oracle.neighbors(top.v)
+    assert top.n_w == oracle.neighbors(top.w)
 
 
 def test_friendly_helper_all_adjacent_witness_fails():
@@ -137,7 +229,7 @@ def test_recovery_graph_contents():
     oracle = oracle_from_edges(inst.n, inst.edges)
     params = ParamSet.desk(inst.n, delta)
     bank = _bank_from(inst, params, seed=1)
-    h = find_critical_helper(list(range(delta + 1)), bank)
+    [h] = find_critical_helper([list(range(delta + 1))], bank)
     g = build_recovery_graph(inst.n, {0: h}, {})
     # the star of the recovered vertex, nothing else
     assert g.known == {h.v}
