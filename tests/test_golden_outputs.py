@@ -12,14 +12,17 @@ leave all of them byte-identical.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from streamcolor import coloring
 from streamcolor.decomposition import verify_decomposition
 from streamcolor.palette import sample_palettes
 from streamcolor.params import ParamSet
-from streamcolor.pipeline import RunConfig, color_run, decompose_run
+from streamcolor.pipeline import RunConfig, color_run, decompose_run, verify_coloring
+from streamcolor.stream import stream_source
 
-from conftest import planted_mistakes
+from conftest import planted_mistakes, shadow_of
 
 # spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON,
 # provenance bytes); both shadow modes give the same four digests on these
@@ -42,6 +45,23 @@ RUNS = {
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
         "816b10b9968df8fed45bd10ff7af9f4fce4ca455fb51162034fd04de18891661",
         "b4ebf43892ee2980cc4c19104150d7000026e8ff5c6a98f338858179e21580ba",
+    ),
+}
+# The same four digests with phase 4 declining every clique, so the critical
+# cliques go to phase 5 and the friendly ones to phase 6; both shadow modes
+# agree here too.
+DEFERRED_RUNS = {
+    "mixed:delta=16,count=1,seed=1": (
+        "6f7db7552ac86a818a956dcd341a0c872f0335bfaaf7da0dfc317436eb153ccd",
+        "0d76602fa990fd3fab36d568ec6a8d3ef6f867e59d10ce54456e2544d08970bd",
+        "a3746200eb95d928faafd60e3cc4fcbb17c1b350acd6e301c62df3e379a06a16",
+        "3c8d4b4861dd5eff650a1b6216d831561265840d3bfc2fb0e9677256f557c29d",
+    ),
+    "mixed:delta=32,count=2,seed=1": (
+        "3ccef1aeaa9e5105a20d61f23746191df54128a4279a5ce5d63a4dcd357eee03",
+        "251e90349f81bec849fd988b33bd2c2211358fdecaf759ed4e87c928dc52e08b",
+        "7706908d115981014b390c9889fae452875455406a74eda4ac79616b37b3d4e0",
+        "46c87bb7b233e1c477144134cad0002f508cf09fc5fa0e5bd8d146f1af10711f",
     ),
 }
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"
@@ -79,13 +99,36 @@ def _json_sha(obj) -> str:
 @pytest.mark.parametrize("spec", sorted(RUNS))
 def test_fixed_seed_run_golden(spec, no_shadow):
     res = color_run(RunConfig(source=spec, seed=1, retries=3, no_shadow=no_shadow))
-    got = (
+    assert _run_digests(res) == RUNS[spec]
+
+
+def _run_digests(res) -> tuple[str, str, str, str]:
+    return (
         _sha(res.colors.tobytes()),
         _json_sha(res.report["cliques"]),
         _json_sha(res.report["space"]),
         _sha(res.phase_result.provenance.tobytes()),
     )
-    assert got == RUNS[spec]
+
+
+@pytest.mark.parametrize("no_shadow", [False, True])
+@pytest.mark.parametrize("spec", sorted(DEFERRED_RUNS))
+def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
+    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+    res = color_run(RunConfig(source=spec, seed=1, retries=3, no_shadow=no_shadow))
+    assert res.status == "success"
+    assert {5, 6} <= set(res.phase_result.provenance.tolist())
+    delta = res.delta
+    assert verify_coloring(spec, res.colors, delta, seed=1) == (True, "ok")
+    # a vertex colored outside its union list has its whole neighborhood in H+
+    shadow = shadow_of(stream_source(spec, seed=1))
+    c = res.colors - 1
+    in_list = (res.palettes.masks[np.arange(res.colors.size), c // 64]
+               >> (c % 64).astype(np.uint64)) & np.uint64(1)
+    for v in np.flatnonzero(in_list == 0).tolist():
+        assert v in res.recovery.known
+        assert res.recovery.neighbors(v) == shadow.neighbors(v)
+    assert _run_digests(res) == DEFERRED_RUNS[spec]
 
 
 def test_palette_masks_golden():
