@@ -4,7 +4,9 @@ Post-processing never touches the input graph again: every conflict
 check runs against the stored conflict graph H and recovery graph H+.
 That is sound because a vertex colored from its own sampled lists can
 only collide across an H edge, and a vertex colored outside its lists
-always has its complete neighborhood in H+.
+always has its complete neighborhood in H+.  Phases 1-4 color from the
+lists alone, so H guards them; H+ is recovered only for the cliques
+phase 4 leaves, and joins the stored edges before phase 5.
 
 Phase order matters: one-shot coloring, then the loosely-connected
 small almost-cliques (while the outside coloring is still lightly
@@ -59,21 +61,22 @@ UNCOLORED = 0
 
 
 class PartialColoring:
-    """Vertex -> color in 1..delta (0 = uncolored), proper on H + H+ at
-    all times, with per-phase provenance."""
+    """Vertex -> color in 1..delta (0 = uncolored), proper on the stored
+    edges at all times, with per-phase provenance."""
 
-    def __init__(self, n: int, delta: int, conflict: Graph, recovery: Graph | None = None):
+    def __init__(self, n: int, delta: int, conflict: Graph):
         self.n = n
         self.delta = delta
         self.conflict = conflict
-        # every stored edge, H and H+ together
-        if recovery is None or not recovery.m:
-            self.stored = conflict
-        else:
-            self.stored = Graph(n, np.concatenate([conflict.edges(), recovery.edges()]))
+        self.stored = conflict  # every stored edge: H, then H + H+
         self.colors = np.zeros(n, dtype=np.int64)
         self.provenance = np.zeros(n, dtype=np.int8)
         self.recolored: list[int] = []
+
+    def store(self, recovery: Graph) -> None:
+        """Add H+ (the recovered neighborhood stars) to the stored edges."""
+        if recovery.m:
+            self.stored = Graph(self.n, np.concatenate([self.stored.edges(), recovery.edges()]))
 
     def blocked(self, v: int) -> np.ndarray:
         """(delta,) bool: column c-1 is set when a stored neighbor of v
@@ -396,16 +399,17 @@ class PhaseResult:
     colored_by: dict[int, int]       # clique index -> phase that colored it
     responsible: dict[int, int]      # clique index -> phase per classification
     recolored: list[int]
+    critical_helpers: dict[int, object]  # clique index -> helper phase 5 used
+    friendly_helpers: dict[int, object]  # clique index -> helper phase 6 used
+    recovery: Graph                      # H+, the stars of those helpers
 
 
 def run_phases(
     conflict: Graph,
-    recovery,
     palettes: PaletteSet,
     dec: Decomposition,
-    critical_helpers: dict[int, object],
-    friendly_helpers: dict[int, object],
     non_edges_of: dict[int, np.ndarray],
+    find_helpers,
     params: ParamSet,
     seed: int,
     delta: int,
@@ -415,12 +419,14 @@ def run_phases(
 
     Routing: phase 2 takes the small cliques on the lonely side, phase 4
     attempts every clique still uncolored, phase 5 takes critical
-    leftovers (their helper structures), phase 6 the rest, which must be
-    small, unholey, and friendly-routed or the decomposition was wrong.
-    ``non_edges_of`` maps every clique phase 2 does not take to its
-    non-edges, as (k, 2) pairs.
+    leftovers, phase 6 the rest, which must be small, unholey, and
+    friendly-routed or the decomposition was wrong.  ``non_edges_of``
+    maps every clique phase 2 does not take to its non-edges, as (k, 2)
+    pairs.  Only the cliques phase 4 leaves get helpers:
+    ``find_helpers(critical, friendly)`` maps each index list to helpers
+    and returns (critical helpers, friendly helpers, H+ of their stars).
     """
-    C = PartialColoring(dec.n, delta, conflict, recovery)
+    C = PartialColoring(dec.n, delta, conflict)
     colored_by: dict[int, int] = {}
     responsible = {i: responsible_phase(k) for i, k in enumerate(dec.cliques)}
 
@@ -457,28 +463,32 @@ def run_phases(
             deferred.append(i)
     snap("phase4")
 
-    i_u: dict[int, int] = {}
+    critical: list[int] = []
+    friendly: list[int] = []
     for i in deferred:
         k = dec.cliques[i]
         if k.size_class == CRITICAL:
-            helper = critical_helpers.get(i)
-            if helper is None:
-                raise RunFailure("phase5", f"no helper recovered for clique {i}")
-            phase5_critical(k.vertices, helper, C, palettes)
-            colored_by[i] = 5
-            snap("phase5")
+            critical.append(i)
         elif k.size_class == SMALL and not k.holey and k.kind == FRIENDLY:
-            helper = friendly_helpers.get(i)
-            if helper is None:
-                raise RunFailure("phase6", f"no helper recovered for clique {i}")
-            phase6_friendly(k.vertices, helper, C, palettes, i_u, params)
-            colored_by[i] = 6
-            snap("phase6")
+            friendly.append(i)
         else:
             raise ColoringError(
                 f"clique {i} ({k.size_class}, holey={k.holey}, {k.kind}) "
                 "fell through every phase; decomposition is wrong"
             )
+    critical_helpers, friendly_helpers, recovery = find_helpers(critical, friendly)
+    C.store(recovery)
+
+    i_u: dict[int, int] = {}
+    for i in deferred:
+        k = dec.cliques[i]
+        if i in critical_helpers:
+            phase5_critical(k.vertices, critical_helpers[i], C, palettes)
+            colored_by[i] = 5
+        else:
+            phase6_friendly(k.vertices, friendly_helpers[i], C, palettes, i_u, params)
+            colored_by[i] = 6
+        snap(f"phase{colored_by[i]}")
 
     missing = np.flatnonzero(C.colors == UNCOLORED)
     if missing.size:
@@ -490,6 +500,9 @@ def run_phases(
         colored_by=colored_by,
         responsible=responsible,
         recolored=C.recolored,
+        critical_helpers=critical_helpers,
+        friendly_helpers=friendly_helpers,
+        recovery=recovery,
     )
 
 
@@ -653,7 +666,7 @@ def offline_brooks(adj: list[set[int]], delta: int) -> np.ndarray:
     for v0 in range(n):
         if v0 in seen:
             continue
-        comp = _bfs_order(adj, v0, set(range(n)) - seen)
+        comp = _bfs_order(adj, v0, range(n))  # every vertex it reaches is unseen
         seen |= set(comp)
         if len(comp) == 1:
             colors[v0] = 1

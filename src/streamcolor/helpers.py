@@ -4,7 +4,9 @@ For an almost-clique K whose coloring needs out-of-palette moves, the
 bank yields either a critical helper (a non-adjacent pair u, v inside K
 together with v's full neighborhood) or a friendly helper (an outside
 non-stranger u, an edge u-v, a non-edge u-w with v, w in K adjacent,
-plus both full neighborhoods).
+plus both full neighborhoods).  Helpers are searched only for the
+cliques that phase 4 could not color from their lists; `run_phases`
+routes those to phase 5 or 6 and asks the pipeline for their helpers.
 
 Neighborhoods come from verified sparse recovery (`streamcolor.field`).
 For a clique member w, chi(N(w)) - chi(K) has one entry per non-neighbor
@@ -13,7 +15,7 @@ sketch level chi(N(w)) itself is.  A recovered vector is exact whenever
 the verifier accepts it, and `_decode_neighborhood` refuses any that
 cannot be a neighborhood indicator.
 
-The critical search takes every critical clique of a run at once and
+The critical search takes every deferred critical clique at once and
 climbs the sketch levels: at each level, one relative measurement and one
 `recover_batch` cover every unresolved member of every clique still
 searching, and a clique drops out at the first level that yields a

@@ -16,9 +16,6 @@ import numpy as np
 
 from streamcolor import coloring as col
 from streamcolor.decomposition import (
-    CRITICAL,
-    FRIENDLY,
-    SMALL,
     DecompositionFailed,
     SampleCollector,
     annotate_cliques,
@@ -114,14 +111,12 @@ def _prepass(src: StreamSource, want_shadow: bool):
     return census, shadow, m
 
 
-def _non_edges_in(vertices, graphs) -> np.ndarray:
-    """The pairs a < b of the vertices that no graph joins, ascending, as
-    a (k, 2) int64 array."""
+def _non_edges_in(vertices, graph: Graph) -> np.ndarray:
+    """The pairs a < b of the vertices that the graph does not join,
+    ascending, as a (k, 2) int64 array."""
     verts = np.asarray(sorted(vertices), dtype=np.int64)
     joined = np.zeros((verts.size, verts.size), dtype=bool)
-    for g in graphs:
-        i, j = g.within(verts)
-        joined[i, j] = True
+    joined[graph.within(verts)] = True
     a, b = np.nonzero(np.triu(~joined, 1))
     return np.stack([verts[a], verts[b]], axis=1)
 
@@ -168,44 +163,34 @@ def _attempt(src, n, delta, params, run_seed, shadow):
             report.violations[:3], "verification gate rejected the decomposition"
         )
 
-    # one batched search for every critical clique; failures are still
-    # reported in clique order, interleaved with the friendly searches
-    critical = [i for i, k in enumerate(dec.cliques) if k.size_class == CRITICAL]
-    found = dict(zip(critical, find_critical_helper(
-        [dec.cliques[i].vertices for i in critical], bank))) if critical else {}
-    critical_helpers = {}
-    friendly_helpers = {}
-    for i, k in enumerate(dec.cliques):
-        if i in found:
-            if found[i] is None:
-                raise col.RunFailure("helpers", f"no pair recovered for critical clique {i}")
-            critical_helpers[i] = found[i]
-        elif k.size_class == SMALL and not k.holey and k.kind == FRIENDLY:
-            h = find_friendly_helper(k.vertices, k.witness, bank)
-            if h is None:
-                raise col.RunFailure("helpers", f"no witness triple for friendly clique {i}")
-            friendly_helpers[i] = h
-    recovery = build_recovery_graph(n, critical_helpers, friendly_helpers)
+    def find_helpers(critical, friendly):
+        # one batched search for the deferred critical cliques; failures are
+        # still reported in clique order, interleaved with the friendly ones
+        found = dict(zip(critical, find_critical_helper(
+            [dec.cliques[i].vertices for i in critical], bank))) if critical else {}
+        friendly_helpers = {}
+        for i in sorted(critical + friendly):
+            if i in found:
+                if found[i] is None:
+                    raise col.RunFailure("helpers", f"no pair recovered for critical clique {i}")
+            else:
+                k = dec.cliques[i]
+                h = find_friendly_helper(k.vertices, k.witness, bank)
+                if h is None:
+                    raise col.RunFailure("helpers", f"no witness triple for friendly clique {i}")
+                friendly_helpers[i] = h
+        return found, friendly_helpers, build_recovery_graph(n, found, friendly_helpers)
 
-    graphs = (shadow,) if shadow is not None else (conflict, recovery)
-    # phase 2 colors its cliques without reading their non-edges
+    # H stands in for a missing shadow: a G-edge that H lacks joins disjoint
+    # union lists, which no shared-color matching picks; phase 2 reads none
     non_edges_of = {
-        i: _non_edges_in(k.vertices, graphs)
+        i: _non_edges_in(k.vertices, shadow if shadow is not None else conflict)
         for i, k in enumerate(dec.cliques)
         if col.responsible_phase(k) != 2
     }
 
     phase_result = col.run_phases(
-        conflict,
-        recovery,
-        palettes,
-        dec,
-        critical_helpers,
-        friendly_helpers,
-        non_edges_of,
-        params,
-        run_seed,
-        delta,
+        conflict, palettes, dec, non_edges_of, find_helpers, params, run_seed, delta
     )
 
     space = palette_space_report(palettes, conflict)
@@ -215,7 +200,7 @@ def _attempt(src, n, delta, params, run_seed, shadow):
         "h_bits": space["h_bits"],
         "sample_bits": isample.stored_bits(),
         "sketch_bits": bank.stored_bits(),
-        "hplus_bits": recovery.stored_bits(),
+        "hplus_bits": phase_result.recovery.stored_bits(),
         "shadow_excluded": True,
     }
     space_report["total_bits"] = (
@@ -228,14 +213,11 @@ def _attempt(src, n, delta, params, run_seed, shadow):
     return {
         "palettes": palettes,
         "conflict": conflict,
-        "recovery": recovery,
         "dec": dec,
         "isample": isample,
         "bank": bank,
         "phase_result": phase_result,
         "space": space_report,
-        "critical_helpers": critical_helpers,
-        "friendly_helpers": friendly_helpers,
     }
 
 
@@ -351,11 +333,11 @@ def color_run(cfg: RunConfig) -> RunResult:
             shadow=shadow,
             palettes=out["palettes"],
             conflict=out["conflict"],
-            recovery=out["recovery"],
+            recovery=pr.recovery,
             dec=out["dec"],
             phase_result=pr,
-            critical_helpers=out["critical_helpers"],
-            friendly_helpers=out["friendly_helpers"],
+            critical_helpers=pr.critical_helpers,
+            friendly_helpers=pr.friendly_helpers,
         )
 
     report = base_report | {

@@ -372,8 +372,8 @@ def _k4_minus_edge_setup():
     delta = 3
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]  # missing (2,3)
     h = _conflict_from(4, edges)
-    rec = RecoveryGraph(4, [(3, {0, 1})])
-    C = PartialColoring(4, delta, h, rec)
+    C = PartialColoring(4, delta, h)
+    C.store(RecoveryGraph(4, [(3, {0, 1})]))
     pal = uniform_palettes(4, delta, [{1, 2, 3}] * 4)
     helper = CriticalHelper(u=2, v=3, n_v={0, 1}, rate=2)
     return delta, h, C, pal, helper
@@ -407,8 +407,8 @@ def test_phase5_statistical_on_clique_minus_edge():
         [helper] = find_critical_helper([list(range(delta + 1))], bank)
         if helper is None:
             continue
-        rec = build_recovery_graph(inst.n, {0: helper}, {})
-        C = PartialColoring(inst.n, delta, h, rec)
+        C = PartialColoring(inst.n, delta, h)
+        C.store(build_recovery_graph(inst.n, {0: helper}, {}))
         try:
             phase5_critical(list(range(delta + 1)), helper, C, pal)
         except RunFailure:
@@ -436,8 +436,8 @@ def test_phase6_increments_witness_counter_and_colors_clique():
     delta = 3
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)]
     h = _conflict_from(5, edges)
-    rec = RecoveryGraph(5, [(0, {1, 2, 3}), (2, {0, 1})])   # v = 0, w = 2
-    C = PartialColoring(5, delta, h, rec)
+    C = PartialColoring(5, delta, h)
+    C.store(RecoveryGraph(5, [(0, {1, 2, 3}), (2, {0, 1})]))   # v = 0, w = 2
     pal = uniform_palettes(5, delta, [{1, 2, 3}] * 5)
     C.assign(3, 1, 3)  # witness already colored; phase 6 may overwrite
     C.assign(4, 2, 3)
@@ -456,7 +456,8 @@ def test_phase6_increments_witness_counter_and_colors_clique():
 def test_phase6_list_exhaustion():
     delta = 3
     h = _conflict_from(5, [(0, 1)])
-    C = PartialColoring(5, delta, h, RecoveryGraph(5))
+    C = PartialColoring(5, delta, h)
+    C.store(RecoveryGraph(5))
     pal = uniform_palettes(5, delta, [{1}] * 5)
     params = ParamSet.desk(5, delta)
     helper = FriendlyHelper(u=3, v=0, w=2, n_v=set(), n_w=set())
@@ -507,12 +508,10 @@ def test_phase_extension_discipline():
     }
     col.run_phases(
         res.conflict,
-        res.recovery,
         res.palettes,
         res.dec,
-        res.critical_helpers,
-        res.friendly_helpers,
         non_edges_of,
+        lambda critical, friendly: (res.critical_helpers, res.friendly_helpers, res.recovery),
         res.params,
         cfg.seed,
         res.delta,
@@ -613,10 +612,13 @@ def test_shared_witness_is_recolored_twice():
     }
     assert all(friendly.values())
     rec = build_recovery_graph(n, {}, friendly)
+
+    def find_helpers(critical, friendly_cliques):
+        assert (critical, friendly_cliques) == ([], [0, 1])
+        return {}, friendly, rec
+
     non_edges = {i: [] for i in range(len(dec.cliques))}  # true cliques inside
-    result = col.run_phases(
-        h, rec, pal, dec, {}, friendly, non_edges, params, 3, delta
-    )
+    result = col.run_phases(h, pal, dec, non_edges, find_helpers, params, 3, delta)
     assert result.colored_by == {0: 6, 1: 6}
     assert result.recolored == [w, w]  # same witness, recolored per clique
     for a, b in edges:
@@ -692,6 +694,26 @@ def test_brooks_even_cycle_and_path():
     for u in range(4):
         for v in adj2[u]:
             assert colors2[u] != colors2[v]
+
+
+def test_offline_fallback_scales_with_many_components(tmp_path):
+    # 20k paths of 3 vertices (delta = 2): one BFS per component must not
+    # rebuild a set of every unseen vertex, which took seconds at 24k
+    import time
+
+    from streamcolor.pipeline import verify_coloring
+
+    n = 60_000
+    heads = np.arange(0, n, 3)
+    edges = np.concatenate([np.stack([heads, heads + 1], 1), np.stack([heads + 1, heads + 2], 1)])
+    path = tmp_path / "paths.txt"
+    path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    start = time.perf_counter()
+    res = color_run(RunConfig(source=str(path), seed=1))
+    elapsed = time.perf_counter() - start
+    assert res.status == "success" and res.report["pipeline"] == "offline"
+    assert verify_coloring(str(path), res.colors, 2) == (True, "ok")
+    assert elapsed < 20.0, f"{elapsed:.1f} s for {n} vertices"
 
 
 def _random_connected_graph(rng, n):

@@ -37,13 +37,13 @@ RUNS = {
     "mixed:delta=32,count=2,seed=1": (
         "b5224c016b150588121fa0723addde30dc991a35545e301e9f74b601446a173f",
         "7ea26bd02ad11a4ce9fe12fbfee5a4f8adfea9a0559fb4b4b5ee48c768136894",
-        "7706908d115981014b390c9889fae452875455406a74eda4ac79616b37b3d4e0",
+        "da1488b9077bee7b415d97f802c2ee683e0a63bce0d6196e9f5edd363e0a6894",
         "64bc871e6c6b5af717b62e2a01513fa6c6d392e8b13abe5f430f4df7e990afe6",
     ),
     "clique-pairs:delta=16,count=4,seed=1": (
         "82da737ac57de11e27c31033b76966dc2f14ef8fea4aedf7e6b6a8bd12092ae6",
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
-        "816b10b9968df8fed45bd10ff7af9f4fce4ca455fb51162034fd04de18891661",
+        "fab98acfcc734f95ff8356cdb8826675a5002853b741943760fce6883f603b1e",
         "b4ebf43892ee2980cc4c19104150d7000026e8ff5c6a98f338858179e21580ba",
     ),
 }

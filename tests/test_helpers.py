@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamcolor import helpers, pipeline
+from streamcolor import coloring, helpers, pipeline
 from streamcolor.coloring import RunFailure
 from streamcolor.decomposition import (
     FRIENDLY,
@@ -120,6 +120,8 @@ def mixed_attempt():
 def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_critical,
                                                 bad_friendly, detail, friendly_searched):
     args, cliques = mixed_attempt
+    # phase 4 declines, so cliques 1..3 are deferred and need helpers
+    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
     searches, friendly = [], []
 
     def critical(Ks, bank):
@@ -138,6 +140,26 @@ def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_
     assert failure.value.detail == detail
     assert searches == [[1, 3]]  # one search over every critical clique
     assert friendly == friendly_searched
+
+
+@pytest.mark.parametrize("deferred", [False, True])
+def test_helpers_are_recovered_only_for_deferred_cliques(monkeypatch, deferred):
+    # no helper recovers; that fails a run only when phase 4 leaves a clique
+    monkeypatch.setattr(pipeline, "find_critical_helper", lambda Ks, bank: [None] * len(Ks))
+    monkeypatch.setattr(pipeline, "find_friendly_helper", lambda K, witness, bank: None)
+    if deferred:
+        monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+    res = pipeline.color_run(pipeline.RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1))
+    if deferred:
+        assert res.status == pipeline.PIPELINE_FAILED
+        assert [f["detail"] for f in res.report["failures"]] == [
+            "no pair recovered for critical clique 1"] * 3
+        assert {f["phase"] for f in res.report["failures"]} == {"helpers"}
+    else:
+        assert res.status == pipeline.SUCCESS and res.report["attempts"] == 1
+        assert res.critical_helpers == res.friendly_helpers == {}
+        assert not res.recovery.known and res.recovery.m == 0
+        assert res.report["space"]["hplus_bits"] == 0
 
 
 def _friendly_setup(seed, delta=16):

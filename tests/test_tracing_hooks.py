@@ -6,6 +6,7 @@ that renames one of them, or stops calling it through those names, breaks
 import importlib.util
 from pathlib import Path
 
+import streamcolor.coloring as coloring
 import streamcolor.pipeline as pipeline
 from streamcolor.pipeline import SUCCESS, RunConfig, color_run
 
@@ -35,9 +36,11 @@ def test_tracer_hooks_exist_and_record_a_run():
     assert summary["space.sample_bits"] == res.report["space"]["sample_bits"]
 
 
-def test_tracer_records_helper_spans():
-    # the mixed family has critical and friendly cliques, so both helper
-    # searches run; only the friendly one recovers through safe_recover
+def test_tracer_records_helper_spans(monkeypatch):
+    # the mixed family has critical and friendly cliques; with phase 4
+    # declining they are all deferred, so both helper searches run; only
+    # the friendly one recovers through safe_recover
+    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
         cfg = RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1)
