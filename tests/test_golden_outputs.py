@@ -64,6 +64,27 @@ DEFERRED_RUNS = {
         "46c87bb7b233e1c477144134cad0002f508cf09fc5fa0e5bd8d146f1af10711f",
     ),
 }
+# (spec, budget, no_shadow) -> sha256 of (colors bytes, report JSON) of runs
+# that take the offline route: delta below the pipeline minimum, or a budget
+# the raw graph fits.  Without a shadow the route takes one more pre-pass.
+OFFLINE_RUNS = {
+    ("clique-minus-edge:delta=5,count=2,seed=1", None, False): (
+        "82d18ed6fd712a414142f08040e0a2bf6f3c8c4d81d3cc4cb7840d19bf97f6c9",
+        "dba51bc67d6828c8af596f44f64bc4b5b12d953da05b2e51b43e821f3451f0a3",
+    ),
+    ("clique-minus-edge:delta=5,count=2,seed=1", None, True): (
+        "82d18ed6fd712a414142f08040e0a2bf6f3c8c4d81d3cc4cb7840d19bf97f6c9",
+        "2f1fadd9ba894fd05c624c2db848dded51099b75c2f91d88ef8e0ea2ed75ef3b",
+    ),
+    ("clique-pairs:delta=16,count=1,seed=2", 10**9, False): (
+        "2da82c0db5e4befd285eebe015807b2cbcdae2ba4c8357ab2469b885d392614c",
+        "c04e046eba67a757c406ad3b5e507682ccbaf3af72395b5e15ebf87dc3a1f645",
+    ),
+    ("clique-pairs:delta=16,count=1,seed=2", 10**9, True): (
+        "2da82c0db5e4befd285eebe015807b2cbcdae2ba4c8357ab2469b885d392614c",
+        "c86d9d3be98a5b91ae975858e9ca27171503442f69760788f9f94e59f5b301e6",
+    ),
+}
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"
 # (spec, no_shadow) -> sha256 of the decompose_run JSON (see _decomposition_view)
 DECOMPOSITIONS = {
@@ -129,6 +150,15 @@ def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
         assert v in res.recovery.known
         assert res.recovery.neighbors(v) == shadow.neighbors(v)
     assert _run_digests(res) == DEFERRED_RUNS[spec]
+
+
+@pytest.mark.parametrize("spec, budget, no_shadow", sorted(OFFLINE_RUNS, key=str))
+def test_offline_run_golden(spec, budget, no_shadow):
+    res = color_run(RunConfig(source=spec, seed=1, budget=budget, no_shadow=no_shadow))
+    assert res.report["pipeline"] == "offline"
+    assert verify_coloring(spec, res.colors, res.delta, seed=1) == (True, "ok")
+    got = (_sha(res.colors.tobytes()), _json_sha(res.report))
+    assert got == OFFLINE_RUNS[spec, budget, no_shadow]
 
 
 def test_palette_masks_golden():
