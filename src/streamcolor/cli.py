@@ -1,7 +1,8 @@
 """Batch front-end: color / verify / gen / report / demo-recover.
 
 Exit codes: 0 success, 1 verification failure, 2 not delta-colorable,
-3 pipeline failure after retries, 4 usage error.
+3 pipeline failure after retries, 4 usage error or an input too large for
+memory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from streamcolor.field import (
     safe_recover,
     vandermonde_sum,
 )
-from streamcolor.generators import GeneratorSpecError, generate_instance, parse_generator_spec
+from streamcolor.generators import GeneratorSpecError, instance_from_spec
 from streamcolor.pipeline import (
     NOT_COLORABLE,
     PIPELINE_FAILED,
@@ -137,17 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    family, params = parse_generator_spec(args.spec)
-    if "delta" not in params:
-        raise GeneratorSpecError("spec must set delta")
-    inst = generate_instance(
-        family,
-        params["delta"],
-        count=params.get("count", 1),
-        seed=params.get("seed", args.seed),
-        n=params.get("n"),
-        t=params.get("t"),
-    )
+    inst = instance_from_spec(args.spec, args.seed)
     write_edge_list(args.out, inst.n, inst.edges)
     print(f"wrote {inst.n} vertices, {inst.edges.shape[0]} edges -> {args.out}")
     return EXIT_OK
@@ -303,6 +294,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, GeneratorSpecError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # an input too large for this host is an input fault
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -408,11 +408,9 @@ def run_phases(
     conflict: Graph,
     palettes: PaletteSet,
     dec: Decomposition,
-    non_edges_of: dict[int, np.ndarray],
     find_helpers,
     params: ParamSet,
     seed: int,
-    delta: int,
     on_phase=None,
 ) -> PhaseResult:
     """Run phases 1..6 in order and return a total coloring.
@@ -420,13 +418,12 @@ def run_phases(
     Routing: phase 2 takes the small cliques on the lonely side, phase 4
     attempts every clique still uncolored, phase 5 takes critical
     leftovers, phase 6 the rest, which must be small, unholey, and
-    friendly-routed or the decomposition was wrong.  ``non_edges_of``
-    maps every clique phase 2 does not take to its non-edges, as (k, 2)
-    pairs.  Only the cliques phase 4 leaves get helpers:
+    friendly-routed or the decomposition was wrong.  Phase 4 reads each
+    clique's ``non_edge_pairs``.  Only the cliques phase 4 leaves get helpers:
     ``find_helpers(critical, friendly)`` maps each index list to helpers
     and returns (critical helpers, friendly helpers, H+ of their stars).
     """
-    C = PartialColoring(dec.n, delta, conflict)
+    C = PartialColoring(dec.n, palettes.delta, conflict)
     colored_by: dict[int, int] = {}
     responsible = {i: responsible_phase(k) for i, k in enumerate(dec.cliques)}
 
@@ -457,7 +454,7 @@ def run_phases(
     for i, k in enumerate(dec.cliques):
         if i in colored_by:
             continue
-        if phase4_color(k.vertices, C, palettes, non_edges_of[i]):
+        if phase4_color(k.vertices, C, palettes, k.non_edge_pairs):
             colored_by[i] = 4
         else:
             deferred.append(i)

@@ -71,7 +71,8 @@ class SampleCollector:
 class AlmostClique:
     vertices: list[int]
     size_class: str = SMALL
-    non_edges: int | None = None
+    non_edges: int | None = None     # the number of rows of non_edge_pairs
+    non_edge_pairs: np.ndarray | None = None
     holey: bool | None = None
     kind: str | None = None          # FRIENDLY or LONELY
     witness: int | None = None       # non-stranger witness for friendly cliques
@@ -109,11 +110,14 @@ def is_eps_sparse(oracle: Graph, eps: float, delta: int) -> np.ndarray:
     return (d >= 2) & (non_edges >= threshold * (1 - 1e-9))
 
 
-def count_non_edges(K, graph: Graph) -> int:
-    """Unordered pairs inside K that are not edges of the graph."""
+def non_edge_pairs(K, graph: Graph) -> np.ndarray:
+    """The pairs a < b inside K that the graph does not join, ascending,
+    as a (k, 2) int64 array."""
     verts = np.asarray(sorted(K), dtype=np.int64)
-    inside, _ = graph.within(verts)
-    return verts.size * (verts.size - 1) // 2 - inside.size // 2
+    joined = np.zeros((verts.size, verts.size), dtype=bool)
+    joined[graph.within(verts)] = True
+    a, b = np.nonzero(np.triu(~joined, 1))
+    return np.stack([verts[a], verts[b]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +232,16 @@ def compute_decomposition(
 
 
 def annotate_cliques(dec: Decomposition, params: ParamSet, delta: int, graph: Graph) -> None:
-    """Fill non-edge counts and holey flags as judged from the graph: the
-    shadow when there is one, the stored edges of H otherwise."""
+    """Fill non-edge pairs, their counts and holey flags as judged from the
+    graph: the shadow when there is one, the stored edges of H otherwise.
+
+    H stands in for a missing shadow soundly for phase 4: a G-edge that H
+    lacks joins disjoint union lists, which no shared-color matching picks.
+    """
     thr = params.holey_threshold(delta)
     for k in dec.cliques:
-        k.non_edges = count_non_edges(k.vertices, graph)
+        k.non_edge_pairs = non_edge_pairs(k.vertices, graph)
+        k.non_edges = len(k.non_edge_pairs)
         k.holey = k.non_edges >= thr
 
 

@@ -337,20 +337,17 @@ def generate_instance(family: str, delta: int, count: int = 1, seed: int = 0,
     return inst
 
 
-def source_from_spec(spec: str, seed: int = 0):
-    from streamcolor.stream import StreamSource
-
+def instance_from_spec(spec: str, seed: int = 0) -> Instance:
+    """The instance a 'family:key=val,...' spec names; a seed in the spec
+    wins over `seed`."""
     family, params = parse_generator_spec(spec)
     if "delta" not in params:
         raise GeneratorSpecError(f"spec {spec!r} must set delta")
-    gen_seed = params.get("seed", seed)
-    inst = generate_instance(
-        family,
-        params["delta"],
-        count=params.get("count", 1),
-        seed=gen_seed,
-        n=params.get("n"),
-        t=params.get("t"),
-    )
-    src = StreamSource(inst.n, inst.edges, seed=seed, name=spec)
-    return src
+    return generate_instance(family, **({"seed": seed} | params))
+
+
+def source_from_spec(spec: str, seed: int = 0):
+    from streamcolor.stream import StreamSource
+
+    inst = instance_from_spec(spec, seed)
+    return StreamSource(inst.n, inst.edges, seed=seed, name=spec)

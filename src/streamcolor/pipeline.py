@@ -10,7 +10,7 @@ component and costs one more main pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +77,8 @@ class RunResult:
     shadow: Graph | None = None
     palettes: object = None
     conflict: object = None
-    recovery: object = None
     dec: object = None
-    phase_result: object = None
-    critical_helpers: dict = dc_field(default_factory=dict)
-    friendly_helpers: dict = dc_field(default_factory=dict)
+    phase_result: object = None      # H+ and the helpers used are read here
 
 
 def _prepass(src: StreamSource, want_shadow: bool):
@@ -109,16 +106,6 @@ def _prepass(src: StreamSource, want_shadow: bool):
         edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
         shadow = AdjacencyOracle(n, edges)
     return census, shadow, m
-
-
-def _non_edges_in(vertices, graph: Graph) -> np.ndarray:
-    """The pairs a < b of the vertices that the graph does not join,
-    ascending, as a (k, 2) int64 array."""
-    verts = np.asarray(sorted(vertices), dtype=np.int64)
-    joined = np.zeros((verts.size, verts.size), dtype=bool)
-    joined[graph.within(verts)] = True
-    a, b = np.nonzero(np.triu(~joined, 1))
-    return np.stack([verts[a], verts[b]], axis=1)
 
 
 def _main_pass(src, n, delta, params, seed, bank=None):
@@ -181,17 +168,7 @@ def _attempt(src, n, delta, params, run_seed, shadow):
                 friendly_helpers[i] = h
         return found, friendly_helpers, build_recovery_graph(n, found, friendly_helpers)
 
-    # H stands in for a missing shadow: a G-edge that H lacks joins disjoint
-    # union lists, which no shared-color matching picks; phase 2 reads none
-    non_edges_of = {
-        i: _non_edges_in(k.vertices, shadow if shadow is not None else conflict)
-        for i, k in enumerate(dec.cliques)
-        if col.responsible_phase(k) != 2
-    }
-
-    phase_result = col.run_phases(
-        conflict, palettes, dec, non_edges_of, find_helpers, params, run_seed, delta
-    )
+    phase_result = col.run_phases(conflict, palettes, dec, find_helpers, params, run_seed)
 
     space = palette_space_report(palettes, conflict)
     space_report = {
@@ -214,21 +191,23 @@ def _attempt(src, n, delta, params, run_seed, shadow):
         "palettes": palettes,
         "conflict": conflict,
         "dec": dec,
-        "isample": isample,
-        "bank": bank,
         "phase_result": phase_result,
         "space": space_report,
     }
 
 
-def _verify_against_shadow(colors: np.ndarray, shadow: Graph, delta: int) -> None:
-    if (colors < 1).any() or (colors > delta).any():
-        raise col.ColoringError("final coloring out of range")
-    e = shadow.edges()
-    same = np.flatnonzero(colors[e[:, 0]] == colors[e[:, 1]])
+def _coloring_fault(colors: np.ndarray, edges: np.ndarray, delta: int) -> str | None:
+    """The first fault of a total coloring: the first vertex whose color is
+    outside 1..delta, else the first monochromatic edge in edges order."""
+    outside = np.flatnonzero((colors < 1) | (colors > delta))
+    if outside.size:
+        v = int(outside[0])
+        return f"color out of range at vertex {v}: {int(colors[v])}"
+    same = np.flatnonzero(colors[edges[:, 0]] == colors[edges[:, 1]])
     if same.size:
-        u, v = e[same[0]].tolist()
-        raise col.ColoringError(f"monochromatic edge ({u},{v})")
+        u, v = edges[same[0]].tolist()
+        return f"monochromatic edge ({u},{v})"
+    return None
 
 
 def color_run(cfg: RunConfig) -> RunResult:
@@ -286,21 +265,14 @@ def color_run(cfg: RunConfig) -> RunResult:
         except col.RunFailure as f:
             failures.append({"attempt": attempt, "phase": f.phase, "detail": f.detail})
             continue
-        except DecompositionFailed as f:
-            report = base_report | {
-                "status": PIPELINE_FAILED,
-                "pipeline": "streaming",
-                "failures": failures + [{"attempt": attempt, "phase": "decomposition", "detail": str(f)}],
-                "passes": src.passes,
-            }
-            return RunResult(
-                status=PIPELINE_FAILED, colors=None, report=report,
-                delta=delta, params=params, shadow=shadow,
-            )
-        colors = out["phase_result"].colors
-        if shadow is not None:
-            _verify_against_shadow(colors, shadow, delta)
+        except DecompositionFailed as f:  # a wrong decomposition is not bad luck
+            failures.append({"attempt": attempt, "phase": "decomposition", "detail": str(f)})
+            break
         pr = out["phase_result"]
+        colors = pr.colors
+        fault = None if shadow is None else _coloring_fault(colors, shadow.edges(), delta)
+        if fault is not None:
+            raise col.ColoringError(f"final coloring: {fault}")
         cliques = [
             {
                 "index": i,
@@ -333,11 +305,8 @@ def color_run(cfg: RunConfig) -> RunResult:
             shadow=shadow,
             palettes=out["palettes"],
             conflict=out["conflict"],
-            recovery=pr.recovery,
             dec=out["dec"],
             phase_result=pr,
-            critical_helpers=pr.critical_helpers,
-            friendly_helpers=pr.friendly_helpers,
         )
 
     report = base_report | {
@@ -392,12 +361,5 @@ def verify_coloring(graph_source: str, colors: dict[int, int] | np.ndarray,
     missing = np.flatnonzero(arr == 0)
     if missing.size:
         return False, f"vertex {int(missing[0])} uncolored"
-    if (arr < 1).any() or (arr > delta).any():
-        v = int(np.flatnonzero((arr < 1) | (arr > delta))[0])
-        return False, f"color out of range at vertex {v}: {int(arr[v])}"
-    e = src.edges
-    same = np.flatnonzero(arr[e[:, 0]] == arr[e[:, 1]])
-    if same.size:
-        u, v = e[same[0]].tolist()
-        return False, f"monochromatic edge ({u},{v})"
-    return True, "ok"
+    fault = _coloring_fault(arr, src.edges, delta)
+    return fault is None, fault or "ok"

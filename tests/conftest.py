@@ -24,6 +24,14 @@ def oracle_from_edges(n, edges) -> Graph:
     return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
+def brute_non_edges(vertices, graph) -> list[tuple[int, int]]:
+    """The pairs a < b of the vertices that the graph does not join,
+    ascending, listed one `has_edge` call at a time."""
+    verts = sorted(vertices)
+    return [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]
+            if not graph.has_edge(a, b)]
+
+
 def reference_edge_list(path) -> tuple[int, np.ndarray]:
     """The line-by-line edge-list reader that `StreamSource.from_file`
     replaced, kept as its oracle: (n, edges as (min, max) in file order)."""

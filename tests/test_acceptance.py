@@ -359,7 +359,7 @@ def e2e_stats():
                     verified, _ = verify_coloring(spec, res.colors, delta, seed=seed)
                     ok = verified and int(res.colors.max()) <= delta
                     # out-of-palette invariant, judged against the shadow
-                    pal, rec, shadow = res.palettes, res.recovery, res.shadow
+                    pal, rec, shadow = res.palettes, res.phase_result.recovery, res.shadow
                     for v in range(res.dec.n if res.dec else 0):
                         c = int(res.colors[v])
                         word, bit = (c - 1) // 64, (c - 1) % 64

@@ -295,3 +295,34 @@ def test_writers_match_a_per_line_writer(tmp_path, m):
     cli.write_coloring(str(tmp_path / "got.colors"), colors)
     _write_lines(tmp_path / "want.colors", None, enumerate(colors))
     assert (tmp_path / "got.colors").read_bytes() == (tmp_path / "want.colors").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["color", "verify"])
+def test_a_graph_too_large_for_memory_exits_4(tmp_path, command):
+    # the address-space cap makes the allocation fail on hosts that
+    # overcommit too; one BLAS thread keeps numpy's import under it
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    graph, colors = tmp_path / "g.txt", tmp_path / "g.colors"
+    graph.write_text("10000000000\n0 9999999999\n1 2\n")
+    colors.write_text("0 1\n")
+    argv = {
+        "color": ["--input", graph, "--out", tmp_path / "out"],
+        "verify": ["--graph", graph, "--coloring", colors, "--delta", 1],
+    }[command]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "streamcolor.cli", command, *map(str, argv)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1

@@ -21,7 +21,13 @@ from streamcolor.helpers import CriticalHelper, FriendlyHelper, RecoveryGraph
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, color_run
 
-from conftest import build_conflict_graph, measure_gap, oracle_from_edges, uniform_palettes
+from conftest import (
+    brute_non_edges,
+    build_conflict_graph,
+    measure_gap,
+    oracle_from_edges,
+    uniform_palettes,
+)
 
 
 def _conflict_from(n, edges):
@@ -497,24 +503,14 @@ def test_phase_extension_discipline():
     assert res.status == "success"
 
     # re-run the phases with the attached artifacts and a snapshot hook
-    non_edges_of = {
-        i: [
-            (a, b)
-            for a in k.vertices
-            for b in k.vertices
-            if a < b and not res.shadow.has_edge(a, b)
-        ]
-        for i, k in enumerate(res.dec.cliques)
-    }
+    pr = res.phase_result
     col.run_phases(
         res.conflict,
         res.palettes,
         res.dec,
-        non_edges_of,
-        lambda critical, friendly: (res.critical_helpers, res.friendly_helpers, res.recovery),
+        lambda critical, friendly: (pr.critical_helpers, pr.friendly_helpers, pr.recovery),
         res.params,
         cfg.seed,
-        res.delta,
         on_phase=lambda tag, colors: snaps.setdefault(tag, colors),
     )
     # phases 2 and 3 extend what came before
@@ -560,6 +556,30 @@ def test_decompose_run_shows_the_decomposition_color_run_used(no_shadow, monkeyp
 
     assert dec.cliques and fields(dec) == fields(res.dec)
     assert dec.v_sparse == res.dec.v_sparse
+    # each clique lists its non-edges over the graph it was judged from
+    judged_on = res.conflict if no_shadow else res.shadow
+    for k in res.dec.cliques:
+        assert [tuple(p) for p in k.non_edge_pairs.tolist()] == brute_non_edges(
+            k.vertices, judged_on)
+        assert k.non_edges == len(k.non_edge_pairs)
+
+
+@pytest.mark.parametrize("fault", ["range", "edge"])
+def test_final_check_catches_a_bad_coloring(fault, monkeypatch):
+    from streamcolor import coloring as col
+
+    run_phases = col.run_phases
+
+    def corrupted(*args, **kwargs):
+        result = run_phases(*args, **kwargs)
+        u, v = args[0].edges()[0].tolist()  # an edge of H, so of the shadow too
+        result.colors[u] = args[1].delta + 1 if fault == "range" else result.colors[v]
+        return result
+
+    monkeypatch.setattr(col, "run_phases", corrupted)
+    want = "color out of range at vertex" if fault == "range" else "monochromatic edge"
+    with pytest.raises(col.ColoringError, match=f"final coloring: {want}"):
+        color_run(RunConfig(source="mixed:delta=16,seed=2", seed=2, retries=0))
 
 
 def test_shared_witness_is_recolored_twice():
@@ -617,8 +637,8 @@ def test_shared_witness_is_recolored_twice():
         assert (critical, friendly_cliques) == ([], [0, 1])
         return {}, friendly, rec
 
-    non_edges = {i: [] for i in range(len(dec.cliques))}  # true cliques inside
-    result = col.run_phases(h, pal, dec, non_edges, find_helpers, params, 3, delta)
+    assert all(k.non_edges == 0 for k in dec.cliques)  # true cliques inside
+    result = col.run_phases(h, pal, dec, find_helpers, params, 3)
     assert result.colored_by == {0: 6, 1: 6}
     assert result.recolored == [w, w]  # same witness, recolored per clique
     for a, b in edges:

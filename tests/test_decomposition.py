@@ -15,9 +15,9 @@ from streamcolor.decomposition import (
     SampleCollector,
     classify_friendly_lonely,
     compute_decomposition,
-    count_non_edges,
     friend_stranger_test,
     is_eps_sparse,
+    non_edge_pairs,
     sampled_common,
     size_class_of,
     verify_decomposition,
@@ -27,7 +27,7 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run
 from streamcolor.stream import stream_source
 
-from conftest import collect_samples, oracle_from_edges, planted_mistakes, shadow_of, source_of
+from conftest import brute_non_edges, collect_samples, oracle_from_edges, planted_mistakes, shadow_of, source_of
 
 
 def _clique_edges(vertices):
@@ -230,18 +230,25 @@ def test_hand_built_valid_decomposition_passes():
     assert verify_decomposition(dec, oracle, params.eps, delta).ok
 
 
-# ---- non-edge counting and size classes -------------------------------------
+# ---- non-edge listing and size classes --------------------------------------
 
 
-def test_count_non_edges():
+def _listed(K, graph):
+    pairs = non_edge_pairs(K, graph)
+    assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+    assert [tuple(p) for p in pairs.tolist()] == brute_non_edges(K, graph)
+    return pairs.tolist()
+
+
+def test_non_edge_pairs():
     delta = 8
     k = delta + 1
     oracle = oracle_from_edges(k, _clique_edges(list(range(k))))
-    assert count_non_edges(range(k), oracle) == 0
+    assert _listed(range(k), oracle) == []
 
     edges = _clique_edges(list(range(k)))[1:]
     oracle2 = oracle_from_edges(k, edges)
-    assert count_non_edges(range(k), oracle2) == 1
+    assert _listed(range(k), oracle2) == [[0, 1]]
 
     # a large almost-clique (delta+2 vertices at max degree delta) carries
     # at least (delta+2)/2 non-edges
@@ -249,9 +256,12 @@ def test_count_non_edges():
     matching = [(i, i + 1) for i in range(0, big, 2)]
     edges3 = [e for e in _clique_edges(list(range(big))) if e not in matching]
     oracle3 = oracle_from_edges(big, edges3)
-    t = count_non_edges(range(big), oracle3)
-    assert t >= (delta + 2) / 2
+    assert _listed(range(big), oracle3) == [list(e) for e in matching]
+    assert len(matching) >= (delta + 2) / 2
     assert size_class_of(big, delta) == LARGE
+    # any vertex order, any subset, and the empty set
+    assert _listed([9, 3, 0, 1], oracle3) == [[0, 1]]
+    assert _listed([], oracle3) == []
 
 
 def test_size_classes():

@@ -4,6 +4,7 @@ import pytest
 from streamcolor.generators import (
     GeneratorSpecError,
     generate_instance,
+    instance_from_spec,
     parse_generator_spec,
 )
 
@@ -24,6 +25,17 @@ def test_spec_grammar():
         parse_generator_spec("clique-pairs:delta")
     with pytest.raises(GeneratorSpecError):
         parse_generator_spec("clique-pairs:frob=1")
+
+
+def test_instance_from_spec():
+    got = instance_from_spec("holey-clique:Δ=16,t=3,blocks=2", seed=5)
+    want = generate_instance("holey-clique", 16, count=2, seed=5, t=3)
+    assert np.array_equal(got.edges, want.edges) and got.n == want.n
+    # a seed in the spec wins over the caller's
+    got = instance_from_spec("random-regular:delta=6,n=50,seed=4", seed=5)
+    assert np.array_equal(got.edges, generate_instance("random-regular", 6, n=50, seed=4).edges)
+    with pytest.raises(GeneratorSpecError, match="must set delta"):
+        instance_from_spec("mixed:count=2")
 
 
 def test_clique_pairs_shape():

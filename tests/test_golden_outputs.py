@@ -147,8 +147,8 @@ def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
     in_list = (res.palettes.masks[np.arange(res.colors.size), c // 64]
                >> (c % 64).astype(np.uint64)) & np.uint64(1)
     for v in np.flatnonzero(in_list == 0).tolist():
-        assert v in res.recovery.known
-        assert res.recovery.neighbors(v) == shadow.neighbors(v)
+        assert v in res.phase_result.recovery.known
+        assert res.phase_result.recovery.neighbors(v) == shadow.neighbors(v)
     assert _run_digests(res) == DEFERRED_RUNS[spec]
 
 

@@ -157,8 +157,9 @@ def test_helpers_are_recovered_only_for_deferred_cliques(monkeypatch, deferred):
         assert {f["phase"] for f in res.report["failures"]} == {"helpers"}
     else:
         assert res.status == pipeline.SUCCESS and res.report["attempts"] == 1
-        assert res.critical_helpers == res.friendly_helpers == {}
-        assert not res.recovery.known and res.recovery.m == 0
+        pr = res.phase_result
+        assert pr.critical_helpers == pr.friendly_helpers == {}
+        assert not pr.recovery.known and pr.recovery.m == 0
         assert res.report["space"]["hplus_bits"] == 0
 
 
