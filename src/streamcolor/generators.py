@@ -6,11 +6,19 @@ delta-coloring hard: near-cliques whose only valid colorings repeat a
 color on a non-edge, clique pairs with switched edges, delta-cliques
 with either one stray edge per vertex or a couple of heavily-connected
 outside neighbors.
+
+The two random families are in-package, stdlib-seeded versions of
+NetworkX 3.6's generators: random-regular is the Steger-Wormald pairing
+model, erdos-renyi is Gilbert's G(n, p) followed by a degree trim and a
+local-sparsity repair.  At the same seed both give NetworkX's edges in
+NetworkX's order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,15 +180,61 @@ def _mixed_blocks(delta: int, rng):
     ]
 
 
-def _random_regular(n: int, delta: int, seed: int) -> list[tuple[int, int]]:
-    import networkx as nx
+def _random_regular(n: int, delta: int, seed: int) -> np.ndarray:
+    """A random delta-regular graph from the pairing model of Steger and
+    Wormald (1999): shuffle n*delta stubs, pair them off, keep the pairs
+    that are neither loops nor repeats, and pair the leftover stubs again;
+    an attempt whose leftovers admit no new edge starts over.
 
+    The draws, the retries and the edge order are those of NetworkX 3.6's
+    `random_regular_graph` at the same integer seed, so the edges equal its
+    `g.edges()` row for row."""
     if (n * delta) % 2:
         raise GeneratorSpecError("n*delta must be even for a regular graph")
     if delta >= n:
         raise GeneratorSpecError("need delta < n")
-    g = nx.random_regular_graph(delta, n, seed=seed)
-    return [(min(u, v), max(u, v)) for u, v in g.edges()]
+    rnd = random.Random(int(seed))
+
+    def suitable(edges, potential) -> bool:
+        # some two leftover stubs could still form a new edge
+        if not potential:
+            return True
+        for s1 in potential:
+            for s2 in potential:
+                if s1 == s2:
+                    break
+                if s1 > s2:  # rebinds s1 for the rest of the row, as NetworkX does
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def attempt():
+        edges = set()
+        stubs = list(range(n)) * delta
+        while stubs:
+            potential: dict[int, int] = {}
+            rnd.shuffle(stubs)
+            it = iter(stubs)
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] = potential.get(s1, 0) + 1
+                    potential[s2] = potential.get(s2, 0) + 1
+            if not suitable(edges, potential):
+                return None
+            stubs = [v for v, k in potential.items() for _ in range(k)]
+        return edges
+
+    edges = attempt()
+    while edges is None:
+        edges = attempt()
+    e = np.array(list(edges), dtype=np.int64)
+    # NetworkX lists a node's edges in insertion order, the nodes ascending
+    return e[np.argsort(e[:, 0], kind="stable")]
 
 
 def _desk_sparse_floor(delta: int) -> int:
@@ -190,82 +244,94 @@ def _desk_sparse_floor(delta: int) -> int:
     return max(1, math.ceil(eps_delta * eps_delta / 2))
 
 
-def _ensure_locally_sparse(g, degs, delta: int, rng) -> None:
+def _ensure_locally_sparse(adj: list[dict], degs: list[int], delta: int, rng) -> None:
     """Add edges at vertices whose neighborhoods are too clique-like
     (degree <= 1 or too few non-adjacent neighbor pairs) until every
     vertex clears the desk sparsity floor."""
     floor = _desk_sparse_floor(delta)
-    nodes = sorted(g.nodes())
+    n = len(adj)
     for _ in range(50):
         dirty = False
-        for v in nodes:
+        for v in range(n):
             while True:
-                nbrs = list(g.neighbors(v))
+                nbrs = list(adj[v])
                 non_edges = sum(
                     1
                     for i, a in enumerate(nbrs)
                     for b in nbrs[i + 1 :]
-                    if not g.has_edge(a, b)
+                    if b not in adj[a]
                 )
                 if len(nbrs) >= 2 and non_edges >= floor:
                     break
                 pool = [
                     w
-                    for w in nodes
-                    if w != v and degs[w] < delta and not g.has_edge(v, w)
+                    for w in range(n)
+                    if w != v and degs[w] < delta and w not in adj[v]
                 ]
                 if not pool or degs[v] >= delta:
                     raise GeneratorSpecError(
                         f"cannot make vertex {v} locally sparse at delta={delta}"
                     )
                 w = pool[int(rng.integers(len(pool)))]
-                g.add_edge(v, w)
-                degs[v] += 1
-                degs[w] += 1
+                _add_edge(adj, degs, v, w)
                 dirty = True
         if not dirty:
             return
     raise GeneratorSpecError("local-sparsity repair did not converge")
 
 
-def _erdos_renyi(n: int, delta: int, seed: int) -> list[tuple[int, int]]:
-    """G(n, p) tuned and trimmed so the max degree is exactly delta and
-    every vertex is locally sparse enough for the decomposition (clique-like
-    neighborhoods are neither sparse nor almost-clique members, so the
-    verification gate would refuse them)."""
-    import networkx as nx
+def _add_edge(adj: list[dict], degs: list[int], v: int, w: int) -> None:
+    adj[v][w] = adj[w][v] = None
+    degs[v] += 1
+    degs[w] += 1
 
+
+def _erdos_renyi(n: int, delta: int, seed: int) -> np.ndarray:
+    """Gilbert's G(n, p) with p = delta / (1.3 n), tuned and trimmed so the
+    max degree is exactly delta and every vertex is locally sparse enough
+    for the decomposition (clique-like neighborhoods are neither sparse nor
+    almost-clique members, so the verification gate would refuse them).
+
+    Adjacency is a list of insertion-ordered dicts: deleting an edge and
+    adding it again moves it to the end, as in a NetworkX `Graph`, so the
+    sampled graph and its edge order equal NetworkX 3.6's
+    `gnp_random_graph` at the same integer seed, put through the same
+    trim, fill and repair."""
     if delta >= n:
         raise GeneratorSpecError("need delta < n")
     if delta < 3 or n < 5:
         raise GeneratorSpecError("need delta >= 3 and n >= 5")
-    g = nx.gnp_random_graph(n, min(1.0, delta / (1.3 * n)), seed=seed)
-    degs = dict(g.degree())
+    rnd = random.Random(int(seed))
+    p = delta / (1.3 * n)
+    adj: list[dict] = [{} for _ in range(n)]
+    degs = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rnd.random() < p:
+            _add_edge(adj, degs, u, v)
     rng = rng_for(seed, "instance", extra=1)
     while True:
-        hot = [v for v, d in degs.items() if d > delta]
+        hot = [v for v in range(n) if degs[v] > delta]
         if not hot:
             break
         v = hot[0]
-        nbrs = list(g.neighbors(v))
+        nbrs = list(adj[v])
         w = nbrs[int(rng.integers(len(nbrs)))]
-        g.remove_edge(v, w)
+        del adj[v][w], adj[w][v]
         degs[v] -= 1
         degs[w] -= 1
-    if max(degs.values(), default=0) < delta:
-        order = sorted(g.nodes())
-        for v in order:
+    if max(degs) < delta:
+        for v in range(n):
             if degs[v] >= delta:
                 break
-            for w in order:
-                if w != v and degs[w] < delta and not g.has_edge(v, w):
-                    g.add_edge(v, w)
-                    degs[v] += 1
-                    degs[w] += 1
+            for w in range(n):
+                if w != v and degs[w] < delta and w not in adj[v]:
+                    _add_edge(adj, degs, v, w)
                     if degs[v] >= delta:
                         break
-    _ensure_locally_sparse(g, degs, delta, rng)
-    return [(min(u, v), max(u, v)) for u, v in g.edges()]
+    _ensure_locally_sparse(adj, degs, delta, rng)
+    return np.array(
+        [(u, v) for u in range(n) for v in adj[u] if v > u], dtype=np.int64
+    ).reshape(-1, 2)
 
 
 def generate_instance(family: str, delta: int, count: int = 1, seed: int = 0,
@@ -280,24 +346,20 @@ def generate_instance(family: str, delta: int, count: int = 1, seed: int = 0,
         raise GeneratorSpecError("delta must be >= 3")
     if count < 1:
         raise GeneratorSpecError("count must be >= 1")
-    rng = rng_for(seed, "instance")
 
     if family in ("random-regular", "erdos-renyi"):
         n = n if n is not None else 10 * delta
-        edges = (
-            _random_regular(n, delta, seed)
-            if family == "random-regular"
-            else _erdos_renyi(n, delta, seed)
-        )
+        make = _random_regular if family == "random-regular" else _erdos_renyi
         inst = Instance(
             n=n,
-            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            edges=make(n, delta, seed),
             delta=delta,
             family=family,
             blocks=[list(range(n))],
             cores=[],
         )
     else:
+        rng = rng_for(seed, "instance")
         all_edges: list[tuple[int, int]] = []
         blocks: list[list[int]] = []
         cores: list[list[int]] = []

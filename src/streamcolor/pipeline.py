@@ -244,6 +244,9 @@ def color_run(cfg: RunConfig) -> RunResult:
             _, adj_source, _ = _prepass(src, want_shadow=True)
         adj = [adj_source.neighbors(v) for v in range(n)]
         colors = col.offline_brooks(adj, max(delta, 1))
+        fault = _coloring_fault(colors, adj_source.edges(), delta)
+        if fault is not None:
+            raise col.ColoringError(f"final coloring: {fault}")
         report = base_report | {
             "status": SUCCESS,
             "pipeline": "offline",

@@ -582,6 +582,23 @@ def test_final_check_catches_a_bad_coloring(fault, monkeypatch):
         color_run(RunConfig(source="mixed:delta=16,seed=2", seed=2, retries=0))
 
 
+@pytest.mark.parametrize("no_shadow", [False, True])
+def test_offline_route_checks_its_coloring(no_shadow, monkeypatch):
+    from streamcolor import coloring as col
+
+    offline_brooks = col.offline_brooks
+
+    def corrupted(adj, delta):
+        colors = offline_brooks(adj, delta)
+        colors[0] = colors[min(adj[0])]
+        return colors
+
+    monkeypatch.setattr(col, "offline_brooks", corrupted)
+    cfg = RunConfig(source="clique-minus-edge:delta=5,count=2,seed=1", no_shadow=no_shadow)
+    with pytest.raises(col.ColoringError, match=r"final coloring: monochromatic edge \(0,"):
+        color_run(cfg)
+
+
 def test_shared_witness_is_recolored_twice():
     # two friendly delta-cliques hanging off one witness: phase 6 must
     # recolor the same outside vertex once per clique, burning one fresh

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,53 @@ def test_infeasible_specs():
         generate_instance("holey-clique", 4, t=100)
     with pytest.raises(GeneratorSpecError):
         generate_instance("clique-pairs", 8, count=0)
+
+
+# sha256 of inst.edges.tobytes(), pinned with the NetworkX 3.6 generators
+# the in-package ones replace: same edges, same order, same dtype
+GENERATOR_GOLDENS = [
+    ("random-regular", 16, 2000, 1, "fb2c7bed9c5f95b046b5ccb29673257b53f7373e4c63d9d04227dc97963c1345"),
+    ("random-regular", 16, 2000, 2, "a956b12f1aeacce9a584d660710aa44c8bbed964eb08873fcdca58e2f5dc32da"),
+    ("random-regular", 16, 2000, 3, "2c46f9c9bab9c81a18952c672224c12c5e27e74bdfabe8b4e477f04fc34daa53"),
+    ("random-regular", 64, 600, 1, "74d43198d5507891fcb1092f549723ce48d010619524018ff1170b9fb22f0e17"),
+    ("random-regular", 64, 600, 2, "326a137af9f17fac0d53de01255d86c4c3cf955f2247a4b9c8381b2893b34a7e"),
+    ("random-regular", 64, 600, 3, "9c7e6f89e601908e776b39960c8d52d62ca629e97bbaa4fea6870a04525dc746"),
+    ("random-regular", 16, 400, 1, "918de56eaab2e0d0e36ea59348c8bb4eef22dbc8af050d6392b82dd2bf65aae7"),
+    ("erdos-renyi", 12, 150, 0, "aeb4d5d8a2f324b97e6f21aec75a350fe67329cb7dcc204ea2f6746054f12aca"),
+    ("erdos-renyi", 12, 150, 1, "1944344cc73f8b468c1693bf72485eec10e2071e8e158adcceaff7b537afcb74"),
+    ("erdos-renyi", 12, 150, 2, "dd4f375896c72b072214d77b492a39a154fe1932443835ff794c4b0990f9eeb7"),
+    ("erdos-renyi", 12, 150, 3, "afb6fe594cfbfa22ff45880a76dceeeb618d3f82d5ebbf2749acfc5cfea9fb6f"),
+    ("erdos-renyi", 12, 150, 4, "a19aeff2e984c11c76cf7f7976c921f5a6ae79193da6023aa74e57d897b51b9d"),
+    ("erdos-renyi", 12, 150, 5, "7f752c239d13aa8baac49256cf680fba585c1ba97883621b8eac14ac11c18baa"),
+    ("erdos-renyi", 12, 150, 6, "cdf2a610e0a10e654a03ee9dd6bd7efb49fc6579a454758fd426445a1290bd40"),
+    ("erdos-renyi", 12, 150, 7, "74c20c654201b830e9866f5ee7ef067339dc440a6c19b41d48f6e26c4c78b8c1"),
+    ("erdos-renyi", 32, 1000, 5, "9e3f8055573163d2d72b78eb1018f1ac0e8c531ff2aeb6a2b7763124d55c27c6"),
+]
+
+
+@pytest.mark.parametrize("family,delta,n,seed,digest", GENERATOR_GOLDENS)
+def test_random_instance_golden(family, delta, n, seed, digest):
+    inst = generate_instance(family, delta, n=n, seed=seed)
+    assert inst.edges.dtype == np.int64 and inst.edges.shape[1] == 2
+    assert hashlib.sha256(inst.edges.tobytes()).hexdigest() == digest
+
+
+def test_random_generators_never_import_networkx():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import streamcolor
+
+    code = (
+        "import sys\n"
+        "from streamcolor.generators import generate_instance\n"
+        "generate_instance('random-regular', 6, n=40, seed=1)\n"
+        "generate_instance('erdos-renyi', 8, n=40, seed=1)\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(streamcolor.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
