@@ -3,7 +3,9 @@
 The stream passes spend nearly all of their time here (the PRF that
 draws the neighbor samples and the sketch check columns, field-sketch
 accumulation, union-find).  Each kernel takes a whole chunk of edges and
-leaves the same state the one-edge-at-a-time definition would.
+leaves the same state the one-edge-at-a-time definition would.  A pass
+reads chunks of O(n) edges (`stream.chunk_edges`); the chunk in flight is
+the stream's read buffer, not state the algorithm keeps.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ def prf_uniform(seed: int, a, b, c=0):
 # at r.
 # ---------------------------------------------------------------------------
 
-_COLUMN_BLOCK = 16  # state columns built and gathered at a time; bounds the temporaries
+_GATHER_ENTRIES = 1 << 17  # entries of one gathered block (1 MiB); bounds the temporaries
+_MAX_COLUMNS = 16          # columns per block when the chunk is short
 
 
-def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int):
+def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int, step: int):
     """The state columns of the vertices ``ends``, in blocks of at most
-    _COLUMN_BLOCK: yields (first column, block laid out (columns, |ends|)).
+    ``step``: yields (first column, block laid out (columns, |ends|)).
 
     Columns [0, 2*r_max) are the powers (v+1)^k mod p; then each rate's
     alpha check columns, PRF(zseed, r, v, row) mod p.
@@ -68,8 +71,8 @@ def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int):
     width = 2 * rates[-1]
     node = (ends + 1) % p
     acc = np.ones_like(node)
-    for c0 in range(0, width, _COLUMN_BLOCK):
-        block = np.empty((min(_COLUMN_BLOCK, width - c0), ends.size), dtype=np.int64)
+    for c0 in range(0, width, step):
+        block = np.empty((min(step, width - c0), ends.size), dtype=np.int64)
         for k in range(block.shape[0]):
             block[k] = acc
             acc = acc * node
@@ -77,9 +80,22 @@ def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int):
         yield c0, block
     check = np.arange(len(rates) * alpha, dtype=np.int64)
     rate_of = np.asarray(rates, dtype=np.int64)[check // alpha]
-    for c0 in range(0, check.size, _COLUMN_BLOCK):
-        c = check[c0 : c0 + _COLUMN_BLOCK, None]
+    for c0 in range(0, check.size, step):
+        c = check[c0 : c0 + step, None]
         yield width + c0, prf_mod(zseed, rate_of[c], ends[None, :], c % alpha, p)
+
+
+def _incidences(us, vs):
+    """Both directions of the edges (us, vs), grouped by receiving endpoint:
+    the distinct receivers ascending, where each one's group starts, and
+    each incidence's source as a position among the receivers.  The sort's
+    temporaries are freed on return."""
+    dst = np.concatenate([vs, us])
+    order = np.argsort(dst)  # any order within a group: the sums are exact
+    dst = dst[order]
+    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+    ends = dst[starts]
+    return ends, starts, np.searchsorted(ends, np.concatenate([us, vs])[order])
 
 
 def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) -> None:
@@ -92,6 +108,12 @@ def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) 
     endpoints, so their columns are built once per endpoint, gathered per
     incidence, summed per receiving endpoint and added to its row once.
 
+    A pass reads chunks of O(n) edges (`stream.chunk_edges`), so each
+    endpoint's columns serve many incidences.  The columns are gathered
+    as many at a time as fit in `_GATHER_ENTRIES` entries (at least one,
+    at most `_MAX_COLUMNS`), so the temporaries are O(chunk) index arrays
+    plus one such block, whatever the chunk length.
+
     Nothing is reduced mod p here: every column entry is below p, so a
     vertex of degree deg < p sums to less than deg * p < p^2, which is
     exact in int64 for p <= `field.MAX_PRIME`, the largest p with
@@ -99,14 +121,9 @@ def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) 
     """
     if us.size == 0:
         return
-    dst = np.concatenate([vs, us])
-    order = np.argsort(dst)  # any order within a group: the sums are exact
-    dst = dst[order]
-    src = np.concatenate([us, vs])[order]
-    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-    ends = dst[starts]
-    idx = np.searchsorted(ends, src)
-    for c0, block in _endpoint_columns(ends, rates, alpha, p, zseed):
+    ends, starts, idx = _incidences(us, vs)
+    step = min(_MAX_COLUMNS, max(1, _GATHER_ENTRIES // idx.size))
+    for c0, block in _endpoint_columns(ends, rates, alpha, p, zseed, step):
         S = np.add.reduceat(np.take(block, idx, axis=1), starts, axis=1)
         W[ends, c0 : c0 + S.shape[0]] += S.T
 
@@ -118,35 +135,33 @@ def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) 
 # ---------------------------------------------------------------------------
 
 
-def _roots_of(parent, x):
-    """Roots of the vertices x by pointer jumping; halves the paths walked."""
-    r = parent[x]
+def _flatten(parent) -> None:
+    """Point every vertex straight at its root, in place, by pointer jumping."""
     while True:
-        up = parent[r]
-        if np.array_equal(up, r):
-            break
-        gp = parent[up]
-        parent[r] = gp
-        r = gp
-    parent[x] = r
-    return r
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return
+        parent[:] = up
 
 
 def uf_union_batch(parent, us, vs) -> None:
-    """Union the endpoints of every edge of one chunk (hook and jump)."""
+    """Union the endpoints of every edge of one chunk (hook and jump).
+
+    Each round flattens the whole forest, O(n) work that a chunk of at
+    least n edges amortizes (`stream.chunk_edges` gives one up to
+    n = 250,000); walking each endpoint to its root instead would repeat
+    the walk for every incidence of a vertex in the chunk."""
     a, b = us, vs
     while a.size:
-        ra, rb = _roots_of(parent, a), _roots_of(parent, b)
-        split = ra != rb
-        a, b = ra[split], rb[split]
+        _flatten(parent)
+        a, b = parent[a], parent[b]
+        split = a != b
+        a, b = a[split], b[split]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
 def uf_roots(parent: np.ndarray) -> np.ndarray:
     """Flatten a union-find parent array to root labels."""
     out = parent.copy()
-    while True:
-        up = out[out]
-        if np.array_equal(up, out):
-            return out
-        out = up
+    _flatten(out)
+    return out

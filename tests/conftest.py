@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -241,3 +244,74 @@ def uniform_palettes(n, delta, lists, params=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# The brute-force decoder: an independent oracle for small sparsity bounds.
+
+
+@lru_cache(maxsize=32)
+def _supports(n: int, e: int) -> np.ndarray:
+    return np.array(list(combinations(range(n), e)), dtype=np.int64)
+
+
+def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
+    out = np.ones_like(base)
+    b = base % p
+    while exp:
+        if exp & 1:
+            out = out * b % p
+        b = b * b % p
+        exp >>= 1
+    return out
+
+
+@lru_cache(maxsize=32)
+def _support_systems(n: int, e: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every support of size e <= 3 in combinations order, with its node
+    powers x^t for t < 6, as (6, e, rows), and the inverse of its e x e
+    Vandermonde system, as (e, e, rows): a_i = sum_t inverse[t, i] s_t
+    solves sum_i a_i x_i^t = s_t for t < e.
+
+    Closed form: with L_i(z) = prod_{k != i} (z - x_k) = sum_t c_it z^t,
+    sum_t c_it s_t = a_i L_i(x_i); all the L_i(x_i) are inverted in one
+    batched power (a zero one, at nodes equal mod p, inverts to 0)."""
+    supp = _supports(n, e)
+    cols = (supp.T + 1) % p
+    powers = [np.ones_like(cols)]
+    for _ in range(5):
+        powers.append(powers[-1] * cols % p)
+    coef = np.zeros((e, e, supp.shape[0]), dtype=np.int64)
+    den = np.ones_like(cols)
+    for i in range(e):
+        c = [np.ones_like(cols[i])]                 # L_i, lowest degree first
+        for k in range(e):
+            if k != i:
+                c = [(prev - cols[k] * cur) % p for prev, cur in zip([0] + c, c + [0])]
+                den[i] = den[i] * ((cols[i] - cols[k]) % p) % p
+        coef[:, i] = c
+    return supp, np.stack(powers), coef * _modpow_vec(den, p - 2, p) % p
+
+
+def brute_force_decode(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | None:
+    """Enumerate all supports of size <= r (r <= 3 only) and return the
+    first exact solution in support order, or None.  Cross-check oracle for
+    recover_sparse; it shares no code with the Berlekamp-Massey path."""
+    if r > 3:
+        raise ValueError("brute-force decoder supports r <= 3")
+    s = np.asarray(meas, dtype=np.int64) % p
+    if not s.any():
+        return np.zeros(n, dtype=np.int64)
+    for e in range(1, r + 1):
+        supp, powers, inverse = _support_systems(n, e, p)
+        a = sum(inverse[t] * s[t] for t in range(e)) % p
+        # the first e syndromes hold by construction: check the rest where
+        # no value is zero, dropping a row at its first mismatch
+        ok = (a != 0).all(axis=0) & ((a * powers[e]).sum(axis=0) % p == s[e])
+        rows = np.flatnonzero(ok)
+        for t in range(e + 1, 2 * r):
+            rows = rows[(a[:, rows] * powers[t][:, rows]).sum(axis=0) % p == s[t]]
+        if rows.size:
+            x = np.zeros(n, dtype=np.int64)
+            x[supp[rows[0]]] = a[:, rows[0]]
+            return x
+    return None

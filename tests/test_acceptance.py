@@ -18,7 +18,6 @@ from streamcolor.decomposition import (
 from streamcolor.field import (
     Measurement,
     SketchBank,
-    brute_force_decode,
     canonical_prime,
     random_check_apply,
     recover_sparse,
@@ -32,6 +31,7 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import SUCCESS, RunConfig, color_run, verify_coloring
 
 from conftest import (
+    brute_force_decode,
     collect_samples,
     oracle_from_edges,
     random_sparse_vector,

@@ -11,7 +11,6 @@ from streamcolor.field import (
     Measurement,
     SketchBank,
     berlekamp_massey,
-    brute_force_decode,
     canonical_prime,
     check_prime,
     is_prime,
@@ -25,7 +24,7 @@ from streamcolor.field import (
 )
 from streamcolor.params import ParamSet
 
-from conftest import random_sparse_vector, syndrome_of
+from conftest import brute_force_decode, random_sparse_vector, syndrome_of
 
 
 def test_prime_selection():

@@ -7,15 +7,17 @@ for bit.
 """
 
 import hashlib
+import tracemalloc
+from functools import partialmethod
 
 import numpy as np
 import pytest
 
 from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
-from streamcolor.field import MAX_PRIME, SketchBank, is_prime
+from streamcolor.field import MAX_PRIME, SketchBank, canonical_prime, is_prime
 from streamcolor.params import ParamSet
-from streamcolor.pipeline import _main_pass
-from streamcolor.stream import stream_source
+from streamcolor.pipeline import _main_pass, _prepass
+from streamcolor.stream import EdgeStream, chunk_edges, stream_source
 
 SPEC = "random-regular:delta=16,n=400,seed=3"
 GOLDEN = {
@@ -153,6 +155,63 @@ def test_sketch_update_is_exact_near_the_largest_prime():
     assert (W[0] % p).tolist() == want
     # each leaf received the hub's columns once
     assert np.array_equal(W[1:], np.broadcast_to(W[1], W[1:].shape))
+
+
+def test_sketch_update_temporaries_stay_bounded():
+    """One 2^18-edge chunk, a little over the default cap: the kernel's
+    peak is its incidence-length index arrays plus at most one gathered
+    block of 2^17 entries (one column, when a column alone is longer) and
+    its per-endpoint blocks.  Gathering 16 columns per incidence whatever
+    the chunk length peaks near 19 incidence arrays and fails."""
+    n, m = 1 << 14, 1 << 18
+    assert chunk_edges(n) < m
+    rng = np.random.default_rng(12)
+    us = rng.integers(0, n, size=m)
+    vs = (us + rng.integers(1, n, size=m)) % n
+    rates, alpha = [1, 2, 4, 8, 16], 8
+    W = np.zeros((n, 2 * rates[-1] + len(rates) * alpha), dtype=np.int64, order="F")
+    tracemalloc.start()
+    try:
+        sketch_update(W, us, vs, rates, alpha, canonical_prime(n), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    incidences = 2 * m
+    # the sort holds four incidence arrays at once (receivers, their
+    # order, sources unsorted and sorted); after it, the source positions
+    # and one gathered block of at most max(2^17, incidences) entries
+    # hold less; a block's endpoint columns, their sums and W's rows they
+    # add to are at most 16 columns each over the n endpoints
+    bound = 8 * (4 * incidences + (1 << 17) + 3 * 16 * n)
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("spec", [
+    "random-regular:delta=16,n=400,seed=3",
+    "mixed:delta=32,count=2,seed=3",
+])
+def test_pass_consumers_are_chunk_size_invariant(spec, monkeypatch):
+    """Both passes read at chunk sizes 1, 977, 4096, the default and m:
+    the census, the shadow, the sketch sums, H and the neighbor samples
+    come out the same."""
+    src = stream_source(spec, seed=3)
+    n, m = src.n, src.m
+    delta = int(_prepass(src, want_shadow=False)[0].degrees.max())
+    params = ParamSet.desk(n, delta)
+    chunks = EdgeStream.chunks
+
+    def passes(size):
+        monkeypatch.setattr(EdgeStream, "chunks", partialmethod(chunks, size))
+        census, shadow, _ = _prepass(src, want_shadow=True)
+        bank = SketchBank(n, delta, params, 3)
+        _, h, samples = _main_pass(src, n, delta, params, 3, bank)
+        return [census.roots, census.degrees, bank._W % bank.p,
+                *(a for g in (shadow, h, samples) for a in (g.indptr, g.indices))]
+
+    want = passes(None)
+    for size in (1, 977, 4096, m):
+        got = passes(size)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), size
 
 
 def test_sketch_bank_refuses_a_prime_past_int64():

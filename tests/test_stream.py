@@ -8,10 +8,13 @@ from streamcolor.stream import (
     CLIQUE_COMPONENT,
     COLORABLE,
     ODD_CYCLE_COMPONENT,
+    EdgeStream,
     ParseError,
     StreamError,
+    StreamMeta,
     StreamSource,
     check_colorability,
+    chunk_edges,
     stream_source,
 )
 from streamcolor.generators import generate_instance
@@ -248,6 +251,36 @@ def test_single_pass_enforcement():
     assert src.passes == 1
     src.open()
     assert src.passes == 2
+
+
+@pytest.mark.parametrize("n, size", [
+    (1, 4096), (256, 4096),                 # the floor
+    (257, 4112), (5000, 80000),             # 16 edges per vertex
+    (15625, 250000), (16384, 250000), (10**6, 250000),   # the cap
+])
+def test_default_chunk_size(n, size):
+    assert chunk_edges(n) == size
+
+
+def test_default_chunks_yield_every_edge_once_in_order():
+    n, m = 300, 10000                        # 4800 edges per chunk
+    edges = np.random.default_rng(8).integers(0, n, size=(m, 2))
+    st = EdgeStream(StreamMeta(n=n), edges)
+    blocks = list(st.chunks())
+    assert [b.shape[0] for b in blocks] == [4800, 4800, 400]
+    assert np.array_equal(np.concatenate(blocks), edges)
+    assert st.consumed and st.meta.m == m
+    with pytest.raises(StreamError, match="already consumed"):
+        next(iter(st.chunks()))
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_chunk_size_below_one_raises(size):
+    st = EdgeStream(StreamMeta(n=4), np.array([(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(ValueError, match="chunk size"):
+        st.chunks(size)
+    assert not st.consumed                  # the stream is still whole
+    assert [b.shape[0] for b in st.chunks(2)] == [2, 1]
 
 
 def test_delivery_order_is_seeded_shuffle():
