@@ -8,9 +8,11 @@ reference decomposer reads the shadow adjacency (it stands in for an
 external streaming construction and is excluded from the space budget);
 its output is always verified, never trusted.  A heuristic over the
 neighbor samples sits behind the same interface with no guarantees; the
-friend/lonely test reads the same samples.  Both decomposers read the
-common-neighbor counts of one `graph.pair_counts` pass, and every check
-is a whole-array operation over the graph's sorted adjacency lists.
+friend/lonely test reads the same samples.  Both decomposers read
+common-neighbor counts: ANDed bitset rows (`graph.packed_common`) where
+they pay, else one `graph.pair_counts` pass, as `graph.packed_pays`
+decides; and every check is a whole-array operation over the graph's
+sorted adjacency lists.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from streamcolor._kernels import prf_uniform, uf_roots, uf_union_batch
-from streamcolor.graph import Graph, pair_counts, sorted_unique
+from streamcolor.graph import Graph, packed_common, packed_pays, pair_counts, sorted_unique
 from streamcolor.params import ParamSet, child_seed
 
 SMALL, CRITICAL, LARGE = "small", "critical", "large"
@@ -149,8 +151,9 @@ def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray
     where I(u) is u's row of the neighbor sample.
 
     While the rate is 1 the sample is the graph's own adjacency and the
-    edges are among its edges, so `Graph.common` counts each triangle once,
-    from upper rows.  Below 1 the rows are not symmetric: row w of
+    edges are among its edges, so `Graph.common` serves: packed rows, or a
+    pair pass over upper rows that finds each triangle once.  Below 1 the
+    rows are not symmetric: packed rows where they pay, else row w of
     ``holders`` is every vertex whose sample holds w, and the pairs of
     every such row are looked up, each triangle three times.
     """
@@ -160,8 +163,9 @@ def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray
         own = isample.edges()
         return isample.common[np.searchsorted(own[:, 0] * n + own[:, 1], codes)]
     rows, cols = isample.pairs()
-    holders = Graph.from_pairs(n, cols, rows)
-    return pair_counts(holders, codes)[0]
+    if packed_pays(n, codes.size, np.bincount(cols, minlength=n)):
+        return packed_common(isample, edges)
+    return pair_counts(Graph.from_pairs(n, cols, rows), codes)[0]
 
 
 def compute_decomposition(

@@ -1,15 +1,19 @@
-"""One graph type: sorted adjacency lists in CSR form, and the pair-count
-pass that the decomposition and its verification read.
+"""One graph type: sorted adjacency lists in CSR form, and the two
+common-neighbor counts that the decomposition and its verification read.
 
 Row v of a `Graph` is ``indices[indptr[v]:indptr[v+1]]``, ascending and
 without repeats.  The shadow, the conflict graph H, the recovery graph H+
 and the neighbor samples are all graphs of this type, built in one
 vectorized sort from an array of edges or (row, column) pairs.
 
-`pair_counts` is an edge-iterator triangle pass (Schank & Wagner 2005;
-Latapy 2008): it enumerates the pairs inside every list and looks them up
-among the edges, so a graph's lists against its own edges give every
-edge's common-neighbor count, and t(v), the number of triangles at v.
+Both counts give |row(u) & row(v)| for a set of edges, and with it t(v),
+the number of triangles at v.  `packed_common` packs the rows into
+bitsets, one column tile at a time, and ANDs and popcounts the two rows of
+every edge: m * ceil(n/64) words.  `pair_counts` is an edge-iterator
+triangle pass (Schank & Wagner 2005; Latapy 2008): it enumerates the pairs
+inside every list and looks them up among the edges, one binary search per
+pair.  `packed_pays` picks between them from those two work counts, so the
+pair pass runs only where n/Delta is large and the bitsets mostly zeros.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ from functools import cached_property
 import numpy as np
 
 PAIR_CHUNK = 1 << 14  # pairs looked up at a time; bounds the temporaries
+PACK_CHUNK = 1 << 14  # row entries packed, and words gathered, at a time
+TILE_BYTES = 1 << 24  # packed rows held at once: n rows of a column tile
+# packed words that cost about one pair lookup: on a 2-core x86 VM with
+# numpy 2.4 a word took 4-12 ns and a lookup 75-130 ns
+WEDGE_WORDS = 10
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -108,13 +117,15 @@ class Graph:
     def common(self) -> np.ndarray:
         """Common-neighbor count of every edge, in edges() order.
 
-        One pair_counts pass lists each triangle once, from its smallest
-        vertex: the rows cut to their larger neighbors are looked up
-        against the edges.  A hit counts for the pair it found and for the
-        two row entries it came from; the entries of the cut rows are the
-        edges themselves, in edges() order.
+        Packed rows where they pay.  Otherwise one pair_counts pass lists
+        each triangle once, from its smallest vertex: the rows cut to their
+        larger neighbors are looked up against the edges.  A hit counts for
+        the pair it found and for the two row entries it came from; the
+        entries of the cut rows are the edges themselves, in edges() order.
         """
         e = self.edges()
+        if packed_pays(self.n, e.shape[0], np.bincount(e[:, 0], minlength=self.n)):
+            return packed_common(self, e)
         upper = Graph.from_pairs(self.n, e[:, 0], e[:, 1])
         per_code, per_entry = pair_counts(upper, e[:, 0] * self.n + e[:, 1])
         return per_code + per_entry
@@ -163,3 +174,89 @@ def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.nd
                 np.add.at(per_entry, pa[hit], 1)
                 np.add.at(per_entry, pb[hit], 1)
     return per_code, per_entry
+
+
+def packed_pays(n: int, pairs: int, list_lengths: np.ndarray) -> bool:
+    """Whether packed rows count `pairs` edges over n columns for less work
+    than pair_counts spends on lists of the given lengths: pairs *
+    ceil(n/64) words against WEDGE_WORDS words for every pair it looks up."""
+    d = list_lengths.astype(np.int64)
+    return pairs * -(-n // 64) <= WEDGE_WORDS * int((d * (d - 1) // 2).sum())
+
+
+def packed_common(lists: Graph, edges: np.ndarray) -> np.ndarray:
+    """|row(u) & row(v)| for every (u, v) of a (k, 2) array.
+
+    Column tile by column tile, every row's entries in the tile are packed
+    into the tile's uint64 words, at most TILE_BYTES for all n rows, and
+    the two rows of every edge are ANDed and popcounted.  One tile is held
+    at a time.
+    """
+    n = lists.n
+    us, vs = edges[:, 0], edges[:, 1]
+    counts = np.zeros(us.size, dtype=np.int64)
+    if us.size == 0:
+        return counts
+    words = -(-n // 64)
+    tile = max(1, min(words, TILE_BYTES // (8 * n)))  # words per column tile
+    start = lists.indptr[:-1]
+    for w0 in range(0, words, tile):
+        end = _first_at_least(lists, 64 * (w0 + tile))
+        _add_shared(_pack(lists, start, end, 64 * w0, tile), us, vs, counts)
+        start = end
+    return counts
+
+
+def _add_shared(packed: np.ndarray, us: np.ndarray, vs: np.ndarray, counts: np.ndarray) -> None:
+    """Add popcount(packed[u] & packed[v]) to the count of every edge,
+    gathering about PACK_CHUNK words at a time."""
+    tile = packed.shape[1]
+    per = max(1, PACK_CHUNK // tile)  # edges gathered at a time
+    # a packed row as one item, so that a row gather is a fast 1-D take
+    bitrows = packed.view(np.dtype((np.void, 8 * tile))).reshape(-1)
+    for s in range(0, us.size, per):
+        both = np.take(bitrows, us[s : s + per]).view(np.uint64)
+        both &= np.take(bitrows, vs[s : s + per]).view(np.uint64)
+        shared = np.bitwise_count(both).reshape(-1, tile)
+        counts[s : s + per] += shared.sum(axis=1, dtype=np.int64)
+
+
+def _first_at_least(lists: Graph, col: int) -> np.ndarray:
+    """For every row, the position of its first entry >= col (the row's
+    end when there is none): one vectorized bisection over all rows."""
+    lo, hi = lists.indptr[:-1].copy(), lists.indptr[1:].copy()
+    if col >= lists.n:
+        return hi
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        below = lists.indices[mid] < col
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+        open_ = open_[lo[open_] < hi[open_]]
+    return lo
+
+
+def _pack(lists: Graph, start: np.ndarray, end: np.ndarray, lo: int, tile: int) -> np.ndarray:
+    """The entries start[v]..end[v] of every row v, all in columns lo..lo +
+    64*tile, as bits of an (n, tile) uint64 array; about PACK_CHUNK entries
+    at a time, whole rows each."""
+    n = lists.n
+    packed = np.zeros((n, tile), dtype=np.uint64)
+    flat = packed.reshape(-1)
+    inside = end - start
+    ends = np.cumsum(inside)
+    offset = ends - inside  # where each row's entries begin among the tile's
+    cuts = np.searchsorted(ends, np.arange(PACK_CHUNK, ends[-1], PACK_CHUNK), "right")
+    for v0, v1 in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+        cnt = inside[v0:v1]
+        rows = np.repeat(np.arange(v0, v1), cnt)
+        at = np.arange(offset[v0], offset[v0] + rows.size)
+        cols = lists.indices[np.repeat(start[v0:v1] - offset[v0:v1], cnt) + at]
+        cols -= lo
+        slot = rows * tile + (cols >> 6)
+        if slot.size:
+            first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+            bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+            flat[slot[first]] = np.bitwise_or.reduceat(bits, first)
+    return packed

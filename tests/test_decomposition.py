@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamcolor import decomposition, graph
 from streamcolor.decomposition import (
     CRITICAL,
     FRIEND,
@@ -23,6 +24,7 @@ from streamcolor.decomposition import (
     verify_decomposition,
 )
 from streamcolor.generators import generate_instance
+from streamcolor.graph import Graph
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run
 from streamcolor.stream import stream_source
@@ -140,6 +142,50 @@ def test_pair_count_keeps_full_rows_below_rate_one():
     assert not np.isin(cols * isample.n + rows, rows * isample.n + cols).all()
     edges = shadow.edges()
     assert np.array_equal(sampled_common(isample, edges, rate), _shared_sampled(isample, edges))
+
+
+# The benchmark's graphs (mixed-noshadow reads the mixed one through
+# sampled_common at rate 1) lie on the packed side of the rule; a sparse
+# graph with the n/delta of random-regular delta=16, n=32000 on the other.
+COUNT_SHAPES = {
+    "rr16-sparse": ("random-regular", 16, {"n": 2000}, "packed"),
+    "rr64-sketch": ("random-regular", 64, {"n": 600}, "packed"),
+    "mixed-cliques": ("mixed", 32, {"count": 6}, "packed"),
+    "rr4-n8000": ("random-regular", 4, {"n": 8000}, "pairs"),
+}
+
+
+@pytest.mark.parametrize("shape", COUNT_SHAPES)
+def test_one_rule_picks_the_common_count(shape, monkeypatch):
+    """Graph.common, and sampled_common at rate 1 and below it, take the
+    method the work-count rule names, and count |row(u) & row(v)| exactly."""
+    family, delta, kw, want = COUNT_SHAPES[shape]
+    inst = generate_instance(family, delta, seed=1, **kw)
+    n = inst.n
+    ran = []
+    for module in (graph, decomposition):
+        for name, method in (("packed_common", "packed"), ("pair_counts", "pairs")):
+            def spy(*args, _run=getattr(module, name), _method=method):
+                ran.append(_method)
+                return _run(*args)
+            monkeypatch.setattr(module, name, spy)
+
+    def check(counts, rows, edges):
+        assert ran == [want]
+        ran.clear()
+        held = [set(rows.row(v).tolist()) for v in range(n)]
+        assert counts.tolist() == [len(held[u] & held[v]) for u, v in edges.tolist()]
+
+    g = Graph(n, inst.edges)
+    check(g.common, g, g.edges())
+    rng = np.random.default_rng(4)
+    edges = g.edges()[rng.random(g.m) < 0.4]  # a subgraph, as H is of G
+    isample = Graph.from_pairs(n, *g.pairs())  # rate 1 keeps every neighbor
+    check(sampled_common(isample, edges, 1.0), isample, edges)
+    rows, cols = g.pairs()
+    kept = rng.random(rows.size) < 0.6  # below 1 the rows are not symmetric
+    isample = Graph.from_pairs(n, rows[kept], cols[kept])
+    check(sampled_common(isample, edges, 0.6), isample, edges)
 
 
 # ---- the decomposition itself ----------------------------------------------

@@ -1,10 +1,13 @@
-"""The CSR graph type and its pair-count pass, checked against plain
-Python set intersections."""
+"""The CSR graph type and its two common-neighbor counts, checked against
+plain Python set intersections."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from streamcolor.graph import PAIR_CHUNK, Graph, pair_counts
+from streamcolor import graph
+from streamcolor.graph import PAIR_CHUNK, Graph, packed_common, pair_counts
 
 
 def _sets(n, edges):
@@ -35,6 +38,7 @@ def _check_against_sets(n, edges):
 
     want_common = [len(nbrs[u] & nbrs[v]) for u, v in want_edges]
     assert g.common.tolist() == want_common
+    assert packed_common(g, g.edges()).tolist() == want_common
     # full rows: every list holding both ends of an edge is a common
     # neighbor, and an entry (w, a) pairs with every b in N(w) & N(a)
     per_code, per_entry = pair_counts(g, _codes(g))
@@ -96,7 +100,43 @@ def test_pair_counts_of_a_sample_against_a_subgraph(seed):
     holders = Graph.from_pairs(n, cols, rows)
     per_code, _ = pair_counts(holders, _codes(h))
     sample_of = [isample.neighbors(v) for v in range(n)]
-    assert per_code.tolist() == [len(sample_of[u] & sample_of[v]) for u, v in h.edges().tolist()]
+    want = [len(sample_of[u] & sample_of[v]) for u, v in h.edges().tolist()]
+    assert per_code.tolist() == want
+    assert packed_common(isample, h.edges()).tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_count_across_column_tiles(seed, monkeypatch):
+    # one word per tile: 203 columns span four tiles, the last one partly;
+    # the rows are packed, and the edges gathered, in many small chunks
+    n = 203
+    monkeypatch.setattr(graph, "TILE_BYTES", 8 * n)
+    monkeypatch.setattr(graph, "PACK_CHUNK", 50)
+    rng = np.random.default_rng(200 + seed)
+    _check_against_sets(n, _random_edges(rng, n, rng.uniform(0.1, 0.4)))
+
+
+def test_packed_count_temporaries_stay_bounded(monkeypatch):
+    """Beyond its result and one packed column tile, the count holds a few
+    arrays over the n rows and a few over about 2^14 list entries or
+    gathered words.  Here the 63 words of a row span two tiles.  Packing
+    all rows at once (as from whole pairs() arrays, 20 MiB more), 2^16
+    entries at a time (2.7 MiB more), or holding both tiles at once (1 MiB
+    more) fails."""
+    monkeypatch.setattr(graph, "TILE_BYTES", 1 << 20)
+    rng = np.random.default_rng(5)
+    n = 4000
+    ends = rng.integers(0, n, size=(220_000, 2))
+    g = Graph(n, ends[ends[:, 0] != ends[:, 1]])
+    edges = g.edges()
+    tracemalloc.start()
+    try:
+        counts = packed_common(g, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = counts.nbytes + graph.TILE_BYTES + 8 * (16 * n + 8 * (1 << 14))
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_stored_bits_count_every_list_entry():
