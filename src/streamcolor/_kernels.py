@@ -85,17 +85,20 @@ def _endpoint_columns(ends, rates, alpha: int, p: int, zseed: int, step: int):
         yield width + c0, prf_mod(zseed, rate_of[c], ends[None, :], c % alpha, p)
 
 
-def _incidences(us, vs):
-    """Both directions of the edges (us, vs), grouped by receiving endpoint:
-    the distinct receivers ascending, where each one's group starts, and
-    each incidence's source as a position among the receivers.  The sort's
+def _incidences(us, vs, n: int):
+    """Both directions of the edges (us, vs) over the vertices 0..n-1,
+    grouped by receiving endpoint: the distinct receivers ascending, where
+    each one's group starts, and each incidence's source as a position
+    among the receivers, read from an n-length rank table.  The sort's
     temporaries are freed on return."""
     dst = np.concatenate([vs, us])
     order = np.argsort(dst)  # any order within a group: the sums are exact
     dst = dst[order]
     starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
     ends = dst[starts]
-    return ends, starts, np.searchsorted(ends, np.concatenate([us, vs])[order])
+    rank = np.empty(n, dtype=np.int64)  # read only at receivers: every source is one
+    rank[ends] = np.arange(ends.size)
+    return ends, starts, rank[np.concatenate([us, vs])[order]]
 
 
 def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) -> None:
@@ -111,8 +114,9 @@ def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) 
     A pass reads chunks of O(n) edges (`stream.chunk_edges`), so each
     endpoint's columns serve many incidences.  The columns are gathered
     as many at a time as fit in `_GATHER_ENTRIES` entries (at least one,
-    at most `_MAX_COLUMNS`), so the temporaries are O(chunk) index arrays
-    plus one such block, whatever the chunk length.
+    at most `_MAX_COLUMNS`), so the temporaries are O(chunk) index arrays,
+    one such block and the n-length table that ranks the receivers
+    (n = ``W.shape[0]``), whatever the chunk length.
 
     Nothing is reduced mod p here: every column entry is below p, so a
     vertex of degree deg < p sums to less than deg * p < p^2, which is
@@ -121,7 +125,7 @@ def sketch_update(W: np.ndarray, us, vs, rates, alpha: int, p: int, zseed: int) 
     """
     if us.size == 0:
         return
-    ends, starts, idx = _incidences(us, vs)
+    ends, starts, idx = _incidences(us, vs, W.shape[0])
     step = min(_MAX_COLUMNS, max(1, _GATHER_ENTRIES // idx.size))
     for c0, block in _endpoint_columns(ends, rates, alpha, p, zseed, step):
         S = np.add.reduceat(np.take(block, idx, axis=1), starts, axis=1)

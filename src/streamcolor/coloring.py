@@ -19,9 +19,15 @@ A set of colors has one form throughout: a bool row over the palette
 whose column c-1 is set when color c is in it.  The sampled lists, the
 colors a vertex's stored neighbors hold (`PartialColoring.blocked`) and
 the colors still free inside a clique are all such rows, and a phase
-picks a color as the first set column of their combination.  Phase 4's
-beta shared-color matchings are computed side by side without writing
-the coloring; only the largest is assigned.
+picks a color as the first set column of their combination.  Phase 3
+goes in vertex batches: it packs each free row into a Python int and
+takes the lowest bit left after the picks of the vertex's neighbors
+earlier in the batch.  Phase 4's beta shared-color matchings are
+computed side by side without writing the coloring; only the largest is
+assigned.
+
+Every color write goes through `PartialColoring.assign`, which takes a
+whole batch and checks it with one gather of the stored rows.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class RunFailure(Exception):
 
 
 UNCOLORED = 0
+GREEDY_ENTRIES = 1 << 14  # stored-row entries per phase-3 batch; bounds the temporaries
 
 
 class PartialColoring:
@@ -92,28 +99,43 @@ class PartialColoring:
         rows[owner, self.colors[nbrs]] = True
         return rows[:, 1:]
 
-    def assign(self, v: int, c: int, phase: int) -> None:
-        if not 1 <= c <= self.delta:
-            raise ColoringError(f"color {c} out of range 1..{self.delta}")
-        if self.colors[v]:
-            raise ColoringError(f"vertex {v} already colored")
-        if self.blocked(v)[c - 1]:
-            raise ColoringError(f"conflict assigning {c} to {v} in phase {phase}")
+    def assign(self, v, c, phase: int) -> None:
+        """Color the vertices v with the colors c (arrays of one length,
+        or scalars).
+
+        One `rows_of` checks the whole batch: each color is in 1..delta,
+        each vertex is uncolored, and no stored neighbor holds the same
+        color, inside the batch or outside it.  On a fault the state is
+        left as it was and the first fault found is raised."""
+        v, c = np.broadcast_arrays(np.asarray(v, dtype=np.int64).reshape(-1),
+                                   np.asarray(c, dtype=np.int64))
+        out = np.flatnonzero((c < 1) | (c > self.delta))
+        if out.size:
+            raise ColoringError(f"color {c[out[0]]} out of range 1..{self.delta}")
+        held = np.flatnonzero(self.colors[v])
+        if held.size:
+            raise ColoringError(f"vertex {v[held[0]]} already colored")
         self.colors[v] = c
+        owner, nbrs = self.stored.rows_of(v)
+        clash = np.flatnonzero(self.colors[nbrs] == c[owner])
+        if clash.size:
+            self.colors[v] = UNCOLORED
+            i = owner[clash[0]]
+            raise ColoringError(f"conflict assigning {c[i]} to {v[i]} in phase {phase}")
         self.provenance[v] = phase
 
-    def uncolor(self, v: int) -> None:
+    def uncolor(self, v) -> None:
         self.colors[v] = UNCOLORED
         self.provenance[v] = 0
 
     def recolor(self, v: int, c: int, phase: int) -> None:
-        """Assign possibly overwriting v's color (phase-6 witness move)."""
-        if self.blocked(v)[c - 1]:
-            raise ColoringError(f"recolor conflict at {v}")
-        if self.colors[v]:
+        """Assign possibly overwriting v's color (phase-6 witness move),
+        through the checks of `assign`; on a fault v is left uncolored."""
+        was = self.colors[v]
+        self.uncolor(v)
+        self.assign(v, c, phase)
+        if was:
             self.recolored.append(v)
-        self.colors[v] = c
-        self.provenance[v] = phase
 
 
 def first_color(row: np.ndarray) -> int | None:
@@ -205,8 +227,7 @@ def color_clique_by_matching(
     match = l_perfect_matching(adj, right.size)
     if match is None:
         return False
-    for v, j in zip(left.tolist(), match):
-        C.assign(v, int(right[j]) + 1, phase)
+    C.assign(left, right[match] + 1, phase)
     return True
 
 
@@ -226,8 +247,7 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
     clash = e[(x[e[:, 0]] == x[e[:, 1]]) & (x[e[:, 0]] != 0)]
     keep = x != 0
     keep[clash.ravel()] = False
-    C.colors[keep] = x[keep]
-    C.provenance[keep] = 1
+    C.assign(np.flatnonzero(keep), x[keep], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +257,55 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
 
 def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
     """Color the sparse vertices in id order, each with the smallest color
-    of its own large list that its stored neighbors do not hold."""
-    for v in sorted(v_sparse):
-        if C.colors[v]:
-            continue
-        c = first_color(palettes.l3[v] & ~C.blocked(v))
-        if c is None:
-            raise RunFailure("phase3", f"no free sampled color at sparse vertex {v}")
-        C.assign(v, c, 3)
+    of its own large list that its stored neighbors do not hold.
+
+    The uncolored ones go in ascending batches of about GREEDY_ENTRIES
+    stored-row entries, each vertex counting its row and itself.  One
+    `rows_of` per batch gives every vertex the colors its neighbors held
+    before the batch, and its neighbors earlier in the batch.  Its free
+    colors, bit c-1 for color c, are packed into a Python int; a plain
+    loop then removes the picks of those earlier neighbors and takes the
+    lowest bit left.  A vertex depends only on smaller ids, so the batches
+    color, and fail, exactly as one vertex at a time would.
+    """
+    todo = sorted_unique(np.fromiter(v_sparse, dtype=np.int64))
+    todo = todo[C.colors[todo] == UNCOLORED]
+    if not todo.size:
+        return
+    ends = np.cumsum(C.stored.degrees[todo] + 1)
+    cuts = np.searchsorted(ends, np.arange(GREEDY_ENTRIES, ends[-1], GREEDY_ENTRIES), "right")
+    bounds = sorted_unique(np.r_[0, cuts, todo.size]).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        verts = todo[lo:hi]
+        colors = _greedy_batch(C, verts, palettes.l3)
+        C.assign(verts[: len(colors)], colors, 3)
+        if len(colors) < verts.size:
+            raise RunFailure(
+                "phase3", f"no free sampled color at sparse vertex {verts[len(colors)]}")
+
+
+def _greedy_batch(C: PartialColoring, verts: np.ndarray, l3: np.ndarray) -> list[int]:
+    """The greedy colors of the ascending uncolored vertices verts, up to
+    the first vertex that has none left; C is left untouched."""
+    owner, nbrs = C.stored.rows_of(verts)
+    # each vertex's neighbors earlier in the batch, as batch positions
+    at = np.minimum(np.searchsorted(verts, nbrs), verts.size - 1)
+    prior = (verts[at] == nbrs) & (at < owner)
+    first = np.searchsorted(owner[prior], np.arange(verts.size + 1)).tolist()
+    prior = at[prior].tolist()
+    held = np.zeros((verts.size, C.delta + 1), dtype=bool)
+    held[owner, C.colors[nbrs]] = True
+    packed = np.packbits(l3[verts] & ~held[:, 1:], axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    picks: list[int] = []
+    for i in range(verts.size):
+        f = int.from_bytes(data[i * width : (i + 1) * width], "little")
+        for j in prior[first[i] : first[i + 1]]:
+            f &= ~picks[j]
+        if not f:
+            break
+        picks.append(f & -f)
+    return [p.bit_length() for p in picks]
 
 
 def strip_residue(C: PartialColoring, keep) -> None:
@@ -312,14 +373,12 @@ def phase4_color(K, C: PartialColoring, palettes: PaletteSet, non_edges) -> bool
     among equals), then palette-match the rest of K from L4*; on failure
     the matched pairs are uncolored again and the clique is deferred."""
     best = max(colorful_matching(C, palettes.l4, non_edges), key=len)
-    for a, b, c in best:
-        C.assign(a, c, 4)
-        C.assign(b, c, 4)
+    triples = np.array(best, dtype=np.int64).reshape(-1, 3)
+    ends = triples[:, :2].ravel()
+    C.assign(ends, np.repeat(triples[:, 2], 2), 4)
     if color_clique_by_matching(K, C, palettes.l4_star, phase=4):
         return True
-    for a, b, _ in best:
-        C.uncolor(a)
-        C.uncolor(b)
+    C.uncolor(ends)
     return False
 
 
@@ -338,8 +397,7 @@ def phase5_critical(
     shared = first_color(palettes.l5[u] & ~C.blocked(u) & ~C.blocked(v))
     if shared is None:
         raise RunFailure("phase5", f"no free pair color for non-edge ({u},{v})")
-    C.assign(u, shared, 5)
-    C.assign(v, shared, 5)
+    C.assign([u, v], shared, 5)
     if not color_clique_by_matching(K, C, palettes.l5, phase=5):
         raise RunFailure("phase5", f"palette matching failed on clique of {K[0]}")
 

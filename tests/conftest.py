@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from streamcolor.coloring import RunFailure, first_color
 from streamcolor.decomposition import (
     AlmostClique,
     Decomposition,
@@ -225,6 +226,20 @@ def oracle_phase4_matching(C, l4, non_edges):
     if best_i is not None:
         oracle_colorful_matching(C, lambda v: l4[v][best_i], non_edges)
     return trials, best_i
+
+
+def oracle_greedy_sparse(C, v_sparse, palettes) -> None:
+    """The one-vertex-at-a-time phase 3 that `coloring.greedy_sparse`
+    replaced, kept as its oracle: the sparse vertices in id order, each
+    given the smallest color of its L3 row that no stored neighbor holds,
+    with one `blocked` row and one `assign` per vertex."""
+    for v in sorted(v_sparse):
+        if C.colors[v]:
+            continue
+        c = first_color(palettes.l3[v] & ~C.blocked(v))
+        if c is None:
+            raise RunFailure("phase3", f"no free sampled color at sparse vertex {v}")
+        C.assign(v, c, 3)
 
 
 def uniform_palettes(n, delta, lists, params=None):

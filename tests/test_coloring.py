@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from streamcolor.coloring import (
+    ColoringError,
     PartialColoring,
     RunFailure,
     color_clique_by_matching,
@@ -32,6 +35,53 @@ from conftest import (
 
 def _conflict_from(n, edges):
     return oracle_from_edges(n, edges)
+
+
+# ---- checked assignment -----------------------------------------------------
+
+
+def _assign_case():
+    """Path 0-1-2-3 and edge 4-5, delta 3, with 3 colored 1 in phase 2."""
+    C = PartialColoring(6, 3, _conflict_from(6, [(0, 1), (1, 2), (2, 3), (4, 5)]))
+    C.assign(3, 1, 2)
+    return C
+
+
+def test_assign_colors_a_batch_and_a_scalar():
+    C = _assign_case()
+    C.assign(np.array([0, 2, 4]), np.array([1, 2, 3]), 3)
+    C.assign(1, 3, 4)
+    assert C.colors.tolist() == [1, 3, 2, 1, 3, 0]
+    assert C.provenance.tolist() == [3, 4, 3, 2, 3, 0]
+    C.assign([], [], 5)  # an empty batch is a no-op
+    assert C.colors.tolist() == [1, 3, 2, 1, 3, 0]
+
+
+@pytest.mark.parametrize("verts, colors, message", [
+    ([0, 4], [1, 4], "color 4 out of range 1..3"),
+    ([0, 4], [0, 2], "color 0 out of range 1..3"),
+    ([0, 3], [1, 2], "vertex 3 already colored"),
+    ([0, 2], [2, 1], "conflict assigning 1 to 2 in phase 3"),  # 2 ~ 3, outside
+    ([0, 4, 5], [2, 3, 3], "conflict assigning 3 to 4 in phase 3"),  # 4 ~ 5, inside
+])
+def test_assign_refuses_a_batch_and_leaves_the_state(verts, colors, message):
+    C = _assign_case()
+    before = C.colors.copy(), C.provenance.copy()
+    with pytest.raises(ColoringError, match=message):
+        C.assign(np.array(verts), np.array(colors), 3)
+    assert np.array_equal(C.colors, before[0])
+    assert np.array_equal(C.provenance, before[1])
+
+
+def test_recolor_goes_through_the_checks():
+    C = _assign_case()
+    C.recolor(3, 2, 6)
+    assert C.colors[3] == 2 and C.provenance[3] == 6 and C.recolored == [3]
+    with pytest.raises(ColoringError, match="conflict assigning 2 to 2 in phase 6"):
+        C.recolor(2, 2, 6)
+    with pytest.raises(ColoringError, match="color 0 out of range"):
+        C.recolor(3, 0, 6)
+    assert C.recolored == [3]
 
 
 # ---- matching ---------------------------------------------------------------
@@ -224,6 +274,116 @@ def test_greedy_sparse_random_graphs_never_fail():
         oracle = oracle_from_edges(inst.n, inst.edges)
         for u, v in inst.edges.tolist():
             assert C.colors[u] != C.colors[v]
+
+
+def _phase3_case(rng, delta, n, degree, keep):
+    """A random stored graph on n vertices whose last eighth is isolated,
+    with about `degree` stored neighbors per vertex, L3 rows that keep each
+    color with probability `keep`, and a proper pre-coloring of about a
+    quarter of the vertices; as (C, palettes, sparse vertex list)."""
+    from types import SimpleNamespace
+
+    joined = n - n // 8
+    e = rng.integers(0, joined, size=(int(degree * n) // 2, 2))
+    C = PartialColoring(n, delta, _conflict_from(n, e[e[:, 0] != e[:, 1]]))
+    for v in rng.permutation(n)[: n // 4].tolist():
+        free = np.flatnonzero(~C.blocked(v)) + 1
+        if free.size:
+            C.assign(v, int(rng.choice(free)), 1)
+    pal = SimpleNamespace(l3=rng.random((n, delta)) < keep)
+    sparse = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+    return C, pal, sparse + sparse[:3]  # repeats and any order are allowed
+
+
+def _phase3_outcome(run, C, pal, sparse):
+    try:
+        run(C, sparse, pal)
+        return None
+    except RunFailure as e:
+        return e.phase, e.detail
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+@pytest.mark.parametrize("delta", [8, 63, 64, 65, 256])
+def test_greedy_sparse_equals_one_at_a_time_oracle(rng, delta, entries, monkeypatch):
+    """Batches of every size, palettes across the 64-bit word boundaries:
+    the same colors, provenance and failure as the per-vertex loop, also
+    on an empty graph, with pre-colored and isolated vertices and holes in
+    L3."""
+    import copy
+
+    from streamcolor import coloring
+    from conftest import oracle_greedy_sparse
+
+    monkeypatch.setattr(coloring, "GREEDY_ENTRIES", entries)
+    outcomes = set()
+    for trial in range(8):
+        n = int(rng.integers(1, 3 * delta))
+        degree = 0 if trial == 0 else rng.uniform(0.2, 1.2) * delta
+        keep = (1.0, 0.6, 4 / delta, 1 / delta)[trial % 4]
+        C, pal, sparse = _phase3_case(rng, delta, n, degree, keep)
+        want = copy.deepcopy(C)
+        expected = _phase3_outcome(oracle_greedy_sparse, want, pal, sparse)
+        assert _phase3_outcome(greedy_sparse, C, pal, sparse) == expected
+        assert np.array_equal(C.colors, want.colors)
+        assert np.array_equal(C.provenance, want.provenance)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64, 1 << 14])
+def test_greedy_sparse_fails_at_the_first_stuck_vertex(entries, monkeypatch):
+    """Vertices 5, 9 and 12 would all fail: 5 after its batch neighbor 3
+    takes its only color, 9 with an empty list, 12 against a pre-colored
+    neighbor.  Both versions stop at 5, with 3 and the vertices before 5
+    colored."""
+    import copy
+
+    from streamcolor import coloring
+    from conftest import oracle_greedy_sparse
+
+    monkeypatch.setattr(coloring, "GREEDY_ENTRIES", entries)
+    n, delta = 16, 4
+    lists = [{1, 2, 3, 4}] * n
+    lists[3] = lists[5] = {1}
+    lists[9], lists[12] = set(), {2}
+    pal = uniform_palettes(n, delta, [c or {1} for c in lists])
+    pal.l3[9] = False
+    C = PartialColoring(n, delta, _conflict_from(n, [(3, 5), (0, 5), (12, 15), (1, 2)]))
+    C.assign(15, 2, 1)
+    want = copy.deepcopy(C)
+    expected = _phase3_outcome(oracle_greedy_sparse, want, pal, range(n))
+    assert expected == ("phase3", "no free sampled color at sparse vertex 5")
+    assert _phase3_outcome(greedy_sparse, C, pal, range(n)) == expected
+    assert np.array_equal(C.colors, want.colors)
+    assert C.colors[3] == 1 and not C.colors[5:15].any()
+
+
+def test_greedy_sparse_temporaries_stay_bounded():
+    """About 2^14 row entries at a time: beyond its result and a few
+    arrays over the n sparse vertices, phase 3 holds the index arrays and
+    color rows of one batch.  One batch for all 2^18 edges peaks near
+    29 MiB, batches of 2^16 entries near 3.3 MiB; both fail."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(8)
+    n, delta = 1 << 14, 96
+    e = rng.integers(0, n, size=(1 << 18, 2))
+    C = PartialColoring(n, delta, _conflict_from(n, e[e[:, 0] != e[:, 1]]))
+    pal = SimpleNamespace(l3=np.ones((n, delta), dtype=bool))
+    sparse = list(range(n))
+    tracemalloc.start()
+    try:
+        greedy_sparse(C, sparse, pal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.colors.all()
+    # the sparse ids, sorted, uncolored and their cumulative row lengths;
+    # one batch's index arrays, with its color rows (about 2^14 / 33
+    # vertices of delta + 1 bytes) and Python ints far smaller
+    bound = 8 * (6 * n + 12 * (1 << 14))
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_strip_residue():

@@ -181,7 +181,9 @@ def test_sketch_update_temporaries_stay_bounded():
     # order, sources unsorted and sorted); after it, the source positions
     # and one gathered block of at most max(2^17, incidences) entries
     # hold less; a block's endpoint columns, their sums and W's rows they
-    # add to are at most 16 columns each over the n endpoints
+    # add to are at most 16 columns each over the n endpoints.  The
+    # receivers' rank table, n entries, is freed with the sort's arrays,
+    # before the first block is built
     bound = 8 * (4 * incidences + (1 << 17) + 3 * 16 * n)
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
