@@ -10,6 +10,7 @@ leave all of them byte-identical.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -64,10 +65,54 @@ DEFERRED_RUNS = {
         "46c87bb7b233e1c477144134cad0002f508cf09fc5fa0e5bd8d146f1af10711f",
     ),
 }
+
+
+def _k5_minus_edge(base: int) -> list[tuple[int, int]]:
+    return [(a, b) for a, b in itertools.combinations(range(base, base + 5), 2)
+            if (a, b) != (base, base + 1)]
+
+
+def _octahedron_minus_edge(base: int) -> list[tuple[int, int]]:
+    return [(a, b) for a, b in itertools.combinations(range(base, base + 6), 2)
+            if b - a != 3 and (a, b) != (base, base + 1)]
+
+
+def _cut_vertex_file(second: list[tuple[int, int]]) -> str:
+    """A 4-regular graph whose last vertex is a cut: K5 minus the edge (0, 1),
+    a second piece minus (5, 6), and the cut joined to 0, 1, 5 and 6."""
+    cut = max(b for _, b in second) + 1
+    edges = _k5_minus_edge(0) + second + [(0, cut), (1, cut), (5, cut), (6, cut)]
+    return f"{cut + 1}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+# Edge-list files for the offline runs below.  Each piece at the cut is colored
+# on its own; in the octahedron piece the cut gets another color than in the
+# K5 piece, so that piece's two colors are swapped.
+OFFLINE_FILES = {
+    "cut-k5-k5.txt": _cut_vertex_file(_k5_minus_edge(5)),
+    "cut-k5-octahedron.txt": _cut_vertex_file(_octahedron_minus_edge(5)),
+}
 # (spec, budget, no_shadow) -> sha256 of (colors bytes, report JSON) of runs
 # that take the offline route: delta below the pipeline minimum, or a budget
 # the raw graph fits.  Without a shadow the route takes one more pre-pass.
+# A spec in OFFLINE_FILES is read from that file.
 OFFLINE_RUNS = {
+    ("cut-k5-k5.txt", None, False): (
+        "7d0581db55e8550261604e8d267c0951f98c1a343c7855977804d8123bbd65e9",
+        "8238de905ff3a1ce51d8415fda66d9fcaaa26b01949946400640012e6ac8f57f",
+    ),
+    ("cut-k5-k5.txt", None, True): (
+        "7d0581db55e8550261604e8d267c0951f98c1a343c7855977804d8123bbd65e9",
+        "61903d1d4b259d681837792b89628fc7032727aa580f87cef3bbc7958749b705",
+    ),
+    ("cut-k5-octahedron.txt", None, False): (
+        "5f99471bec9bb06f6717c70f92990a734a31cf382ba625c16eaa90aaf5fdbaf6",
+        "a26c4c7c7ab811b437a7eb47fff2f4c4dd1eab23be29aa880dd1e4c0cceb2cbf",
+    ),
+    ("cut-k5-octahedron.txt", None, True): (
+        "5f99471bec9bb06f6717c70f92990a734a31cf382ba625c16eaa90aaf5fdbaf6",
+        "f480fa5fb6147bbc23343ffcd1620b7404da33f9a794f531a6ef5f3c6d1da652",
+    ),
     ("clique-minus-edge:delta=5,count=2,seed=1", None, False): (
         "82d18ed6fd712a414142f08040e0a2bf6f3c8c4d81d3cc4cb7840d19bf97f6c9",
         "dba51bc67d6828c8af596f44f64bc4b5b12d953da05b2e51b43e821f3451f0a3",
@@ -153,10 +198,14 @@ def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, budget, no_shadow", sorted(OFFLINE_RUNS, key=str))
-def test_offline_run_golden(spec, budget, no_shadow):
-    res = color_run(RunConfig(source=spec, seed=1, budget=budget, no_shadow=no_shadow))
+def test_offline_run_golden(spec, budget, no_shadow, tmp_path):
+    source = spec
+    if spec in OFFLINE_FILES:
+        source = str(tmp_path / spec)
+        (tmp_path / spec).write_text(OFFLINE_FILES[spec])
+    res = color_run(RunConfig(source=source, seed=1, budget=budget, no_shadow=no_shadow))
     assert res.report["pipeline"] == "offline"
-    assert verify_coloring(spec, res.colors, res.delta, seed=1) == (True, "ok")
+    assert verify_coloring(source, res.colors, res.delta, seed=1) == (True, "ok")
     got = (_sha(res.colors.tobytes()), _json_sha(res.report))
     assert got == OFFLINE_RUNS[spec, budget, no_shadow]
 
