@@ -571,8 +571,7 @@ def _bfs_order(adj, start, allowed) -> list[int]:
     order = [start]
     dq = deque([start])
     while dq:
-        x = dq.popleft()
-        for y in sorted(adj[x]):
+        for y in adj[dq.popleft()]:
             if y in allowed and y not in seen:
                 seen.add(y)
                 order.append(y)
@@ -580,12 +579,11 @@ def _bfs_order(adj, start, allowed) -> list[int]:
     return order
 
 
-def _greedy_reverse_bfs(adj, colors, comp, root, delta) -> None:
-    order = _bfs_order(adj, root, comp)
-    for v in reversed(order):
-        if colors[v]:
-            continue
-        used = {colors[u] for u in adj[v] if colors[u]}
+def _greedy(adj, colors, order, delta) -> None:
+    """Give each vertex of order in turn the smallest color its neighbors
+    do not hold."""
+    for v in order:
+        used = {colors[u] for u in adj[v]}
         for c in range(1, delta + 1):
             if c not in used:
                 colors[v] = c
@@ -595,17 +593,16 @@ def _greedy_reverse_bfs(adj, colors, comp, root, delta) -> None:
 
 
 def _articulation_point(adj, comp) -> int | None:
-    comp = sorted(comp)
     if len(comp) < 3:
         return None
     index = {}
     low = {}
     counter = [0]
-    root = comp[0]
+    root = min(comp)
     ap: set[int] = set()
 
     def dfs(start):
-        stack = [(start, None, iter(sorted(adj[start])))]
+        stack = [(start, None, iter(adj[start]))]
         index[start] = low[start] = counter[0]
         counter[0] += 1
         children = {start: 0}
@@ -617,7 +614,7 @@ def _articulation_point(adj, comp) -> int | None:
                     children[v] = children.get(v, 0) + 1
                     index[w] = low[w] = counter[0]
                     counter[0] += 1
-                    stack.append((w, v, iter(sorted(adj[w]))))
+                    stack.append((w, v, iter(adj[w])))
                     advanced = True
                     break
                 elif w != parent:
@@ -636,116 +633,80 @@ def _articulation_point(adj, comp) -> int | None:
     return min(ap) if ap else None
 
 
-def _connected_without(adj, comp, removed) -> bool:
-    remaining = [v for v in comp if v not in removed]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    dq = deque(seen)
-    while dq:
-        x = dq.popleft()
-        for y in adj[x]:
-            if y in removed or y not in comp:
-                continue
-            if y not in seen:
-                seen.add(y)
-                dq.append(y)
-    return len(seen) == len(remaining)
-
-
-def _color_component(adj, colors, comp, delta) -> None:
-    comp_set = set(comp)
-    deficient = next(
-        (v for v in sorted(comp) if sum(1 for u in adj[v] if u in comp_set) < delta),
-        None,
-    )
+def _color_component(adj, degrees, colors, comp, delta) -> None:
+    """Lovasz's proof of Brooks' theorem on one connected component with
+    maximum degree at least 3 that is not a (delta+1)-clique."""
+    deficient = min((v for v in comp if degrees[v] < delta), default=None)
     if deficient is not None:
-        _greedy_reverse_bfs(adj, colors, comp_set, deficient, delta)
+        _greedy(adj, colors, reversed(_bfs_order(adj, deficient, range(len(adj)))), delta)
         return
 
+    comp_set = set(comp)
     cut = _articulation_point(adj, comp)
     if cut is not None:
-        pieces = []
+        # In a piece plus the cut only the cut has fewer than delta
+        # neighbors: color the piece greedily toward the cut, then swap two
+        # colors inside it so that the cut keeps the first piece's color.
         rest = comp_set - {cut}
-        while rest:
-            start = min(rest)
-            piece = set(_bfs_order(adj, start, rest))
-            rest -= piece
-            pieces.append(piece | {cut})
         target = None
-        for piece in pieces:
-            sub = np.zeros_like(colors)
-            _color_component(adj, sub, piece, delta)
+        while rest:
+            piece = set(_bfs_order(adj, min(rest), rest))
+            rest -= piece
+            piece.add(cut)
+            sub = [0] * len(adj)
+            _greedy(adj, sub, reversed(_bfs_order(adj, cut, piece)), delta)
             if target is None:
-                target = int(sub[cut])
-            else:
-                have = int(sub[cut])
-                if have != target:
-                    for v in piece:  # transpose the two colors inside the piece
-                        if sub[v] == have:
-                            sub[v] = target
-                        elif sub[v] == target:
-                            sub[v] = have
+                target = sub[cut]
+            swap = {sub[cut]: target, target: sub[cut]}
             for v in piece:
-                colors[v] = sub[v]
+                colors[v] = swap.get(sub[v], sub[v])
         return
 
     # 2-connected delta-regular non-complete: pick v with two non-adjacent
     # neighbors u, w whose removal keeps the component connected, pre-color
     # u, w the same, then greedy toward v.
     for v in sorted(comp):
-        nbrs = sorted(u for u in adj[v] if u in comp_set)
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                u, w = nbrs[ai], nbrs[bi]
+        nbrs = adj[v]
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1 :]:
                 if w in adj[u]:
                     continue
-                if not _connected_without(adj, comp_set, {u, w}):
+                order = _bfs_order(adj, v, comp_set - {u, w})
+                if len(order) < len(comp) - 2:
                     continue
                 colors[u] = colors[w] = 1
-                remaining = comp_set - {u, w}
-                _greedy_reverse_bfs(adj, colors, remaining, v, delta)
+                _greedy(adj, colors, reversed(order), delta)
                 return
     raise ColoringError("no valid split pair found; input violates preconditions")
 
 
-def offline_brooks(adj: list[set[int]], delta: int) -> np.ndarray:
+def offline_brooks(g: Graph, delta: int) -> np.ndarray:
     """Proper coloring with exactly max-degree many colors for any stored
     graph whose components are neither (delta+1)-cliques nor odd cycles.
 
-    Callers gate those two exceptional shapes beforehand.
+    Callers gate those two exceptional shapes beforehand; a component that
+    has either, or a degree above delta, raises before it is colored.
     """
-    n = len(adj)
-    colors = np.zeros(n, dtype=np.int64)
-    seen: set[int] = set()
+    n = g.n
+    ptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = [indices[a:b] for a, b in zip(ptr, ptr[1:])]  # rows ascending
+    degrees = g.degrees.tolist()
+    colors = [0] * n
     for v0 in range(n):
-        if v0 in seen:
+        if colors[v0]:  # its component is colored
             continue
-        comp = _bfs_order(adj, v0, range(n))  # every vertex it reaches is unseen
-        seen |= set(comp)
-        if len(comp) == 1:
-            colors[v0] = 1
-            continue
-        if delta <= 2:
-            # paths and even cycles: alternate two colors by BFS parity
-            for v in comp:
-                if colors[v]:
-                    continue
-                colors[v] = 1
-                dq = deque([v])
-                while dq:
-                    x = dq.popleft()
-                    for y in adj[x]:
-                        if not colors[y]:
-                            colors[y] = 3 - colors[x]
-                            dq.append(y)
-            if any(colors[u] == colors[v] for u in comp for v in adj[u]):
-                raise ColoringError("component is an odd cycle; caller must gate it")
-            continue
-        local_max = max(len(adj[v]) for v in comp)
-        if local_max > delta:
+        comp = _bfs_order(adj, v0, range(n))
+        comp_degrees = [degrees[v] for v in comp]
+        if max(comp_degrees) > delta:
             raise ColoringError("degree exceeds delta")
-        if len(comp) == delta + 1 and all(len(adj[v] & set(comp)) == delta for v in comp):
+        if delta == 2 and len(comp) % 2 and min(comp_degrees) == 2:
+            raise ColoringError("component is an odd cycle; caller must gate it")
+        if len(comp) == delta + 1 and min(comp_degrees) == delta:
             raise ColoringError("component is a full clique; caller must gate it")
-        _color_component(adj, colors, comp, delta)
-    return colors
+        if delta <= 2:
+            # a path or an even cycle: every earlier neighbor of a vertex in
+            # BFS order is one level up, so greedy alternates by level
+            _greedy(adj, colors, comp, delta)
+        else:
+            _color_component(adj, degrees, colors, comp, delta)
+    return np.array(colors, dtype=np.int64)

@@ -29,8 +29,7 @@ class ParamSet:
     alpha doubles as the activation divisor of the one-shot phase and as
     the row count of the random verification matrix.  holey_mult sets
     the non-edge count above which an almost-clique counts as holey
-    (threshold holey_mult * eps * delta), and ell_mult sets the target
-    size of the shared-color non-edge matching (t / (ell_mult*eps*delta)).
+    (threshold holey_mult * eps * delta).
     """
 
     mode: str
@@ -38,7 +37,6 @@ class ParamSet:
     beta: int
     eps: float
     holey_mult: float
-    ell_mult: float
     q_const: float = 1.0      # divisor constant in the pair-list rate
 
     def __post_init__(self):
@@ -57,7 +55,6 @@ class ParamSet:
             beta=100 * math.ceil(_log2(n)),
             eps=1e-8 / _log2(n),
             holey_mult=1e7,
-            ell_mult=1e6,
             q_const=100.0,
         )
         return replace(base, **overrides) if overrides else base
@@ -70,7 +67,6 @@ class ParamSet:
             beta=max(4, math.ceil(2 * math.log(max(2, n)))),
             eps=min(1 / 40, 4 / max(1, delta)),
             holey_mult=10.0,
-            ell_mult=10.0,
             q_const=1.0,
         )
         return replace(base, **overrides) if overrides else base
@@ -130,10 +126,6 @@ class ParamSet:
 
     def holey_threshold(self, delta: int) -> float:
         return self.holey_mult * self.eps * delta
-
-    def matching_target(self, t: int, delta: int) -> int:
-        """Required shared-color non-edge matching size for t non-edges."""
-        return max(1, math.ceil(t / (self.ell_mult * self.eps * delta)))
 
 
 def sketch_rates(delta: int) -> list[int]:

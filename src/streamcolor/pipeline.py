@@ -242,8 +242,7 @@ def color_run(cfg: RunConfig) -> RunResult:
         adj_source = shadow
         if adj_source is None:  # offline path stores the graph by definition
             _, adj_source, _ = _prepass(src, want_shadow=True)
-        adj = [adj_source.neighbors(v) for v in range(n)]
-        colors = col.offline_brooks(adj, max(delta, 1))
+        colors = col.offline_brooks(adj_source, max(delta, 1))
         fault = _coloring_fault(colors, adj_source.edges(), delta)
         if fault is not None:
             raise col.ColoringError(f"final coloring: {fault}")

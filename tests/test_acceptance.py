@@ -4,6 +4,7 @@ Run with  pytest tests/test_acceptance.py -s  to watch the lines stream.
 Statistical thresholds are fixed here; every tolerance is explicit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +191,13 @@ def test_criterion_04_offline_brooks_sweep():
         p = rng.random() * 0.7 + 0.15
         m = rng.random(size=(n, n)) < p
         adj = [set() for _ in range(n)]
+        edges = []
         for u in range(n):
             for v in range(u + 1, n):
                 if m[u, v]:
                     adj[u].add(v)
                     adj[v].add(u)
+                    edges.append((u, v))
         seen = {0}
         stack = [0]
         while stack:
@@ -211,7 +214,7 @@ def test_criterion_04_offline_brooks_sweep():
         if delta == 2 and n % 2 == 1 and all(len(a) == 2 for a in adj):
             continue
         checked += 1
-        colors = offline_brooks(adj, delta)
+        colors = offline_brooks(oracle_from_edges(n, edges), delta)
         proper = all(colors[u] != colors[v] for u in range(n) for v in adj[u])
         in_range = colors.min() >= 1 and colors.max() <= delta
         if not (proper and in_range and _brute_colorable(adj, n, delta)):
@@ -479,7 +482,7 @@ def test_criterion_11_colorful_matching_size():
             for b in K
             if a < b and not oracle.has_edge(a, b)
         ]
-        target = params.matching_target(len(F), delta)
+        target = max(1, math.ceil(len(F) / (10 * params.eps * delta)))
         targets.add(target)
         C = PartialColoring(inst.n, delta, oracle)  # every edge stored
         trials = colorful_matching(C, pal.l4, F)

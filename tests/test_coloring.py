@@ -748,9 +748,9 @@ def test_offline_route_checks_its_coloring(no_shadow, monkeypatch):
 
     offline_brooks = col.offline_brooks
 
-    def corrupted(adj, delta):
-        colors = offline_brooks(adj, delta)
-        colors[0] = colors[min(adj[0])]
+    def corrupted(g, delta):
+        colors = offline_brooks(g, delta)
+        colors[0] = colors[min(g.row(0))]
         return colors
 
     monkeypatch.setattr(col, "offline_brooks", corrupted)
@@ -853,19 +853,11 @@ def _write_graph(text):
 # ---- offline fallback --------------------------------------------------------
 
 
-def _adj(n, edges):
-    out = [set() for _ in range(n)]
-    for u, v in edges:
-        out[u].add(v)
-        out[v].add(u)
-    return out
-
-
 def test_brooks_k4_minus_edge():
-    adj = _adj(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    colors = offline_brooks(adj, 3)
+    g = oracle_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    colors = offline_brooks(g, 3)
     for u in range(4):
-        for v in adj[u]:
+        for v in g.row(u):
             assert colors[u] != colors[v]
     assert colors.max() <= 3 and colors.min() >= 1
 
@@ -874,23 +866,41 @@ def test_brooks_petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
-    adj = _adj(10, outer + inner + spokes)
-    colors = offline_brooks(adj, 3)
+    g = oracle_from_edges(10, outer + inner + spokes)
+    colors = offline_brooks(g, 3)
     for u in range(10):
-        for v in adj[u]:
+        for v in g.row(u):
             assert colors[u] != colors[v]
     assert set(np.unique(colors)) <= {1, 2, 3}
 
 
 def test_brooks_even_cycle_and_path():
-    adj = _adj(6, [(i, (i + 1) % 6) for i in range(6)])
-    colors = offline_brooks(adj, 2)
+    g = oracle_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    colors = offline_brooks(g, 2)
     assert set(np.unique(colors)) == {1, 2}
-    adj2 = _adj(4, [(0, 1), (1, 2), (2, 3)])
-    colors2 = offline_brooks(adj2, 2)
+    g2 = oracle_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    colors2 = offline_brooks(g2, 2)
     for u in range(4):
-        for v in adj2[u]:
+        for v in g2.row(u):
             assert colors2[u] != colors2[v]
+
+
+@pytest.mark.parametrize(
+    "n, edges, delta, message",
+    [
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 3, "degree exceeds delta"),
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3, "full clique"),
+        (2, [(0, 1)], 1, "full clique"),  # used to come back colored [1, 2]
+        (3, [(0, 1), (1, 2), (0, 2)], 2, "odd cycle"),
+        (5, [(i, (i + 1) % 5) for i in range(5)], 2, "odd cycle"),
+    ],
+    ids=["star-K1,4", "K4", "K2", "K3", "C5"],
+)
+def test_brooks_refuses_inputs_without_a_delta_coloring(n, edges, delta, message):
+    # beside a path, so the bad component is not the first one found
+    g = oracle_from_edges(n + 2, edges + [(n, n + 1)])
+    with pytest.raises(ColoringError, match=message):
+        offline_brooks(g, delta)
 
 
 def test_offline_fallback_scales_with_many_components(tmp_path):
@@ -918,37 +928,37 @@ def _random_connected_graph(rng, n):
         p = rng.random() * 0.7 + 0.15
         m = rng.random(size=(n, n)) < p
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if m[u, v]]
-        adj = _adj(n, edges)
+        g = oracle_from_edges(n, edges)
         seen = {0}
         stack = [0]
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y in g.row(x).tolist():
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
         if len(seen) == n:
-            return adj, edges
+            return g, edges
 
 
-def _is_clique(adj, n):
-    return all(len(adj[v]) == n - 1 for v in range(n))
+def _is_clique(g, n):
+    return bool((g.degrees == n - 1).all())
 
 
-def _is_odd_cycle(adj, n):
-    return n % 2 == 1 and all(len(adj[v]) == 2 for v in range(n))
+def _is_odd_cycle(g, n):
+    return n % 2 == 1 and bool((g.degrees == 2).all())
 
 
 def test_brooks_random_sweep(rng):
     for _ in range(800):
         n = int(rng.integers(4, 10))
-        adj, edges = _random_connected_graph(rng, n)
-        if _is_clique(adj, n) or _is_odd_cycle(adj, n):
+        g, edges = _random_connected_graph(rng, n)
+        if _is_clique(g, n) or _is_odd_cycle(g, n):
             continue
-        delta = max(len(a) for a in adj)
+        delta = int(g.degrees.max())
         if delta < 3:
             continue
-        colors = offline_brooks(adj, delta)
+        colors = offline_brooks(g, delta)
         assert colors.min() >= 1 and colors.max() <= delta
         for u, v in edges:
             assert colors[u] != colors[v]

@@ -87,10 +87,12 @@ def _cut_vertex_file(second: list[tuple[int, int]]) -> str:
 
 # Edge-list files for the offline runs below.  Each piece at the cut is colored
 # on its own; in the octahedron piece the cut gets another color than in the
-# K5 piece, so that piece's two colors are swapped.
+# K5 piece, so that piece's two colors are swapped.  The delta=2 file holds a
+# 6-cycle, a path entered from its middle vertex 1, an edge and a lone vertex.
 OFFLINE_FILES = {
     "cut-k5-k5.txt": _cut_vertex_file(_k5_minus_edge(5)),
     "cut-k5-octahedron.txt": _cut_vertex_file(_octahedron_minus_edge(5)),
+    "delta2-paths-cycle.txt": "14\n7 2\n2 11\n11 4\n4 9\n9 0\n0 7\n3 12\n12 5\n5 1\n1 10\n8 13\n",
 }
 # (spec, budget, no_shadow) -> sha256 of (colors bytes, report JSON) of runs
 # that take the offline route: delta below the pipeline minimum, or a budget
@@ -112,6 +114,14 @@ OFFLINE_RUNS = {
     ("cut-k5-octahedron.txt", None, True): (
         "5f99471bec9bb06f6717c70f92990a734a31cf382ba625c16eaa90aaf5fdbaf6",
         "f480fa5fb6147bbc23343ffcd1620b7404da33f9a794f531a6ef5f3c6d1da652",
+    ),
+    ("delta2-paths-cycle.txt", None, False): (
+        "fcb0d90027f8f3a5148e4970eba272cb244f4367af0d3a5f98a012af66f59572",
+        "d5179befbd3d6954e8cc014e69cb9e4ef48acc393cab45134764d5d0ad726716",
+    ),
+    ("delta2-paths-cycle.txt", None, True): (
+        "fcb0d90027f8f3a5148e4970eba272cb244f4367af0d3a5f98a012af66f59572",
+        "2467b6cffd26656e54b2e379f43cd5293d8a6668a2da004c63cb5dc8bfb0d709",
     ),
     ("clique-minus-edge:delta=5,count=2,seed=1", None, False): (
         "82d18ed6fd712a414142f08040e0a2bf6f3c8c4d81d3cc4cb7840d19bf97f6c9",
