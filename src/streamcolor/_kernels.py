@@ -94,7 +94,7 @@ def _incidences(us, vs, n: int):
     dst = np.concatenate([vs, us])
     order = np.argsort(dst)  # any order within a group: the sums are exact
     dst = dst[order]
-    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+    starts = np.flatnonzero(np.concatenate([[True], dst[1:] != dst[:-1]]))
     ends = dst[starts]
     rank = np.empty(n, dtype=np.int64)  # read only at receivers: every source is one
     rank[ends] = np.arange(ends.size)

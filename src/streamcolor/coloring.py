@@ -22,9 +22,13 @@ the colors still free inside a clique are all such rows, and a phase
 picks a color as the first set column of their combination.  Phase 3
 goes in vertex batches: it packs each free row into a Python int and
 takes the lowest bit left after the picks of the vertex's neighbors
-earlier in the batch.  Phase 4's beta shared-color matchings are
-computed side by side without writing the coloring; only the largest is
-assigned.
+earlier in the batch.
+
+Phase 4 makes a fixed number of numpy calls per clique, whatever delta
+is.  One (pairs, beta, delta) tensor marks the colors both ends of a
+listed non-edge can take in each pair-list; a plain loop over its
+nonzeros gives all beta greedy matchings (only the largest is assigned),
+and each palette graph comes from one `nonzero` over the free colors.
 
 Every color write goes through `PartialColoring.assign`, which takes a
 whole batch and checks it with one gather of the stored rows.
@@ -88,9 +92,7 @@ class PartialColoring:
     def blocked(self, v: int) -> np.ndarray:
         """(delta,) bool: column c-1 is set when a stored neighbor of v
         holds color c."""
-        row = np.zeros(self.delta + 1, dtype=bool)
-        row[self.colors[self.stored.row(v)]] = True
-        return row[1:]
+        return self.blocked_rows(np.array([v], dtype=np.int64))[0]
 
     def blocked_rows(self, verts: np.ndarray) -> np.ndarray:
         """(len(verts), delta) bool: `blocked` of several vertices."""
@@ -198,9 +200,7 @@ def l_perfect_matching(adj: list[list[int]], n_right: int) -> list[int] | None:
     """L-perfect matching or None when the maximum matching misses some
     left node (Hall's condition fails)."""
     match_l = hopcroft_karp(adj, n_right)
-    if any(m == -1 for m in match_l):
-        return None
-    return match_l
+    return None if -1 in match_l else match_l
 
 
 def color_clique_by_matching(
@@ -214,16 +214,17 @@ def color_clique_by_matching(
     holds and no stored neighbor of it holds.
     """
     K = np.sort(np.asarray(K, dtype=np.int64))
-    left = K[(C.colors[K] == UNCOLORED) & ~np.isin(K, exclude)]
+    left = K[C.colors[K] == UNCOLORED]
+    if len(exclude):
+        left = left[~np.isin(left, exclude)]
     if not left.size:
         return True
     free = np.ones(C.delta + 1, dtype=bool)
     free[C.colors[K]] = False
-    free = free[1:]
-    right = np.flatnonzero(free)               # right node -> color - 1
-    index = np.cumsum(free) - 1                # color - 1 -> right node
-    avail = lists[left] & free & ~C.blocked_rows(left)
-    adj = [index[np.flatnonzero(row)].tolist() for row in avail]
+    right = np.flatnonzero(free[1:])           # right node -> color - 1
+    rows, nodes = np.nonzero((lists[left] & ~C.blocked_rows(left))[:, right])
+    nodes, ends = nodes.tolist(), np.searchsorted(rows, np.arange(left.size + 1)).tolist()
+    adj = [nodes[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
     match = l_perfect_matching(adj, right.size)
     if match is None:
         return False
@@ -274,7 +275,7 @@ def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
         return
     ends = np.cumsum(C.stored.degrees[todo] + 1)
     cuts = np.searchsorted(ends, np.arange(GREEDY_ENTRIES, ends[-1], GREEDY_ENTRIES), "right")
-    bounds = sorted_unique(np.r_[0, cuts, todo.size]).tolist()
+    bounds = sorted_unique(np.concatenate([[0], cuts, [todo.size]])).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         verts = todo[lo:hi]
         colors = _greedy_batch(C, verts, palettes.l3)
@@ -335,8 +336,8 @@ def colorful_matching(
     matched pair leave every later pair.  A listed pair that is a stored
     edge never matches: a shared sampled color would have put it in H.
 
-    The beta matchings run side by side, one color at a time over a
-    (beta, pairs) mask.
+    The matchings come from one (pairs, beta, delta) hit tensor, whose
+    nonzeros a plain loop walks list by list, by color and then by pair.
     """
     beta = lists.shape[1]
     trials: list[list[tuple[int, int, int]]] = [[] for _ in range(beta)]
@@ -348,23 +349,22 @@ def colorful_matching(
     adj_i, adj_j = C.stored.within(verts)
     edge = np.isin(la * verts.size + lb, adj_i * verts.size + adj_j)
     alive = ~edge & (C.colors[a] == UNCOLORED) & (C.colors[b] == UNCOLORED)
-    la, lb = la[alive], lb[alive]
-    if not la.size:
+    a, b, la, lb = a[alive], b[alive], la[alive], lb[alive]
+    if not a.size:
         return trials
-    # usable[c - 1, i, x]: color c is in list i of verts[x], unblocked there
+    # usable[x, i, c - 1]: color c is in list i of verts[x], unblocked there
     usable = lists[verts] & ~C.blocked_rows(verts)[:, None, :]
-    usable = np.ascontiguousarray(usable.transpose(2, 1, 0))
-    matched = np.zeros((beta, verts.size), dtype=bool)
-    for c in range(C.delta):
-        ok = usable[c] & ~matched
-        rows, cols = np.nonzero(ok[:, la] & ok[:, lb])
-        if not rows.size:
-            continue
-        first = np.r_[True, rows[1:] != rows[:-1]]  # each list's first hit
-        won, x, y = rows[first], la[cols[first]], lb[cols[first]]
-        matched[won, x] = matched[won, y] = True
-        for i, u, v in zip(won.tolist(), verts[x].tolist(), verts[y].tolist()):
-            trials[i].append((u, v, c + 1))
+    hit = usable[la] & usable[lb]  # hit[p, i, c - 1]: both ends of pair p can take c
+    lst, color, pair = np.nonzero(hit.transpose(1, 2, 0))
+    ends = np.searchsorted(lst, np.arange(beta + 1)).tolist()
+    color, u, v = (color + 1).tolist(), a[pair].tolist(), b[pair].tolist()
+    for i, trial in enumerate(trials):
+        matched, last = set(), 0
+        for k in range(ends[i], ends[i + 1]):
+            if color[k] != last and u[k] not in matched and v[k] not in matched:
+                matched.update((u[k], v[k]))
+                trial.append((u[k], v[k], color[k]))
+                last = color[k]
     return trials
 
 
@@ -372,10 +372,12 @@ def phase4_color(K, C: PartialColoring, palettes: PaletteSet, non_edges) -> bool
     """Assign the largest of the beta shared-color matchings (the first
     among equals), then palette-match the rest of K from L4*; on failure
     the matched pairs are uncolored again and the clique is deferred."""
-    best = max(colorful_matching(C, palettes.l4, non_edges), key=len)
-    triples = np.array(best, dtype=np.int64).reshape(-1, 3)
-    ends = triples[:, :2].ravel()
-    C.assign(ends, np.repeat(triples[:, 2], 2), 4)
+    ends = []
+    if len(non_edges):
+        best = max(colorful_matching(C, palettes.l4, non_edges), key=len)
+        triples = np.array(best, dtype=np.int64).reshape(-1, 3)
+        ends = triples[:, :2].ravel()
+        C.assign(ends, np.repeat(triples[:, 2], 2), 4)
     if color_clique_by_matching(K, C, palettes.l4_star, phase=4):
         return True
     C.uncolor(ends)
@@ -592,57 +594,55 @@ def _greedy(adj, colors, order, delta) -> None:
             raise ColoringError(f"greedy ran out of colors at {v}")
 
 
-def _articulation_point(adj, comp) -> int | None:
+def _articulation_point(adj, comp, index, low) -> int | None:
+    """The smallest cut vertex of the component comp, or None (Tarjan's
+    low-link DFS, iterative).  index and low are vertex-indexed lists
+    shared by every component; only comp's own entries are reset."""
     if len(comp) < 3:
         return None
-    index = {}
-    low = {}
-    counter = [0]
+    for v in comp:
+        index[v] = -1
     root = min(comp)
-    ap: set[int] = set()
-
-    def dfs(start):
-        stack = [(start, None, iter(adj[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        children = {start: 0}
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    children[v] = children.get(v, 0) + 1
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != start and low[v] >= index[pv]:
-                        ap.add(pv)
-        if children.get(start, 0) > 1:
-            ap.add(start)
-
-    dfs(root)
+    index[root] = low[root] = 0
+    counter, root_children, ap = 1, 0, set()
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            iw = index[w]
+            if iw < 0:
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and iw < low[v]:
+                low[v] = iw
+        else:
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+                if pv == root:
+                    root_children += 1
+                elif low[v] >= index[pv]:
+                    ap.add(pv)
+    if root_children > 1:
+        ap.add(root)
     return min(ap) if ap else None
 
 
-def _color_component(adj, degrees, colors, comp, delta) -> None:
+def _color_component(adj, degrees, colors, comp, delta, index, low) -> None:
     """Lovasz's proof of Brooks' theorem on one connected component with
-    maximum degree at least 3 that is not a (delta+1)-clique."""
+    maximum degree at least 3 that is not a (delta+1)-clique; index and
+    low are `_articulation_point`'s working lists."""
     deficient = min((v for v in comp if degrees[v] < delta), default=None)
     if deficient is not None:
         _greedy(adj, colors, reversed(_bfs_order(adj, deficient, range(len(adj)))), delta)
         return
 
     comp_set = set(comp)
-    cut = _articulation_point(adj, comp)
+    cut = _articulation_point(adj, comp, index, low)
     if cut is not None:
         # In a piece plus the cut only the cut has fewer than delta
         # neighbors: color the piece greedily toward the cut, then swap two
@@ -691,7 +691,7 @@ def offline_brooks(g: Graph, delta: int) -> np.ndarray:
     ptr, indices = g.indptr.tolist(), g.indices.tolist()
     adj = [indices[a:b] for a, b in zip(ptr, ptr[1:])]  # rows ascending
     degrees = g.degrees.tolist()
-    colors = [0] * n
+    colors, index, low = [0] * n, [0] * n, [0] * n
     for v0 in range(n):
         if colors[v0]:  # its component is colored
             continue
@@ -708,5 +708,5 @@ def offline_brooks(g: Graph, delta: int) -> np.ndarray:
             # BFS order is one level up, so greedy alternates by level
             _greedy(adj, colors, comp, delta)
         else:
-            _color_component(adj, degrees, colors, comp, delta)
+            _color_component(adj, degrees, colors, comp, delta, index, low)
     return np.array(colors, dtype=np.int64)

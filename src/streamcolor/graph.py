@@ -35,7 +35,7 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     np.unique in numpy 2.4 takes a hashing path that is one to two orders
     of magnitude slower than this on large int64 code arrays."""
     a = np.sort(a)
-    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+    return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
 
 
 class Graph:
@@ -256,7 +256,7 @@ def _pack(lists: Graph, start: np.ndarray, end: np.ndarray, lo: int, tile: int) 
         cols -= lo
         slot = rows * tile + (cols >> 6)
         if slot.size:
-            first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+            first = np.flatnonzero(np.concatenate([[True], slot[1:] != slot[:-1]]))
             bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
             flat[slot[first]] = np.bitwise_or.reduceat(bits, first)
     return packed

@@ -323,7 +323,7 @@ def _comments(buf: np.ndarray, newlines: np.ndarray) -> np.ndarray:
     """Mask of the bytes from each line's first '#' to its end."""
     hashes = np.flatnonzero(buf == ord("#"))
     hline = newlines[hashes]
-    first = hashes[np.r_[True, hline[1:] != hline[:-1]]]
+    first = hashes[np.concatenate([[True], hline[1:] != hline[:-1]])]
     stop = np.flatnonzero(buf == ord("\n"))[newlines[first]]
     mark = np.zeros(buf.size, dtype=np.int8)
     mark[first] = 1
@@ -376,7 +376,7 @@ class ComponentCensus:
         """One stat per component, in ascending root order."""
         order = np.argsort(self.roots, kind="stable")
         roots = self.roots[order]
-        starts = np.flatnonzero(np.r_[True, roots[1:] != roots[:-1]])
+        starts = np.flatnonzero(np.concatenate([[True], roots[1:] != roots[:-1]]))
         degs = self.degrees[order]
         # every edge stays inside its component
         ecounts = np.add.reduceat(degs, starts) // 2

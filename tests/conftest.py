@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from streamcolor.coloring import RunFailure, first_color
+from streamcolor.coloring import RunFailure, first_color, l_perfect_matching
 from streamcolor.decomposition import (
     AlmostClique,
     Decomposition,
@@ -226,6 +226,30 @@ def oracle_phase4_matching(C, l4, non_edges):
     if best_i is not None:
         oracle_colorful_matching(C, lambda v: l4[v][best_i], non_edges)
     return trials, best_i
+
+
+def oracle_color_clique_by_matching(K, C, lists, phase, exclude=()) -> bool:
+    """The per-row palette-graph build that
+    `coloring.color_clique_by_matching` replaced, kept as its oracle: one
+    `flatnonzero` per uncolored vertex of K (bar `exclude`) over its free,
+    unblocked listed colors, renumbered to right nodes through a cumsum,
+    then the same L-perfect matching and one `assign`."""
+    K = np.sort(np.asarray(K, dtype=np.int64))
+    left = K[(C.colors[K] == 0) & ~np.isin(K, exclude)]
+    if not left.size:
+        return True
+    free = np.ones(C.delta + 1, dtype=bool)
+    free[C.colors[K]] = False
+    free = free[1:]
+    right = np.flatnonzero(free)               # right node -> color - 1
+    index = np.cumsum(free) - 1                # color - 1 -> right node
+    avail = lists[left] & free & ~C.blocked_rows(left)
+    adj = [index[np.flatnonzero(row)].tolist() for row in avail]
+    match = l_perfect_matching(adj, right.size)
+    if match is None:
+        return False
+    C.assign(left, right[match] + 1, phase)
+    return True
 
 
 def oracle_greedy_sparse(C, v_sparse, palettes) -> None:

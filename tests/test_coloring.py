@@ -479,7 +479,7 @@ def _holey_phase4_case(rng, delta, seed):
     return K, C, pal, F
 
 
-@pytest.mark.parametrize("delta", [16, 32])
+@pytest.mark.parametrize("delta", [16, 32, 64, 256])
 def test_colorful_matching_equals_trial_and_undo_oracle(rng, delta):
     import copy
 
@@ -529,6 +529,135 @@ def test_phase4_color_equals_trial_and_undo_oracle(rng):
         assert np.array_equal(C.provenance, old.provenance)
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _shared_vertex_case(rng, delta, stored_only=False):
+    """(C, l4, F) on 12 vertices: F lists every pair a random stored graph
+    leaves out, so each vertex sits in several listed pairs; or, with
+    stored_only, only stored edges.  Three vertices are pre-colored, and
+    the pair-lists are drawn per list at random densities."""
+    from streamcolor.graph import Graph
+
+    n = 12
+    pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)])
+    stored = pairs[rng.random(len(pairs)) < rng.uniform(0.2, 0.7)]
+    C = PartialColoring(n, delta, Graph(n, stored))
+    for v in rng.choice(n, size=3, replace=False).tolist():
+        free = np.flatnonzero(~C.blocked(v)) + 1
+        C.assign(v, int(rng.choice(free)), 2)
+    beta = int(rng.integers(2, 6))
+    l4 = rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1))
+    F = stored if stored_only else np.array([f for f in pairs.tolist() if f not in stored.tolist()])
+    return C, l4, [tuple(f) for f in F[rng.permutation(len(F))].tolist()]
+
+
+@pytest.mark.parametrize("delta", [8, 64])
+def test_colorful_matching_with_shared_vertices_equals_oracle(rng, delta):
+    import copy
+
+    from conftest import oracle_phase4_matching
+
+    for _ in range(20):
+        C, l4, F = _shared_vertex_case(rng, delta)
+        want, _ = oracle_phase4_matching(copy.deepcopy(C), l4, F)
+        before = C.colors.copy()
+        assert colorful_matching(C, l4, F) == want
+        assert np.array_equal(C.colors, before)
+        ends = [x for trial in want for a, b, _ in trial for x in (a, b)]
+        assert len(ends) > len(set(ends))  # some vertex matched in two lists
+
+
+def test_colorful_matching_of_stored_edges_only_is_empty(rng):
+    import copy
+
+    from conftest import oracle_phase4_matching
+
+    for _ in range(10):
+        C, l4, F = _shared_vertex_case(rng, 16, stored_only=True)
+        want, best_i = oracle_phase4_matching(copy.deepcopy(C), l4, F)
+        assert want == [[]] * l4.shape[1] and best_i is None
+        before = C.colors.copy()
+        assert colorful_matching(C, l4, F) == want
+        assert np.array_equal(C.colors, before)
+
+
+@pytest.mark.parametrize("F", [[], np.zeros((0, 2), dtype=np.int64)])
+def test_phase4_color_without_listed_non_edges_equals_oracle(rng, F):
+    import copy
+
+    from conftest import oracle_color_clique_by_matching
+
+    outcomes = set()
+    for seed in range(8):
+        K, C, pal, _ = _holey_phase4_case(rng, 16, seed)
+        K = K[: 12 + seed % 6]  # at most delta vertices can fit without a pair
+        if seed % 2:
+            pal.l4_star[:] = pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5)
+        old = copy.deepcopy(C)
+        want = oracle_color_clique_by_matching(K, old, pal.l4_star, phase=4)
+        assert phase4_color(K, C, pal, F) == want
+        assert np.array_equal(C.colors, old.colors)
+        assert np.array_equal(C.provenance, old.provenance)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _palette_matching_case(rng, delta):
+    """(K, C, lists, exclude) for `color_clique_by_matching`: a clique K
+    of 2..delta shuffled vertices among k + 6 with a few stored pairs of K
+    dropped, 6 colored outside vertices joined to K, a random number of K
+    pre-colored (all of them at times), random list densities, and an
+    exclude of 0..2 members of K (at times every uncolored one)."""
+    from streamcolor.graph import Graph
+
+    k = int(rng.integers(2, delta + 1))
+    n = k + 6
+    inside = np.array([(a, b) for a in range(k) for b in range(a + 1, k)]).reshape(-1, 2)
+    inside = inside[rng.random(len(inside)) < 0.9]
+    outside = np.stack([rng.integers(0, k, 3 * k), rng.integers(k, n, 3 * k)], axis=1)
+    C = PartialColoring(n, delta, Graph(n, np.concatenate([inside, outside])))
+    pre = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False).tolist()
+    for v in list(range(k, n)) + pre:
+        free = np.flatnonzero(~C.blocked(v)) + 1
+        if free.size:
+            C.assign(v, int(rng.choice(free)), 2)
+    lists = rng.random((n, delta)) < rng.uniform(0.02, 1.0)
+    K = rng.permutation(k).tolist()
+    uncolored = [v for v in K if not C.colors[v]]
+    if uncolored and rng.random() < 0.1:
+        exclude = tuple(uncolored)
+    else:
+        exclude = tuple(rng.choice(k, size=int(rng.integers(0, 3)), replace=False).tolist())
+    return K, C, lists, exclude
+
+
+@pytest.mark.parametrize("delta", [8, 32])
+def test_color_clique_by_matching_equals_per_row_oracle(rng, delta):
+    import copy
+
+    from conftest import oracle_color_clique_by_matching
+
+    seen = set()
+    for _ in range(150):
+        K, C, lists, exclude = _palette_matching_case(rng, delta)
+        left = [v for v in K if not C.colors[v] and v not in exclude]
+        held = C.colors[list(exclude)].copy()
+        old = copy.deepcopy(C)
+        want = oracle_color_clique_by_matching(K, old, lists, phase=2, exclude=exclude)
+        assert color_clique_by_matching(K, C, lists, phase=2, exclude=exclude) == want
+        assert np.array_equal(C.colors, old.colors)
+        assert np.array_equal(C.provenance, old.provenance)
+        assert np.array_equal(C.colors[list(exclude)], held)
+        if not left:
+            seen.add("no left vertex")
+        elif not want:
+            seen.add("Hall failure")
+        elif any(not old.colors[v] for v in exclude):
+            seen.add("excluded and colored around")
+        if want and left and len(left) < len(K):
+            seen.add("pre-colored members")
+    assert seen == {"no left vertex", "Hall failure", "excluded and colored around",
+                    "pre-colored members"}
 
 
 # ---- phase 5 / phase 6 direct drives ---------------------------------------
