@@ -4,7 +4,8 @@ Every stored vertex w keeps two running sums over F_p: ``y(w)``, the
 first 2r power-sum syndromes s_t = sum_j x_j * a_j^t of the indicator
 vector x of its neighbors, where vertex j has node a_j = (j + 1) mod p (a
 Vandermonde sketch), and ``z(w)``, an alpha-row random-matrix sketch that
-verifies whatever the syndromes decode to.
+verifies whatever the syndromes decode to.  The bank stores the sums over
+the edges H drops and adds H's share when a row is read (`SketchBank`).
 
 Recovery takes a block of syndrome rows at one sketch level
 (`recover_batch`); `recover_sparse` and `safe_recover` are its one-row
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from streamcolor._kernels import prf_mod, sketch_update
+from streamcolor.graph import Graph
 from streamcolor.params import ParamSet, child_seed, rng_for, sketch_rates
 
 # ---------------------------------------------------------------------------
@@ -168,9 +170,18 @@ class SketchBank:
     r's own check block, since the check matrix is keyed by r.  Rate r
     reads only the rows it samples.
 
-    The sums are kept unreduced and reduced mod p when read.  A row sums
-    fewer than deg < n <= p residues, so it stays below p^2, which int64
-    holds for p <= MAX_PRIME; a bank whose prime is above it is refused.
+    The bank may be fed only part of the edges and be given a graph ``h``
+    that holds the rest (the pipeline feeds the edges the palette filter
+    drops and hands over the conflict graph H).  Since the sketches are
+    linear over F_p, the invariant is: stored row of v plus the columns
+    summed over v's row of ``h`` equals v's row in a bank fed every edge.
+    `raw` adds ``h``'s share when a row is read; a bank never given ``h``
+    reads its stored rows alone.
+
+    The sums are kept unreduced and reduced mod p when read.  Stored part
+    and ``h``'s part together sum fewer than deg(v) < n <= p residues, so
+    a row stays below p^2, which int64 holds for p <= MAX_PRIME; a bank
+    whose prime is above it is refused.
     """
 
     def __init__(self, n: int, delta: int, params: ParamSet, seed: int):
@@ -189,6 +200,8 @@ class SketchBank:
         # column-major: a chunk adds each column at its endpoints
         self._W = np.zeros((n, 2 * self.rates[-1] + len(self.rates) * self.alpha),
                            dtype=np.int64, order="F")
+        self.h: Graph | None = None  # the edges kept out of the stored rows
+        self.edges_received = 0      # edges fed through update_chunk
 
     def sampled(self, r: int) -> np.ndarray:
         return np.flatnonzero(self._member[self.rates.index(r)])
@@ -197,15 +210,26 @@ class SketchBank:
         return bool(self._member[self.rates.index(r), v])
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
+        self.edges_received += us.size
         sketch_update(self._W, us, vs, self.rates, self.alpha, self.p, self.zseed)
 
     def raw(self, v, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """y and z of vertex v, or their rows for an array of vertices."""
+        """y and z of vertex v, or their rows for an array of vertices.
+
+        The stored row plus the columns summed over v's row of ``h`` is
+        v's row over every edge; the sum is still fewer than deg(v) < p
+        residues, below p^2, and is reduced mod p once."""
         i = self.rates.index(r)
         if not np.all(self._member[i, v]):
             raise KeyError(f"vertex {v} not sampled at rate {r}")
         c = 2 * self.rates[-1] + i * self.alpha  # rate r's check block
-        return self._W[v, : 2 * r] % self.p, self._W[v, c : c + self.alpha] % self.p
+        y, z = self._W[v, : 2 * r], self._W[v, c : c + self.alpha]
+        if self.h is not None:
+            verts = np.atleast_1d(v)
+            owner, nbrs = self.h.rows_of(verts)
+            hy, hz = _column_sums(self, r, owner, nbrs, verts.size)
+            y, z = y + hy.reshape(y.shape), z + hz.reshape(z.shape)
+        return y % self.p, z % self.p
 
     def stored_bits(self) -> int:
         logp = int(np.ceil(np.log2(self.p)))
@@ -213,18 +237,25 @@ class SketchBank:
         return sum(s * (2 * r + self.alpha) * logp for s, r in zip(stored, self.rates))
 
 
-def sketch_of(bank: SketchBank, r: int, sets) -> Measurement:
-    """Level-r measurements of the indicators of vertex sets, one row per
-    set: what a vertex whose neighborhood is exactly that set would store.
-    One power table and one PRF call serve all the sets."""
-    sets = [np.asarray(sorted(s), dtype=np.int64) for s in sets]
-    vs = np.concatenate(sets)
-    owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-    vec = np.zeros((len(sets), 2 * r), dtype=np.int64)
-    check = np.zeros((len(sets), bank.alpha), dtype=np.int64)
-    # a row sums at most n <= p residues, below p^2
+def _column_sums(bank: SketchBank, r: int, owner: np.ndarray, vs: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-r power and check columns of the vertices vs summed into k
+    rows, vs[j] into row owner[j], unreduced.  One power table and one PRF
+    call serve all the rows."""
+    vec = np.zeros((k, 2 * r), dtype=np.int64)
+    check = np.zeros((k, bank.alpha), dtype=np.int64)
     np.add.at(vec, owner, _powers(vs + 1, 2 * r, bank.p))
     np.add.at(check, owner, _check_terms(bank.zseed, r, vs, np.ones_like(vs), bank.alpha, bank.p))
+    return vec, check
+
+
+def sketch_of(bank: SketchBank, r: int, sets) -> Measurement:
+    """Level-r measurements of the indicators of vertex sets, one row per
+    set: what a vertex whose neighborhood is exactly that set would store."""
+    sets = [np.asarray(sorted(s), dtype=np.int64) for s in sets]
+    owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+    # a row sums at most n <= p residues, below p^2
+    vec, check = _column_sums(bank, r, owner, np.concatenate(sets), len(sets))
     return Measurement(r=r, vec=vec % bank.p, check=check % bank.p)
 
 

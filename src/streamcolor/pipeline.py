@@ -4,7 +4,8 @@ A run makes exactly two passes over the edges: the pre-pass does the
 degree census, the component colorability gate, and (by default) the
 shadow copy that feeds the reference decomposer and final verification;
 the main pass feeds the palette filter, the neighbor sampler, and the
-sketch bank simultaneously.  Each retry re-seeds every randomized
+sketch bank simultaneously; the bank sees only the edges the filter drops
+and reads the rest from H.  Each retry re-seeds every randomized
 component and costs one more main pass.
 """
 
@@ -110,7 +111,12 @@ def _prepass(src: StreamSource, want_shadow: bool):
 
 def _main_pass(src, n, delta, params, seed, bank=None):
     """The one main pass: every edge chunk feeds the palette filter into H,
-    the neighbor sampler and, when one is given, the sketch bank together."""
+    the neighbor sampler and, when one is given, the sketch bank together.
+
+    The bank is fed only the edges the filter drops, and is then given H:
+    its stored row of v plus the columns over v's row of H is v's row over
+    every edge, the sum still below p^2 (`SketchBank`).  At desk sizes H
+    keeps every edge, so the bank is fed none."""
     palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
     collector = SampleCollector(n, delta, params, seed)
@@ -121,8 +127,11 @@ def _main_pass(src, n, delta, params, seed, bank=None):
         conflict.add_chunk(us[keep], vs[keep])
         collector.update_chunk(us, vs)
         if bank is not None:
-            bank.update_chunk(us, vs)
-    return palettes, conflict.build(), collector.finalize()
+            bank.update_chunk(us[~keep], vs[~keep])
+    h = conflict.build()
+    if bank is not None:
+        bank.h = h
+    return palettes, h, collector.finalize()
 
 
 def _decompose(shadow, isample, conflict, params, delta):

@@ -280,6 +280,16 @@ def uniform_palettes(n, delta, lists, params=None):
     return pal
 
 
+def dropping_palettes(n, delta, params, seed):
+    """Uniform palettes of three random colors per vertex, drawn from seed,
+    with `sample_palettes`'s signature: the filter keeps an edge only when
+    its endpoints share a color, so H drops many edges, as it does only
+    far above desk sizes (tests only)."""
+    rng = np.random.default_rng(seed)
+    lists = [rng.choice(delta, size=3, replace=False) + 1 for _ in range(n)]
+    return uniform_palettes(n, delta, lists, params)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -13,13 +13,17 @@ from functools import partialmethod
 import numpy as np
 import pytest
 
+from streamcolor import pipeline
 from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
 from streamcolor.field import MAX_PRIME, SketchBank, canonical_prime, is_prime
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _main_pass, _prepass
 from streamcolor.stream import EdgeStream, chunk_edges, stream_source
 
+from conftest import dropping_palettes
+
 SPEC = "random-regular:delta=16,n=400,seed=3"
+MIXED = "mixed:delta=32,count=2,seed=3"
 GOLDEN = {
     "main_bank": "7fac1eb1d646e188797ac0c652af49e3e6b95b37f4f9e8b780f57fb4a1daefc6",
     "subset_bank": "aee28d9813ddbfff9728c6ab9d7ac218e1d8623721bfdafa4f01cfc6da8a240a",
@@ -36,8 +40,13 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def _bank_rows(bank) -> list[np.ndarray]:
+    """y and z of every sampled vertex, rate by rate."""
+    return [m for r in bank.rates for m in bank.raw(bank.sampled(r), r)]
+
+
 def _bank_digest(bank) -> str:
-    return _digest(*(m for r in bank.rates for m in bank.raw(bank.sampled(r), r)))
+    return _digest(*_bank_rows(bank))
 
 
 def test_main_pass_sketch_bank_golden():
@@ -188,32 +197,84 @@ def test_sketch_update_temporaries_stay_bounded():
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("spec", [
-    "random-regular:delta=16,n=400,seed=3",
-    "mixed:delta=32,count=2,seed=3",
+@pytest.mark.parametrize("spec, drop", [
+    pytest.param(SPEC, False, id=SPEC),
+    pytest.param(MIXED, False, id=MIXED),
+    pytest.param(MIXED, True, id=MIXED + "-dropping"),
 ])
-def test_pass_consumers_are_chunk_size_invariant(spec, monkeypatch):
+def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
     """Both passes read at chunk sizes 1, 977, 4096, the default and m:
-    the census, the shadow, the sketch sums, H and the neighbor samples
-    come out the same."""
+    the census, the shadow, the sketch rows of every sampled vertex, H and
+    the neighbor samples come out the same, also with palettes that drop
+    edges, so that the bank stores some."""
     src = stream_source(spec, seed=3)
     n, m = src.n, src.m
     delta = int(_prepass(src, want_shadow=False)[0].degrees.max())
     params = ParamSet.desk(n, delta)
     chunks = EdgeStream.chunks
+    if drop:
+        monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
 
     def passes(size):
         monkeypatch.setattr(EdgeStream, "chunks", partialmethod(chunks, size))
         census, shadow, _ = _prepass(src, want_shadow=True)
         bank = SketchBank(n, delta, params, 3)
         _, h, samples = _main_pass(src, n, delta, params, 3, bank)
-        return [census.roots, census.degrees, bank._W % bank.p,
+        assert (bank.edges_received > 0) == drop
+        return [census.roots, census.degrees, *_bank_rows(bank),
                 *(a for g in (shadow, h, samples) for a in (g.indptr, g.indices))]
 
     want = passes(None)
     for size in (1, 977, 4096, m):
         got = passes(size)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), size
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["desk", "dropping"])
+def test_main_pass_feeds_the_bank_only_the_edges_h_drops(drop, monkeypatch):
+    src = stream_source(SPEC, seed=3)
+    params = ParamSet.desk(src.n, 16)
+    if drop:
+        monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
+    bank = SketchBank(src.n, 16, params, 3)
+    _, h, _ = _main_pass(src, src.n, 16, params, 3, bank)
+    assert bank.h is h
+    assert bank.edges_received == src.m - h.m
+    if drop:
+        assert 0 < bank.edges_received < src.m
+    else:
+        assert bank.edges_received == 0      # at desk sizes H keeps every edge
+
+
+@pytest.mark.parametrize("no_shadow", [False, True], ids=["shadow", "no-shadow"])
+def test_bank_rows_are_all_edges_rows_when_h_drops_edges(no_shadow, monkeypatch):
+    """With palettes that drop edges, the bank of every attempt reads, for
+    every rate r and every sampled v, the rows of a bank fed every edge:
+    its stored part (the dropped edges) plus H's part."""
+    banks = []
+
+    class RecordingBank(SketchBank):
+        def __init__(self, *args):
+            super().__init__(*args)
+            banks.append(self)
+
+    monkeypatch.setattr(pipeline, "SketchBank", RecordingBank)
+    monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
+    src = stream_source(SPEC, seed=3)
+    pipeline.color_run(pipeline.RunConfig(SPEC, seed=3, no_shadow=no_shadow))
+    assert banks
+    for bank in banks:
+        assert 0 < bank.h.m < src.m
+        full = SketchBank(bank.n, bank.delta, bank.params, bank.seed)
+        full.update_chunk(np.ascontiguousarray(src.edges[:, 0]),
+                          np.ascontiguousarray(src.edges[:, 1]))
+        for r in bank.rates:
+            vs = bank.sampled(r)
+            rows = bank.raw(vs, r)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, full.raw(vs, r))), r
+            for i, v in enumerate(vs.tolist()):
+                y, z = bank.raw(v, r)
+                assert np.array_equal(y, rows[0][i]) and np.array_equal(z, rows[1][i]), (r, v)
 
 
 def test_sketch_bank_refuses_a_prime_past_int64():
