@@ -18,10 +18,9 @@ from streamcolor.field import (
     Measurement,
     canonical_prime,
     check_prime,
-    random_check_apply,
-    recover_sparse,
+    column_sums,
+    decode_rows,
     safe_recover,
-    vandermonde_sum,
 )
 from streamcolor.generators import GeneratorSpecError, instance_from_spec
 from streamcolor.pipeline import (
@@ -206,21 +205,20 @@ def cmd_demo_recover(args) -> int:
     if args.k:
         supp = rng.choice(n, size=args.k, replace=False)
         x[supp] = rng.integers(1, p, size=args.k)
-    vec = np.zeros(2 * r, dtype=np.int64)
-    for j in np.flatnonzero(x):
-        col = vandermonde_sum(r, p, [int(j)])
-        vec = (vec + int(x[j]) * col) % p
-    check = random_check_apply(args.seed, r, x, 8, p)
+    supp = np.flatnonzero(x)
+    # one measurement row: x's columns times its values
+    vec, check = column_sums(p, args.seed, 8, r, np.zeros_like(supp), supp, 1, x[supp])
+    meas = Measurement(r=r, vec=vec % p, check=check % p)
     print(f"n={n} p={p} true sparsity k={args.k} recovery bound r={r}")
-    print(f"support: {np.flatnonzero(x).tolist()} values: {x[np.flatnonzero(x)].tolist()}")
-    got = safe_recover(Measurement(r=r, vec=vec, check=check), p, n, args.seed, 8)
+    print(f"support: {supp.tolist()} values: {x[supp].tolist()}")
+    [got] = safe_recover(meas, p, n, args.seed, 8)
     if got is None:
         print("safe recovery: fail (refused; measurement not r-sparse or check mismatch)")
-        raw = recover_sparse(vec, r, p, n)
-        print(f"unverified decode said: {'no sparse preimage' if raw is None else 'candidate ' + str(np.flatnonzero(raw).tolist())}")
+        [raw] = decode_rows(meas.vec, r, p, n)
+        print(f"unverified decode said: {'no sparse preimage' if raw is None else 'candidate ' + str(raw[0].tolist())}")
         return EXIT_OK
-    exact = bool(np.array_equal(got, x))
-    print(f"recovered support {np.flatnonzero(got).tolist()} exact={exact}")
+    exact = np.array_equal(got[0], supp) and np.array_equal(got[1], x[supp])
+    print(f"recovered support {got[0].tolist()} exact={exact}")
     return EXIT_OK if exact else EXIT_VERIFY
 
 

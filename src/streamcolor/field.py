@@ -6,14 +6,18 @@ vector x of its neighbors, where vertex j has node a_j = (j + 1) mod p (a
 Vandermonde sketch), and ``z(w)``, an alpha-row random-matrix sketch that
 verifies whatever the syndromes decode to.  The bank stores the sums over
 the edges H drops and adds H's share when a row is read (`SketchBank`).
+`column_sums` is the one way a measurement is built from columns: the
+bank's H share, the sketch of a vertex set (`sketch_of`) and any sparse
+vector.
 
-Recovery takes a block of syndrome rows at one sketch level
-(`recover_batch`); `recover_sparse` and `safe_recover` are its one-row
-case.  Each row yields the unique vector with at most r nonzeros that
+Recovery takes a block of syndrome rows at one sketch level, the way the
+helper search measures every member it still needs at that level.
+`decode_rows` is the unverified decode and `safe_recover` the verified
+one.  Each row yields the unique vector with at most r nonzeros that
 matches its 2r syndromes, as (support, values), or is refused:
 
 1. Berlekamp–Massey gives the shortest linear recurrence, of length L,
-   vectorized over the rows.
+   inversion-free and vectorized over the rows.
 2. The support is the set of vertices whose node is a root of the
    recurrence's polynomial.  A degree-1 polynomial C0*a + C1 has the one
    root a = -C1/C0, the node of vertex (a - 1) mod p, kept only below n
@@ -109,7 +113,7 @@ def canonical_prime(n: int) -> int:
 def _powers(x: np.ndarray, count: int, p: int) -> np.ndarray:
     """x^t mod p for t < count, in a new last axis, by doubling."""
     P = np.empty(x.shape + (count,), dtype=np.int64)
-    P[..., 0] = 1
+    P[..., :1] = 1  # count may be 0
     step, xs = 1, x % p
     while step < count:
         m = min(step, count - step)
@@ -117,12 +121,6 @@ def _powers(x: np.ndarray, count: int, p: int) -> np.ndarray:
         xs = xs * xs % p
         step += m
     return P
-
-
-def vandermonde_sum(r: int, p: int, vertices) -> np.ndarray:
-    """Sum of columns for a vertex set, i.e. the sketch of its indicator."""
-    vs = np.asarray(sorted(vertices), dtype=np.int64)
-    return _powers(vs + 1, 2 * r, p).sum(axis=0) % p
 
 
 def _check_terms(zseed: int, r: int, support: np.ndarray, values: np.ndarray,
@@ -135,10 +133,17 @@ def _check_terms(zseed: int, r: int, support: np.ndarray, values: np.ndarray,
     return C * (np.asarray(values, dtype=np.int64)[:, None] % p) % p
 
 
-def random_check_apply(zseed: int, r: int, x: np.ndarray, alpha: int, p: int) -> np.ndarray:
-    """Random check matrix applied to a (typically sparse) vector x."""
-    supp = np.flatnonzero(x)
-    return _check_terms(zseed, r, supp, np.asarray(x)[supp], alpha, p).sum(axis=0) % p
+def column_sums(p: int, zseed: int, alpha: int, r: int, owner: np.ndarray, vs: np.ndarray,
+                k: int, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Level-r power and check columns of the vertices vs, times their
+    values (1 when None), summed into k rows, vs[j] into row owner[j],
+    unreduced.  One power table and one PRF call serve all the rows."""
+    values = np.ones_like(vs) if values is None else np.asarray(values, dtype=np.int64) % p
+    vec = np.zeros((k, 2 * r), dtype=np.int64)
+    check = np.zeros((k, alpha), dtype=np.int64)
+    np.add.at(vec, owner, _powers(vs + 1, 2 * r, p) * values[:, None] % p)
+    np.add.at(check, owner, _check_terms(zseed, r, vs, values, alpha, p))
+    return vec, check
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +211,6 @@ class SketchBank:
     def sampled(self, r: int) -> np.ndarray:
         return np.flatnonzero(self._member[self.rates.index(r)])
 
-    def in_rate(self, v: int, r: int) -> bool:
-        return bool(self._member[self.rates.index(r), v])
-
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
         self.edges_received += us.size
         sketch_update(self._W, us, vs, self.rates, self.alpha, self.p, self.zseed)
@@ -227,7 +229,7 @@ class SketchBank:
         if self.h is not None:
             verts = np.atleast_1d(v)
             owner, nbrs = self.h.rows_of(verts)
-            hy, hz = _column_sums(self, r, owner, nbrs, verts.size)
+            hy, hz = column_sums(self.p, self.zseed, self.alpha, r, owner, nbrs, verts.size)
             y, z = y + hy.reshape(y.shape), z + hz.reshape(z.shape)
         return y % self.p, z % self.p
 
@@ -237,40 +239,26 @@ class SketchBank:
         return sum(s * (2 * r + self.alpha) * logp for s, r in zip(stored, self.rates))
 
 
-def _column_sums(bank: SketchBank, r: int, owner: np.ndarray, vs: np.ndarray,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-r power and check columns of the vertices vs summed into k
-    rows, vs[j] into row owner[j], unreduced.  One power table and one PRF
-    call serve all the rows."""
-    vec = np.zeros((k, 2 * r), dtype=np.int64)
-    check = np.zeros((k, bank.alpha), dtype=np.int64)
-    np.add.at(vec, owner, _powers(vs + 1, 2 * r, bank.p))
-    np.add.at(check, owner, _check_terms(bank.zseed, r, vs, np.ones_like(vs), bank.alpha, bank.p))
-    return vec, check
-
-
 def sketch_of(bank: SketchBank, r: int, sets) -> Measurement:
     """Level-r measurements of the indicators of vertex sets, one row per
     set: what a vertex whose neighborhood is exactly that set would store."""
     sets = [np.asarray(sorted(s), dtype=np.int64) for s in sets]
     owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
     # a row sums at most n <= p residues, below p^2
-    vec, check = _column_sums(bank, r, owner, np.concatenate(sets), len(sets))
+    vec, check = column_sums(bank.p, bank.zseed, bank.alpha, r, owner,
+                             np.concatenate(sets), len(sets))
     return Measurement(r=r, vec=vec % bank.p, check=check % bank.p)
 
 
-def measure_relative(bank: SketchBank, v, r: int, ref) -> Measurement:
+def measure_relative(bank: SketchBank, v, r: int, ref: Measurement) -> Measurement:
     """Measurement of x = chi(N(v)) - chi(ref) over F_p; for an array of
-    vertices, a block with one row per vertex.  ``ref`` is a vertex set, or
-    a `sketch_of` measurement that broadcasts against v's rows, so one
-    reference serves many vertices.
+    vertices, a block with one row per vertex.  ``ref`` measures the
+    reference set (`sketch_of`, or any level-r measurement) and broadcasts
+    against v's rows, so one reference serves many vertices.
 
     Entries of x are 1 on N(v) \\ ref, p-1 on ref \\ N(v), 0 elsewhere, so
     x is sparse whenever v's neighborhood nearly matches the reference set.
     """
-    if not isinstance(ref, Measurement):
-        one = sketch_of(bank, r, [ref])
-        ref = Measurement(r=r, vec=one.vec[0], check=one.check[0])
     y, z = bank.raw(v, r)
     return Measurement(r=r, vec=(y - ref.vec) % bank.p, check=(z - ref.check) % bank.p)
 
@@ -286,63 +274,21 @@ _EMPTY = np.zeros(0, dtype=np.int64)  # support and values of the zero vector
 _EMPTY.flags.writeable = False
 
 
-def berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Minimal linear recurrence of s over F_p.
-
-    Returns (L, C) with C[0] = 1 and sum_i C[i]*s[t-i] = 0 for t >= L.
-    """
-    s = [int(x) % p for x in s]
-    C = [1]
-    B = [1]
-    L, m, b = 0, 1, 1
-    for i, si in enumerate(s):
-        d = si
-        for j in range(1, L + 1):
-            d = (d + C[j] * s[i - j]) % p
-        if d == 0:
-            m += 1
-            continue
-        coef = d * pow(b, p - 2, p) % p
-        if 2 * L <= i:
-            T = C[:]
-            if len(C) < len(B) + m:
-                C = C + [0] * (len(B) + m - len(C))
-            for j, bj in enumerate(B):
-                C[j + m] = (C[j + m] - coef * bj) % p
-            L = i + 1 - L
-            B = T
-            b = d
-            m = 1
-        else:
-            if len(C) < len(B) + m:
-                C = C + [0] * (len(B) + m - len(C))
-            for j, bj in enumerate(B):
-                C[j + m] = (C[j + m] - coef * bj) % p
-            m += 1
-    return L, [c % p for c in C[: L + 1]]
-
-
 def _recurrences(S: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Berlekamp–Massey for every row of S: linear complexities L (k,) and
     connection polynomials C (k, T+1), each row a nonzero multiple of the
     monic one (C[:, 0] != 0, zero past column L).
 
-    A batch runs the inversion-free form vectorized over the rows: C gets
-    gamma*C - d*x^m*B instead of C - (d/gamma)*x^m*B.  One row runs
-    `berlekamp_massey` on Python ints, which costs far less than a numpy
-    step's call overhead at one row.
+    It runs the inversion-free form vectorized over the rows: C gets
+    gamma*C - d*x^m*B instead of C - (d/gamma)*x^m*B.
     """
     k, T = S.shape
     C = np.zeros((k, T + 1), dtype=np.int64)
-    if k == 1:
-        L, c = berlekamp_massey(S[0], p)
-        C[0, : len(c)] = c
-        return np.array([L]), C
     C[:, 0] = 1
     # x^m * B lives in a window of buf that moves one column left per step,
     # so multiplying by x is free; columns left of the window stay zero.
     buf = np.zeros((k, 2 * T + 1), dtype=np.int64)
-    buf[:, T + 1] = 1
+    buf[:, T + 1 : T + 2] = 1  # empty at T = 0
     gamma = np.ones(k, dtype=np.int64)
     L = np.zeros(k, dtype=np.int64)
     R = S[:, ::-1]
@@ -425,7 +371,7 @@ def _forney(S: np.ndarray, C: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
     return num * _inverse(den, p) % p
 
 
-def _decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
+def decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
     """Unverified decode of every row of a (k, 2r) syndrome block: the
     unique vector with at most r nonzeros matching the row, as (support,
     values), or None when the checks refuse the row."""
@@ -459,16 +405,18 @@ def _decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
     return out
 
 
-def recover_batch(meas: Measurement, p: int, n: int, zseed: int,
-                  alpha: int) -> list[Sparse | None]:
+def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
+                 alpha: int) -> list[Sparse | None]:
     """Verified recovery of every row of a measurement block at one sketch
     level: ``meas.vec`` is (k, 2r), ``meas.check`` is (k, alpha).
 
     Row i gives (support, values) of the recovered vector, or None when it
-    is refused.  Every candidate must pass the random check; one PRF call
-    materializes the check columns of all candidates' supports.
+    is refused (not sparse enough, or the check disagrees), never a wrong
+    vector except with probability p^-alpha.  Every candidate must pass the
+    random check; one PRF call materializes the check columns of all
+    candidates' supports.
     """
-    out = _decode_rows(meas.vec, meas.r, p, n)
+    out = decode_rows(meas.vec, meas.r, p, n)
     cand = [i for i, got in enumerate(out) if got is not None]
     if not cand:
         return out
@@ -483,33 +431,3 @@ def recover_batch(meas: Measurement, p: int, n: int, zseed: int,
         out[cand[j]] = None
     return out
 
-
-def _dense(got: Sparse, n: int) -> np.ndarray:
-    x = np.zeros(n, dtype=np.int64)
-    x[got[0]] = got[1]
-    return x
-
-
-def recover_sparse(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | None:
-    """Recover the unique vector with at most r nonzeros matching a
-    2r-entry syndrome, or None when no such vector exists.
-
-    None is a value (the input was not r-sparse), not a fault.
-    """
-    got = _decode_rows(np.asarray(meas)[None], r, p, n)[0]
-    return None if got is None else _dense(got, n)
-
-
-def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
-                 alpha: int) -> np.ndarray | None:
-    """Recover then verify one measurement; None means 'fail' (refused,
-    not wrong).
-
-    When the measured vector really is r-sparse this never fails and
-    never returns a wrong vector; otherwise a wrong vector survives with
-    probability at most p^-alpha.
-    """
-    one = Measurement(r=meas.r, vec=np.reshape(meas.vec, (1, -1)),
-                      check=np.reshape(meas.check, (1, -1)))
-    got = recover_batch(one, p, n, zseed, alpha)[0]
-    return None if got is None else _dense(got, n)

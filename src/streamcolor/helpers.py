@@ -9,21 +9,19 @@ cliques that phase 4 could not color from their lists; `run_phases`
 routes those to phase 5 or 6 and asks the pipeline for their helpers.
 
 Neighborhoods come from verified sparse recovery (`streamcolor.field`).
-For a clique member w, chi(N(w)) - chi(K) has one entry per non-neighbor
-inside K and one per neighbor outside, so it is sparse; at the top
-sketch level chi(N(w)) itself is.  A recovered vector is exact whenever
-the verifier accepts it, and `_decode_neighborhood` refuses any that
-cannot be a neighborhood indicator.
-
-The critical search takes every deferred critical clique at once and
-climbs the sketch levels: at each level, one relative measurement and one
-`recover_batch` cover every unresolved member of every clique still
-searching, and a clique drops out at the first level that yields a
-candidate pair.  The friendly search stops at its first triple, so it
-recovers one member at a time, lazily, through `safe_recover`: each
-member climbs the levels that store it below the top relative to K, and
-recovers chi(N(w)) at the top level only when none of them decodes.  K's
-sketch at a level is computed once per clique and serves all its members.
+Both searches run one level-by-level block search (`_resolve`) over all
+their cliques: at each sketch level, one `safe_recover` call covers every
+unresolved stored member of every clique still searching.  Below the top
+level, member w is measured against chi(K \\ {w}): chi(N(w)) - chi(K \\ {w})
+has one entry per non-neighbor inside K and one per neighbor outside, so
+it is sparse for a near-clique member.  At the top level the search
+recovers chi(N(w)) itself, which always decodes because
+deg(w) <= delta <= r_top.  A recovered vector is exact whenever the
+verifier accepts it, and `_decode_neighborhood` refuses any that cannot
+be a neighborhood indicator.  A critical clique stops at the first level
+where `_critical_choice` names a pair; a friendly clique stops once every
+member stored at the top level is resolved, and `_friendly_choice` picks
+its triple from those exact sets.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import numpy as np
 from streamcolor.field import (
     Measurement,
     SketchBank,
+    column_sums,
     measure_relative,
-    recover_batch,
     safe_recover,
     sketch_of,
 )
@@ -92,11 +90,65 @@ def _decode_neighborhood(
     return nbrs
 
 
-def _critical_choice(verts: list[int], kset: set[int], resolved: dict[int, set[int]],
+def _resolve(bank: SketchBank, verts: list[list[int]], members: list[list[int]],
+             choose) -> list:
+    """Recover member neighborhoods of many cliques level by level.
+
+    ``verts[c]`` is clique c's sorted vertex list and ``members[c]`` the
+    members whose neighborhoods its search may read.  The decoded sets are
+    exact, so a resolved member is not measured again.  Clique c stops at
+    the first level r where ``choose(c, resolved, r)`` is not None, with
+    ``resolved`` its recovered neighborhoods so far, or once it has no
+    member left to recover; its entry is that choice, or None.
+    """
+    top = bank.rates[-1]
+    ksets = [set(vs) for vs in verts]
+    resolved: list[dict[int, set[int]]] = [{} for _ in verts]
+    found: list = [None] * len(verts)
+    searching = list(range(len(verts)))
+    for r in bank.rates:
+        if not searching:
+            break
+        stored, todo = np.zeros(bank.n, dtype=bool), {}
+        stored[bank.sampled(r)] = True
+        for c in searching:
+            ws = np.array([w for w in members[c] if w not in resolved[c]], dtype=np.int64)
+            ws = ws[stored[ws]]
+            if ws.size:
+                todo[c] = ws
+        if todo:
+            ws = np.concatenate(list(todo.values()))
+            if r < top:
+                # chi(K) of each member's clique, minus the member's own column
+                ref = sketch_of(bank, r, [verts[c] for c in todo])
+                own = np.repeat(np.arange(len(todo)), [a.size for a in todo.values()])
+                vec, check = column_sums(bank.p, bank.zseed, bank.alpha, r,
+                                         np.arange(ws.size), ws, ws.size)
+                meas = measure_relative(bank, ws, r, Measurement(
+                    r=r, vec=ref.vec[own] - vec, check=ref.check[own] - check))
+            else:
+                meas = Measurement(r, *bank.raw(ws, r))
+            got = iter(safe_recover(meas, bank.p, bank.n, bank.zseed, bank.alpha))
+            for c, cws in todo.items():
+                for w, sv in zip(cws.tolist(), got):
+                    ref_set = ksets[c] - {w} if r < top else set()
+                    nbhd = None if sv is None else _decode_neighborhood(
+                        *sv, ref_set, w, bank.p, bank.delta)
+                    if nbhd is not None:
+                        resolved[c][w] = nbhd
+        for c in searching:
+            found[c] = choose(c, resolved[c], r)
+        searching = [c for c in searching
+                     if found[c] is None and len(resolved[c]) < len(members[c])]
+    return found
+
+
+def _critical_choice(verts: list[int], resolved: dict[int, set[int]],
                      r: int) -> CriticalHelper | None:
     """The first member, in vertex order, whose recovered neighborhood
     misses another member, paired with the missed member that the most
     recovered neighborhoods miss (the smallest such on a tie)."""
+    kset = set(verts)
     candidates = {w: kset - nbhd - {w} for w, nbhd in resolved.items()}
     incident: dict[int, int] = {}
     for partners in candidates.values():
@@ -115,101 +167,52 @@ def find_critical_helper(cliques, bank: SketchBank) -> list[CriticalHelper | Non
     member whose neighborhood recovers and that has a non-neighbor inside
     the clique.
 
-    Cheapest recoveries come first: a member's relative vector has one
-    entry per non-neighbor inside K plus one per neighbor outside, so
-    near-clique members decode already at tiny levels.  Each level
-    measures every unresolved member of every clique still searching
-    against its own clique and recovers them all in one batch; a clique
-    stops at the first level that yields a candidate.  An entry is None
-    only when no member of that clique recovers (the caller may retry
-    with a fresh seed).
+    Cheapest recoveries come first, so near-clique members decode already
+    at tiny levels.  An entry is None only when no member of that clique
+    recovers (the caller may retry with a fresh seed).
     """
     verts = [sorted(K) for K in cliques]
-    ksets = [set(vs) for vs in verts]
-    # the decoded vectors are exact, so a resolved member is not retried
-    resolved: list[dict[int, set[int]]] = [{} for _ in verts]
-    found: list[CriticalHelper | None] = [None] * len(verts)
-    searching = list(range(len(verts)))
-    for r in bank.rates:
-        if not searching:
-            break
-        stored, todo = np.zeros(bank.n, dtype=bool), {}
-        stored[bank.sampled(r)] = True
-        for c in searching:
-            ws = np.array([w for w in verts[c] if w not in resolved[c]], dtype=np.int64)
-            ws = ws[stored[ws]]
-            if ws.size:
-                todo[c] = ws
-        if todo:
-            ref = sketch_of(bank, r, [verts[c] for c in todo])
-            own = np.repeat(np.arange(len(todo)), [ws.size for ws in todo.values()])
-            meas = measure_relative(bank, np.concatenate(list(todo.values())), r,
-                                    Measurement(r=r, vec=ref.vec[own], check=ref.check[own]))
-            got = iter(recover_batch(meas, bank.p, bank.n, bank.zseed, bank.alpha))
-            for c, ws in todo.items():
-                for w, sv in zip(ws.tolist(), got):
-                    nbhd = None if sv is None else _decode_neighborhood(
-                        *sv, ksets[c], w, bank.p, bank.delta)
-                    if nbhd is not None:
-                        resolved[c][w] = nbhd
-        for c in searching:
-            found[c] = _critical_choice(verts[c], ksets[c], resolved[c], r)
-        searching = [c for c in searching if found[c] is None]
-    return found
+    return _resolve(bank, verts, verts,
+                    lambda c, resolved, r: _critical_choice(verts[c], resolved, r))
 
 
-def find_friendly_helper(K, witness: int, bank: SketchBank) -> FriendlyHelper | None:
-    """Find w in K non-adjacent to the witness with a recovered
-    neighborhood, then a common neighbor v of both with a recovered
-    neighborhood.  Adjacency to the witness is judged from the recovered
-    (exact) sets, so a returned helper is sound.
-
-    Only members stored at the top sketch level are tried, lazily, one at
-    a time.  A member climbs the levels that store it below the top,
-    recovering chi(N(w)) - chi(K), which is sparse for a near-clique
-    member; the last step recovers chi(N(w)) itself at the top level,
-    which always decodes because deg(w) <= delta <= r_top.
-    """
-    top = bank.rates[-1]
-    verts = sorted(K)
+def _friendly_choice(verts: list[int], witness: int,
+                     known: dict[int, set[int]]) -> FriendlyHelper | None:
+    """The first w in K non-adjacent to the witness, then the first common
+    neighbor v of both, among the members with a recovered neighborhood.
+    Adjacency is judged from the recovered (exact) sets, so a returned
+    helper is sound."""
     kset = set(verts)
-    refs: dict[int, Measurement] = {}  # level -> the sketch of chi(K)
-    known: dict[int, set[int] | None] = {}
-
-    def recover(meas: Measurement, ref: set[int], w: int) -> set[int] | None:
-        x = safe_recover(meas, bank.p, bank.n, bank.zseed, bank.alpha)
-        if x is None:
-            return None
-        supp = np.flatnonzero(x)
-        return _decode_neighborhood(supp, x[supp], ref, w, bank.p, bank.delta)
-
-    def neighborhood(w: int) -> set[int] | None:
-        if w not in known:
-            known[w] = None
-            if bank.in_rate(w, top):
-                for r in bank.rates[:-1]:
-                    if bank.in_rate(w, r):
-                        if r not in refs:
-                            refs[r] = sketch_of(bank, r, [verts])
-                        known[w] = recover(measure_relative(bank, w, r, refs[r]), kset, w)
-                        if known[w] is not None:
-                            break
-                else:
-                    y, z = bank.raw(w, top)
-                    known[w] = recover(Measurement(r=top, vec=y, check=z), set(), w)
-        return known[w]
-
     for w in verts:
-        n_w = neighborhood(w)
+        n_w = known.get(w)
         if n_w is None or witness in n_w:
             continue
         for v in sorted(n_w & kset):
-            n_v = neighborhood(v)
-            if n_v is None:
-                continue
-            if witness in n_v and w in n_v:
+            n_v = known.get(v)
+            if n_v is not None and witness in n_v and w in n_v:
                 return FriendlyHelper(u=witness, v=v, w=w, n_v=n_v, n_w=n_w)
     return None
+
+
+def find_friendly_helper(cliques, bank: SketchBank) -> list[FriendlyHelper | None]:
+    """For each (clique, witness) pair, a friendly triple read from the
+    recovered neighborhoods of the members stored at the top sketch level,
+    or None when there is none.
+
+    The search resolves those members level by level, as the critical
+    search does, and a clique stops once all of them are resolved; the
+    top level always decodes them.
+    """
+    verts = [sorted(K) for K, _ in cliques]
+    top = bank.sampled(bank.rates[-1])
+    members = [np.intersect1d(vs, top).tolist() for vs in verts]
+
+    def choose(c, resolved, r):
+        if len(resolved) < len(members[c]):
+            return None
+        return _friendly_choice(verts[c], cliques[c][1], resolved)
+
+    return _resolve(bank, verts, members, choose)
 
 
 def build_recovery_graph(

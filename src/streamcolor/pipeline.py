@@ -160,21 +160,18 @@ def _attempt(src, n, delta, params, run_seed, shadow):
         )
 
     def find_helpers(critical, friendly):
-        # one batched search for the deferred critical cliques; failures are
-        # still reported in clique order, interleaved with the friendly ones
+        # one batched search for each kind; failures are reported in clique
+        # order, so the first failing clique is named
         found = dict(zip(critical, find_critical_helper(
             [dec.cliques[i].vertices for i in critical], bank))) if critical else {}
-        friendly_helpers = {}
+        friendly_helpers = dict(zip(friendly, find_friendly_helper(
+            [(dec.cliques[i].vertices, dec.cliques[i].witness) for i in friendly],
+            bank))) if friendly else {}
         for i in sorted(critical + friendly):
-            if i in found:
-                if found[i] is None:
-                    raise col.RunFailure("helpers", f"no pair recovered for critical clique {i}")
-            else:
-                k = dec.cliques[i]
-                h = find_friendly_helper(k.vertices, k.witness, bank)
-                if h is None:
-                    raise col.RunFailure("helpers", f"no witness triple for friendly clique {i}")
-                friendly_helpers[i] = h
+            if i in found and found[i] is None:
+                raise col.RunFailure("helpers", f"no pair recovered for critical clique {i}")
+            if i in friendly_helpers and friendly_helpers[i] is None:
+                raise col.RunFailure("helpers", f"no witness triple for friendly clique {i}")
         return found, friendly_helpers, build_recovery_graph(n, found, friendly_helpers)
 
     phase_result = col.run_phases(conflict, palettes, dec, find_helpers, params, run_seed)

@@ -156,6 +156,52 @@ def syndrome_of(x: np.ndarray, r: int, p: int) -> np.ndarray:
     return out
 
 
+def dense(got, n: int) -> np.ndarray | None:
+    """A recovered (support, values) pair as a length-n vector; None stays."""
+    if got is None:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[got[0]] = got[1]
+    return x
+
+
+def berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, list[int]]:
+    """Minimal linear recurrence of s over F_p, on Python ints: the oracle
+    of `field._recurrences`.
+
+    Returns (L, C) with C[0] = 1 and sum_i C[i]*s[t-i] = 0 for t >= L.
+    """
+    s = [int(x) % p for x in s]
+    C = [1]
+    B = [1]
+    L, m, b = 0, 1, 1
+    for i, si in enumerate(s):
+        d = si
+        for j in range(1, L + 1):
+            d = (d + C[j] * s[i - j]) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(b, p - 2, p) % p
+        if 2 * L <= i:
+            T = C[:]
+            if len(C) < len(B) + m:
+                C = C + [0] * (len(B) + m - len(C))
+            for j, bj in enumerate(B):
+                C[j + m] = (C[j + m] - coef * bj) % p
+            L = i + 1 - L
+            B = T
+            b = d
+            m = 1
+        else:
+            if len(C) < len(B) + m:
+                C = C + [0] * (len(B) + m - len(C))
+            for j, bj in enumerate(B):
+                C[j + m] = (C[j + m] - coef * bj) % p
+            m += 1
+    return L, [c % p for c in C[: L + 1]]
+
+
 def random_sparse_vector(rng, n: int, k: int, p: int) -> np.ndarray:
     x = np.zeros(n, dtype=np.int64)
     if k:
@@ -344,7 +390,7 @@ def _support_systems(n: int, e: int, p: int) -> tuple[np.ndarray, np.ndarray, np
 def brute_force_decode(meas: np.ndarray, r: int, p: int, n: int) -> np.ndarray | None:
     """Enumerate all supports of size <= r (r <= 3 only) and return the
     first exact solution in support order, or None.  Cross-check oracle for
-    recover_sparse; it shares no code with the Berlekamp-Massey path."""
+    `field.decode_rows`; it shares no code with the Berlekamp-Massey path."""
     if r > 3:
         raise ValueError("brute-force decoder supports r <= 3")
     s = np.asarray(meas, dtype=np.int64) % p

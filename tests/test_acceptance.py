@@ -20,8 +20,8 @@ from streamcolor.field import (
     Measurement,
     SketchBank,
     canonical_prime,
-    random_check_apply,
-    recover_sparse,
+    column_sums,
+    decode_rows,
     safe_recover,
 )
 from streamcolor.generators import generate_instance
@@ -34,6 +34,7 @@ from streamcolor.pipeline import SUCCESS, RunConfig, color_run, verify_coloring
 from conftest import (
     brute_force_decode,
     collect_samples,
+    dense,
     oracle_from_edges,
     random_sparse_vector,
     shadow_of,
@@ -58,10 +59,11 @@ def test_criterion_01_sparse_recovery_exactness():
         p = canonical_prime(n)
         for k in range(1, 9):
             rng = np.random.default_rng(1000 * n + k)
-            for _ in range(1000):
-                x = random_sparse_vector(rng, n, k, p)
-                meas = syndrome_of(x, k, p)
-                got = recover_sparse(meas, k, p, n)
+            xs = [random_sparse_vector(rng, n, k, p) for _ in range(1000)]
+            block = np.array([syndrome_of(x, k, p) for x in xs])
+            # one decode for the whole block, as the helper search makes them
+            for x, meas, row in zip(xs, block, decode_rows(block, k, p, n)):
+                got = dense(row, n)
                 total += 1
                 if got is None or not np.array_equal(got, x):
                     failures += 1
@@ -88,6 +90,7 @@ def test_criterion_02_verified_recovery_safety():
     wrong = 0
     refused = 0
     trials = 100_000
+    by_r: dict[int, list[np.ndarray]] = {}
     for i in range(trials):
         r = int(rng.integers(2, 5))
         if i % 5 < 3:
@@ -102,16 +105,18 @@ def test_criterion_02_verified_recovery_safety():
             x[b] = (x[b] - 1) % p
             if np.count_nonzero(x) <= r:
                 continue
-        meas = Measurement(
-            r=r,
-            vec=syndrome_of(x, r, p),
-            check=random_check_apply(zseed, r, x, alpha, p),
-        )
-        got = safe_recover(meas, p, n, zseed, alpha)
-        if got is None:
-            refused += 1
-        elif not np.array_equal(got, x):
-            wrong += 1
+        by_r.setdefault(r, []).append(x)
+    # one verified recovery per sparsity bound over all of its trials
+    for r, xs in by_r.items():
+        X = np.array(xs)
+        owner, supp = np.nonzero(X)
+        _, check = column_sums(p, zseed, alpha, r, owner, supp, len(xs), X[owner, supp])
+        meas = Measurement(r=r, vec=np.array([syndrome_of(x, r, p) for x in xs]), check=check % p)
+        for x, got in zip(xs, safe_recover(meas, p, n, zseed, alpha)):
+            if got is None:
+                refused += 1
+            elif not np.array_equal(dense(got, n), x):
+                wrong += 1
     _verdict(
         2,
         "verified recovery never returns a wrong vector (bound ~1e5 * p^-8)",
@@ -302,7 +307,7 @@ def test_criterion_06_helper_recovery():
         k = dec.cliques[0]
         if k.kind != "friendly":
             continue
-        h = find_friendly_helper(k.vertices, k.witness, _bank_of(inst, params, seed))
+        [h] = find_friendly_helper([(k.vertices, k.witness)], _bank_of(inst, params, seed))
         if h is None:
             continue
         assert h.u not in k.vset and h.v in k.vset and h.w in k.vset

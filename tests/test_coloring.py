@@ -932,10 +932,8 @@ def test_shared_witness_is_recolored_twice():
         bank.update_chunk(
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
         )
-    friendly = {
-        i: find_friendly_helper(k.vertices, k.witness, bank)
-        for i, k in enumerate(dec.cliques)
-    }
+    friendly = dict(enumerate(find_friendly_helper(
+        [(k.vertices, k.witness) for k in dec.cliques], bank)))
     assert all(friendly.values())
     rec = build_recovery_graph(n, {}, friendly)
 

@@ -10,21 +10,38 @@ from streamcolor.field import (
     MAX_PRIME,
     Measurement,
     SketchBank,
-    berlekamp_massey,
+    _recurrences,
     canonical_prime,
     check_prime,
+    column_sums,
+    decode_rows,
     is_prime,
     measure_relative,
     next_prime,
-    random_check_apply,
-    recover_batch,
-    recover_sparse,
     safe_recover,
-    vandermonde_sum,
+    sketch_of,
 )
 from streamcolor.params import ParamSet
 
-from conftest import brute_force_decode, random_sparse_vector, syndrome_of
+from conftest import (
+    berlekamp_massey,
+    brute_force_decode,
+    dense,
+    random_sparse_vector,
+    syndrome_of,
+)
+
+
+def _decode_one(meas, r, p, n):
+    """Unverified decode of one syndrome, as a dense vector or None."""
+    return dense(decode_rows(np.reshape(meas, (1, -1)), r, p, n)[0], n)
+
+
+def _measure(x, r, p, zseed, alpha) -> Measurement:
+    """One-row measurement of x from the library's column sums."""
+    supp = np.flatnonzero(x)
+    vec, check = column_sums(p, zseed, alpha, r, np.zeros_like(supp), supp, 1, x[supp])
+    return Measurement(r=r, vec=vec % p, check=check % p)
 
 
 def test_prime_selection():
@@ -39,9 +56,12 @@ def test_prime_selection():
 
 def test_vandermonde_column_values():
     # the sketch of {u} is u's power column: entry i is (u+1)^i mod p
-    assert vandermonde_sum(2, 11, [2]).tolist() == [1, 3, 9, 5]
-    assert vandermonde_sum(1, 11, [9]).tolist() == [1, 10]
-    assert vandermonde_sum(3, 101, [0]).tolist() == [1] * 6
+    def column(r, p, u):
+        return column_sums(p, 0, 1, r, np.zeros(1, dtype=np.int64), np.array([u]), 1)[0][0] % p
+
+    assert column(2, 11, 2).tolist() == [1, 3, 9, 5]
+    assert column(1, 11, 9).tolist() == [1, 10]
+    assert column(3, 101, 0).tolist() == [1] * 6
 
 
 def test_recover_named_example():
@@ -50,13 +70,13 @@ def test_recover_named_example():
     x = np.zeros(n, dtype=np.int64)
     x[2], x[6] = 1, 10
     meas = syndrome_of(x, r, p)
-    assert np.array_equal(recover_sparse(meas, r, p, n), x)
+    assert np.array_equal(_decode_one(meas, r, p, n), x)
     assert np.array_equal(brute_force_decode(meas, r, p, n), x)
 
 
 def test_recover_zero_measurement():
     p = canonical_prime(16)
-    assert np.array_equal(recover_sparse(np.zeros(4, dtype=np.int64), 2, p, 16), np.zeros(16))
+    assert np.array_equal(_decode_one(np.zeros(4, dtype=np.int64), 2, p, 16), np.zeros(16))
 
 
 @pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (16, 2), (32, 5), (64, 8)])
@@ -64,7 +84,7 @@ def test_roundtrip_random(n, k, rng):
     p = canonical_prime(n)
     for _ in range(50):
         x = random_sparse_vector(rng, n, k, p)
-        got = recover_sparse(syndrome_of(x, k, p), k, p, n)
+        got = _decode_one(syndrome_of(x, k, p), k, p, n)
         assert got is not None and np.array_equal(got, x)
 
 
@@ -75,7 +95,7 @@ def test_brute_force_agreement(rng):
         for _ in range(60):
             x = random_sparse_vector(rng, n, k, p)
             meas = syndrome_of(x, k, p)
-            fast = recover_sparse(meas, k, p, n)
+            fast = _decode_one(meas, k, p, n)
             slow = brute_force_decode(meas, k, p, n)
             assert np.array_equal(fast, slow)
 
@@ -141,7 +161,7 @@ def test_oversparse_rejected_by_oracle(rng):
         if np.count_nonzero(x) != 3:
             continue
         meas = syndrome_of(x, r, p, )[: 2 * r]
-        cand = recover_sparse(meas, r, p, n)
+        cand = _decode_one(meas, r, p, n)
         oracle = brute_force_decode(meas, r, p, n)
         if oracle is None:
             assert cand is None or not np.array_equal(cand, x)
@@ -156,7 +176,7 @@ def test_random_check_rejects_a_wrong_candidate(rng):
     zseed = 99
 
     def passes(check, y):
-        return np.array_equal(random_check_apply(zseed, r, y, alpha, p) % p, check % p)
+        return np.array_equal(_measure(y, r, p, zseed, alpha).check[0], check % p)
 
     x = random_sparse_vector(rng, n, 3, p)
     # the zero candidate meets the zero check
@@ -164,7 +184,7 @@ def test_random_check_rejects_a_wrong_candidate(rng):
     # perturbed candidate: false except with probability ~p^-alpha
     wrong = 0
     for _ in range(300):
-        check = random_check_apply(zseed, r, x, alpha, p)
+        check = _measure(x, r, p, zseed, alpha).check[0]
         y = x.copy()
         y[0] = (y[0] + 1) % p
         if passes(check, y):
@@ -179,21 +199,24 @@ def test_safe_recover_paths(rng):
     zseed = 7
     # true 2-sparse: recovered
     x = random_sparse_vector(rng, n, 2, p)
-    meas = Measurement(r=2, vec=syndrome_of(x, 2, p), check=random_check_apply(zseed, 2, x, alpha, p))
-    assert np.array_equal(safe_recover(meas, p, n, zseed, alpha), x)
+    meas = _measure(x, 2, p, zseed, alpha)
+    assert np.array_equal(meas.vec[0], syndrome_of(x, 2, p))
+    [got] = safe_recover(meas, p, n, zseed, alpha)
+    assert np.array_equal(dense(got, n), x)
     # zero vector
-    z = Measurement(r=2, vec=np.zeros(4, dtype=np.int64), check=np.zeros(alpha, dtype=np.int64))
-    assert np.array_equal(safe_recover(z, p, n, zseed, alpha), np.zeros(n))
+    z = Measurement(r=2, vec=np.zeros((1, 4), dtype=np.int64),
+                    check=np.zeros((1, alpha), dtype=np.int64))
+    [got] = safe_recover(z, p, n, zseed, alpha)
+    assert np.array_equal(dense(got, n), np.zeros(n))
     # 3-sparse at bound 2: fail, never a wrong vector
     wrongs = 0
     fails = 0
     for _ in range(500):
         x = random_sparse_vector(rng, n, 3, p)
-        meas = Measurement(r=2, vec=syndrome_of(x, 2, p), check=random_check_apply(zseed, 2, x, alpha, p))
-        got = safe_recover(meas, p, n, zseed, alpha)
+        [got] = safe_recover(_measure(x, 2, p, zseed, alpha), p, n, zseed, alpha)
         if got is None:
             fails += 1
-        elif not np.array_equal(got, x):
+        elif not np.array_equal(dense(got, n), x):
             wrongs += 1
     assert wrongs == 0
     assert fails >= 490  # a 3-sparse x rarely has a consistent sparser twin
@@ -215,14 +238,6 @@ def _measure_rows(xs, r, p, zseed, alpha) -> Measurement:
     )
 
 
-def _dense(got, n):
-    if got is None:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    x[got[0]] = got[1]
-    return x
-
-
 def _same(a, b) -> bool:
     return (a is None and b is None) or (
         a is not None and b is not None and np.array_equal(a, b))
@@ -236,12 +251,13 @@ def test_roundtrip_at_large_prime(p, rng):
     for k in range(1, 9):
         xs = [random_sparse_vector(rng, n, k, p) for _ in range(12)]
         meas = _measure_rows(xs, k, p, zseed, alpha)
-        batch = recover_batch(meas, p, n, zseed, alpha)
+        batch = safe_recover(meas, p, n, zseed, alpha)
         for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
-            assert np.array_equal(random_check_apply(zseed, k, x, alpha, p), check)
-            assert np.array_equal(_dense(got, n), x)
-            one = safe_recover(Measurement(r=k, vec=vec, check=check), p, n, zseed, alpha)
-            assert one is not None and np.array_equal(one, x)
+            assert np.array_equal(_measure(x, k, p, zseed, alpha).check[0], check)
+            assert np.array_equal(dense(got, n), x)
+            [one] = safe_recover(Measurement(r=k, vec=vec[None], check=check[None]),
+                                 p, n, zseed, alpha)
+            assert one is not None and np.array_equal(dense(one, n), x)
 
 
 @pytest.mark.parametrize("n", [64, 101, 1009])
@@ -262,16 +278,18 @@ def test_batch_matches_single_and_brute_force(n):
                 x[n - 1], x[j] = x[j], 0
             xs.append(x)
         meas = _measure_rows(xs, r, p, zseed, alpha)
-        batch = recover_batch(meas, p, n, zseed, alpha)
+        batch = safe_recover(meas, p, n, zseed, alpha)
         assert len(batch) == len(xs)
         # the brute-force oracle enumerates all C(n, r) supports
         oracle = r <= 3 and comb(n, r) <= 200_000
         for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
-            one = safe_recover(Measurement(r=r, vec=vec, check=check), p, n, zseed, alpha)
-            assert _same(_dense(got, n), one)
+            [one] = safe_recover(Measurement(r=r, vec=vec[None], check=check[None]),
+                                 p, n, zseed, alpha)
+            one = dense(one, n)
+            assert _same(dense(got, n), one)
             assert _same(one, x if np.count_nonzero(x) <= r else None)
             if oracle:
-                assert _same(recover_sparse(vec, r, p, n), brute_force_decode(vec, r, p, n))
+                assert _same(_decode_one(vec, r, p, n), brute_force_decode(vec, r, p, n))
 
 
 @pytest.mark.parametrize("n,p", [(101, 101), (64, 101), (1009, 1009), (600, 1009)])
@@ -294,11 +312,11 @@ def test_degree_one_locators_against_brute_force(n, p):
                 assert np.flatnonzero(x).tolist() == [vertex] and x[vertex] == row[0]
             else:
                 assert x is None
-            assert _same(recover_sparse(row, r, p, n), x)
+            assert _same(_decode_one(row, r, p, n), x)
         check = np.array([_check_of(x if x is not None else np.zeros(n, dtype=np.int64),
                                     r, p, zseed, alpha) for x in xs])
-        batch = recover_batch(Measurement(r=r, vec=S, check=check), p, n, zseed, alpha)
-        assert all(_same(_dense(got, n), x) for got, x in zip(batch, xs))
+        batch = safe_recover(Measurement(r=r, vec=S, check=check), p, n, zseed, alpha)
+        assert all(_same(dense(got, n), x) for got, x in zip(batch, xs))
 
 
 def test_root_search_memory_is_bounded():
@@ -310,13 +328,13 @@ def test_root_search_memory_is_bounded():
     meas = _measure_rows(xs, r, p, zseed, alpha)
     tracemalloc.start()
     try:
-        got = recover_batch(meas, p, n, zseed, alpha)
+        got = safe_recover(meas, p, n, zseed, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     for x, row in zip(xs, got):
-        assert _same(_dense(row, n), x if np.count_nonzero(x) <= r else None)
+        assert _same(dense(row, n), x if np.count_nonzero(x) <= r else None)
 
 
 def test_check_prime_bounds():
@@ -334,6 +352,29 @@ def test_berlekamp_massey_linearity_degree():
     s = [pow(7, t, p) for t in range(8)]
     L, C = berlekamp_massey(np.array(s), p)
     assert L == 1 and C[0] == 1 and (-C[1]) % p == 7
+
+
+@pytest.mark.parametrize("p", [11, 101, 2**31 - 1])
+def test_recurrences_match_berlekamp_massey(p):
+    # the vectorized, inversion-free recurrences against the Python-int
+    # oracle, on one-row and multi-row blocks: the same L, and the same
+    # connection polynomial up to a nonzero scale
+    rng = np.random.default_rng(p)
+    n = min(p, 64)
+    for T in (0, 1, 2, 4, 7, 10):
+        rows = [rng.integers(0, p, T), np.zeros(T, dtype=np.int64)]
+        rows += [syndrome_of(random_sparse_vector(rng, n, k, p), 8, p)[:T]
+                 for k in range(6) for _ in range(3)]
+        S = np.array(rows, dtype=np.int64)
+        for block in [S[i : i + 1] for i in range(len(S))] + [S, S[:3]]:
+            L, C = _recurrences(block, p)
+            assert C.shape == (len(block), T + 1)
+            for row, ell, c in zip(block, L.tolist(), C):
+                want_L, want_C = berlekamp_massey(row, p)
+                assert ell == want_L
+                assert c[0] % p and not c[ell + 1 :].any()
+                inv = pow(int(c[0]), p - 2, p)
+                assert [int(x) * inv % p for x in c[: ell + 1]] == want_C
 
 
 def _bank_for(edges, n, delta, seed=5, beta=6):
@@ -379,9 +420,9 @@ def test_sketch_matches_neighborhood_indicator():
     n, delta = 10, 3
     bank = _bank_for([(0, 1), (0, 2)], n, delta)
     r = bank.rates[0]
-    if bank.in_rate(0, r):
+    if 0 in bank.sampled(r):
         y, _ = bank.raw(0, r)
-        assert np.array_equal(y, vandermonde_sum(r, bank.p, [1, 2]))
+        assert np.array_equal(y, sketch_of(bank, r, [[1, 2]]).vec[0])
 
 
 def test_measure_relative_cases():
@@ -389,10 +430,10 @@ def test_measure_relative_cases():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
     bank = _bank_for(edges, n, delta)
     r = bank.rates[-1]
-    m_exact = measure_relative(bank, 0, r, {1, 2, 3, 4})
+    m_exact = measure_relative(bank, 0, r, sketch_of(bank, r, [{1, 2, 3, 4}]))
     assert not m_exact.vec.any() and not m_exact.check.any()
-    m_empty = measure_relative(bank, 0, r, set())
-    assert np.array_equal(m_empty.vec, vandermonde_sum(r, bank.p, [1, 2, 3, 4]))
+    m_empty = measure_relative(bank, 0, r, sketch_of(bank, r, [set()]))
+    assert np.array_equal(m_empty.vec, sketch_of(bank, r, [{1, 2, 3, 4}]).vec)
 
 
 def test_measure_relative_unsampled_vertex_errors():
@@ -401,9 +442,9 @@ def test_measure_relative_unsampled_vertex_errors():
     params = ParamSet.desk(n, delta, beta=2)
     bank = SketchBank(n, delta, params, seed=11)
     r = bank.rates[-1]
-    unsampled = next(v for v in range(n) if not bank.in_rate(v, r))
+    unsampled = next(v for v in range(n) if v not in bank.sampled(r))
     with pytest.raises(KeyError):
-        measure_relative(bank, unsampled, r, set())
+        measure_relative(bank, unsampled, r, sketch_of(bank, r, [set()]))
 
 
 def test_measure_relative_clique_minus_edge_signs():
@@ -413,8 +454,8 @@ def test_measure_relative_clique_minus_edge_signs():
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     bank = _bank_for(edges, n, delta, seed=3)
     r = bank.rates[-1]
-    meas = measure_relative(bank, 0, r, set(range(5)))
-    x = recover_sparse(meas.vec, r, bank.p, n)
+    meas = measure_relative(bank, 0, r, sketch_of(bank, r, [range(5)]))
+    x = _decode_one(meas.vec, r, bank.p, n)
     assert x is not None
     # x = chi(N(0)) - chi(K): -1 at 0 itself (not its own neighbor) and at 1
     expect = np.zeros(n, dtype=np.int64)

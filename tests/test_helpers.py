@@ -79,7 +79,7 @@ def test_critical_helper_statistical():
 def test_batched_critical_search_equals_the_per_clique_one():
     # disjoint (delta+1)-cliques in one bank, missing: one edge; nothing (a
     # true clique, where no pair exists); a 4-cycle, so that every member
-    # with a non-neighbor has two and decodes only at level 4; one edge
+    # with a non-neighbor has two and decodes only at level 2; one edge
     delta = 16
     k = delta + 1
     removed = [{(0, 1)}, set(), {(0, 1), (1, 2), (2, 3), (0, 3)}, {(5, 9)}]
@@ -95,7 +95,7 @@ def test_batched_critical_search_equals_the_per_clique_one():
     assert got == [find_critical_helper([K], bank)[0] for K in cliques]
     assert got[::-1] == find_critical_helper(cliques[::-1], bank)
     assert got[1] is None
-    assert [h.rate for h in got if h is not None] == [2, 4, 2]
+    assert [h.rate for h in got if h is not None] == [1, 2, 1]
     for h in filter(None, got):
         assert not oracle.has_edge(h.u, h.v)
         assert h.n_v == oracle.neighbors(h.v)
@@ -112,13 +112,13 @@ def mixed_attempt():
     return args, cliques
 
 
-@pytest.mark.parametrize("bad_critical,bad_friendly,detail,friendly_searched", [
-    ({1}, {2}, "no pair recovered for critical clique 1", []),
-    ({3}, {2}, "no witness triple for friendly clique 2", [2]),
-    ({3}, set(), "no pair recovered for critical clique 3", [2]),
+@pytest.mark.parametrize("bad_critical,bad_friendly,detail", [
+    ({1}, {2}, "no pair recovered for critical clique 1"),
+    ({3}, {2}, "no witness triple for friendly clique 2"),
+    ({3}, set(), "no pair recovered for critical clique 3"),
 ], ids=["critical-first", "friendly-first", "critical-only"])
 def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_critical,
-                                                bad_friendly, detail, friendly_searched):
+                                                bad_friendly, detail):
     args, cliques = mixed_attempt
     # phase 4 declines, so cliques 1..3 are deferred and need helpers
     monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
@@ -129,24 +129,26 @@ def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_
         return [None if cliques.index(K) in bad_critical else h
                 for K, h in zip(Ks, find_critical_helper(Ks, bank))]
 
-    def friendly_helper(K, witness, bank):
-        friendly.append(cliques.index(K))
-        return None if friendly[-1] in bad_friendly else find_friendly_helper(K, witness, bank)
+    def friendly_helper(Ks, bank):
+        friendly.append([cliques.index(K) for K, _ in Ks])
+        return [None if cliques.index(K) in bad_friendly else h
+                for (K, _), h in zip(Ks, find_friendly_helper(Ks, bank))]
 
     monkeypatch.setattr(pipeline, "find_critical_helper", critical)
     monkeypatch.setattr(pipeline, "find_friendly_helper", friendly_helper)
     with pytest.raises(RunFailure) as failure:
         pipeline._attempt(*args)
     assert failure.value.detail == detail
-    assert searches == [[1, 3]]  # one search over every critical clique
-    assert friendly == friendly_searched
+    # one search over every critical clique, one over every friendly one
+    assert searches == [[1, 3]]
+    assert friendly == [[2]]
 
 
 @pytest.mark.parametrize("deferred", [False, True])
 def test_helpers_are_recovered_only_for_deferred_cliques(monkeypatch, deferred):
     # no helper recovers; that fails a run only when phase 4 leaves a clique
     monkeypatch.setattr(pipeline, "find_critical_helper", lambda Ks, bank: [None] * len(Ks))
-    monkeypatch.setattr(pipeline, "find_friendly_helper", lambda K, witness, bank: None)
+    monkeypatch.setattr(pipeline, "find_friendly_helper", lambda Ks, bank: [None] * len(Ks))
     if deferred:
         monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
     res = pipeline.color_run(pipeline.RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1))
@@ -179,7 +181,7 @@ def test_friendly_helper_structure():
     inst, oracle, dec, bank = _friendly_setup(seed=5)
     k = dec.cliques[0]
     assert k.kind == FRIENDLY
-    h = find_friendly_helper(k.vertices, k.witness, bank)
+    [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
     assert h is not None
     assert h.u == k.witness and h.u not in k.vset
     assert h.v in k.vset and h.w in k.vset
@@ -200,18 +202,43 @@ def test_friendly_ladder_returns_the_top_level_helper(monkeypatch):
         return real(meas, *rest)
 
     monkeypatch.setattr(helpers, "safe_recover", spy)
-    h = find_friendly_helper(k.vertices, k.witness, bank)
+    [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
     assert levels[0] == bank.rates[0]  # the ladder starts at the cheapest level
     assert max(levels) < bank.rates[-1]  # every member decoded relative to K
 
     # no member stored below the top: only chi(N(w)) itself recovers
     levels.clear()
     bank._member[:-1] = False
-    top = find_friendly_helper(k.vertices, k.witness, bank)
+    [top] = find_friendly_helper([(k.vertices, k.witness)], bank)
     assert set(levels) == {bank.rates[-1]}
     assert top == h
     assert top.n_v == oracle.neighbors(top.v)
     assert top.n_w == oracle.neighbors(top.w)
+
+
+@pytest.mark.parametrize("seed, triple", [
+    (1, (16, 4, 0)), (2, (16, 2, 0)), (5, (16, 0, 3)), (7, (16, 0, 1)),
+])
+def test_friendly_search_recovers_one_block_per_level(monkeypatch, seed, triple):
+    # every member is measured against K without itself, so one block at
+    # the cheapest level resolves all of them; the triple is the one the
+    # member-at-a-time search chose
+    inst, oracle, dec, bank = _friendly_setup(seed=seed)
+    k = dec.cliques[0]
+    assert k.kind == FRIENDLY
+    calls, real = [], helpers.safe_recover
+
+    def spy(meas, *rest):
+        calls.append((meas.r, len(meas.vec)))
+        return real(meas, *rest)
+
+    monkeypatch.setattr(helpers, "safe_recover", spy)
+    [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
+    stored = np.intersect1d(k.vertices, bank.sampled(bank.rates[-1])).size
+    assert stored == 16
+    assert calls == [(bank.rates[0], stored)]
+    assert (h.u, h.v, h.w) == triple
+    assert h.n_v == oracle.neighbors(h.v) and h.n_w == oracle.neighbors(h.w)
 
 
 def test_friendly_helper_all_adjacent_witness_fails():
@@ -225,7 +252,7 @@ def test_friendly_helper_all_adjacent_witness_fails():
     inst = type("I", (), {"n": k + 1, "edges": np.array(edges), "delta": delta})
     params = ParamSet.desk(k + 1, delta)
     bank = _bank_from(inst, params, seed=3)
-    assert find_friendly_helper(clique, witness, bank) is None
+    assert find_friendly_helper([(clique, witness)], bank) == [None]
 
 
 def test_friendly_helper_statistical():
@@ -235,7 +262,7 @@ def test_friendly_helper_statistical():
         k = dec.cliques[0]
         if k.kind != FRIENDLY:
             continue
-        h = find_friendly_helper(k.vertices, k.witness, bank)
+        [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
         if h is not None:
             assert h.n_v == oracle.neighbors(h.v)
             assert h.n_w == oracle.neighbors(h.w)

@@ -103,7 +103,7 @@ def _reference_sketches(bank, edges) -> dict:
         o = np.array([v, u])
         for r in bank.rates:
             Y, Z = out[r]
-            at = np.array([bank.in_rate(x, r) for x in w.tolist()])
+            at = np.isin(w, bank.sampled(r))
             i = np.searchsorted(bank.sampled(r), w[at])
             np.add.at(Y, i, powers[o[at], : 2 * r])
             np.add.at(Z, i, prf_mod(bank.zseed, r, o[at, None], rows[None, :], p))

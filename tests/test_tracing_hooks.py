@@ -38,8 +38,8 @@ def test_tracer_hooks_exist_and_record_a_run():
 
 def test_tracer_records_helper_spans(monkeypatch):
     # the mixed family has critical and friendly cliques; with phase 4
-    # declining they are all deferred, so both helper searches run; only
-    # the friendly one recovers through safe_recover
+    # declining they are all deferred, so both helper searches run, and
+    # both recover through safe_recover
     monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
@@ -51,7 +51,8 @@ def test_tracer_records_helper_spans(monkeypatch):
     assert "helpers.critical" in names and "helpers.friendly" in names
     recover = [span for span in tracer.spans if span[0] == "field.recover"]
     assert recover
-    assert all(tracer.spans[span[1]][0] == "helpers.friendly" for span in recover)
+    parents = [tracer.spans[span[1]][0] for span in recover]
+    assert set(parents) == {"helpers.critical", "helpers.friendly"}
     summary = tracer.summary(res, res.shadow.degrees, 1.0)
     assert summary["field.recover_calls"] == len(recover)
     # every vertex carries the phase that colored it
