@@ -19,10 +19,11 @@ A set of colors has one form throughout: a bool row over the palette
 whose column c-1 is set when color c is in it.  The sampled lists, the
 colors a vertex's stored neighbors hold (`PartialColoring.blocked`) and
 the colors still free inside a clique are all such rows, and a phase
-picks a color as the first set column of their combination.  Phase 3
-goes in vertex batches: it packs each free row into a Python int and
-takes the lowest bit left after the picks of the vertex's neighbors
-earlier in the batch.
+picks a color as the first set column of their combination.  The one
+stored exception is the L4 pair-lists, held packed as uint64 words
+(`palette`); phase 4 unpacks the rows it reads.  Phase 3 goes in vertex
+batches: it packs each free row into a Python int and takes the lowest
+bit left after the picks of the vertex's neighbors earlier in the batch.
 
 Phase 4 makes a fixed number of numpy calls per clique, whatever delta
 is.  One (pairs, beta, delta) tensor marks the colors both ends of a
@@ -50,7 +51,7 @@ from streamcolor.decomposition import (
     Decomposition,
 )
 from streamcolor.graph import Graph, sorted_unique
-from streamcolor.palette import PaletteSet
+from streamcolor.palette import PaletteSet, unpack_rows
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -326,9 +327,9 @@ def strip_residue(C: PartialColoring, keep) -> None:
 def colorful_matching(
     C: PartialColoring, lists: np.ndarray, non_edges
 ) -> list[list[tuple[int, int, int]]]:
-    """For every list index i of the (n, beta, delta) pair-lists, the
-    greedy shared-color matching of the non-edges under list i, as
-    (a, b, color) triples with a < b; C is left untouched.
+    """For every list index i of the packed (n, beta, words) pair-lists
+    (`PaletteSet.l4`), the greedy shared-color matching of the non-edges
+    under list i, as (a, b, color) triples with a < b; C is left untouched.
 
     Colors go in ascending order.  Each goes to the first alive pair
     (ascending) whose endpoints are uncolored, both hold the color in
@@ -337,7 +338,8 @@ def colorful_matching(
     edge never matches: a shared sampled color would have put it in H.
 
     The matchings come from one (pairs, beta, delta) hit tensor, whose
-    nonzeros a plain loop walks list by list, by color and then by pair.
+    nonzeros a plain loop walks list by list, by color and then by pair;
+    only the rows of the listed pairs' endpoints are unpacked.
     """
     beta = lists.shape[1]
     trials: list[list[tuple[int, int, int]]] = [[] for _ in range(beta)]
@@ -353,7 +355,7 @@ def colorful_matching(
     if not a.size:
         return trials
     # usable[x, i, c - 1]: color c is in list i of verts[x], unblocked there
-    usable = lists[verts] & ~C.blocked_rows(verts)[:, None, :]
+    usable = unpack_rows(lists[verts], C.delta) & ~C.blocked_rows(verts)[:, None, :]
     hit = usable[la] & usable[lb]  # hit[p, i, c - 1]: both ends of pair p can take c
     lst, color, pair = np.nonzero(hit.transpose(1, 2, 0))
     ends = np.searchsorted(lst, np.arange(beta + 1)).tolist()

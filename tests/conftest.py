@@ -14,9 +14,10 @@ from streamcolor.decomposition import (
 from streamcolor.generators import generate_instance
 from streamcolor.palette import (
     ConflictGraph,
+    PaletteSet,
     conflict_keep_chunk,
-    sample_palettes,
-    union_masks,
+    pack_rows,
+    unpack_rows,
 )
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _prepass
@@ -213,7 +214,8 @@ def random_sparse_vector(rng, n: int, k: int, p: int) -> np.ndarray:
 def palette_union(pal, v: int) -> set[int]:
     """Every color in any of v's sampled lists, read from the list rows."""
     out = {int(pal.l1[v])}
-    for row in (pal.l2[v], pal.l3[v], pal.l4_star[v], pal.l5[v], *pal.l4[v], *pal.l6[v]):
+    l4 = unpack_rows(pal.l4[v], pal.delta)
+    for row in (pal.l2[v], pal.l3[v], pal.l4_star[v], pal.l5[v], *l4, *pal.l6[v]):
         out |= set((np.flatnonzero(row) + 1).tolist())
     return out
 
@@ -256,10 +258,12 @@ def oracle_colorful_matching(C, list_of, non_edges) -> list[tuple[int, int, int]
 
 
 def oracle_phase4_matching(C, l4, non_edges):
-    """Phase 4's old best-of-beta selection over the (n, beta, delta)
-    pair-lists: each trial is written into C and undone, then the first
-    largest is run again and left in C.  Returns every trial's triples
-    and the chosen index (None when every trial is empty)."""
+    """Phase 4's old best-of-beta selection over the packed (n, beta,
+    words) pair-lists, read as bool rows: each trial is written into C and
+    undone, then the first largest is run again and left in C.  Returns
+    every trial's triples and the chosen index (None when every trial is
+    empty)."""
+    l4 = unpack_rows(l4, C.delta)
     trials, best_i, best_size = [], None, 0
     for i in range(l4.shape[1]):
         matched = oracle_colorful_matching(C, lambda v, i=i: l4[v][i], non_edges)
@@ -313,17 +317,19 @@ def oracle_greedy_sparse(C, v_sparse, palettes) -> None:
 
 
 def uniform_palettes(n, delta, lists, params=None):
-    """Palettes whose every list per vertex equals lists[v] (tests only)."""
-    params = params or ParamSet.desk(n, delta)
-    pal = sample_palettes(n, delta, params, seed=0)
+    """Palettes whose every list per vertex equals lists[v], each family
+    its own writable array and none flagged full (tests only)."""
+    beta = (params or ParamSet.desk(n, delta)).beta
+    rows = np.zeros((n, delta), dtype=bool)
     for v, colors in enumerate(lists):
-        row = np.zeros(delta, dtype=bool)
-        row[[c - 1 for c in colors]] = True
-        for lst in (pal.l2, pal.l3, pal.l4_star, pal.l5, pal.l4, pal.l6):
-            lst[v] = row
-        pal.l1[v] = min(colors)
-    pal.masks = union_masks(pal)
-    return pal
+        rows[v, [c - 1 for c in colors]] = True
+    return PaletteSet(
+        n=n, delta=delta, beta=beta,
+        l1=np.array([min(colors) for colors in lists], dtype=np.int64),
+        l2=rows.copy(), l3=rows.copy(), l4_star=rows.copy(),
+        l4=np.repeat(pack_rows(rows)[:, None], beta, axis=1),
+        l5=rows.copy(), l6=np.repeat(rows[:, None], 2 * beta, axis=1),
+    )
 
 
 def dropping_palettes(n, delta, params, seed):

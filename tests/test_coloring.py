@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from streamcolor.coloring import (
 )
 from streamcolor.decomposition import AlmostClique
 from streamcolor.helpers import CriticalHelper, FriendlyHelper, RecoveryGraph
+from streamcolor.palette import pack_rows, unpack_rows
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, color_run
 
@@ -348,7 +350,9 @@ def test_greedy_sparse_fails_at_the_first_stuck_vertex(entries, monkeypatch):
     lists[3] = lists[5] = {1}
     lists[9], lists[12] = set(), {2}
     pal = uniform_palettes(n, delta, [c or {1} for c in lists])
-    pal.l3[9] = False
+    l3 = pal.l3.copy()
+    l3[9] = False
+    pal = replace(pal, l3=l3)
     C = PartialColoring(n, delta, _conflict_from(n, [(3, 5), (0, 5), (12, 15), (1, 2)]))
     C.assign(15, 2, 1)
     want = copy.deepcopy(C)
@@ -440,6 +444,7 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
     h = _conflict_from(inst.n, inst.edges.tolist())
     C = PartialColoring(inst.n, delta, h)
     trials = colorful_matching(C, pal.l4, F)
+    l4 = unpack_rows(pal.l4, delta)
     assert len(trials) == params.beta and any(trials)
     for i, matched in enumerate(trials):
         ends = [x for a, b, _ in matched for x in (a, b)]
@@ -447,7 +452,7 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
         assert len({c for _, _, c in matched}) == len(matched)
         for a, b, c in matched:
             assert not oracle.has_edge(a, b)
-            assert pal.l4[a, i, c - 1] and pal.l4[b, i, c - 1]
+            assert l4[a, i, c - 1] and l4[b, i, c - 1]
     assert not C.colors.any()
 
 
@@ -489,7 +494,7 @@ def test_colorful_matching_equals_trial_and_undo_oracle(rng, delta):
     for seed in range(12):
         K, C, pal, F = _holey_phase4_case(rng, delta, seed)
         if seed == 5:
-            pal.l4[:] = False  # every trial empty
+            pal = replace(pal, l4=np.zeros_like(pal.l4))  # every trial empty
         old = copy.deepcopy(C)
         want, best_i = oracle_phase4_matching(old, pal.l4, F)
         before = C.colors.copy()
@@ -516,7 +521,7 @@ def test_phase4_color_equals_trial_and_undo_oracle(rng):
     for seed in range(12):
         K, C, pal, F = _holey_phase4_case(rng, 16, seed)
         if seed % 3 == 0:
-            pal.l4_star[:] = pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5)
+            pal = replace(pal, l4_star=pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5))
         old = copy.deepcopy(C)
         trials, best_i = oracle_phase4_matching(old, pal.l4, F)
         want = color_clique_by_matching(K, old, pal.l4_star, phase=4)
@@ -535,7 +540,8 @@ def _shared_vertex_case(rng, delta, stored_only=False):
     """(C, l4, F) on 12 vertices: F lists every pair a random stored graph
     leaves out, so each vertex sits in several listed pairs; or, with
     stored_only, only stored edges.  Three vertices are pre-colored, and
-    the pair-lists are drawn per list at random densities."""
+    the pair-lists are drawn per list at random densities, packed as
+    `PaletteSet.l4` holds them."""
     from streamcolor.graph import Graph
 
     n = 12
@@ -546,7 +552,7 @@ def _shared_vertex_case(rng, delta, stored_only=False):
         free = np.flatnonzero(~C.blocked(v)) + 1
         C.assign(v, int(rng.choice(free)), 2)
     beta = int(rng.integers(2, 6))
-    l4 = rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1))
+    l4 = pack_rows(rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1)))
     F = stored if stored_only else np.array([f for f in pairs.tolist() if f not in stored.tolist()])
     return C, l4, [tuple(f) for f in F[rng.permutation(len(F))].tolist()]
 
@@ -592,7 +598,7 @@ def test_phase4_color_without_listed_non_edges_equals_oracle(rng, F):
         K, C, pal, _ = _holey_phase4_case(rng, 16, seed)
         K = K[: 12 + seed % 6]  # at most delta vertices can fit without a pair
         if seed % 2:
-            pal.l4_star[:] = pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5)
+            pal = replace(pal, l4_star=pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5))
         old = copy.deepcopy(C)
         want = oracle_color_clique_by_matching(K, old, pal.l4_star, phase=4)
         assert phase4_color(K, C, pal, F) == want
@@ -721,7 +727,9 @@ def test_phase5_no_color_failure_path():
     # block every色 on the pair via an adversarial hand state: color the
     # common neighbors with all of 1..3 is impossible (only 2 of them), so
     # shrink the list instead
-    pal.l5[2] = False
+    l5 = pal.l5.copy()
+    l5[2] = False
+    pal = replace(pal, l5=l5)
     with pytest.raises(RunFailure):
         phase5_critical([0, 1, 2, 3], helper, C, pal)
 
@@ -923,9 +931,8 @@ def test_shared_witness_is_recolored_twice():
     assert [k.witness for k in dec.cliques] == [w, w]
 
     pal = sample_palettes(n, delta, params, seed=3)
-    for v in range(n):  # starve phase 4 so both cliques reach phase 6
-        pal.l4[v] = False
-        pal.l4_star[v] = False
+    # starve phase 4 so both cliques reach phase 6
+    pal = replace(pal, l4=np.zeros_like(pal.l4), l4_star=np.zeros_like(pal.l4_star))
     h = build_conflict_graph(src.open(), pal)
     bank = SketchBank(n, delta, params, 3)
     for block in src.open().chunks():

@@ -1,14 +1,20 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from streamcolor.generators import generate_instance
 from streamcolor.palette import (
+    FAMILIES,
     ConflictGraph,
+    PaletteSet,
     conflict_keep_chunk,
+    pack_rows,
     palette_space_report,
     sample_palettes,
+    unpack_rows,
 )
 from streamcolor.params import ParamSet
 
@@ -47,7 +53,7 @@ def test_list_size_concentration(which, q_const):
         sizes = pal.l2.sum(axis=1)
     else:
         rate = params.q_rate(delta)
-        sizes = pal.l4.sum(axis=2).ravel()
+        sizes = np.bitwise_count(pal.l4).sum(axis=2).ravel()
     sigma_of_mean = np.sqrt(delta * rate * (1 - rate) / sizes.size)
     assert abs(sizes.mean() - delta * rate) <= 4 * sigma_of_mean
 
@@ -163,3 +169,108 @@ def test_space_growth_under_doubling():
         bits.append(palette_space_report(pal, h)["bits"])
     for small, big in zip(bits, bits[1:]):
         assert 1.5 <= big / small <= 3.0
+
+
+# ---- full families and packed L4 --------------------------------------------
+
+
+def _partial_palettes(rng, n, delta, beta):
+    """Hand-built palettes at random densities, none of them full, with a
+    few colors per union, so that some pairs of unions meet and some do
+    not."""
+    def draw(*shape):
+        return rng.random(shape + (delta,)) < rng.uniform(0.002, 0.01)
+
+    return PaletteSet(
+        n=n, delta=delta, beta=beta, l1=rng.integers(1, delta + 1, size=n),
+        l2=draw(n), l3=draw(n), l4_star=draw(n), l4=pack_rows(draw(n, beta)),
+        l5=draw(n), l6=draw(n, 2 * beta),
+    )
+
+
+def _case(name):
+    """(palettes, families expected full): desk palettes, where L3 and L6
+    are the whole palette; hand-built partial ones; or a q_const small
+    enough that the pair-lists L4 are full too."""
+    if name == "desk":
+        return sample_palettes(120, 70, ParamSet.desk(120, 70), seed=1), {"l3", "l6"}
+    if name == "partial":
+        return _partial_palettes(np.random.default_rng(11), 120, 70, 2), set()
+    params = ParamSet.desk(120, 70, q_const=0.05)
+    assert params.q_rate(70) == 1.0
+    return sample_palettes(120, 70, params, seed=2), {"l3", "l4", "l6"}
+
+
+CASES = ["desk", "partial", "l4-full"]
+
+
+def _materialized(pal, name):
+    lists = getattr(pal, name)
+    return unpack_rows(lists, pal.delta) if name == "l4" else np.array(lists)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_union_masks_and_entries_equal_the_materialized_rows(case):
+    pal, full = _case(case)
+    assert pal.full == full
+    for name in full:
+        assert _materialized(pal, name).all()
+    for v in range(pal.n):
+        got = set((np.flatnonzero(unpack_rows(pal.masks[v], pal.delta)) + 1).tolist())
+        assert got == palette_union(pal, v), v
+    assert not (pal.masks & ~pack_rows(np.ones(pal.delta, dtype=bool))).any()
+    want = pal.n + sum(int(_materialized(pal, name).sum()) for name in FAMILIES)
+    assert pal.total_list_entries() == want
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_filter_agrees_with_the_mask_and(case):
+    pal, full = _case(case)
+    us, vs = np.random.default_rng(5).integers(0, pal.n, size=(2, 500))
+    keep = conflict_keep_chunk(us, vs, pal)
+    assert keep.tolist() == (pal.masks[us] & pal.masks[vs]).any(axis=1).tolist()
+    assert keep.all() if full else keep.any() and not keep.all()
+    if not full:
+        meet = [bool(palette_union(pal, u) & palette_union(pal, v)) for u, v in zip(us, vs)]
+        assert keep.tolist() == meet
+
+
+def test_a_full_family_cannot_be_written_or_go_stale():
+    pal, full = _case("l4-full")
+    for name in full:
+        lists = getattr(pal, name)
+        with pytest.raises(ValueError):
+            lists[0] = 0
+        with pytest.raises(ValueError):  # flagged full but given a writable array
+            replace(pal, **{name: np.zeros_like(lists)})
+
+
+def test_packed_rows_round_trip():
+    rng = np.random.default_rng(3)
+    for delta in (1, 63, 64, 65, 256):
+        rows = rng.random((5, 3, delta)) < 0.4
+        words = pack_rows(rows)
+        assert words.shape == (5, 3, -(-delta // 64)) and words.dtype == np.uint64
+        assert np.array_equal(unpack_rows(words, delta), rows)
+        # bit c-1 of word (c-1) // 64 for color c, the layout of the masks
+        top = np.zeros(delta, dtype=bool)
+        top[-1] = True
+        assert pack_rows(top)[-1] == np.uint64(1) << np.uint64((delta - 1) % 64)
+
+
+def test_sample_palettes_memory_bound():
+    """At n=4000, delta=256 L3 and L6 are full and hold nothing, and L4 is
+    packed words: the sampled lists hold under 8 MiB (about 56 MB as bool
+    arrays).  Drawing adds one float64 (n, delta) block and little else."""
+    n, delta = 4000, 256
+    params = ParamSet.desk(n, delta)
+    tracemalloc.start()
+    try:
+        pal = sample_palettes(n, delta, params, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pal.full == {"l3", "l6"}
+    assert held < 8 * 2**20, f"held {held / 2**20:.2f} MiB"
+    bound = held + 8 * n * delta + 2**20
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

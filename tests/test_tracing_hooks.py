@@ -32,6 +32,7 @@ def test_tracer_hooks_exist_and_record_a_run():
     assert tracer.gate_violations() == []
     names = {span[0] for span in tracer.spans}
     assert {"decomposition.collect", "decomposition.finalize"} <= names
+    assert {"palette.sample", "palette.filter", "palette.space_report"} <= names
     summary = tracer.summary(res, res.shadow.degrees, 1.0)
     assert summary["space.sample_bits"] == res.report["space"]["sample_bits"]
 
