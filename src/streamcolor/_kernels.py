@@ -46,8 +46,9 @@ def prf_mod(seed: int, a, b, c, p: int):
 
 
 def prf_uniform(seed: int, a, b, c=0):
-    """PRF output as floats in [0, 1)."""
-    return prf_u64(seed, a, b, c).astype(np.float64) / 2.0**64
+    """PRF output as floats in [0, 1): its top 53 bits, which a double holds
+    exactly, so no output rounds up to 1."""
+    return (prf_u64(seed, a, b, c) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from streamcolor.decomposition import (
     Decomposition,
 )
 from streamcolor.graph import Graph, sorted_unique
-from streamcolor.palette import PaletteSet, unpack_rows
+from streamcolor.palette import PaletteSet, pack_rows, unpack_rows
 from streamcolor.params import ParamSet, rng_for
 
 
@@ -265,7 +265,8 @@ def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
     stored-row entries, each vertex counting its row and itself.  One
     `rows_of` per batch gives every vertex the colors its neighbors held
     before the batch, and its neighbors earlier in the batch.  Its free
-    colors, bit c-1 for color c, are packed into a Python int; a plain
+    colors, bit c-1 for color c, are packed into uint64 words and read
+    into a Python int, one `tolist` per word column for the batch; a plain
     loop then removes the picks of those earlier neighbors and takes the
     lowest bit left.  A vertex depends only on smaller ids, so the batches
     color, and fail, exactly as one vertex at a time would.
@@ -297,11 +298,12 @@ def _greedy_batch(C: PartialColoring, verts: np.ndarray, l3: np.ndarray) -> list
     prior = at[prior].tolist()
     held = np.zeros((verts.size, C.delta + 1), dtype=bool)
     held[owner, C.colors[nbrs]] = True
-    packed = np.packbits(l3[verts] & ~held[:, 1:], axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
+    words = pack_rows(l3[verts] & ~held[:, 1:])
+    free = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        free = [f | w << 64 * k for f, w in zip(free, words[:, k].tolist())]
     picks: list[int] = []
-    for i in range(verts.size):
-        f = int.from_bytes(data[i * width : (i + 1) * width], "little")
+    for i, f in enumerate(free):
         for j in prior[first[i] : first[i + 1]]:
             f &= ~picks[j]
         if not f:

@@ -44,23 +44,45 @@ class DecompositionFailed(RuntimeError):
 class SampleCollector:
     """Chunk-at-a-time collector of the Bernoulli neighbor samples, sharing
     the main pass with the other stream consumers: v keeps its neighbor w
-    when prf(seed, v, w) falls below the isample rate."""
+    when prf(seed, v, w) falls below the isample rate.
+
+    While the rate is clamped to 1 every neighbor is kept, so no PRF is
+    drawn and the sample is the whole graph.  The main pass then feeds the
+    collector only the edges H drops, as it feeds the sketch bank, and
+    hands H to `finalize`: the sample is H itself when no edge was fed,
+    else one graph of H's edges and the fed ones.
+    """
 
     def __init__(self, n: int, delta: int, params: ParamSet, seed: int):
         self.n = n
         self.rate = params.isample_rate(delta)
+        self.clamped = self.rate >= 1
         self.seed = child_seed(seed, "isample")
         self._pairs: list[np.ndarray] = []
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
+        if self.clamped:
+            if us.size:
+                self._pairs.append(np.stack([us, vs], axis=1))
+            return
         for a, b in ((us, vs), (vs, us)):
             keep = prf_uniform(self.seed, a, b) < self.rate
             if keep.any():
                 self._pairs.append(np.stack([a[keep], b[keep]], axis=1))
 
-    def finalize(self) -> Graph:
-        """The sample as directed lists: row v holds v's sampled neighbors."""
-        pairs = np.concatenate(self._pairs) if self._pairs else np.empty((0, 2), dtype=np.int64)
+    def finalize(self, h: Graph | None = None) -> Graph:
+        """The sample: row v holds v's sampled neighbors.  Below rate 1 it
+        is the directed lists of the sampled pairs, and h is not read.  At
+        rate 1 it is h when no edge was fed, else the graph of h's edges
+        (none without h) and the fed ones."""
+        parts = self._pairs
+        if self.clamped and h is not None:
+            if not parts:
+                return h
+            parts = [h.edges(), *parts]
+        pairs = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
+        if self.clamped:
+            return Graph(self.n, pairs)
         return Graph.from_pairs(self.n, pairs[:, 0], pairs[:, 1])
 
 
@@ -150,13 +172,17 @@ def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray
     """|I(u) & I(v)| for each edge u < v of an ascending (k, 2) array,
     where I(u) is u's row of the neighbor sample.
 
-    While the rate is 1 the sample is the graph's own adjacency and the
-    edges are among its edges, so `Graph.common` serves: packed rows, or a
-    pair pass over upper rows that finds each triangle once.  Below 1 the
-    rows are not symmetric: packed rows where they pay, else row w of
-    ``holders`` is every vertex whose sample holds w, and the pairs of
-    every such row are looked up, each triangle three times.
+    While the rate is 1 the sample is the whole graph, so the edges are
+    among its own and `Graph.common` serves: packed rows, or a pair pass
+    over upper rows that finds each triangle once.  When the edges are the
+    sample's own (H is the sample) the counts are read as they are, else
+    each edge's count is found by binary search.  Below 1 the rows are not
+    symmetric: packed rows where they pay, else row w of ``holders`` is
+    every vertex whose sample holds w, and the pairs of every such row are
+    looked up, each triangle three times.
     """
+    if rate >= 1 and edges is isample.edges():
+        return isample.common
     n = isample.n
     codes = edges[:, 0] * n + edges[:, 1]
     if rate >= 1:

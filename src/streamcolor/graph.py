@@ -4,7 +4,11 @@ common-neighbor counts that the decomposition and its verification read.
 Row v of a `Graph` is ``indices[indptr[v]:indptr[v+1]]``, ascending and
 without repeats.  The shadow, the conflict graph H, the recovery graph H+
 and the neighbor samples are all graphs of this type, built in one
-vectorized sort from an array of edges or (row, column) pairs.
+vectorized sort from an array of edges or (row, column) pairs.  A graph is
+not changed once built, so what is derived from it is derived once: the
+edge list `edges()`, the counts `common` and `triangles()` are computed on
+first use and cached, and the cached arrays are read-only, so a caller
+that writes into one raises instead of changing what later callers read.
 
 Both counts give |row(u) & row(v)| for a set of edges, and with it t(v),
 the number of triangles at v.  `packed_common` packs the rows into
@@ -36,6 +40,11 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     of magnitude slower than this on large int64 code arrays."""
     a = np.sort(a)
     return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class Graph:
@@ -90,10 +99,14 @@ class Graph:
         return np.repeat(np.arange(self.n), self.degrees), self.indices
 
     def edges(self) -> np.ndarray:
-        """(m, 2) array of the edges u < v, ascending."""
+        """(m, 2) array of the edges u < v, ascending; derived once, read-only."""
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
         rows, cols = self.pairs()
         up = rows < cols
-        return np.stack([rows[up], cols[up]], axis=1)
+        return _read_only(np.stack([rows[up], cols[up]], axis=1))
 
     def rows_of(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of several vertices, concatenated: for every entry, the
@@ -125,18 +138,23 @@ class Graph:
         """
         e = self.edges()
         if packed_pays(self.n, e.shape[0], np.bincount(e[:, 0], minlength=self.n)):
-            return packed_common(self, e)
+            return _read_only(packed_common(self, e))
         upper = Graph.from_pairs(self.n, e[:, 0], e[:, 1])
         per_code, per_entry = pair_counts(upper, e[:, 0] * self.n + e[:, 1])
-        return per_code + per_entry
+        return _read_only(per_code + per_entry)
 
     def triangles(self) -> np.ndarray:
-        """t(v), the number of edges among the neighbors of each vertex:
-        half the sum of the common counts over v's edges."""
+        """t(v), the number of edges among the neighbors of each vertex;
+        derived once, read-only."""
+        return self._triangles
+
+    @cached_property
+    def _triangles(self) -> np.ndarray:
+        # half the sum of the common counts over v's edges
         e, common = self.edges(), self.common
         per_end = np.bincount(e[:, 0], weights=common, minlength=self.n)
         per_end += np.bincount(e[:, 1], weights=common, minlength=self.n)
-        return per_end.astype(np.int64) // 2
+        return _read_only(per_end.astype(np.int64) // 2)
 
 
 def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

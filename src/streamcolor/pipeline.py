@@ -5,8 +5,11 @@ degree census, the component colorability gate, and (by default) the
 shadow copy that feeds the reference decomposer and final verification;
 the main pass feeds the palette filter, the neighbor sampler, and the
 sketch bank simultaneously; the bank sees only the edges the filter drops
-and reads the rest from H.  Each retry re-seeds every randomized
-component and costs one more main pass.
+and reads the rest from H.  So does the sampler while its rate is clamped
+to 1: its sample is H plus the dropped edges, and H itself when none is
+dropped, as at desk sizes.  The shadow is always built apart from both.
+Each retry re-seeds every randomized component and costs one more main
+pass.
 """
 
 from __future__ import annotations
@@ -115,8 +118,10 @@ def _main_pass(src, n, delta, params, seed, bank=None):
 
     The bank is fed only the edges the filter drops, and is then given H:
     its stored row of v plus the columns over v's row of H is v's row over
-    every edge, the sum still below p^2 (`SketchBank`).  At desk sizes H
-    keeps every edge, so the bank is fed none."""
+    every edge, the sum still below p^2 (`SketchBank`).  While the sample's
+    rate is clamped to 1 the sampler, too, is fed only the dropped edges,
+    and its sample is H plus those (`SampleCollector.finalize`).  At desk
+    sizes H keeps every edge, so neither is fed any, and the sample is H."""
     palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
     collector = SampleCollector(n, delta, params, seed)
@@ -125,13 +130,14 @@ def _main_pass(src, n, delta, params, seed, bank=None):
         vs = np.ascontiguousarray(block[:, 1])
         keep = conflict_keep_chunk(us, vs, palettes)
         conflict.add_chunk(us[keep], vs[keep])
-        collector.update_chunk(us, vs)
+        dropped = us[~keep], vs[~keep]
+        collector.update_chunk(*(dropped if collector.clamped else (us, vs)))
         if bank is not None:
-            bank.update_chunk(us[~keep], vs[~keep])
+            bank.update_chunk(*dropped)
     h = conflict.build()
     if bank is not None:
         bank.h = h
-    return palettes, h, collector.finalize()
+    return palettes, h, collector.finalize(h)
 
 
 def _decompose(shadow, isample, conflict, params, delta):

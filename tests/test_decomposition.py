@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamcolor import decomposition, graph
+from streamcolor import decomposition, graph, pipeline
 from streamcolor.decomposition import (
     CRITICAL,
     FRIEND,
@@ -29,7 +29,15 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run
 from streamcolor.stream import stream_source
 
-from conftest import brute_non_edges, collect_samples, oracle_from_edges, planted_mistakes, shadow_of, source_of
+from conftest import (
+    brute_non_edges,
+    collect_samples,
+    dropping_palettes,
+    oracle_from_edges,
+    planted_mistakes,
+    shadow_of,
+    source_of,
+)
 
 
 def _clique_edges(vertices):
@@ -99,9 +107,27 @@ def test_sample_bits_count_the_neighbor_samples():
     res = color_run(RunConfig(source=spec, seed=1))
     assert res.report["attempts"] == 1
     src = stream_source(spec, seed=1)
-    isample = _main_pass(src, src.n, 16, res.params, 1)[2]
+    _, h, isample = _main_pass(src, src.n, 16, res.params, 1)
     assert isample.indices.size == 2 * res.report["m"]  # rate 1 keeps every neighbor
+    assert isample is h  # and H keeps every edge, so the sample is H
     assert res.report["space"]["sample_bits"] == isample.stored_bits()
+
+
+def test_rate_one_sample_is_every_edge_when_h_drops_some(monkeypatch):
+    """With hand-built partial palettes at rate 1, H is a strict subgraph,
+    while the sample is H plus the dropped edges: the whole graph."""
+    spec = "random-regular:delta=16,n=400,seed=1"
+    monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
+    src = stream_source(spec, seed=1)
+    params = ParamSet.desk(src.n, 16)
+    _, h, isample = _main_pass(src, src.n, 16, params, 1)
+    shadow = shadow_of(src)
+    assert 0 < h.m < shadow.m
+    assert isample is not h and isample is not shadow
+    assert np.array_equal(isample.indptr, shadow.indptr)
+    assert np.array_equal(isample.indices, shadow.indices)
+    # without H the collector's sample is the graph of the edges it was fed
+    assert np.array_equal(collect_samples(src.open(), params, 1, 16).indices, shadow.indices)
 
 
 def _sample_of(spec: str, seed: int):
@@ -178,6 +204,7 @@ def test_one_rule_picks_the_common_count(shape, monkeypatch):
 
     g = Graph(n, inst.edges)
     check(g.common, g, g.edges())
+    assert sampled_common(g, g.edges(), 1.0) is g.common  # H is the sample
     rng = np.random.default_rng(4)
     edges = g.edges()[rng.random(g.m) < 0.4]  # a subgraph, as H is of G
     isample = Graph.from_pairs(n, *g.pairs())  # rate 1 keeps every neighbor

@@ -20,7 +20,7 @@ from streamcolor import coloring
 from streamcolor.decomposition import verify_decomposition
 from streamcolor.palette import sample_palettes
 from streamcolor.params import ParamSet
-from streamcolor.pipeline import RunConfig, color_run, decompose_run, verify_coloring
+from streamcolor.pipeline import RunConfig, _main_pass, color_run, decompose_run, verify_coloring
 from streamcolor.stream import stream_source
 
 from conftest import planted_mistakes, shadow_of
@@ -46,6 +46,28 @@ RUNS = {
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
         "fab98acfcc734f95ff8356cdb8826675a5002853b741943760fce6883f603b1e",
         "b4ebf43892ee2980cc4c19104150d7000026e8ff5c6a98f338858179e21580ba",
+    ),
+    # samples its neighbors at rate 225/256 and L6 below 1
+    "mixed:delta=256,count=1,seed=1": (
+        "ef8995a77d3d125c5ddaffa93281bd20855d92281313263dbeb6a2a01c913621",
+        "2cd0fef93b63f3eb8439d156f0494a24a74964db7522be68fdff084352c0298c",
+        "290d6720b6d148bf59228be551280d48c8e8e204940fa72a5979bbb3e6c2bd36",
+        "0ee29adb664ffa933d8ccf72947f6e173bc4676e09a6f1a7a08f833d30c8df03",
+    ),
+}
+# spec -> (delta, sha256 of indptr bytes, sha256 of indices bytes) of the
+# neighbor sample the main pass returns at seed 1: below rate 1 (225/256)
+# on the mixed instance, at rate 1 on the random-regular one
+SAMPLES = {
+    "mixed:delta=256,count=1,seed=1": (
+        256,
+        "22031b871572fee72bb8ede17ab97a56a3e7a212291be6d4a0baac653af7b5bd",
+        "ed1a02da619a7a37947d32266a95d63144b9eb012e9891eb222a4a498d2feb2e",
+    ),
+    "random-regular:delta=16,n=400,seed=1": (
+        16,
+        "bc5cf96385675a14da5fa1d4087dcd310fc89ec9f13b89f06be6045c26f59961",
+        "760805f8794c313ad33ca6879d3f7398e1c012c9d6e39c4eb2d61bec47976d64",
     ),
 }
 # The same four digests with phase 4 declining every clique, so the critical
@@ -185,6 +207,14 @@ def _run_digests(res) -> tuple[str, str, str, str]:
         _json_sha(res.report["space"]),
         _sha(res.phase_result.provenance.tobytes()),
     )
+
+
+@pytest.mark.parametrize("spec", sorted(SAMPLES))
+def test_neighbor_sample_golden(spec):
+    delta, indptr, indices = SAMPLES[spec]
+    src = stream_source(spec, seed=1)
+    isample = _main_pass(src, src.n, delta, ParamSet.desk(src.n, delta), 1)[2]
+    assert (_sha(isample.indptr.tobytes()), _sha(isample.indices.tobytes())) == (indptr, indices)
 
 
 @pytest.mark.parametrize("no_shadow", [False, True])

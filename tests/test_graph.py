@@ -70,6 +70,16 @@ def test_pair_counts_without_edges():
         assert g.triangles().tolist() == [0] * n
 
 
+def test_derived_arrays_are_cached_and_read_only():
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    for get in (g.edges, g.triangles, lambda: g.common):
+        first = get()
+        assert get() is first  # derived once
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 7
+    assert g.triangles().tolist() == [1, 1, 1, 0, 0]
+
+
 def test_pair_counts_long_list_spans_chunks():
     # a hub of degree 420 forms more pairs than one chunk holds
     rng = np.random.default_rng(7)

@@ -13,7 +13,7 @@ from functools import partialmethod
 import numpy as np
 import pytest
 
-from streamcolor import pipeline
+from streamcolor import _kernels, pipeline
 from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
 from streamcolor.field import MAX_PRIME, SketchBank, canonical_prime, is_prime
 from streamcolor.params import ParamSet
@@ -47,6 +47,13 @@ def _bank_rows(bank) -> list[np.ndarray]:
 
 def _bank_digest(bank) -> str:
     return _digest(*_bank_rows(bank))
+
+
+def test_prf_uniform_stays_below_one(monkeypatch):
+    top = np.array([2**64 - 1, 2**64 - 2**10, 0], dtype=np.uint64)
+    monkeypatch.setattr(_kernels, "prf_u64", lambda *args: top)
+    u = _kernels.prf_uniform(1, 0, 0)
+    assert (u < 1).all() and u[2] == 0
 
 
 def test_main_pass_sketch_bank_golden():
