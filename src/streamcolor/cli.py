@@ -31,7 +31,7 @@ from streamcolor.pipeline import (
     decompose_run,
     verify_coloring,
 )
-from streamcolor.stream import ParseError, first_repeat, read_pairs
+from streamcolor.stream import CLIQUE_COMPONENT, ParseError, first_repeat, read_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -96,7 +96,7 @@ def cmd_color(args) -> int:
         json.dump(result.report, fh, indent=2, default=int)
     if result.status == NOT_COLORABLE:
         for comp in result.report["components"]:
-            kind = "clique" if comp["verdict"] == "CliqueComponent" else "odd cycle"
+            kind = "clique" if comp["verdict"] == CLIQUE_COMPONENT else "odd cycle"
             vs = comp["vertices"]
             print(
                 f"not delta-colorable: component {{{vs[0]}..}} of size "
@@ -197,9 +197,11 @@ def cmd_report(args) -> int:
 
 def cmd_demo_recover(args) -> int:
     n = args.n
-    p = args.p if args.p else canonical_prime(n)
+    p = canonical_prime(n) if args.p is None else args.p
     check_prime(p, n)
-    r = args.r if args.r else args.k
+    r = args.k if args.r is None else args.r
+    if r < 0:
+        raise ValueError(f"--r must be >= 0, got {r}")
     rng = np.random.default_rng(args.seed)
     x = np.zeros(n, dtype=np.int64)
     if args.k:

@@ -7,7 +7,8 @@ the main pass feeds the palette filter, the neighbor sampler, and the
 sketch bank simultaneously; the bank sees only the edges the filter drops
 and reads the rest from H.  So does the sampler while its rate is clamped
 to 1: its sample is H plus the dropped edges, and H itself when none is
-dropped, as at desk sizes.  The shadow is always built apart from both.
+dropped, as on every run: L3's rate is 1 for every n and delta in both
+modes, so H keeps every edge.  The shadow is always built apart from both.
 Each retry re-seeds every randomized component and costs one more main
 pass.
 """
@@ -37,13 +38,7 @@ from streamcolor.palette import (
     sample_palettes,
 )
 from streamcolor.params import DELTA_MIN_PIPELINE, ParamSet
-from streamcolor.stream import (
-    COLORABLE,
-    ComponentCensus,
-    StreamSource,
-    check_colorability,
-    stream_source,
-)
+from streamcolor.stream import StreamSource, check_colorability, stream_source
 from streamcolor._kernels import uf_roots, uf_union_batch
 
 SUCCESS = "success"
@@ -86,30 +81,29 @@ class RunResult:
 
 
 def _prepass(src: StreamSource, want_shadow: bool):
-    """Census + components (+ shadow) in a single pass.
+    """Degrees, union-find roots (and the shadow) in a single pass:
+    (degrees, roots, shadow or None, m).
 
     Without the shadow this holds O(n) words; the shadow itself is the
     explicitly out-of-budget structure.
     """
-    stream = src.open()
-    n = stream.meta.n
+    n = src.n
     degrees = np.zeros(n, dtype=np.int64)
     parent = np.arange(n, dtype=np.int64)
     blocks = [] if want_shadow else None
     m = 0
-    for block in stream.chunks():
+    for block in src.open().chunks():
         degrees += np.bincount(block[:, 0], minlength=n)
         degrees += np.bincount(block[:, 1], minlength=n)
         uf_union_batch(parent, block[:, 0], block[:, 1])
         m += block.shape[0]
         if blocks is not None:
-            blocks.append(block.copy())
-    census = ComponentCensus(n=n, roots=uf_roots(parent), degrees=degrees)
+            blocks.append(block)    # a view; the concatenation is the one copy
     shadow = None
     if blocks is not None:
         edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
         shadow = AdjacencyOracle(n, edges)
-    return census, shadow, m
+    return degrees, uf_roots(parent), shadow, m
 
 
 def _main_pass(src, n, delta, params, seed, bank=None):
@@ -120,8 +114,9 @@ def _main_pass(src, n, delta, params, seed, bank=None):
     its stored row of v plus the columns over v's row of H is v's row over
     every edge, the sum still below p^2 (`SketchBank`).  While the sample's
     rate is clamped to 1 the sampler, too, is fed only the dropped edges,
-    and its sample is H plus those (`SampleCollector.finalize`).  At desk
-    sizes H keeps every edge, so neither is fed any, and the sample is H."""
+    and its sample is H plus those (`SampleCollector.finalize`).  H keeps
+    every edge unless the palettes are hand-built or the ParamSet
+    overridden, so neither is fed any, and the sample is H."""
     palettes = sample_palettes(n, delta, params, seed)
     conflict = ConflictGraph(n)
     collector = SampleCollector(n, delta, params, seed)
@@ -227,20 +222,15 @@ def color_run(cfg: RunConfig) -> RunResult:
     bad luck or impossible inputs, only for usage errors and bugs."""
     src = stream_source(cfg.source, seed=cfg.seed)
     n = src.n
-    census, shadow, m = _prepass(src, want_shadow=not cfg.no_shadow)
-    delta = int(census.degrees.max()) if n else 0
+    degrees, roots, shadow, m = _prepass(src, want_shadow=not cfg.no_shadow)
+    delta = int(degrees.max())
     if cfg.delta is not None and cfg.delta != delta:
         raise ValueError(f"--delta {cfg.delta} does not match census max degree {delta}")
 
     base_report = {"n": n, "m": m, "delta": delta, "mode": cfg.mode, "seed": cfg.seed}
 
-    verdicts = check_colorability(census, delta)
-    bad = [v for v in verdicts if v.verdict != COLORABLE]
-    if bad:
-        listing = [
-            {"verdict": v.verdict, "vertices": v.stat.vertices[:12], "size": v.stat.vcount}
-            for v in bad
-        ]
+    listing = check_colorability(roots, degrees, delta)
+    if listing:
         return RunResult(
             status=NOT_COLORABLE,
             colors=None,
@@ -253,7 +243,7 @@ def color_run(cfg: RunConfig) -> RunResult:
     if delta < DELTA_MIN_PIPELINE or (cfg.budget is not None and raw_bytes <= cfg.budget):
         adj_source = shadow
         if adj_source is None:  # offline path stores the graph by definition
-            _, adj_source, _ = _prepass(src, want_shadow=True)
+            adj_source = _prepass(src, want_shadow=True)[2]
         colors = col.offline_brooks(adj_source, max(delta, 1))
         fault = _coloring_fault(colors, adj_source.edges(), delta)
         if fault is not None:
@@ -344,8 +334,8 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     heuristic (no-shadow) mode where there is nothing to verify against.
     """
     src = stream_source(source, seed=seed)
-    census, shadow, _ = _prepass(src, want_shadow=not no_shadow)
-    delta = int(census.degrees.max()) if src.n else 0
+    degrees, _, shadow, _ = _prepass(src, want_shadow=not no_shadow)
+    delta = int(degrees.max())
     params = ParamSet.make(mode, src.n, delta)
     params.validate_for(delta)
 

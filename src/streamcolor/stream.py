@@ -1,5 +1,5 @@
-"""Edge streams: the edge-list reader, single-pass enforcement, census
-types, colorability gate.
+"""Edge streams: the edge-list reader, single-pass enforcement, the
+colorability gate.
 
 `StreamSource.from_file` reads an edge-list file: a vertex-count header,
 then one edge 'u v' per line. `read_pairs` reads it with numpy in blocks
@@ -15,6 +15,10 @@ The stream abstraction materializes its source once (file or generator),
 then hands out strictly sequential single-consumption passes.  Arrival
 order is a deterministic shuffle of the source order by the stream seed,
 so every run exercises an arbitrary-looking but reproducible order.
+
+`check_colorability` reads the pre-pass's degree and union-find root
+arrays as whole arrays and lists only the components with no
+delta-coloring.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +40,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
-
-
-@dataclass
-class StreamMeta:
-    n: int
-    m: int | None = None        # filled after a completed pass
-    seed: int = 0
 
 
 def chunk_edges(n: int) -> int:
@@ -61,40 +57,33 @@ def chunk_edges(n: int) -> int:
 
 
 class EdgeStream:
-    """One pass over the edges; pulling after exhaustion raises.
+    """One pass over the edges of an n-vertex stream; pulling after
+    exhaustion raises.
 
     Re-opening (a fresh pass from the same source) is reserved for the
     pre-pass/main-pass pair; the verifier reads `StreamSource.edges`.
     """
 
-    def __init__(self, meta: StreamMeta, edges: np.ndarray):
-        self.meta = meta
+    def __init__(self, n: int, edges: np.ndarray):
+        self.n = n
         self._edges = edges
         self._cursor = 0
         self.consumed = False
 
-    def __len__(self) -> int:
-        return self._edges.shape[0]
-
-    def chunks(self, size: int | None = None):
-        """Yield (k, 2) int64 edge blocks of `size` edges (the last one may
-        be shorter) exactly once; by default `chunk_edges(meta.n)`."""
-        if size is None:
-            size = chunk_edges(self.meta.n)
-        elif size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        return self._blocks(size)
-
-    def _blocks(self, size: int):
+    def chunks(self):
+        """Yield (k, 2) int64 edge blocks of `chunk_edges(n)` edges (the
+        last one may be shorter) exactly once."""
         if self.consumed:
             raise StreamError("stream already consumed; re-open the source for a new pass")
+        size = chunk_edges(self.n)
+        if size < 1:                        # a 0-edge block never advances the cursor
+            raise ValueError(f"chunk size must be >= 1, got {size}")
         total = self._edges.shape[0]
         while self._cursor < total:
             block = self._edges[self._cursor : self._cursor + size]
             self._cursor += block.shape[0]
             yield block
         self.consumed = True
-        self.meta.m = total
 
 
 class StreamSource:
@@ -126,7 +115,7 @@ class StreamSource:
             order = rng_for(self.seed, "stream").permutation(self.m)
             self._delivery = np.take(self._edges, order, axis=0)
         self.passes += 1
-        return EdgeStream(StreamMeta(n=self.n, seed=self.seed), self._delivery)
+        return EdgeStream(self.n, self._delivery)
 
     @classmethod
     def from_file(cls, path: str, seed: int = 0) -> "StreamSource":
@@ -351,81 +340,34 @@ def stream_source(source: str, seed: int = 0) -> StreamSource:
 
 
 # ---------------------------------------------------------------------------
-# Pre-scan statistics
+# Colorability gate
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class ComponentStat:
-    vertices: list[int]
-    vcount: int
-    ecount: int
-    max_degree: int
-    min_degree: int
-
-
-@dataclass
-class ComponentCensus:
-    """Union-find view of one full pass: per-component counts and degrees."""
-
-    n: int
-    roots: np.ndarray
-    degrees: np.ndarray
-
-    def components(self) -> list[ComponentStat]:
-        """One stat per component, in ascending root order."""
-        order = np.argsort(self.roots, kind="stable")
-        roots = self.roots[order]
-        starts = np.flatnonzero(np.concatenate([[True], roots[1:] != roots[:-1]]))
-        degs = self.degrees[order]
-        # every edge stays inside its component
-        ecounts = np.add.reduceat(degs, starts) // 2
-        maxs = np.maximum.reduceat(degs, starts)
-        mins = np.minimum.reduceat(degs, starts)
-        verts = order.tolist()
-        bounds = starts.tolist() + [len(verts)]
-        return [
-            ComponentStat(vertices=verts[a:b], vcount=b - a,
-                          ecount=e, max_degree=hi, min_degree=lo)
-            for a, b, e, hi, lo in zip(bounds, bounds[1:], ecounts.tolist(),
-                                       maxs.tolist(), mins.tolist())
-        ]
-
-
-COLORABLE = "Colorable"
 CLIQUE_COMPONENT = "CliqueComponent"
 ODD_CYCLE_COMPONENT = "OddCycleComponent"
 
 
-@dataclass
-class ComponentVerdict:
-    verdict: str
-    stat: ComponentStat
+def check_colorability(roots: np.ndarray, degrees: np.ndarray, delta: int) -> list[dict]:
+    """The components with no proper coloring in delta colors (Brooks):
+    exactly a (delta+1)-clique or, at delta=2, an odd cycle.
 
-
-def check_colorability(census: ComponentCensus, delta: int) -> list[ComponentVerdict]:
-    """Flag each component as Colorable unless it is exactly a
-    (delta+1)-clique or (at delta=2) an odd cycle - the only graphs with
-    no proper coloring in delta colors."""
-    if delta != int(census.degrees.max() if census.n else 0):
+    roots holds each vertex's union-find root and degrees its degree. A
+    component is listed as {"verdict", "vertices" (its first 12,
+    ascending), "size"}, in ascending root order; a colorable one yields
+    nothing. The roots are sorted once, and each component's size and
+    minimum degree are whole-array reductions.
+    """
+    if delta != int(degrees.max()):
         raise ValueError(f"delta={delta} inconsistent with census max degree")
-    verdicts = []
-    for stat in census.components():
-        if (
-            delta == 2
-            and stat.max_degree == 2
-            and stat.min_degree == 2
-            and stat.vcount % 2 == 1
-            and stat.ecount == stat.vcount
-        ):
-            verdicts.append(ComponentVerdict(ODD_CYCLE_COMPONENT, stat))
-        elif (
-            stat.vcount == delta + 1
-            and stat.ecount == delta * (delta + 1) // 2
-            and stat.max_degree == delta
-            and stat.min_degree == delta
-        ):
-            verdicts.append(ComponentVerdict(CLIQUE_COMPONENT, stat))
-        else:
-            verdicts.append(ComponentVerdict(COLORABLE, stat))
-    return verdicts
+    order = np.argsort(roots, kind="stable")
+    sorted_roots = roots[order]
+    starts = np.flatnonzero(np.concatenate([[True], sorted_roots[1:] != sorted_roots[:-1]]))
+    sizes = np.diff(starts, append=roots.size)
+    # delta is the maximum degree, so a component whose minimum is delta is
+    # connected and delta-regular: with delta+1 vertices a clique, and at
+    # delta=2 a cycle, odd when its size is
+    bad = np.minimum.reduceat(degrees[order], starts) == delta
+    bad &= (sizes % 2 == 1) if delta == 2 else (sizes == delta + 1)
+    verdict = ODD_CYCLE_COMPONENT if delta == 2 else CLIQUE_COMPONENT
+    return [{"verdict": verdict, "vertices": order[a : a + min(size, 12)].tolist(), "size": size}
+            for a, size in zip(starts[bad].tolist(), sizes[bad].tolist())]

@@ -83,13 +83,13 @@ def source_of(inst, seed=0) -> StreamSource:
 
 def shadow_of(src) -> Graph:
     """The shadow the pipeline's pre-pass builds (one pass over src)."""
-    return _prepass(src, want_shadow=True)[1]
+    return _prepass(src, want_shadow=True)[2]
 
 
 def collect_samples(stream, params, seed: int, delta: int):
     """Consume one full pass into the Bernoulli neighbor samples, as a
     Graph whose row v holds v's sampled neighbors."""
-    coll = SampleCollector(stream.meta.n, delta, params, seed)
+    coll = SampleCollector(stream.n, delta, params, seed)
     for block in stream.chunks():
         coll.update_chunk(
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
@@ -99,7 +99,7 @@ def collect_samples(stream, params, seed: int, delta: int):
 
 def build_conflict_graph(stream, palettes) -> Graph:
     """Filter one full pass into the conflict graph H."""
-    h = ConflictGraph(stream.meta.n)
+    h = ConflictGraph(stream.n)
     for block in stream.chunks():
         keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
         h.add_chunk(block[keep, 0], block[keep, 1])

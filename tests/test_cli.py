@@ -60,13 +60,35 @@ def test_missing_vertex_fails_verification(tmp_path):
     assert run(["verify", "--graph", graph, "--coloring", colors, "--delta", 2]) == 1
 
 
-def test_not_colorable_exits(tmp_path):
+def _not_colorable_lines(report_path) -> list[str]:
+    """The stderr lines `color` owes a not-colorable report: one per
+    listed component."""
+    kinds = {"CliqueComponent": "clique", "OddCycleComponent": "odd cycle"}
+    comps = json.loads(report_path.read_text())["components"]
+    return [f"not delta-colorable: component {{{c['vertices'][0]}..}} of size {c['size']} "
+            f"is a {kinds[c['verdict']]}" for c in comps]
+
+
+def test_not_colorable_exits(tmp_path, capsys):
     # pure (delta+1)-clique
     assert run(["color", "--gen", "holey-clique:delta=16,t=0", "--out", tmp_path / "a"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["not delta-colorable: component {0..} of size 17 is a clique"]
+    assert err == _not_colorable_lines(tmp_path / "a.report.json")
     # triangle = odd cycle at delta 2
     tri = tmp_path / "tri.txt"
     tri.write_text("3\n0 1\n1 2\n0 2\n")
     assert run(["color", "--input", tri, "--out", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["not delta-colorable: component {0..} of size 3 is a odd cycle"]
+    assert err == _not_colorable_lines(tmp_path / "b.report.json")
+    # three K2s at delta 1 and a lone vertex: one line per K2, by root
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("7\n5 1\n2 6\n0 4\n")
+    assert run(["color", "--input", pairs, "--out", tmp_path / "c"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert err == _not_colorable_lines(tmp_path / "c.report.json")
 
 
 def test_small_delta_routes_offline(tmp_path):
@@ -203,10 +225,19 @@ def test_demo_recover_paths(capsys):
     ["--n", 16, "--k", 2, "--p", 15],                           # not prime
     ["--n", 200, "--k", 2, "--p", 101],                         # p < n: nodes collide
     ["--n", 16, "--k", 2, "--p", next_prime(MAX_PRIME + 1)],    # products overflow int64
+    ["--n", 16, "--k", 2, "--p", 0],                            # given, so not the default
 ])
 def test_demo_recover_rejects_bad_prime(argv, capsys):
     assert run(["demo-recover", *argv]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_demo_recover_takes_an_explicit_zero_bound(capsys):
+    assert run(["demo-recover", "--n", 32, "--k", 3, "--r", 0]) == 0
+    out = capsys.readouterr().out
+    assert "recovery bound r=0" in out and "fail (refused" in out
+    assert run(["demo-recover", "--n", 32, "--k", 3, "--r", -1]) == 4
+    assert "--r" in capsys.readouterr().err
 
 
 def test_demo_recover_large_prime(capsys):

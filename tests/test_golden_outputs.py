@@ -18,6 +18,7 @@ import pytest
 
 from streamcolor import coloring
 from streamcolor.decomposition import verify_decomposition
+from streamcolor.generators import generate_instance
 from streamcolor.palette import sample_palettes
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run, decompose_run, verify_coloring
@@ -89,6 +90,10 @@ DEFERRED_RUNS = {
 }
 
 
+def _edge_file(n: int, edges) -> str:
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
 def _k5_minus_edge(base: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in itertools.combinations(range(base, base + 5), 2)
             if (a, b) != (base, base + 1)]
@@ -104,7 +109,7 @@ def _cut_vertex_file(second: list[tuple[int, int]]) -> str:
     a second piece minus (5, 6), and the cut joined to 0, 1, 5 and 6."""
     cut = max(b for _, b in second) + 1
     edges = _k5_minus_edge(0) + second + [(0, cut), (1, cut), (5, cut), (6, cut)]
-    return f"{cut + 1}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    return _edge_file(cut + 1, edges)
 
 
 # Edge-list files for the offline runs below.  Each piece at the cut is colored
@@ -161,6 +166,40 @@ OFFLINE_RUNS = {
         "2da82c0db5e4befd285eebe015807b2cbcdae2ba4c8357ab2469b885d392614c",
         "c86d9d3be98a5b91ae975858e9ca27171503442f69760788f9f94e59f5b301e6",
     ),
+}
+
+
+def _mixed_with_k9() -> str:
+    """The mixed delta=8 block with a pure 9-clique bolted on after it."""
+    inst = generate_instance("mixed", 8, count=1, seed=2)
+    k9 = itertools.combinations(range(inst.n, inst.n + 9), 2)
+    return _edge_file(inst.n + 9, [*inst.edges.tolist(), *k9])
+
+
+# Edge-list files for the not-colorable runs below: a 15-cycle (delta=2),
+# eight K2s among 30 vertices (delta=1), an edgeless graph (delta=0) and
+# the mixed block with a K9.
+NOT_COLORABLE_FILES = {
+    "cycle-15.txt": lambda: _edge_file(15, [(7 * i % 15, 7 * (i + 1) % 15) for i in range(15)]),
+    "k2-isolated.txt": lambda: _edge_file(
+        30, [(0, 17), (3, 4), (9, 25), (28, 12), (6, 2), (21, 29), (14, 8), (19, 23)]),
+    "edgeless.txt": lambda: "6\n",
+    "mixed-k9.txt": _mixed_with_k9,
+}
+# spec -> sha256 of the report JSON of a not-colorable run at seed 1, the
+# same in both shadow modes; the 17-clique's listing is cut to 12 vertices.
+# A spec in NOT_COLORABLE_FILES is read from that file.
+NOT_COLORABLE_RUNS = {
+    "holey-clique:delta=16,t=0":
+        "784475f9d1a325e2e503d71b41f18c995e4714386eacbee49e8cb55448f4838f",
+    "cycle-15.txt":
+        "236e8c85d8457cd7a1f7ab416ed68277981e1ea851f4bdd61ef07cf5d80f8359",
+    "k2-isolated.txt":
+        "123a3ce22dc5da532b3105b3baba4f69e926ce980a03f479eea2beb8cd0989de",
+    "edgeless.txt":
+        "6a15090dd3aa18fb7bc67c48785f31cc8ad946145bb6ae482fec8a394571eb13",
+    "mixed-k9.txt":
+        "00a2cd64b4ce5710e3729faf7cdd37b633f0e78f2a922ebfdcaf695ee668f52e",
 }
 MASKS = "e0c9a64298fb250d266821b7a2b1fd5f6afa193deea1c857bb1702539e8d0566"
 # (spec, no_shadow) -> sha256 of the decompose_run JSON (see _decomposition_view)
@@ -248,6 +287,18 @@ def test_offline_run_golden(spec, budget, no_shadow, tmp_path):
     assert verify_coloring(source, res.colors, res.delta, seed=1) == (True, "ok")
     got = (_sha(res.colors.tobytes()), _json_sha(res.report))
     assert got == OFFLINE_RUNS[spec, budget, no_shadow]
+
+
+@pytest.mark.parametrize("no_shadow", [False, True])
+@pytest.mark.parametrize("spec", sorted(NOT_COLORABLE_RUNS))
+def test_not_colorable_report_golden(spec, no_shadow, tmp_path):
+    source = spec
+    if spec in NOT_COLORABLE_FILES:
+        source = str(tmp_path / spec)
+        (tmp_path / spec).write_text(NOT_COLORABLE_FILES[spec]())
+    res = color_run(RunConfig(source=source, seed=1, no_shadow=no_shadow))
+    assert res.status == "not-colorable" and res.colors is None
+    assert _json_sha(res.report) == NOT_COLORABLE_RUNS[spec]
 
 
 def test_palette_masks_golden():

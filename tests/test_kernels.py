@@ -8,17 +8,16 @@ for bit.
 
 import hashlib
 import tracemalloc
-from functools import partialmethod
 
 import numpy as np
 import pytest
 
-from streamcolor import _kernels, pipeline
+from streamcolor import _kernels, pipeline, stream
 from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
 from streamcolor.field import MAX_PRIME, SketchBank, canonical_prime, is_prime
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _main_pass, _prepass
-from streamcolor.stream import EdgeStream, chunk_edges, stream_source
+from streamcolor.stream import chunk_edges, stream_source
 
 from conftest import dropping_palettes
 
@@ -216,22 +215,21 @@ def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
     edges, so that the bank stores some."""
     src = stream_source(spec, seed=3)
     n, m = src.n, src.m
-    delta = int(_prepass(src, want_shadow=False)[0].degrees.max())
+    delta = int(_prepass(src, want_shadow=False)[0].max())
     params = ParamSet.desk(n, delta)
-    chunks = EdgeStream.chunks
     if drop:
         monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
 
     def passes(size):
-        monkeypatch.setattr(EdgeStream, "chunks", partialmethod(chunks, size))
-        census, shadow, _ = _prepass(src, want_shadow=True)
+        monkeypatch.setattr(stream, "chunk_edges", lambda _: size)
+        degrees, roots, shadow, _ = _prepass(src, want_shadow=True)
         bank = SketchBank(n, delta, params, 3)
         _, h, samples = _main_pass(src, n, delta, params, 3, bank)
         assert (bank.edges_received > 0) == drop
-        return [census.roots, census.degrees, *_bank_rows(bank),
+        return [roots, degrees, *_bank_rows(bank),
                 *(a for g in (shadow, h, samples) for a in (g.indptr, g.indices))]
 
-    want = passes(None)
+    want = passes(chunk_edges(n))
     for size in (1, 977, 4096, m):
         got = passes(size)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), size

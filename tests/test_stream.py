@@ -6,12 +6,10 @@ import pytest
 from streamcolor import stream
 from streamcolor.stream import (
     CLIQUE_COMPONENT,
-    COLORABLE,
     ODD_CYCLE_COMPONENT,
     EdgeStream,
     ParseError,
     StreamError,
-    StreamMeta,
     StreamSource,
     check_colorability,
     chunk_edges,
@@ -34,20 +32,21 @@ def _edges(stream):
 
 
 def _census(src):
-    return _prepass(src, want_shadow=False)[0]
+    """(degrees, roots) from the pre-pass."""
+    return _prepass(src, want_shadow=False)[:2]
 
 
 def test_file_format_echo(tmp_path):
     path = _write(tmp_path, "3\n0 1\n1 2\n")
     st = stream_source(path).open()
-    assert st.meta.n == 3
+    assert st.n == 3
     assert sorted(_edges(st)) == [(0, 1), (1, 2)]
-    assert st.meta.m == 2
+    assert st.consumed
 
 
 def test_file_comments_and_blanks(tmp_path):
     path = _write(tmp_path, "# graph\n4\n\n0 1  # edge\n2 3\n")
-    assert len(stream_source(path).open()) == 2
+    assert len(_edges(stream_source(path).open())) == 2
 
 
 @pytest.mark.parametrize(
@@ -238,8 +237,8 @@ def test_reader_memory_bound(tmp_path):
 
 def test_generator_spec_stream():
     st = stream_source("clique-pairs:Δ=4,pairs=1").open()
-    assert len(st) == 2 * 10  # two K5 blocks keep their edge count after switching
-    assert st.meta.n == 10
+    assert st.n == 10
+    assert len(_edges(st)) == 2 * 10  # two K5 blocks keep their edge count after switching
 
 
 def test_single_pass_enforcement():
@@ -265,22 +264,26 @@ def test_default_chunk_size(n, size):
 def test_default_chunks_yield_every_edge_once_in_order():
     n, m = 300, 10000                        # 4800 edges per chunk
     edges = np.random.default_rng(8).integers(0, n, size=(m, 2))
-    st = EdgeStream(StreamMeta(n=n), edges)
+    st = EdgeStream(n, edges)
     blocks = list(st.chunks())
     assert [b.shape[0] for b in blocks] == [4800, 4800, 400]
     assert np.array_equal(np.concatenate(blocks), edges)
-    assert st.consumed and st.meta.m == m
+    assert st.consumed
     with pytest.raises(StreamError, match="already consumed"):
         next(iter(st.chunks()))
 
 
 @pytest.mark.parametrize("size", [0, -3])
-def test_chunk_size_below_one_raises(size):
-    st = EdgeStream(StreamMeta(n=4), np.array([(0, 1), (1, 2), (2, 3)]))
+def test_chunk_size_below_one_raises(size, monkeypatch):
+    st = EdgeStream(4, np.array([(0, 1), (1, 2), (2, 3)]))
+    monkeypatch.setattr(stream, "chunk_edges", lambda n: size)
     with pytest.raises(ValueError, match="chunk size"):
-        st.chunks(size)
+        next(st.chunks())
     assert not st.consumed                  # the stream is still whole
-    assert [b.shape[0] for b in st.chunks(2)] == [2, 1]
+    monkeypatch.setattr(stream, "chunk_edges", lambda n: 2)
+    chunks = st.chunks()
+    assert not st.consumed                  # nothing is read until pulled
+    assert [b.shape[0] for b in chunks] == [2, 1]
 
 
 def test_delivery_order_is_seeded_shuffle():
@@ -295,11 +298,11 @@ def test_delivery_order_is_seeded_shuffle():
 
 def test_degree_census_small_cases(tmp_path):
     k4 = _write(tmp_path, "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
-    degs = _census(stream_source(k4)).degrees
+    degs = _census(stream_source(k4))[0]
     assert degs.tolist() == [3, 3, 3, 3]
 
     star = _write(tmp_path, "5\n0 1\n0 2\n0 3\n0 4\n", name="s.txt")
-    degs = _census(stream_source(star)).degrees
+    degs = _census(stream_source(star))[0]
     assert degs.tolist() == [4, 1, 1, 1, 1]
 
 
@@ -307,77 +310,110 @@ def test_degree_census_matches_shadow_on_generated():
     for fam in ("clique-pairs", "lonely-clique", "hard-phase6"):
         inst = generate_instance(fam, 8, count=2, seed=3)
         src = source_of(inst)
-        degs = _census(src).degrees
+        degs = _census(src)[0]
         sh = shadow_of(src)
         assert degs.max() == inst.delta
         assert degs.tolist() == [sh.degree(v) for v in range(inst.n)]
 
 
+def _gate(src, delta):
+    """The colorability listing of src's pre-pass at delta."""
+    degrees, roots = _census(src)
+    return check_colorability(roots, degrees, delta)
+
+
 def test_check_colorability_verdicts():
     tri = StreamSource(3, np.array([(0, 1), (1, 2), (0, 2)]))
-    cen = _census(tri)
-    assert [v.verdict for v in check_colorability(cen, 2)] == [ODD_CYCLE_COMPONENT]
+    assert _gate(tri, 2) == [
+        {"verdict": ODD_CYCLE_COMPONENT, "vertices": [0, 1, 2], "size": 3}]
 
     k5 = StreamSource(5, np.array([(u, v) for u in range(5) for v in range(u + 1, 5)]))
-    cen = _census(k5)
-    assert [v.verdict for v in check_colorability(cen, 4)] == [CLIQUE_COMPONENT]
+    assert [c["verdict"] for c in _gate(k5, 4)] == [CLIQUE_COMPONENT]
 
     k4e = StreamSource(4, np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    cen = _census(k4e)
-    assert [v.verdict for v in check_colorability(cen, 3)] == [COLORABLE]
+    assert _gate(k4e, 3) == []
 
 
-def _components_by_scan(census):
-    """The census listing as one scan of all n roots per component."""
+def _listing_by_scan(roots, degrees, delta):
+    """The gate's listing from one scan of all n roots per component, by
+    the full rule: vertex and edge counts, maximum and minimum degree."""
     out = []
-    for root in np.unique(census.roots):
-        members = np.flatnonzero(census.roots == root)
-        degs = census.degrees[members]
-        out.append((members.tolist(), members.size, int(degs.sum()) // 2,
-                    int(degs.max()), int(degs.min())))
+    for root in np.unique(roots):
+        members = np.flatnonzero(roots == root)
+        degs = degrees[members]
+        size, ecount = members.size, int(degs.sum()) // 2
+        regular = degs.max() == degs.min() == delta
+        if delta == 2 and regular and size % 2 == 1 and ecount == size:
+            verdict = ODD_CYCLE_COMPONENT
+        elif regular and size == delta + 1 and ecount == delta * (delta + 1) // 2:
+            verdict = CLIQUE_COMPONENT
+        else:
+            continue
+        out.append({"verdict": verdict, "vertices": members[:12].tolist(), "size": size})
     return out
 
 
-def test_components_match_a_per_root_scan_on_many_components():
-    # ~3k components: 1000 disjoint edges, a path, a star, 1980 isolated
-    # vertices, all under shuffled labels
-    n = 4000
-    perm = np.random.default_rng(5).permutation(n)
-    edges = [tuple(perm[2 * i : 2 * i + 2]) for i in range(1000)]
-    edges += [(perm[i], perm[i + 1]) for i in range(2000, 2009)]
-    edges += [(perm[2010], perm[i]) for i in range(2011, 2020)]
-    cen = _census(StreamSource(n, np.array(edges)))
-    got = [(c.vertices, c.vcount, c.ecount, c.max_degree, c.min_degree)
-           for c in cen.components()]
-    assert len(got) == 2982
-    assert got == _components_by_scan(cen)
+def _pieces(delta):
+    """(edges on vertices 0..k-1, k, listed by the gate) for the components
+    of max degree <= delta planted below: a lone vertex, the
+    (delta+1)-clique and, from delta=2, near misses (one edge short, one
+    vertex short, the delta-regular K_{delta,delta}); at delta=2 also
+    cycles of every length from 3 to 27 and a path."""
+    def clique(k):
+        return [(u, v) for u in range(k) for v in range(u + 1, k)]
+
+    out = [([], 1, delta == 0), (clique(delta + 1), delta + 1, True)]
+    if delta >= 2:
+        out += [(clique(delta + 1)[1:], delta + 1, False), (clique(delta), delta, False)]
+        out.append(([(u, delta + v) for u in range(delta) for v in range(delta)],
+                    2 * delta, False))   # K_{delta,delta}
+    if delta == 2:
+        out += [([(i, (i + 1) % k) for i in range(k)], k, k % 2 == 1) for k in range(4, 28)]
+        out.append(([(i, i + 1) for i in range(20)], 21, False))
+    return out
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3, 12])
+def test_gate_matches_a_per_root_scan_on_many_components(delta):
+    # ~3k components under shuffled labels and a shuffled stream, with
+    # planted (delta+1)-cliques (and odd cycles at delta=2) among near misses
+    rng = np.random.default_rng(delta)
+    pieces = _pieces(delta)
+    counts = rng.multinomial(3000 - len(pieces), np.ones(len(pieces)) / len(pieces)) + 1
+    edges, n, planted = [], 0, 0
+    for (piece, k, bad), copies in zip(pieces, counts.tolist()):
+        for _ in range(copies):
+            edges += [(n + u, n + v) for u, v in piece]
+            n += k
+        planted += bad * copies
+    perm = rng.permutation(n)
+    edges = perm[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+    degrees, roots = _census(StreamSource(n, edges, seed=delta))
+    assert degrees.max() == delta and np.unique(roots).size == 3000
+    got = check_colorability(roots, degrees, delta)
+    assert len(got) == planted
+    assert got == _listing_by_scan(roots, degrees, delta)
+    assert any(c["size"] > 12 and len(c["vertices"]) == 12 for c in got) == (delta in (2, 12))
 
 
 def test_check_colorability_rejects_wrong_delta():
     k4e = StreamSource(4, np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    cen = _census(k4e)
     with pytest.raises(ValueError):
-        check_colorability(cen, 5)
+        _gate(k4e, 5)
 
 
 def test_generated_families_are_colorable_until_clique_injected():
     inst = generate_instance("mixed", 8, count=1, seed=2)
-    src = source_of(inst)
-    cen = _census(src)
-    assert all(v.verdict == COLORABLE for v in check_colorability(cen, 8))
+    assert _gate(source_of(inst), 8) == []
 
-    # bolt a pure (delta+1)-clique component on: exactly it flips
+    # bolt a pure (delta+1)-clique component on: exactly it is listed
     k = inst.delta + 1
     extra = np.array(
         [(inst.n + u, inst.n + v) for u in range(k) for v in range(u + 1, k)]
     )
     bigger = StreamSource(inst.n + k, np.concatenate([inst.edges, extra]))
-    cen = _census(bigger)
-    verdicts = check_colorability(cen, inst.delta)
-    flipped = [v for v in verdicts if v.verdict == CLIQUE_COMPONENT]
-    assert len(flipped) == 1
-    assert sorted(flipped[0].stat.vertices) == list(range(inst.n, inst.n + k))
-    assert sum(v.verdict == COLORABLE for v in verdicts) == len(verdicts) - 1
+    assert _gate(bigger, inst.delta) == [
+        {"verdict": CLIQUE_COMPONENT, "vertices": list(range(inst.n, inst.n + k)), "size": k}]
 
 
 def test_shadow_copy_matches_generator():
