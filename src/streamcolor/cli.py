@@ -96,11 +96,11 @@ def cmd_color(args) -> int:
         json.dump(result.report, fh, indent=2, default=int)
     if result.status == NOT_COLORABLE:
         for comp in result.report["components"]:
-            kind = "clique" if comp["verdict"] == CLIQUE_COMPONENT else "odd cycle"
+            kind = "a clique" if comp["verdict"] == CLIQUE_COMPONENT else "an odd cycle"
             vs = comp["vertices"]
             print(
                 f"not delta-colorable: component {{{vs[0]}..}} of size "
-                f"{comp['size']} is a {kind}",
+                f"{comp['size']} is {kind}",
                 file=sys.stderr,
             )
         return EXIT_NOT_COLORABLE

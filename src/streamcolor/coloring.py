@@ -25,11 +25,17 @@ stored exception is the L4 pair-lists, held packed as uint64 words
 batches: it packs each free row into a Python int and takes the lowest
 bit left after the picks of the vertex's neighbors earlier in the batch.
 
-Phase 4 makes a fixed number of numpy calls per clique, whatever delta
-is.  One (pairs, beta, delta) tensor marks the colors both ends of a
-listed non-edge can take in each pair-list; a plain loop over its
-nonzeros gives all beta greedy matchings (only the largest is assigned),
-and each palette graph comes from one `nonzero` over the free colors.
+Phases 2 and 4 go by waves.  A clique reads only the colors of its own
+vertices and of their stored neighbors, and writes only its own, so a run
+of consecutive cliques (in index order) with no stored edge between any
+two of them colors as it would one clique at a time.  `waves` cuts the
+cliques into maximal such runs with one `rows_of` and a label array, and
+each wave takes a fixed number of numpy calls: one `blocked_rows`, one
+free-color mask and one `nonzero` build every palette graph, and one
+(pairs, beta, delta) tensor marks the colors both ends of every listed
+non-edge can take in each pair-list.  Plain loops then run one
+Hopcroft-Karp per clique and walk the tensor's nonzeros clique by clique,
+and one `assign` colors the whole wave.
 
 Every color write goes through `PartialColoring.assign`, which takes a
 whole batch and checks it with one gather of the stored rows.
@@ -153,10 +159,22 @@ def first_color(row: np.ndarray) -> int | None:
 
 
 def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
-    """Maximum matching; returns for each left node its right match or -1."""
+    """Maximum matching; returns for each left node its right match or -1.
+
+    The first phase finds every left node free, so its BFS puts each at
+    distance 0 and its DFS round lets each take its first free right node
+    in turn: that round runs as a plain loop.  A phase after it runs only
+    while some left node is unmatched, since with none its BFS finds no
+    path."""
     n_left = len(adj)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
+    for u, nbrs in enumerate(adj):
+        for c in nbrs:
+            if match_r[c] == -1:
+                match_l[u] = c
+                match_r[c] = u
+                break
     INF = n_left + n_right + 1
     dist = [0] * n_left
 
@@ -190,7 +208,7 @@ def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
         dist[u] = INF
         return False
 
-    while bfs():
+    while -1 in match_l and bfs():
         for u in range(n_left):
             if match_l[u] == -1:
                 dfs(u)
@@ -204,33 +222,72 @@ def l_perfect_matching(adj: list[list[int]], n_right: int) -> list[int] | None:
     return None if -1 in match_l else match_l
 
 
-def color_clique_by_matching(
-    K, C: PartialColoring, lists: np.ndarray, phase: int, exclude=()
-) -> bool:
-    """Extend C to every uncolored vertex of K via an L-perfect matching
-    of the palette graph; False (and C untouched) when none exists.
+def waves(stored: Graph, Ks) -> list[slice]:
+    """Cut the cliques Ks, in order, into maximal runs of consecutive ones
+    with no stored edge between any two of them, as slices of Ks.
 
-    The palette graph joins each uncolored vertex of K (bar `exclude`) to
-    the colors of its row of the (n, delta) `lists` that no vertex of K
-    holds and no stored neighbor of it holds.
+    One `rows_of` over the clique vertices, read through a label array,
+    gives each clique the last earlier clique it touches; a wave ends
+    before the first clique that touches one inside it."""
+    if not len(Ks):
+        return []
+    verts = np.concatenate([np.asarray(K, dtype=np.int64) for K in Ks])
+    of = np.repeat(np.arange(len(Ks)), [len(K) for K in Ks])
+    label = np.full(stored.n, -1, dtype=np.int64)
+    label[verts] = of
+    owner, nbrs = stored.rows_of(verts)
+    mine, theirs = of[owner], label[nbrs]
+    back = np.full(len(Ks), -1, dtype=np.int64)
+    earlier = (theirs >= 0) & (theirs < mine)
+    np.maximum.at(back, mine[earlier], theirs[earlier])
+    starts = [0]
+    for j, touched in enumerate(back.tolist()):
+        if touched >= starts[-1]:
+            starts.append(j)
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(Ks)])]
+
+
+def color_cliques_by_matching(
+    Ks, C: PartialColoring, lists: np.ndarray, phase: int, exclude=()
+) -> np.ndarray:
+    """Extend C to every uncolored vertex of each clique of Ks via an
+    L-perfect matching of its palette graph.  Returns, per clique, whether
+    one exists; a clique with none is left untouched.
+
+    The palette graph of K joins each uncolored vertex of K (bar
+    `exclude`), in ascending order, to the colors of its row of the (n,
+    delta) `lists` that no vertex of K holds and no stored neighbor of it
+    holds.  The cliques share no stored edge (they are one wave), so one
+    `blocked_rows`, one (cliques, delta + 1) free mask and one `nonzero`
+    build every palette graph.  Each clique then gets one Hopcroft-Karp
+    over its own left nodes, with color - 1 as the right node, and one
+    `assign` colors every clique that matched.
     """
-    K = np.sort(np.asarray(K, dtype=np.int64))
-    left = K[C.colors[K] == UNCOLORED]
+    ok = np.ones(len(Ks), dtype=bool)
+    label = np.repeat(np.arange(len(Ks)), [len(K) for K in Ks])
+    # each clique's vertices ascending, the cliques in order
+    verts = np.concatenate([np.asarray(K, dtype=np.int64) for K in Ks])
+    verts = np.sort(label * C.n + verts) % C.n
+    free = np.ones((len(Ks), C.delta + 1), dtype=bool)
+    free[label, C.colors[verts]] = False
+    todo = C.colors[verts] == UNCOLORED
     if len(exclude):
-        left = left[~np.isin(left, exclude)]
-    if not left.size:
-        return True
-    free = np.ones(C.delta + 1, dtype=bool)
-    free[C.colors[K]] = False
-    right = np.flatnonzero(free[1:])           # right node -> color - 1
-    rows, nodes = np.nonzero((lists[left] & ~C.blocked_rows(left))[:, right])
+        todo &= ~np.isin(verts, exclude)
+    left, owner = verts[todo], label[todo]
+    rows, nodes = np.nonzero(lists[left] & ~C.blocked_rows(left) & free[owner, 1:])
     nodes, ends = nodes.tolist(), np.searchsorted(rows, np.arange(left.size + 1)).tolist()
     adj = [nodes[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
-    match = l_perfect_matching(adj, right.size)
-    if match is None:
-        return False
-    C.assign(left, right[match] + 1, phase)
-    return True
+    bounds = np.searchsorted(owner, np.arange(len(Ks) + 1)).tolist()
+    match = np.zeros(left.size, dtype=np.int64)
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        found = l_perfect_matching(adj[lo:hi], C.delta)
+        if found is None:
+            ok[j] = False
+        else:
+            match[lo:hi] = found
+    take = ok[owner]
+    C.assign(left[take], match[take] + 1, phase)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +383,14 @@ def strip_residue(C: PartialColoring, keep) -> None:
 # ---------------------------------------------------------------------------
 
 
-def colorful_matching(
+def colorful_matchings(
     C: PartialColoring, lists: np.ndarray, non_edges
-) -> list[list[tuple[int, int, int]]]:
-    """For every list index i of the packed (n, beta, words) pair-lists
-    (`PaletteSet.l4`), the greedy shared-color matching of the non-edges
-    under list i, as (a, b, color) triples with a < b; C is left untouched.
+) -> list[list[list[tuple[int, int, int]]]]:
+    """For each clique's listed non-edges (one pair array per clique, the
+    cliques sharing no stored edge) and every list index i of the packed
+    (n, beta, words) pair-lists (`PaletteSet.l4`), the greedy shared-color
+    matching of the clique's non-edges under list i, as (a, b, color)
+    triples with a < b; C is left untouched.
 
     Colors go in ascending order.  Each goes to the first alive pair
     (ascending) whose endpoints are uncolored, both hold the color in
@@ -339,32 +398,48 @@ def colorful_matching(
     matched pair leave every later pair.  A listed pair that is a stored
     edge never matches: a shared sampled color would have put it in H.
 
-    The matchings come from one (pairs, beta, delta) hit tensor, whose
-    nonzeros a plain loop walks list by list, by color and then by pair;
-    only the rows of the listed pairs' endpoints are unpacked.
+    One (pairs, beta, delta) hit tensor covers the pairs of every clique.
+    Its nonzeros, in (list, color, pair) order and stably sorted by
+    clique, are walked by a plain loop clique by clique, list by list, by
+    color and then by pair; only the rows of the listed pairs' endpoints
+    are unpacked.
     """
     beta = lists.shape[1]
-    trials: list[list[tuple[int, int, int]]] = [[] for _ in range(beta)]
-    f = np.asarray(non_edges, dtype=np.int64).reshape(-1, 2)
-    codes = sorted_unique(f.min(axis=1) * C.n + f.max(axis=1))
+    flat: list[list[tuple[int, int, int]]] = [[] for _ in range(len(non_edges) * beta)]
+    trials = [flat[j * beta : (j + 1) * beta] for j in range(len(non_edges))]
+    f = [np.asarray(F, dtype=np.int64).reshape(-1, 2) for F in non_edges]
+    if not sum(len(F) for F in f):
+        return trials
+    owner = np.repeat(np.arange(len(f)), [len(F) for F in f])
+    f = np.concatenate(f)
+    codes = f.min(axis=1) * C.n + f.max(axis=1)
+    order = np.lexsort((codes, owner))
+    codes, owner = codes[order], owner[order]
+    first = np.concatenate([[True], (codes[1:] != codes[:-1]) | (owner[1:] != owner[:-1])])
+    codes, owner = codes[first], owner[first]
     a, b = codes // C.n, codes % C.n
     verts = sorted_unique(np.concatenate([a, b]))
     la, lb = np.searchsorted(verts, a), np.searchsorted(verts, b)
     adj_i, adj_j = C.stored.within(verts)
-    edge = np.isin(la * verts.size + lb, adj_i * verts.size + adj_j)
+    # the stored pairs' codes come ascending; a sentinel caps the search
+    joined = np.append(adj_i * verts.size + adj_j, verts.size ** 2)
+    listed = la * verts.size + lb
+    edge = joined[np.searchsorted(joined, listed)] == listed
     alive = ~edge & (C.colors[a] == UNCOLORED) & (C.colors[b] == UNCOLORED)
-    a, b, la, lb = a[alive], b[alive], la[alive], lb[alive]
+    a, b, la, lb, owner = a[alive], b[alive], la[alive], lb[alive], owner[alive]
     if not a.size:
         return trials
     # usable[x, i, c - 1]: color c is in list i of verts[x], unblocked there
     usable = unpack_rows(lists[verts], C.delta) & ~C.blocked_rows(verts)[:, None, :]
     hit = usable[la] & usable[lb]  # hit[p, i, c - 1]: both ends of pair p can take c
     lst, color, pair = np.nonzero(hit.transpose(1, 2, 0))
-    ends = np.searchsorted(lst, np.arange(beta + 1)).tolist()
-    color, u, v = (color + 1).tolist(), a[pair].tolist(), b[pair].tolist()
-    for i, trial in enumerate(trials):
+    walk = np.argsort(owner[pair], kind="stable")
+    lst, color, pair = lst[walk], color[walk] + 1, pair[walk]
+    ends = np.searchsorted(owner[pair] * beta + lst, np.arange(len(flat) + 1)).tolist()
+    color, u, v = color.tolist(), a[pair].tolist(), b[pair].tolist()
+    for trial, lo, hi in zip(flat, ends[:-1], ends[1:]):
         matched, last = set(), 0
-        for k in range(ends[i], ends[i + 1]):
+        for k in range(lo, hi):
             if color[k] != last and u[k] not in matched and v[k] not in matched:
                 matched.update((u[k], v[k]))
                 trial.append((u[k], v[k], color[k]))
@@ -372,20 +447,19 @@ def colorful_matching(
     return trials
 
 
-def phase4_color(K, C: PartialColoring, palettes: PaletteSet, non_edges) -> bool:
-    """Assign the largest of the beta shared-color matchings (the first
-    among equals), then palette-match the rest of K from L4*; on failure
-    the matched pairs are uncolored again and the clique is deferred."""
-    ends = []
-    if len(non_edges):
-        best = max(colorful_matching(C, palettes.l4, non_edges), key=len)
-        triples = np.array(best, dtype=np.int64).reshape(-1, 3)
-        ends = triples[:, :2].ravel()
-        C.assign(ends, np.repeat(triples[:, 2], 2), 4)
-    if color_clique_by_matching(K, C, palettes.l4_star, phase=4):
-        return True
-    C.uncolor(ends)
-    return False
+def phase4_wave(Ks, C: PartialColoring, palettes: PaletteSet, non_edges) -> np.ndarray:
+    """Phase 4 on a wave of cliques with their listed non-edges: assign
+    each clique's largest of its beta shared-color matchings (the first
+    among equals), then palette-match the rest of every clique from L4*.
+    Returns, per clique, whether it is colored; the matched pairs of a
+    clique that fails are uncolored again, and the clique is deferred."""
+    best = [max(trials, key=len) for trials in colorful_matchings(C, palettes.l4, non_edges)]
+    owner = np.repeat(np.arange(len(Ks)), [len(t) for t in best])
+    triples = np.array([x for t in best for x in t], dtype=np.int64).reshape(-1, 3)
+    C.assign(triples[:, :2].ravel(), np.repeat(triples[:, 2], 2), 4)
+    ok = color_cliques_by_matching(Ks, C, palettes.l4_star, phase=4)
+    C.uncolor(triples[~ok[owner], :2].ravel())
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +478,7 @@ def phase5_critical(
     if shared is None:
         raise RunFailure("phase5", f"no free pair color for non-edge ({u},{v})")
     C.assign([u, v], shared, 5)
-    if not color_clique_by_matching(K, C, palettes.l5, phase=5):
+    if not color_cliques_by_matching([K], C, palettes.l5, phase=5)[0]:
         raise RunFailure("phase5", f"palette matching failed on clique of {K[0]}")
 
 
@@ -432,7 +506,7 @@ def phase6_friendly(
     i_u[u] = count + 1
     C.assign(w, shared, 6)
     last = 2 * params.beta - 1
-    if not color_clique_by_matching(K, C, palettes.l6[:, last], phase=6, exclude=(v,)):
+    if not color_cliques_by_matching([K], C, palettes.l6[:, last], phase=6, exclude=(v,))[0]:
         raise RunFailure("phase6", f"palette matching failed on clique of {K[0]}")
     final = first_color(~C.blocked(v))
     if final is None:
@@ -482,8 +556,9 @@ def run_phases(
     Routing: phase 2 takes the small cliques on the lonely side, phase 4
     attempts every clique still uncolored, phase 5 takes critical
     leftovers, phase 6 the rest, which must be small, unholey, and
-    friendly-routed or the decomposition was wrong.  Phase 4 reads each
-    clique's ``non_edge_pairs``.  Only the cliques phase 4 leaves get helpers:
+    friendly-routed or the decomposition was wrong.  Phases 2 and 4 go
+    wave by wave (`waves`), and phase 4 reads each clique's
+    ``non_edge_pairs``.  Only the cliques phase 4 leaves get helpers:
     ``find_helpers(critical, friendly)`` maps each index list to helpers
     and returns (critical helpers, friendly helpers, H+ of their stars).
     """
@@ -498,11 +573,16 @@ def run_phases(
     one_shot(C, palettes, params, seed)
     snap("phase1")
 
-    for i, k in enumerate(dec.cliques):
-        if responsible[i] == 2:
-            if not color_clique_by_matching(k.vertices, C, palettes.l2, phase=2):
-                raise RunFailure("phase2", f"matching failed on clique {i}")
-            colored_by[i] = 2
+    def by_wave(indices: list[int]):
+        Ks = [dec.cliques[i].vertices for i in indices]
+        for wave in waves(C.stored, Ks):
+            yield indices[wave], Ks[wave]
+
+    for idx, Ks in by_wave([i for i, p in responsible.items() if p == 2]):
+        ok = color_cliques_by_matching(Ks, C, palettes.l2, phase=2)
+        if not ok.all():
+            raise RunFailure("phase2", f"matching failed on clique {idx[int(np.argmin(ok))]}")
+        colored_by.update(dict.fromkeys(idx, 2))
     snap("phase2")
 
     greedy_sparse(C, dec.v_sparse, palettes)
@@ -515,13 +595,13 @@ def run_phases(
     snap("strip")
 
     deferred: list[int] = []
-    for i, k in enumerate(dec.cliques):
-        if i in colored_by:
-            continue
-        if phase4_color(k.vertices, C, palettes, k.non_edge_pairs):
-            colored_by[i] = 4
-        else:
-            deferred.append(i)
+    for idx, Ks in by_wave([i for i in responsible if i not in colored_by]):
+        ok = phase4_wave(Ks, C, palettes, [dec.cliques[i].non_edge_pairs for i in idx])
+        for i, colored in zip(idx, ok.tolist()):
+            if colored:
+                colored_by[i] = 4
+            else:
+                deferred.append(i)
     snap("phase4")
 
     critical: list[int] = []

@@ -134,16 +134,6 @@ def is_eps_sparse(oracle: Graph, eps: float, delta: int) -> np.ndarray:
     return (d >= 2) & (non_edges >= threshold * (1 - 1e-9))
 
 
-def non_edge_pairs(K, graph: Graph) -> np.ndarray:
-    """The pairs a < b inside K that the graph does not join, ascending,
-    as a (k, 2) int64 array."""
-    verts = np.asarray(sorted(K), dtype=np.int64)
-    joined = np.zeros((verts.size, verts.size), dtype=bool)
-    joined[graph.within(verts)] = True
-    a, b = np.nonzero(np.triu(~joined, 1))
-    return np.stack([verts[a], verts[b]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Reference decomposer (+ heuristic twin behind the same interface)
 # ---------------------------------------------------------------------------
@@ -267,12 +257,43 @@ def annotate_cliques(dec: Decomposition, params: ParamSet, delta: int, graph: Gr
 
     H stands in for a missing shadow soundly for phase 4: a G-edge that H
     lacks joins disjoint union lists, which no shared-color matching picks.
+
+    One pass lists every clique's non-edges.  The clique vertices sit in
+    one array, each clique's ascending and the cliques in order, and one
+    `rows_of` over it, read through a label array, gives the ascending
+    codes of the joined pairs inside each clique, as positions in that
+    array.  The pairs a < b of all cliques of one size come from one
+    `triu_indices`, and one `searchsorted` against the joined codes keeps
+    those not joined.
     """
     thr = params.holey_threshold(delta)
-    for k in dec.cliques:
-        k.non_edge_pairs = non_edge_pairs(k.vertices, graph)
-        k.non_edges = len(k.non_edge_pairs)
-        k.holey = k.non_edges >= thr
+    sizes = np.array([len(k) for k in dec.cliques], dtype=np.int64)
+    label = np.repeat(np.arange(sizes.size), sizes)
+    members = np.array([v for k in dec.cliques for v in k.vertices], dtype=np.int64)
+    verts = np.sort(label * graph.n + members) % graph.n
+    clique_of = np.full(graph.n, -1, dtype=np.int64)
+    clique_of[verts] = label
+    at = np.zeros(graph.n, dtype=np.int64)  # a clique vertex's position in verts
+    at[verts] = np.arange(verts.size)
+    owner, nbrs = graph.rows_of(verts)
+    inside = clique_of[nbrs] == label[owner]
+    # ascending: owners in order, each row's neighbors ascending; a sentinel caps the search
+    joined = np.append(owner[inside] * verts.size + at[nbrs[inside]], verts.size ** 2)
+    starts = np.cumsum(sizes) - sizes
+    for size in sorted_unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        ii, jj = np.triu_indices(size, 1)
+        pa = (starts[group, None] + ii).ravel()
+        pb = (starts[group, None] + jj).ravel()
+        q = pa * verts.size + pb
+        missing = joined[np.searchsorted(joined, q)] != q
+        pairs = np.stack([verts[pa[missing]], verts[pb[missing]]], axis=1)
+        ends = np.cumsum(missing.reshape(group.size, ii.size).sum(axis=1)).tolist()
+        for i, lo, hi in zip(group.tolist(), [0, *ends], ends):
+            k = dec.cliques[i]
+            k.non_edge_pairs = pairs[lo:hi]
+            k.non_edges = hi - lo
+            k.holey = k.non_edges >= thr
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from streamcolor import coloring
 from streamcolor.coloring import RunFailure, first_color, l_perfect_matching
 from streamcolor.decomposition import (
+    CRITICAL,
     AlmostClique,
     Decomposition,
     SampleCollector,
@@ -222,7 +225,7 @@ def palette_union(pal, v: int) -> set[int]:
 
 def oracle_colorful_matching(C, list_of, non_edges) -> list[tuple[int, int, int]]:
     """The trial-and-undo shared-color matching that
-    `coloring.colorful_matching` replaced, kept as its oracle.
+    `coloring.colorful_matchings` replaced, kept as its oracle.
 
     It writes each candidate pair into C as it goes: colors ascending,
     the first alive pair whose endpoints are uncolored and both hold the
@@ -280,7 +283,7 @@ def oracle_phase4_matching(C, l4, non_edges):
 
 def oracle_color_clique_by_matching(K, C, lists, phase, exclude=()) -> bool:
     """The per-row palette-graph build that
-    `coloring.color_clique_by_matching` replaced, kept as its oracle: one
+    `coloring.color_cliques_by_matching` replaced, kept as its oracle: one
     `flatnonzero` per uncolored vertex of K (bar `exclude`) over its free,
     unblocked listed colors, renumbered to right nodes through a cumsum,
     then the same L-perfect matching and one `assign`."""
@@ -300,6 +303,106 @@ def oracle_color_clique_by_matching(K, C, lists, phase, exclude=()) -> bool:
         return False
     C.assign(left, right[match] + 1, phase)
     return True
+
+
+def oracle_hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
+    """Hopcroft-Karp with its first phase run as BFS and DFS like every
+    other, kept as the oracle of `coloring.hopcroft_karp`: for each left
+    node its right match, or -1."""
+    n_left = len(adj)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    INF = n_left + n_right + 1
+    dist = [0] * n_left
+
+    def bfs() -> bool:
+        dq = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                dq.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while dq:
+            u = dq.popleft()
+            for c in adj[u]:
+                w = match_r[c]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    dq.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for c in adj[u]:
+            w = match_r[c]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = c
+                match_r[c] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u)
+    return match_l
+
+
+def oracle_run_phases(conflict, palettes, dec, find_helpers, params, seed):
+    """`coloring.run_phases` with phases 2 and 4 one clique at a time, in
+    index order, as they ran before waves: each clique through the per-row
+    palette matching and the trial-and-undo shared-color matching above.
+    The other phases are the library's.  Returns (colors, provenance,
+    colored_by)."""
+    C = coloring.PartialColoring(dec.n, palettes.delta, conflict)
+    colored_by = {}
+    coloring.one_shot(C, palettes, params, seed)
+    for i, k in enumerate(dec.cliques):
+        if coloring.responsible_phase(k) == 2:
+            if not oracle_color_clique_by_matching(k.vertices, C, palettes.l2, 2):
+                raise RunFailure("phase2", f"matching failed on clique {i}")
+            colored_by[i] = 2
+    coloring.greedy_sparse(C, dec.v_sparse, palettes)
+    keep = list(dec.v_sparse)
+    for i in colored_by:
+        keep += dec.cliques[i].vertices
+    coloring.strip_residue(C, keep)
+    deferred = []
+    for i, k in enumerate(dec.cliques):
+        if i in colored_by:
+            continue
+        trials, best_i = oracle_phase4_matching(C, palettes.l4, k.non_edge_pairs.tolist())
+        if oracle_color_clique_by_matching(k.vertices, C, palettes.l4_star, 4):
+            colored_by[i] = 4
+            continue
+        for a, b, _ in trials[best_i] if best_i is not None else []:
+            C.uncolor([a, b])
+        deferred.append(i)
+    critical = [i for i in deferred if dec.cliques[i].size_class == CRITICAL]
+    friendly = [i for i in deferred if i not in critical]
+    critical_helpers, friendly_helpers, recovery = find_helpers(critical, friendly)
+    C.store(recovery)
+    i_u = {}
+    for i in deferred:
+        K = dec.cliques[i].vertices
+        if i in critical_helpers:
+            coloring.phase5_critical(K, critical_helpers[i], C, palettes)
+            colored_by[i] = 5
+        else:
+            coloring.phase6_friendly(K, friendly_helpers[i], C, palettes, i_u, params)
+            colored_by[i] = 6
+    return C.colors, C.provenance, colored_by
+
+
+def decline_phase4(monkeypatch) -> None:
+    """Make phase 4 decline every clique and leave the coloring as it is,
+    so each clique it attempts goes on to phase 5 or 6."""
+    monkeypatch.setattr(
+        coloring, "phase4_wave", lambda Ks, *args: np.zeros(len(Ks), dtype=bool))
 
 
 def oracle_greedy_sparse(C, v_sparse, palettes) -> None:

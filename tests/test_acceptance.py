@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from streamcolor.coloring import PartialColoring, colorful_matching, offline_brooks
+from streamcolor.coloring import PartialColoring, colorful_matchings, offline_brooks
 from streamcolor.decomposition import (
     classify_friendly_lonely,
     compute_decomposition,
@@ -490,7 +490,7 @@ def test_criterion_11_colorful_matching_size():
         target = max(1, math.ceil(len(F) / (10 * params.eps * delta)))
         targets.add(target)
         C = PartialColoring(inst.n, delta, oracle)  # every edge stored
-        trials = colorful_matching(C, pal.l4, F)
+        trials = colorful_matchings(C, pal.l4, [F])[0]
         assert len(trials) == params.beta
         for matched in trials:
             for a, b, _ in matched:

@@ -63,10 +63,10 @@ def test_missing_vertex_fails_verification(tmp_path):
 def _not_colorable_lines(report_path) -> list[str]:
     """The stderr lines `color` owes a not-colorable report: one per
     listed component."""
-    kinds = {"CliqueComponent": "clique", "OddCycleComponent": "odd cycle"}
+    kinds = {"CliqueComponent": "a clique", "OddCycleComponent": "an odd cycle"}
     comps = json.loads(report_path.read_text())["components"]
     return [f"not delta-colorable: component {{{c['vertices'][0]}..}} of size {c['size']} "
-            f"is a {kinds[c['verdict']]}" for c in comps]
+            f"is {kinds[c['verdict']]}" for c in comps]
 
 
 def test_not_colorable_exits(tmp_path, capsys):
@@ -80,7 +80,7 @@ def test_not_colorable_exits(tmp_path, capsys):
     tri.write_text("3\n0 1\n1 2\n0 2\n")
     assert run(["color", "--input", tri, "--out", tmp_path / "b"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["not delta-colorable: component {0..} of size 3 is a odd cycle"]
+    assert err == ["not delta-colorable: component {0..} of size 3 is an odd cycle"]
     assert err == _not_colorable_lines(tmp_path / "b.report.json")
     # three K2s at delta 1 and a lone vertex: one line per K2, by root
     pairs = tmp_path / "pairs.txt"

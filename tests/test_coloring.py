@@ -8,19 +8,21 @@ from streamcolor.coloring import (
     ColoringError,
     PartialColoring,
     RunFailure,
-    color_clique_by_matching,
-    colorful_matching,
+    color_cliques_by_matching,
+    colorful_matchings,
     greedy_sparse,
+    hopcroft_karp,
     l_perfect_matching,
     offline_brooks,
     one_shot,
-    phase4_color,
+    phase4_wave,
     phase5_critical,
     phase6_friendly,
     responsible_phase,
     strip_residue,
+    waves,
 )
-from streamcolor.decomposition import AlmostClique
+from streamcolor.decomposition import AlmostClique, Decomposition
 from streamcolor.helpers import CriticalHelper, FriendlyHelper, RecoveryGraph
 from streamcolor.palette import pack_rows, unpack_rows
 from streamcolor.params import ParamSet
@@ -129,6 +131,31 @@ def test_matching_agrees_with_hall_small(rng):
                 assert c in adj[i]
 
 
+def test_hopcroft_karp_equals_the_oracle(rng):
+    # the greedy first round plus BFS/DFS phases gives the very matching
+    # of Hopcroft-Karp run phase by phase, on graphs with and without an
+    # L-perfect matching, in ascending and in shuffled adjacency order
+    from conftest import oracle_hopcroft_karp
+
+    seen = set()
+    for trial in range(600):
+        nl = int(rng.integers(0, 12))
+        nr = int(rng.integers(1, 14))
+        p = rng.random()
+        adj = [np.flatnonzero(rng.random(nr) < p).tolist() for _ in range(nl)]
+        if trial % 3 == 0:
+            adj = [rng.permutation(a).tolist() for a in adj]
+        want = oracle_hopcroft_karp(adj, nr)
+        assert hopcroft_karp(adj, nr) == want
+        taken = set()
+        for a in adj:  # the greedy round alone
+            taken.update(next(([c] for c in a if c not in taken), []))
+        seen.add("L-perfect" if -1 not in want else "not L-perfect")
+        if len(taken) < sum(c >= 0 for c in want):
+            seen.add("augmenting paths")
+    assert seen == {"L-perfect", "not L-perfect", "augmenting paths"}
+
+
 def test_color_clique_trivial_cases():
     n, delta = 5, 5
     pal = uniform_palettes(n, delta, [{1, 2, 3, 4, 5}] * n)
@@ -138,10 +165,10 @@ def test_color_clique_trivial_cases():
     # everyone already colored: nothing to do, still succeeds
     for v, c in zip(K, (1, 2, 3, 4, 5)):
         C.assign(v, c, 2)
-    assert color_clique_by_matching(K, C, pal.l2, phase=2)
+    assert color_cliques_by_matching([K], C, pal.l2, phase=2)[0]
     # a full-palette K5 block at delta=5 gets 5 distinct colors
     C2 = PartialColoring(n, delta, h)
-    assert color_clique_by_matching(K, C2, pal.l2, phase=2)
+    assert color_cliques_by_matching([K], C2, pal.l2, phase=2)[0]
     assert sorted(int(C2.colors[v]) for v in K) == [1, 2, 3, 4, 5]
 
 
@@ -404,7 +431,7 @@ def test_strip_residue():
 def test_colorful_matching_empty_f():
     C = PartialColoring(4, 3, _conflict_from(4, []))
     pal = uniform_palettes(4, 3, [{1, 2, 3}] * 4)
-    assert colorful_matching(C, pal.l4, []) == [[]] * pal.beta
+    assert colorful_matchings(C, pal.l4, [[]])[0] == [[]] * pal.beta
     assert not C.colors.any()
 
 
@@ -412,7 +439,7 @@ def test_colorful_matching_single_pair():
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, []))
-    assert colorful_matching(C, pal.l4, [(0, 3)]) == [[(0, 3, 2)]] * pal.beta
+    assert colorful_matchings(C, pal.l4, [[(0, 3)]])[0] == [[(0, 3, 2)]] * pal.beta
     assert not C.colors.any()  # a computation: C is never written
 
 
@@ -421,7 +448,7 @@ def test_colorful_matching_skips_true_edges():
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, [(0, 3)]))
-    assert colorful_matching(C, pal.l4, [(0, 3)]) == [[]] * pal.beta
+    assert colorful_matchings(C, pal.l4, [[(0, 3)]])[0] == [[]] * pal.beta
     assert not C.colors.any()
 
 
@@ -443,7 +470,7 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
     ]
     h = _conflict_from(inst.n, inst.edges.tolist())
     C = PartialColoring(inst.n, delta, h)
-    trials = colorful_matching(C, pal.l4, F)
+    trials = colorful_matchings(C, pal.l4, [F])[0]
     l4 = unpack_rows(pal.l4, delta)
     assert len(trials) == params.beta and any(trials)
     for i, matched in enumerate(trials):
@@ -498,7 +525,7 @@ def test_colorful_matching_equals_trial_and_undo_oracle(rng, delta):
         old = copy.deepcopy(C)
         want, best_i = oracle_phase4_matching(old, pal.l4, F)
         before = C.colors.copy()
-        got = colorful_matching(C, pal.l4, F)
+        got = colorful_matchings(C, pal.l4, [F])[0]
         assert np.array_equal(C.colors, before)
         assert got == want
         best = max(got, key=len)
@@ -515,7 +542,7 @@ def test_colorful_matching_equals_trial_and_undo_oracle(rng, delta):
 def test_phase4_color_equals_trial_and_undo_oracle(rng):
     import copy
 
-    from conftest import oracle_phase4_matching
+    from conftest import oracle_color_clique_by_matching, oracle_phase4_matching
 
     outcomes = set()
     for seed in range(12):
@@ -524,12 +551,12 @@ def test_phase4_color_equals_trial_and_undo_oracle(rng):
             pal = replace(pal, l4_star=pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5))
         old = copy.deepcopy(C)
         trials, best_i = oracle_phase4_matching(old, pal.l4, F)
-        want = color_clique_by_matching(K, old, pal.l4_star, phase=4)
+        want = oracle_color_clique_by_matching(K, old, pal.l4_star, phase=4)
         if not want and best_i is not None:
             for a, b, _ in trials[best_i]:
                 old.uncolor(a)
                 old.uncolor(b)
-        assert phase4_color(K, C, pal, F) == want
+        assert phase4_wave([K], C, pal, [F])[0] == want
         assert np.array_equal(C.colors, old.colors)
         assert np.array_equal(C.provenance, old.provenance)
         outcomes.add(want)
@@ -567,7 +594,7 @@ def test_colorful_matching_with_shared_vertices_equals_oracle(rng, delta):
         C, l4, F = _shared_vertex_case(rng, delta)
         want, _ = oracle_phase4_matching(copy.deepcopy(C), l4, F)
         before = C.colors.copy()
-        assert colorful_matching(C, l4, F) == want
+        assert colorful_matchings(C, l4, [F])[0] == want
         assert np.array_equal(C.colors, before)
         ends = [x for trial in want for a, b, _ in trial for x in (a, b)]
         assert len(ends) > len(set(ends))  # some vertex matched in two lists
@@ -583,7 +610,7 @@ def test_colorful_matching_of_stored_edges_only_is_empty(rng):
         want, best_i = oracle_phase4_matching(copy.deepcopy(C), l4, F)
         assert want == [[]] * l4.shape[1] and best_i is None
         before = C.colors.copy()
-        assert colorful_matching(C, l4, F) == want
+        assert colorful_matchings(C, l4, [F])[0] == want
         assert np.array_equal(C.colors, before)
 
 
@@ -601,7 +628,7 @@ def test_phase4_color_without_listed_non_edges_equals_oracle(rng, F):
             pal = replace(pal, l4_star=pal.l4_star & (rng.random(pal.l4_star.shape) < 0.5))
         old = copy.deepcopy(C)
         want = oracle_color_clique_by_matching(K, old, pal.l4_star, phase=4)
-        assert phase4_color(K, C, pal, F) == want
+        assert phase4_wave([K], C, pal, [F])[0] == want
         assert np.array_equal(C.colors, old.colors)
         assert np.array_equal(C.provenance, old.provenance)
         outcomes.add(want)
@@ -609,7 +636,7 @@ def test_phase4_color_without_listed_non_edges_equals_oracle(rng, F):
 
 
 def _palette_matching_case(rng, delta):
-    """(K, C, lists, exclude) for `color_clique_by_matching`: a clique K
+    """(K, C, lists, exclude) for `color_cliques_by_matching`: a clique K
     of 2..delta shuffled vertices among k + 6 with a few stored pairs of K
     dropped, 6 colored outside vertices joined to K, a random number of K
     pre-colored (all of them at times), random list densities, and an
@@ -650,7 +677,7 @@ def test_color_clique_by_matching_equals_per_row_oracle(rng, delta):
         held = C.colors[list(exclude)].copy()
         old = copy.deepcopy(C)
         want = oracle_color_clique_by_matching(K, old, lists, phase=2, exclude=exclude)
-        assert color_clique_by_matching(K, C, lists, phase=2, exclude=exclude) == want
+        assert color_cliques_by_matching([K], C, lists, phase=2, exclude=exclude)[0] == want
         assert np.array_equal(C.colors, old.colors)
         assert np.array_equal(C.provenance, old.provenance)
         assert np.array_equal(C.colors[list(exclude)], held)
@@ -664,6 +691,131 @@ def test_color_clique_by_matching_equals_per_row_oracle(rng, delta):
             seen.add("pre-colored members")
     assert seen == {"no left vertex", "Hall failure", "excluded and colored around",
                     "pre-colored members"}
+
+
+# ---- waves: cliques that share no stored edge, colored together -------------
+
+
+def test_waves_cut_before_the_first_clique_touching_one_inside():
+    # K0..K4; K2 touches K0 and K3 touches K2, so waves start at 0, 2, 3;
+    # K3 also touches K1 and K4 touches K0, both in earlier waves, and K1
+    # touches vertex 9, which is in no clique
+    Ks = [[1, 0], [3, 2], [5, 4], [7, 6], [8]]
+    inside = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    h = _conflict_from(10, inside + [(1, 4), (5, 6), (7, 2), (8, 0), (3, 9)])
+    assert waves(h, Ks) == [slice(0, 2), slice(2, 3), slice(3, 5)]
+    assert waves(_conflict_from(10, inside), Ks) == [slice(0, 5)]
+    assert waves(h, []) == []
+
+
+def _phase2_neighbors_case():
+    """Two lonely small cliques joined by the stored edge (2, 3), delta 4,
+    and sparse vertex 6 next to 5.  Matched first, K0 takes 1, 2, 3; then
+    3 must leave 3 to its neighbor 2 and takes 4, the other color of its
+    list.  Matched together they would both take 3."""
+    n, delta = 7, 4
+    K0, K1 = [0, 1, 2], [3, 4, 5]
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (5, 6)]
+    lists = [{1, 2, 3, 4}] * n
+    lists[3] = {3, 4}
+    pal = uniform_palettes(n, delta, lists)
+    cliques = [
+        AlmostClique(vertices=K, size_class="small", kind="lonely", holey=False,
+                     non_edges=0, non_edge_pairs=np.zeros((0, 2), dtype=np.int64))
+        for K in (K0, K1)
+    ]
+    dec = Decomposition(n=n, v_sparse=[6], cliques=cliques)
+    params = ParamSet.desk(n, delta, alpha=10**9)  # phase 1 colors nobody
+    return _conflict_from(n, edges), pal, dec, params
+
+
+def test_phase2_cliques_sharing_a_stored_edge_go_in_turn():
+    from conftest import oracle_run_phases
+    from streamcolor.coloring import run_phases
+
+    h, pal, dec, params = _phase2_neighbors_case()
+    assert waves(h, [k.vertices for k in dec.cliques]) == [slice(0, 1), slice(1, 2)]
+
+    def find_helpers(critical, friendly):
+        assert critical == friendly == []
+        return {}, {}, RecoveryGraph(dec.n)
+
+    got = run_phases(h, pal, dec, find_helpers, params, seed=1)
+    colors, provenance, colored_by = oracle_run_phases(h, pal, dec, find_helpers, params, 1)
+    assert got.colors.tolist() == colors.tolist() == [1, 2, 3, 4, 1, 2, 1]
+    assert np.array_equal(got.provenance, provenance)
+    assert got.colored_by == colored_by == {0: 2, 1: 2}
+
+
+def _phase4_pair_case(fail):
+    """Two 4-cliques, each missing one edge, delta 3, with no stored edge
+    between them; each matches its non-edge to color 1 and must give 2 and
+    3 to its other two vertices.  In the cliques of `fail` those two can
+    take only color 2 from L4*, so the palette matching fails."""
+    n, delta = 8, 3
+    Ks = [[0, 1, 2, 3], [4, 5, 6, 7]]
+    F = [np.array([[0, 1]]), np.array([[4, 5]])]
+    edges = [(a, b) for K in Ks for a in K for b in K if a < b and [a, b] not in (
+        [0, 1], [4, 5])]
+    pal = uniform_palettes(n, delta, [{1, 2, 3}] * n)
+    l4_star = pal.l4_star.copy()
+    for i in fail:
+        l4_star[Ks[i][2:]] = [False, True, False]
+    return Ks, F, PartialColoring(n, delta, _conflict_from(n, edges)), replace(pal, l4_star=l4_star)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+@pytest.mark.parametrize("fail", [(), (0,), (1,), (0, 1)])
+def test_phase4_wave_defers_a_failing_clique_beside_one_that_succeeds(order, fail):
+    import copy
+
+    from conftest import oracle_color_clique_by_matching, oracle_phase4_matching
+
+    Ks, F, C, pal = _phase4_pair_case(fail)
+    assert waves(C.stored, Ks) == [slice(0, 2)]
+    old = copy.deepcopy(C)
+    want = []
+    for i in order:  # one clique at a time
+        trials, best_i = oracle_phase4_matching(old, pal.l4, F[i])
+        want.append(oracle_color_clique_by_matching(Ks[i], old, pal.l4_star, phase=4))
+        if not want[-1]:
+            for a, b, _ in trials[best_i]:
+                old.uncolor([a, b])
+    got = phase4_wave([Ks[i] for i in order], C, pal, [F[i] for i in order])
+    assert got.tolist() == want == [i not in fail for i in order]
+    assert np.array_equal(C.colors, old.colors)
+    assert np.array_equal(C.provenance, old.provenance)
+    for i in range(2):
+        colors = C.colors[Ks[i]].tolist()
+        assert colors == ([0] * 4 if i in fail else [1, 1, 2, 3])
+
+
+@pytest.mark.parametrize("no_shadow", [False, True])
+def test_run_phases_on_touching_cliques_equals_the_per_clique_loop(no_shadow, monkeypatch):
+    # clique-pairs joins cliques 0/1, 2/3, ...: the waves split there, and
+    # the phases color as the old loop did, one clique at a time
+    from streamcolor import coloring as col
+    from conftest import oracle_run_phases
+
+    runs, real = [], col.run_phases
+
+    def both(conflict, palettes, dec, find_helpers, params, seed):
+        got = real(conflict, palettes, dec, find_helpers, params, seed)
+        want = oracle_run_phases(conflict, palettes, dec, find_helpers, params, seed)
+        runs.append((waves(conflict, [k.vertices for k in dec.cliques]), got, want))
+        return got
+
+    monkeypatch.setattr(col, "run_phases", both)
+    for seed in (1, 2):
+        cfg = RunConfig(source=f"clique-pairs:delta=16,count=4,seed={seed}", seed=seed,
+                        no_shadow=no_shadow)
+        assert color_run(cfg).status == "success"
+    assert len(runs) == 2
+    for cut, got, (colors, provenance, colored_by) in runs:
+        assert len(cut) > 1 and max(s.stop - s.start for s in cut) > 1
+        assert np.array_equal(got.colors, colors)
+        assert np.array_equal(got.provenance, provenance)
+        assert got.colored_by == colored_by
 
 
 # ---- phase 5 / phase 6 direct drives ---------------------------------------

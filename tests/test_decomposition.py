@@ -14,11 +14,11 @@ from streamcolor.decomposition import (
     Decomposition,
     DecompositionFailed,
     SampleCollector,
+    annotate_cliques,
     classify_friendly_lonely,
     compute_decomposition,
     friend_stranger_test,
     is_eps_sparse,
-    non_edge_pairs,
     sampled_common,
     size_class_of,
     verify_decomposition,
@@ -307,7 +307,9 @@ def test_hand_built_valid_decomposition_passes():
 
 
 def _listed(K, graph):
-    pairs = non_edge_pairs(K, graph)
+    dec = Decomposition(n=graph.n, v_sparse=[], cliques=[AlmostClique(vertices=list(K))])
+    annotate_cliques(dec, ParamSet.desk(graph.n, 8), 8, graph)
+    pairs = dec.cliques[0].non_edge_pairs
     assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
     assert [tuple(p) for p in pairs.tolist()] == brute_non_edges(K, graph)
     return pairs.tolist()
@@ -335,6 +337,35 @@ def test_non_edge_pairs():
     # any vertex order, any subset, and the empty set
     assert _listed([9, 3, 0, 1], oracle3) == [[0, 1]]
     assert _listed([], oracle3) == []
+
+
+def test_annotate_cliques_lists_every_cliques_non_edges_in_one_pass(rng):
+    # cliques of several sizes, some of one size, in shuffled vertex order
+    # and joined to each other by random edges: a true clique, one made
+    # only of non-edges, a lone vertex and random sets
+    n, delta = 60, 8
+    order = rng.permutation(n).tolist()
+    sizes = [6, 4, 1, 6, 6, 3, 9, 2]
+    Ks, at = [], 0
+    for size in sizes:
+        Ks.append(order[at : at + size])
+        at += size
+    pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)])
+    edges = pairs[rng.random(len(pairs)) < 0.6].tolist()
+    clique, hollow = set(Ks[0]), set(Ks[1])
+    edges = [e for e in edges if not set(e) <= hollow]
+    edges += [(a, b) for a in clique for b in clique if a < b]
+    graph = oracle_from_edges(n, edges)
+    params = ParamSet.desk(n, delta)
+    dec = Decomposition(n=n, v_sparse=order[at:], cliques=[AlmostClique(vertices=K) for K in Ks])
+    annotate_cliques(dec, params, delta, graph)
+    for k in dec.cliques:
+        assert k.non_edge_pairs.dtype == np.int64 and k.non_edge_pairs.shape[1:] == (2,)
+        assert [tuple(p) for p in k.non_edge_pairs.tolist()] == brute_non_edges(k.vertices, graph)
+        assert k.non_edges == len(k.non_edge_pairs)
+        assert k.holey == (k.non_edges >= params.holey_threshold(delta))
+    counts = [k.non_edges for k in dec.cliques]
+    assert counts[:3] == [0, 6, 0] and all(counts[3:])
 
 
 def test_size_classes():

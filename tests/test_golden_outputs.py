@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from streamcolor import coloring
 from streamcolor.decomposition import verify_decomposition
 from streamcolor.generators import generate_instance
 from streamcolor.palette import sample_palettes
@@ -24,7 +23,7 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run, decompose_run, verify_coloring
 from streamcolor.stream import stream_source
 
-from conftest import planted_mistakes, shadow_of
+from conftest import decline_phase4, planted_mistakes, shadow_of
 
 # spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON,
 # provenance bytes); both shadow modes give the same four digests on these
@@ -259,7 +258,7 @@ def test_neighbor_sample_golden(spec):
 @pytest.mark.parametrize("no_shadow", [False, True])
 @pytest.mark.parametrize("spec", sorted(DEFERRED_RUNS))
 def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
-    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+    decline_phase4(monkeypatch)
     res = color_run(RunConfig(source=spec, seed=1, retries=3, no_shadow=no_shadow))
     assert res.status == "success"
     assert {5, 6} <= set(res.phase_result.provenance.tolist())

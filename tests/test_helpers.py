@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamcolor import coloring, helpers, pipeline
+from streamcolor import helpers, pipeline
 from streamcolor.coloring import RunFailure
 from streamcolor.decomposition import (
     FRIENDLY,
@@ -18,7 +18,13 @@ from streamcolor.helpers import (
 from streamcolor.params import ParamSet
 from streamcolor.stream import stream_source
 
-from conftest import collect_samples, oracle_from_edges, shadow_of, source_of
+from conftest import (
+    collect_samples,
+    decline_phase4,
+    oracle_from_edges,
+    shadow_of,
+    source_of,
+)
 
 
 def _bank_from(inst, params, seed):
@@ -121,7 +127,7 @@ def test_attempt_names_the_first_failing_clique(monkeypatch, mixed_attempt, bad_
                                                 bad_friendly, detail):
     args, cliques = mixed_attempt
     # phase 4 declines, so cliques 1..3 are deferred and need helpers
-    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+    decline_phase4(monkeypatch)
     searches, friendly = [], []
 
     def critical(Ks, bank):
@@ -150,7 +156,7 @@ def test_helpers_are_recovered_only_for_deferred_cliques(monkeypatch, deferred):
     monkeypatch.setattr(pipeline, "find_critical_helper", lambda Ks, bank: [None] * len(Ks))
     monkeypatch.setattr(pipeline, "find_friendly_helper", lambda Ks, bank: [None] * len(Ks))
     if deferred:
-        monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+        decline_phase4(monkeypatch)
     res = pipeline.color_run(pipeline.RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1))
     if deferred:
         assert res.status == pipeline.PIPELINE_FAILED

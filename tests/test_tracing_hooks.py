@@ -6,9 +6,10 @@ that renames one of them, or stops calling it through those names, breaks
 import importlib.util
 from pathlib import Path
 
-import streamcolor.coloring as coloring
 import streamcolor.pipeline as pipeline
 from streamcolor.pipeline import SUCCESS, RunConfig, color_run
+
+from conftest import decline_phase4
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,7 +42,7 @@ def test_tracer_records_helper_spans(monkeypatch):
     # the mixed family has critical and friendly cliques; with phase 4
     # declining they are all deferred, so both helper searches run, and
     # both recover through safe_recover
-    monkeypatch.setattr(coloring, "phase4_color", lambda *args: False)
+    decline_phase4(monkeypatch)
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
         cfg = RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1)
