@@ -184,38 +184,29 @@ def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray
     return pair_counts(Graph.from_pairs(n, cols, rows), codes)[0]
 
 
-def compute_decomposition(
-    oracle: Graph | None,
-    params: ParamSet,
-    delta: int,
-    isample: Graph | None = None,
-    conflict: Graph | None = None,
-) -> Decomposition:
+def compute_decomposition(graph: Graph, params: ParamSet, delta: int,
+                          isample: Graph | None = None) -> Decomposition:
     """Partition vertices into sparse ones and disjoint almost-cliques.
 
-    Reference mode (oracle given): two adjacent vertices are linked when
-    they share at least (1-10*eps)*delta neighbors; a vertex is dense
-    when it has that many link partners, and almost-cliques are the
-    connected components of the link graph on dense vertices.  Clusters
-    that fail the almost-clique checks shed their locally-sparse members
-    or fail loudly.  Heuristic mode estimates the same link counts on the
-    edges of H from the neighbor samples, |I(u) & I(v)| / rate^2, and
+    Two adjacent vertices of ``graph`` are linked when they share at least
+    (1-10*eps)*delta neighbors; a vertex is dense when it has that many
+    link partners, and almost-cliques are the connected components of the
+    link graph on dense vertices.  Without a neighbor sample the counts
+    are read from ``graph`` (the shadow), and clusters that fail the
+    almost-clique checks shed their locally-sparse members or fail
+    loudly.  With one, ``graph`` is H and each count is estimated from the
+    sample, |I(u) & I(v)| / rate^2; this heuristic sheds nothing and
     carries no guarantees.
     """
     eps = params.eps
     cut = (1 - 10 * eps) * delta
-    if oracle is not None:
-        n = oracle.n
-        edges = oracle.edges()
-        linked = oracle.common >= cut
+    n = graph.n
+    edges = graph.edges()
+    if isample is None:
+        linked = graph.common >= cut
     else:
-        if isample is None or conflict is None:
-            raise ValueError("heuristic mode needs isample and a conflict graph")
-        n = conflict.n
-        edges = conflict.edges()
-        rate = max(params.isample_rate(delta), 1e-9)
-        common = sampled_common(isample, edges, rate)
-        linked = common / (rate * rate) >= cut
+        rate = params.isample_rate(delta)
+        linked = sampled_common(isample, edges, rate) / (rate * rate) >= cut
     us, vs = edges[linked, 0], edges[linked, 1]
     dense = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) >= cut
     join = dense[us] & dense[vs]
@@ -227,12 +218,12 @@ def compute_decomposition(
     members = np.flatnonzero(dense)
     members = members[np.argsort(roots[members], kind="stable")]
     splits = np.flatnonzero(np.diff(roots[members])) + 1
-    sparse = is_eps_sparse(oracle, eps, delta) if oracle is not None else None
+    sparse = is_eps_sparse(graph, eps, delta) if isample is None else None
     cliques: list[AlmostClique] = []
     for K in np.split(members, splits):
-        if oracle is not None:
+        if isample is None:
             while K.size:
-                why = _cluster_violation(K, oracle, eps, delta)
+                why = _cluster_violation(K, graph, eps, delta)
                 if why is None:
                     break
                 droppable = sparse[K]

@@ -6,9 +6,9 @@ vector x of its neighbors, where vertex j has node a_j = (j + 1) mod p (a
 Vandermonde sketch), and ``z(w)``, an alpha-row random-matrix sketch that
 verifies whatever the syndromes decode to.  The bank stores the sums over
 the edges H drops and adds H's share when a row is read (`SketchBank`).
-`column_sums` is the one way a measurement is built from columns: the
-bank's H share, the sketch of a vertex set (`sketch_of`) and any sparse
-vector.
+`add_columns` is the one way columns are summed into rows: the bank's
+stream update, and through `column_sums` the bank's H share, the sketch
+of a vertex set (`sketch_of`) and any sparse vector.
 
 Recovery takes a block of syndrome rows at one sketch level, the way the
 helper search measures every member it still needs at that level.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcolor._kernels import prf_mod, sketch_update
+from streamcolor._kernels import prf_mod
 from streamcolor.graph import Graph
 from streamcolor.params import ParamSet, child_seed, rng_for, sketch_rates
 
@@ -133,17 +133,74 @@ def _check_terms(zseed: int, r: int, support: np.ndarray, values: np.ndarray,
     return C * (np.asarray(values, dtype=np.int64)[:, None] % p) % p
 
 
+_GATHER_ENTRIES = 1 << 17  # entries of one gathered block (1 MiB); bounds the temporaries
+_MAX_COLUMNS = 16          # columns per block when there are few entries
+
+
+def add_columns(W: np.ndarray, owner: np.ndarray, vs: np.ndarray, rates, alpha: int, p: int,
+                zseed: int, values: np.ndarray | None = None) -> None:
+    """Add the columns of vs[j], times values[j] (1 when None), to row
+    owner[j] of the int64 array W, unreduced.
+
+    A vertex v's columns are W's layout: the 2*rates[-1] node powers
+    (v+1)^k mod p, then alpha check columns PRF(zseed, r, v, row) mod p
+    for each rate r in turn.  Each distinct vertex's columns are built
+    once, in blocks of as many columns as fit in `_GATHER_ENTRIES`
+    gathered entries (at least one, at most `_MAX_COLUMNS`); a block is
+    gathered per entry, summed per row with one reduceat and added to W.
+    The entries are grouped by one key, the row times the number of
+    distinct vertices plus the vertex's rank, sorted in place when there
+    are no values, so the temporaries are a few entry-length index arrays,
+    one gathered block and blocks over the distinct vertices and the rows.
+
+    Each product is reduced mod p before it is summed, so a row of fewer
+    than p entries stays below p^2, exact in int64 for p <= MAX_PRIME.
+    """
+    if vs.size == 0:
+        return
+    seen = np.zeros(int(vs.max()) + 1, dtype=bool)
+    seen[vs] = True
+    verts = np.flatnonzero(seen)
+    key = np.multiply(owner, verts.size, dtype=np.int64)
+    key += (np.cumsum(seen) - 1)[vs]
+    if values is None:
+        key.sort()  # any order within a row: the sums are exact
+    else:
+        order = np.argsort(key)
+        key, values = key[order], np.asarray(values, dtype=np.int64)[order] % p
+    rows = key // verts.size
+    key %= verts.size  # each entry's vertex, as a position in verts
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    rows = rows[starts]
+    width = 2 * rates[-1]
+    rate_of = np.repeat(np.asarray(rates, dtype=np.int64), alpha)
+    total = width + rate_of.size
+    step = min(_MAX_COLUMNS, max(1, _GATHER_ENTRIES // key.size))
+    node, acc = (verts + 1) % p, np.ones_like(verts)
+    for c0 in range(0, total, step):
+        block = np.empty((min(step, total - c0), verts.size), dtype=np.int64)
+        for i, c in enumerate(range(c0, c0 + block.shape[0])):
+            if c < width:
+                block[i] = acc
+                acc = acc * node
+                acc -= acc // p * p  # acc % p; numpy's int64 // by a scalar is the faster op
+            else:
+                block[i] = prf_mod(zseed, rate_of[c - width], verts, (c - width) % alpha, p)
+        G = np.take(block, key, axis=1)
+        if values is not None:
+            G *= values
+            G %= p
+        W[rows, c0 : c0 + block.shape[0]] += np.add.reduceat(G, starts, axis=1).T
+
+
 def column_sums(p: int, zseed: int, alpha: int, r: int, owner: np.ndarray, vs: np.ndarray,
                 k: int, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Level-r power and check columns of the vertices vs, times their
     values (1 when None), summed into k rows, vs[j] into row owner[j],
-    unreduced.  One power table and one PRF call serve all the rows."""
-    values = np.ones_like(vs) if values is None else np.asarray(values, dtype=np.int64) % p
-    vec = np.zeros((k, 2 * r), dtype=np.int64)
-    check = np.zeros((k, alpha), dtype=np.int64)
-    np.add.at(vec, owner, _powers(vs + 1, 2 * r, p) * values[:, None] % p)
-    np.add.at(check, owner, _check_terms(zseed, r, vs, values, alpha, p))
-    return vec, check
+    unreduced: `add_columns` into a (k, 2r + alpha) block."""
+    W = np.zeros((k, 2 * r + alpha), dtype=np.int64, order="F")
+    add_columns(W, owner, vs, [r], alpha, p, zseed, values)
+    return W[:, : 2 * r], W[:, 2 * r :]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +270,8 @@ class SketchBank:
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
         self.edges_received += us.size
-        sketch_update(self._W, us, vs, self.rates, self.alpha, self.p, self.zseed)
+        add_columns(self._W, np.concatenate([us, vs]), np.concatenate([vs, us]),
+                    self.rates, self.alpha, self.p, self.zseed)
 
     def raw(self, v, r: int) -> tuple[np.ndarray, np.ndarray]:
         """y and z of vertex v, or their rows for an array of vertices.

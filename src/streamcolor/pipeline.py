@@ -137,15 +137,12 @@ def _main_pass(src, n, delta, params, seed, bank=None):
 
 def _decompose(shadow, isample, conflict, params, delta):
     """Partition, annotate and classify; verified against the shadow when
-    there is one (the report is None in heuristic mode)."""
-    if shadow is not None:
-        dec = compute_decomposition(shadow, params, delta)
-        report = verify_decomposition(dec, shadow, params.eps, delta)
-        annotate_cliques(dec, params, delta, shadow)
-    else:
-        dec = compute_decomposition(None, params, delta, isample=isample, conflict=conflict)
-        report = None
-        annotate_cliques(dec, params, delta, conflict)
+    there is one (the report is None in heuristic mode, which reads H and
+    the neighbor sample)."""
+    graph = conflict if shadow is None else shadow
+    dec = compute_decomposition(graph, params, delta, isample if shadow is None else None)
+    report = None if shadow is None else verify_decomposition(dec, shadow, params.eps, delta)
+    annotate_cliques(dec, params, delta, graph)
     classify_friendly_lonely(dec, isample, params, delta)
     return dec, report
 

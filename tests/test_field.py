@@ -21,6 +21,8 @@ from streamcolor.field import (
     safe_recover,
     sketch_of,
 )
+from streamcolor.generators import instance_from_spec
+from streamcolor.graph import Graph
 from streamcolor.params import ParamSet
 
 from conftest import (
@@ -423,6 +425,39 @@ def test_sketch_matches_neighborhood_indicator():
     if 0 in bank.sampled(r):
         y, _ = bank.raw(0, r)
         assert np.array_equal(y, sketch_of(bank, r, [[1, 2]]).vec[0])
+
+
+def test_bank_read_through_h_temporaries_stay_bounded():
+    """A bank whose H holds every edge reads all 1028 core members of two
+    mixed Δ=128 blocks at r=128: the rows a bank fed every edge stores.
+    Summing H's share per column block keeps the temporaries to a few
+    entry-length arrays and the (members, 2r + alpha) row blocks; a full
+    (entries, 2r) column table per read peaks near 520 MiB and fails."""
+    inst = instance_from_spec("mixed:delta=128,count=2", seed=1)
+    delta = r = 128
+    bank = SketchBank(inst.n, delta, ParamSet.desk(inst.n, delta), 1)
+    bank.h = Graph(inst.n, inst.edges)
+    vs = np.array(sorted(v for core in inst.cores for v in core), dtype=np.int64)
+    assert vs.size == 1028 and np.isin(vs, bank.sampled(r)).all()
+    tracemalloc.start()
+    try:
+        y, z = bank.raw(vs, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = SketchBank(inst.n, delta, bank.params, 1)
+    full.update_chunk(np.ascontiguousarray(inst.edges[:, 0]), np.ascontiguousarray(inst.edges[:, 1]))
+    want = full.raw(vs, r)
+    assert np.array_equal(y, want[0]) and np.array_equal(z, want[1])
+    entries, k = int(bank.h.degrees[vs].sum()), vs.size
+    # `rows_of` and the column sums hold at most four entry-length arrays
+    # at once, then one gathered block of at most max(2^17, entries)
+    # entries; a block's vertex columns, their sums and the rows they add
+    # to are at most 16 columns over the n vertices; and the read holds at
+    # most four row blocks: the stored rows, H's sums, their total and its
+    # residues mod p
+    bound = 8 * (4 * entries + (1 << 17) + 3 * 16 * inst.n + 4 * k * (2 * r + bank.alpha))
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_measure_relative_cases():

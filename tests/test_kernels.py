@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from streamcolor import _kernels, pipeline, stream
-from streamcolor._kernels import prf_mod, sketch_update, uf_roots, uf_union_batch
-from streamcolor.field import MAX_PRIME, SketchBank, canonical_prime, is_prime
+from streamcolor._kernels import prf_mod, uf_roots, uf_union_batch
+from streamcolor.field import MAX_PRIME, SketchBank, add_columns, canonical_prime, is_prime
 from streamcolor.params import ParamSet
 from streamcolor.pipeline import _main_pass, _prepass
 from streamcolor.stream import chunk_edges, stream_source
@@ -154,13 +154,19 @@ def test_sketch_bank_matches_the_per_edge_definition(n, delta, beta, edges, size
         assert np.array_equal(z, want[r][1]), r
 
 
+def _add_edges(W, us, vs, rates, alpha, p, zseed) -> None:
+    """Both directions of the edges (us, vs), as `SketchBank.update_chunk`
+    adds them."""
+    add_columns(W, np.concatenate([us, vs]), np.concatenate([vs, us]), rates, alpha, p, zseed)
+
+
 def test_sketch_update_is_exact_near_the_largest_prime():
     p = next(q for q in range(MAX_PRIME, 0, -1) if is_prime(q))
     rates, alpha, zseed, n = [1, 2, 4, 8], 8, 123, 1300
     leaves = np.arange(1, n, dtype=np.int64)        # vertex 0 has degree 1299
     W = np.zeros((n, 2 * rates[-1] + len(rates) * alpha), dtype=np.int64)
     for part in np.array_split(leaves, 3):
-        sketch_update(W, np.zeros_like(part), part, rates, alpha, p, zseed)
+        _add_edges(W, np.zeros_like(part), part, rates, alpha, p, zseed)
     assert W.max() > p                               # the state holds unreduced sums
     nodes = [v + 1 for v in leaves.tolist()]
     want = [sum(pow(a, k, p) for a in nodes) % p for k in range(2 * rates[-1])]
@@ -173,10 +179,10 @@ def test_sketch_update_is_exact_near_the_largest_prime():
 
 
 def test_sketch_update_temporaries_stay_bounded():
-    """One 2^18-edge chunk, a little over the default cap: the kernel's
+    """One 2^18-edge chunk, a little over the default cap: the builder's
     peak is its incidence-length index arrays plus at most one gathered
     block of 2^17 entries (one column, when a column alone is longer) and
-    its per-endpoint blocks.  Gathering 16 columns per incidence whatever
+    its per-vertex blocks.  Gathering 16 columns per incidence whatever
     the chunk length peaks near 19 incidence arrays and fails."""
     n, m = 1 << 14, 1 << 18
     assert chunk_edges(n) < m
@@ -187,18 +193,18 @@ def test_sketch_update_temporaries_stay_bounded():
     W = np.zeros((n, 2 * rates[-1] + len(rates) * alpha), dtype=np.int64, order="F")
     tracemalloc.start()
     try:
-        sketch_update(W, us, vs, rates, alpha, canonical_prime(n), 7)
+        _add_edges(W, us, vs, rates, alpha, canonical_prime(n), 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     incidences = 2 * m
-    # the sort holds four incidence arrays at once (receivers, their
-    # order, sources unsorted and sorted); after it, the source positions
-    # and one gathered block of at most max(2^17, incidences) entries
-    # hold less; a block's endpoint columns, their sums and W's rows they
-    # add to are at most 16 columns each over the n endpoints.  The
-    # receivers' rank table, n entries, is freed with the sort's arrays,
-    # before the first block is built
+    # the two directions (each incidence's row and its vertex), the sort
+    # key and the vertex ranks read into it are four incidence arrays at
+    # once; the key is sorted in place, and after it the rows, then one
+    # gathered block of at most max(2^17, incidences) entries, take the
+    # ranks' place; a block's vertex columns, their sums and W's rows they
+    # add to are at most 16 columns each over the n vertices, and so is
+    # the rank table
     bound = 8 * (4 * incidences + (1 << 17) + 3 * 16 * n)
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 

@@ -34,6 +34,8 @@ def test_tracer_hooks_exist_and_record_a_run():
     names = {span[0] for span in tracer.spans}
     assert {"decomposition.collect", "decomposition.finalize"} <= names
     assert {"palette.sample", "palette.filter", "palette.space_report"} <= names
+    # the bank is built and offered every chunk, though H keeps every edge
+    assert {"field.bank_init", "field.sketch_update"} <= names
     summary = tracer.summary(res, res.shadow.degrees, 1.0)
     assert summary["space.sample_bits"] == res.report["space"]["sample_bits"]
 
