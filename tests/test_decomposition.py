@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,258 @@ def test_failed_cluster_names_its_smallest_violator():
     params = ParamSet.desk(2100, 80)
     with pytest.raises(DecompositionFailed, match="vertex 1000 has 40 non-neighbors inside"):
         compute_decomposition(oracle, params, 80)
+
+
+# desk parameters at delta = 80: eps = 1/40, so a link needs 60 common
+# neighbors, a cluster holds 70..90 vertices and a member at most 20
+# non-neighbors inside and 20 neighbors outside; a vertex is eps-sparse
+# once its neighborhood misses 2 edges
+def _failure(n, edges, delta=80):
+    oracle = oracle_from_edges(n, edges)
+    with pytest.raises(DecompositionFailed) as caught:
+        compute_decomposition(oracle, ParamSet.desk(n, delta), delta)
+    return caught.value.cluster, str(caught.value)
+
+
+def _glued_to(A, S, leaf_from):
+    """The clique A joined to all of the clique S, every vertex of S with one
+    pendant leaf: S is sparse, A is not."""
+    edges = _clique_edges(A) + _clique_edges(S) + [(s, a) for s in S for a in A]
+    return edges + [(s, leaf_from + i) for i, s in enumerate(S)]
+
+
+def test_failed_cluster_of_the_wrong_size():
+    cluster, msg = _failure(200, _clique_edges(list(range(100, 162))))
+    assert cluster == list(range(100, 162))
+    assert msg == ("dense cluster [100, 101, 102, 103, 104, 105, 106, 107]... fails "
+                   "verification: size 62 outside [(1-5e)D, (1+5e)D]")
+
+
+def test_failed_cluster_with_neighbors_outside():
+    # S u A holds 91 vertices; shedding the sparse S leaves A, whose every
+    # member has the 21 vertices of S outside
+    S, A = list(range(21)), list(range(30, 100))
+    cluster, msg = _failure(121, _glued_to(A, S, leaf_from=100))
+    assert cluster == A
+    assert msg == ("dense cluster [30, 31, 32, 33, 34, 35, 36, 37]... fails "
+                   "verification: vertex 30 has 21 neighbors outside")
+
+
+def test_cluster_that_sheds_to_nothing_is_dropped():
+    # a 62-clique of sparse vertices (each has a leaf) is too small and sheds
+    # every member; the 75-clique beside it passes as it is
+    K, valid = list(range(62)), list(range(200, 275))
+    edges = _clique_edges(K) + [(v, 62 + v) for v in K] + _clique_edges(valid)
+    oracle = oracle_from_edges(300, edges)
+    dec = compute_decomposition(oracle, ParamSet.desk(300, 80), 80)
+    assert [k.vertices for k in dec.cliques] == [valid]
+    assert dec.v_sparse == sorted(set(range(300)) - set(valid))
+
+
+def test_earliest_failing_cluster_is_named_after_its_shedding():
+    # the cluster rooted at 0 fails only once it has shed S; the one rooted
+    # at 200 fails with nothing to shed, but comes later
+    S, A = list(range(21)), list(range(30, 100))
+    edges = _glued_to(A, S, leaf_from=100) + _clique_edges(list(range(200, 262)))
+    cluster, msg = _failure(262, edges)
+    assert cluster == A
+    assert msg.endswith("vertex 30 has 21 neighbors outside")
+
+
+def _reference_decomposition(graph, eps, delta):
+    """compute_decomposition with the shadow, over Python sets, one cluster
+    and one vertex at a time: (cliques, whether any cluster shed)."""
+    n = graph.n
+    nbrs = [graph.neighbors(v) for v in range(n)]
+    cut = (1 - 10 * eps) * delta
+    linked = [{u for u in nbrs[v] if len(nbrs[u] & nbrs[v]) >= cut} for v in range(n)]
+    dense = {v for v in range(n) if len(linked[v]) >= cut}
+    clusters, seen = [], set()
+    for v in sorted(dense):  # clusters in order of their smallest vertex
+        if v not in seen:
+            comp, todo = {v}, [v]
+            while todo:
+                new = (linked[todo.pop()] & dense) - comp
+                comp |= new
+                todo += new
+            seen |= comp
+            clusters.append(sorted(comp))
+
+    def sparse(v):
+        d = len(nbrs[v])
+        t = sum(len(nbrs[u] & nbrs[v]) for u in nbrs[v]) // 2
+        return d >= 2 and d * (d - 1) // 2 - t >= eps * eps * delta * delta / 2 * (1 - 1e-9)
+
+    slack = 10 * eps * delta
+
+    def violation(K):
+        size, inside_of = len(K), set(K)
+        if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
+            return f"size {size} outside [(1-5e)D, (1+5e)D]"
+        for v in K:
+            inside = len(nbrs[v] & inside_of)
+            if size - 1 - inside > slack:
+                return f"vertex {v} has {size - 1 - inside} non-neighbors inside"
+            if len(nbrs[v]) - inside > slack:
+                return f"vertex {v} has {len(nbrs[v]) - inside} neighbors outside"
+        return None
+
+    cliques, shed = [], False
+    for K in clusters:
+        while K and (why := violation(K)) is not None:
+            if not any(sparse(v) for v in K):
+                raise DecompositionFailed(K, why)
+            K, shed = [v for v in K if not sparse(v)], True
+        if K:
+            cliques.append(K)
+    return sorted(cliques), shed
+
+
+def _glued_blocks(rng, delta):
+    """Random blocks of about delta or delta/2 vertices, some exact cliques and some
+    with holes, with clique-shaped hubs hung on them (their members with
+    pendant leaves or not), bridges of small cliques joined to two blocks,
+    and random edges between blocks; the ids shuffled."""
+    edges, n, blocks = [], 0, []
+
+    def fresh(k):
+        nonlocal n
+        n += k
+        return list(range(n - k, n))
+
+    for _ in range(int(rng.integers(1, 4))):
+        part = 0.5 if rng.random() < 0.3 else 1  # halves that a bridge may merge
+        K = fresh(int(rng.integers(int(0.9 * part * delta), int(1.1 * part * delta) + 1)))
+        exact = rng.random() < 0.5
+        hole = 0 if exact else rng.uniform(0, 0.12)
+        edges += [e for e in _clique_edges(K) if rng.random() >= hole]
+        blocks.append(K)
+        if rng.random() < 0.5:
+            H = fresh(int(rng.integers(1, delta // 2)))
+            joined = 1 if exact else rng.uniform(0.5, 1)
+            edges += _clique_edges(H) + [(a, h) for a in K for h in H if rng.random() < joined]
+            for h in H:
+                edges += [(h, leaf) for leaf in fresh(int(rng.integers(0, 3)))]
+    if len(blocks) > 1:
+        if rng.random() < 0.5:
+            S = fresh(int(rng.integers(1, delta // 2)))
+            i, j = rng.choice(len(blocks), 2, replace=False)
+            joined = 1 if rng.random() < 0.5 else 0.95
+            edges += _clique_edges(S)
+            edges += [(s, a) for s in S for a in blocks[i] + blocks[j] if rng.random() < joined]
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.choice(len(blocks), 2, replace=False)
+            p = rng.uniform(0, 0.15)
+            edges += [(a, b) for a in blocks[i] for b in blocks[j] if rng.random() < p]
+    return oracle_from_edges(n, rng.permutation(n)[np.array(edges)])
+
+
+def test_decomposition_equals_the_set_oracle():
+    """Per-member inside and outside counts, the shedding and the failure
+    named, against sets on random glued blocks: clusters that pass, shed,
+    shed to nothing or fail on each of the three checks."""
+    seen = set()
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        delta = int(rng.integers(12, 41))
+        graph = _glued_blocks(rng, delta)
+        params = ParamSet.desk(graph.n, delta)
+        try:
+            want, shed = _reference_decomposition(graph, params.eps, delta)
+        except DecompositionFailed as failed:
+            with pytest.raises(DecompositionFailed) as caught:
+                compute_decomposition(graph, params, delta)
+            assert (caught.value.cluster, str(caught.value)) == (failed.cluster, str(failed))
+            seen.add(str(failed).split(": ")[1].split()[-1])  # the check's last word
+            continue
+        dec = compute_decomposition(graph, params, delta)
+        assert [k.vertices for k in dec.cliques] == want
+        assert dec.v_sparse == sorted(set(range(graph.n)) - {v for K in want for v in K})
+        seen.add(("shed" if shed else "clean", bool(want)))
+    assert {"(1+5e)D]", "outside", "inside", ("shed", True), ("shed", False), ("clean", True)} <= seen
+
+
+def _reference_violations(dec, graph, eps, delta):
+    """verify_decomposition over Python sets, one vertex at a time."""
+    n = graph.n
+    nbrs = [graph.neighbors(v) for v in range(n)]
+    out, seen = [], {}
+    for i, k in enumerate(dec.cliques):
+        for v in k.vertices:
+            if v in seen:
+                out.append(f"vertex {v} in cliques {seen[v]} and {i}")
+            seen[v] = i
+    out += [f"vertex {v} both sparse and in clique {seen[v]}" for v in dec.v_sparse if v in seen]
+    if len(dec.v_sparse) + sum(len(k) for k in dec.cliques) != n:
+        out.append("partition does not cover all vertices")
+    slack = 10 * eps * delta
+    for i, k in enumerate(dec.cliques):
+        size, members = len(k), set(k.vertices)
+        if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
+            out.append(f"clique {i}: size {size} out of range")
+        for v in k.vertices:
+            inside = len(nbrs[v] & members)
+            if size - 1 - inside > slack:
+                out.append(f"clique {i}: {v} has {size - 1 - inside} non-neighbors inside")
+            if len(nbrs[v]) - inside > slack:
+                out.append(f"clique {i}: {v} has {len(nbrs[v]) - inside} neighbors outside")
+        out += [f"clique {i}: outsider {u} has too few non-neighbors inside"
+                for u in range(n) if u not in members and size - len(nbrs[u] & members) < slack]
+    sparse = is_eps_sparse(graph, eps, delta)
+    return out + [f"sparse vertex {v} is not eps-sparse" for v in dec.v_sparse if not sparse[v]]
+
+
+def test_verify_counts_equal_the_set_oracle():
+    """Random mixed instances under their own decomposition and under
+    random wrong ones: vertices moved between cliques and the sparse side,
+    listed twice in one clique, in two or on both sides, dropped, and
+    cliques merged or cut below the slack."""
+    kinds = set()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        delta = int(rng.choice([16, 24, 32]))
+        inst = generate_instance("mixed", delta, count=int(rng.integers(1, 3)), seed=seed)
+        graph = oracle_from_edges(inst.n, inst.edges)
+        params = ParamSet.desk(inst.n, delta)
+        dec = compute_decomposition(graph, params, delta)
+        cliques = [list(k.vertices) for k in dec.cliques]
+        sparse = list(dec.v_sparse)
+        if seed:
+            for _ in range(int(rng.integers(1, 6))):
+                op = int(rng.integers(7))
+                i = int(rng.integers(len(cliques)))
+                if op == 0 and sparse:  # a sparse vertex into a clique
+                    cliques[i].append(sparse.pop(int(rng.integers(len(sparse)))))
+                elif op == 1 and cliques[i]:  # a clique vertex to the sparse side
+                    sparse.append(cliques[i].pop(int(rng.integers(len(cliques[i])))))
+                elif op == 2 and cliques[i]:  # listed twice, in one clique or in two
+                    cliques[int(rng.integers(len(cliques)))].append(int(rng.choice(cliques[i])))
+                elif op == 3 and cliques[i]:  # dropped from the partition
+                    cliques[i].pop()
+                elif op == 4 and len(cliques) > 1:  # two cliques merged
+                    cliques[i - 1] += cliques.pop(i)
+                elif op == 5:  # cut below the slack
+                    sparse += cliques[i][2:]
+                    cliques[i] = cliques[i][:2]
+                elif op == 6 and cliques[i]:  # listed on both sides
+                    sparse.append(int(rng.choice(cliques[i])))
+            for K in cliques:
+                rng.shuffle(K)
+        wrong = Decomposition(n=inst.n, v_sparse=sparse,
+                              cliques=[AlmostClique(vertices=K) for K in cliques])
+        got = verify_decomposition(wrong, graph, params.eps, delta).violations
+        assert got == _reference_violations(wrong, graph, params.eps, delta)
+        kinds |= {re.sub(r"\d+", "#", v) for v in got}
+    assert {
+        "vertex # in cliques # and #",
+        "vertex # both sparse and in clique #",
+        "partition does not cover all vertices",
+        "clique #: size # out of range",
+        "clique #: # has # non-neighbors inside",
+        "clique #: # has # neighbors outside",
+        "clique #: outsider # has too few non-neighbors inside",
+        "sparse vertex # is not eps-sparse",
+    } <= kinds
 
 
 def test_hand_built_valid_decomposition_passes():

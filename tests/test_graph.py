@@ -163,3 +163,20 @@ def test_within_and_rows_of():
     assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert g.has_edge(5, 2) and not g.has_edge(0, 5)
     assert g.m == 5 and g.degrees.tolist() == [2, 2, 3, 1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_within_equals_the_set_oracle(seed):
+    """Every adjacency inside a vertex set, as positions in it, ascending
+    by (i, j): random sets, the empty set and the whole vertex set."""
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(1, 80))
+    g = Graph(n, _random_edges(rng, n, rng.uniform(0, 0.5)))
+    nbrs = _sets(n, g.edges().tolist())
+    picks = [np.arange(n), np.empty(0, dtype=np.int64)]
+    picks += [np.flatnonzero(rng.random(n) < p) for p in (0.1, 0.5, 0.9)]
+    for verts in picks:
+        i, j = g.within(verts)
+        at = {v: x for x, v in enumerate(verts.tolist())}
+        want = [(at[v], at[u]) for v in verts.tolist() for u in sorted(nbrs[v]) if u in at]
+        assert list(zip(i.tolist(), j.tolist())) == want
