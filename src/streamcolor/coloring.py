@@ -23,7 +23,8 @@ picks a color as the first set column of their combination.  The one
 stored exception is the L4 pair-lists, held packed as uint64 words
 (`palette`); phase 4 unpacks the rows it reads.  Phase 3 goes in vertex
 batches: it packs each free row into a Python int and takes the lowest
-bit left after the picks of the vertex's neighbors earlier in the batch.
+bit left after the picks of the vertex's neighbors earlier in the batch,
+which one gather from a position table over the phase's vertices finds.
 
 Phases 2 and 4 go by waves.  A clique reads only the colors of its own
 vertices and of their stored neighbors, and writes only its own, so a run
@@ -321,7 +322,9 @@ def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
     The uncolored ones go in ascending batches of about GREEDY_ENTRIES
     stored-row entries, each vertex counting its row and itself.  One
     `rows_of` per batch gives every vertex the colors its neighbors held
-    before the batch, and its neighbors earlier in the batch.  Its free
+    before the batch, and, read through one n-entry table of positions
+    among the uncolored sparse vertices, its neighbors earlier in the
+    batch.  Its free
     colors, bit c-1 for color c, are packed into uint64 words and read
     into a Python int, one `tolist` per word column for the batch; a plain
     loop then removes the picks of those earlier neighbors and takes the
@@ -332,27 +335,34 @@ def greedy_sparse(C: PartialColoring, v_sparse, palettes: PaletteSet) -> None:
     todo = todo[C.colors[todo] == UNCOLORED]
     if not todo.size:
         return
+    at = np.full(C.n, -1, dtype=np.int64)  # a vertex's position in todo
+    at[todo] = np.arange(todo.size)
     ends = np.cumsum(C.stored.degrees[todo] + 1)
     cuts = np.searchsorted(ends, np.arange(GREEDY_ENTRIES, ends[-1], GREEDY_ENTRIES), "right")
     bounds = sorted_unique(np.concatenate([[0], cuts, [todo.size]])).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         verts = todo[lo:hi]
-        colors = _greedy_batch(C, verts, palettes.l3)
+        colors = _greedy_batch(C, verts, at, lo, palettes.l3)
         C.assign(verts[: len(colors)], colors, 3)
         if len(colors) < verts.size:
             raise RunFailure(
                 "phase3", f"no free sampled color at sparse vertex {verts[len(colors)]}")
 
 
-def _greedy_batch(C: PartialColoring, verts: np.ndarray, l3: np.ndarray) -> list[int]:
+def _greedy_batch(C: PartialColoring, verts: np.ndarray, at: np.ndarray, lo: int,
+                  l3: np.ndarray) -> list[int]:
     """The greedy colors of the ascending uncolored vertices verts, up to
-    the first vertex that has none left; C is left untouched."""
+    the first vertex that has none left; C is left untouched.  verts are
+    the phase's vertices from position lo on, and at[v] is the position of
+    v among them (-1 for a vertex not in the phase)."""
     owner, nbrs = C.stored.rows_of(verts)
     # each vertex's neighbors earlier in the batch, as batch positions
-    at = np.minimum(np.searchsorted(verts, nbrs), verts.size - 1)
-    prior = (verts[at] == nbrs) & (at < owner)
-    first = np.searchsorted(owner[prior], np.arange(verts.size + 1)).tolist()
-    prior = at[prior].tolist()
+    pos = at[nbrs] - lo
+    prior = (pos >= 0) & (pos < owner)
+    first = np.zeros(verts.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[prior], minlength=verts.size), out=first[1:])
+    first = first.tolist()
+    prior = pos[prior].tolist()
     held = np.zeros((verts.size, C.delta + 1), dtype=bool)
     held[owner, C.colors[nbrs]] = True
     words = pack_rows(l3[verts] & ~held[:, 1:])
@@ -419,7 +429,9 @@ def colorful_matchings(
     codes, owner = codes[first], owner[first]
     a, b = codes // C.n, codes % C.n
     verts = sorted_unique(np.concatenate([a, b]))
-    la, lb = np.searchsorted(verts, a), np.searchsorted(verts, b)
+    at = np.zeros(C.n, dtype=np.int64)  # a listed vertex's position in verts
+    at[verts] = np.arange(verts.size)
+    la, lb = at[a], at[b]
     adj_i, adj_j = C.stored.within(verts)
     # the stored pairs' codes come ascending; a sentinel caps the search
     joined = np.append(adj_i * verts.size + adj_j, verts.size ** 2)

@@ -12,7 +12,9 @@ friend/lonely test reads the same samples.  Both decomposers read
 common-neighbor counts: ANDed bitset rows (`graph.packed_common`) where
 they pay, else one `graph.pair_counts` pass, as `graph.packed_pays`
 decides; and every check is a whole-array operation over the graph's
-sorted adjacency lists.
+sorted adjacency lists.  The almost-clique checks of all clusters, and of
+all cliques in the verification, are one `rows_of` over their members
+read through a label array over the n vertices, not a search.
 """
 
 from __future__ import annotations
@@ -139,23 +141,69 @@ def is_eps_sparse(oracle: Graph, eps: float, delta: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_violation(K: np.ndarray, oracle: Graph, eps: float, delta: int) -> str | None:
-    """The first failed almost-clique check of the sorted cluster K, naming
-    the smallest violating vertex."""
-    size = K.size
-    if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
-        return f"size {size} outside [(1-5e)D, (1+5e)D]"
-    i, _ = oracle.within(K)
-    inside = np.bincount(i, minlength=size)
-    non_nbrs = (size - 1 - inside).tolist()
-    outside = (oracle.degrees[K] - inside).tolist()
+def _label_pass(graph: Graph, verts: np.ndarray, of: np.ndarray):
+    """One `rows_of` over the clique members verts, verts[j] in clique
+    of[j] and each (clique, vertex) listed once, read through a label
+    array: for every row entry its owner (a position in verts), the
+    neighbor, and whether the label puts the neighbor in the owner's
+    clique.  A vertex listed in two cliques carries one of their labels."""
+    label = np.full(graph.n, -1, dtype=np.int64)
+    label[verts] = of
+    owner, nbrs = graph.rows_of(verts)
+    return owner, nbrs, label[nbrs] == of[owner]
+
+
+def _violations(graph: Graph, verts: np.ndarray, of: np.ndarray, count: int,
+                eps: float, delta: int) -> dict[int, str]:
+    """The first failed almost-clique check of every failing cluster of
+    count, from one label pass: its size, else its smallest member with
+    too many non-neighbors inside or neighbors outside.  verts[j] is in
+    cluster of[j], of ascending and each cluster's members ascending."""
+    sizes = np.bincount(of, minlength=count)
+    owner, _, same = _label_pass(graph, verts, of)
+    inside = np.bincount(owner[same], minlength=verts.size)
+    non_nbrs = sizes[of] - 1 - inside
+    outside = graph.degrees[verts] - inside
     slack = 10 * eps * delta
-    for v, a, b in zip(K.tolist(), non_nbrs, outside):
-        if a > slack:
-            return f"vertex {v} has {a} non-neighbors inside"
-        if b > slack:
-            return f"vertex {v} has {b} neighbors outside"
-    return None
+    bad = np.flatnonzero((non_nbrs > slack) | (outside > slack))
+    first = bad[np.diff(of[bad], prepend=-1) != 0]  # each cluster's smallest
+    why = {}
+    for c, v, a, b in zip(of[first].tolist(), verts[first].tolist(),
+                          non_nbrs[first].tolist(), outside[first].tolist()):
+        why[c] = (f"vertex {v} has {a} non-neighbors inside" if a > slack
+                  else f"vertex {v} has {b} neighbors outside")
+    ranged = ((1 - 5 * eps) * delta <= sizes) & (sizes <= (1 + 5 * eps) * delta)
+    for c in np.flatnonzero((sizes > 0) & ~ranged).tolist():
+        why[c] = f"size {sizes[c]} outside [(1-5e)D, (1+5e)D]"
+    return why
+
+
+def _shed(graph: Graph, verts: np.ndarray, of: np.ndarray, sparse: np.ndarray,
+          eps: float, delta: int) -> np.ndarray:
+    """Which cluster members stay, as a mask over verts (grouped as for
+    `_violations`).  Every cluster is checked at once; those that fail
+    shed their eps-sparse members, and only the shed ones are checked
+    again.  The earliest cluster that fails with nothing to shed, or fails
+    again after shedding, raises DecompositionFailed with its members and
+    its last failed check.  A cluster that sheds every member is gone."""
+    count = int(of[-1]) + 1 if of.size else 0
+    why = _violations(graph, verts, of, count, eps, delta)
+    if not why:
+        return np.ones(verts.size, dtype=bool)
+    droppable = sparse[verts]
+    sheds = np.zeros(count, dtype=bool)
+    sheds[of[droppable]] = True
+    failing = np.zeros(count, dtype=bool)
+    failing[list(why)] = True
+    keep = ~(droppable & failing[of])
+    again = keep & (failing & sheds)[of]
+    why_again = _violations(graph, verts[again], of[again], count, eps, delta)
+    for c in sorted(why):
+        if not sheds[c]:
+            raise DecompositionFailed(verts[of == c].tolist(), why[c])
+        if c in why_again:
+            raise DecompositionFailed(verts[keep & (of == c)].tolist(), why_again[c])
+    return keep
 
 
 def sampled_common(isample: Graph, edges: np.ndarray, rate: float) -> np.ndarray:
@@ -194,7 +242,8 @@ def compute_decomposition(graph: Graph, params: ParamSet, delta: int,
     link graph on dense vertices.  Without a neighbor sample the counts
     are read from ``graph`` (the shadow), and clusters that fail the
     almost-clique checks shed their locally-sparse members or fail
-    loudly.  With one, ``graph`` is H and each count is estimated from the
+    loudly: one label pass checks every cluster, the failing ones shed at
+    once, and a second pass checks only those (`_shed`).  With one, ``graph`` is H and each count is estimated from the
     sample, |I(u) & I(v)| / rate^2; this heuristic sheds nothing and
     carries no guarantees.
     """
@@ -217,28 +266,19 @@ def compute_decomposition(graph: Graph, params: ParamSet, delta: int,
     # clusters in ascending root order (every root is its cluster's minimum)
     members = np.flatnonzero(dense)
     members = members[np.argsort(roots[members], kind="stable")]
-    splits = np.flatnonzero(np.diff(roots[members])) + 1
-    sparse = is_eps_sparse(graph, eps, delta) if isample is None else None
-    cliques: list[AlmostClique] = []
-    for K in np.split(members, splits):
-        if isample is None:
-            while K.size:
-                why = _cluster_violation(K, graph, eps, delta)
-                if why is None:
-                    break
-                droppable = sparse[K]
-                if not droppable.any():
-                    raise DecompositionFailed(K.tolist(), why)
-                K = K[~droppable]
-        if K.size:
-            cliques.append(
-                AlmostClique(vertices=K.tolist(), size_class=size_class_of(K.size, delta))
-            )
+    of = np.zeros(members.size, dtype=np.int64)  # each member's cluster
+    np.cumsum(roots[members][1:] != roots[members][:-1], out=of[1:])
+    if isample is None:
+        keep = _shed(graph, members, of, is_eps_sparse(graph, eps, delta), eps, delta)
+        members, of = members[keep], of[keep]
+    cliques = [
+        AlmostClique(vertices=K.tolist(), size_class=size_class_of(K.size, delta))
+        for K in np.split(members, np.flatnonzero(np.diff(of)) + 1) if K.size
+    ]
     cliques.sort(key=lambda k: k.vertices[0])
 
     in_clique = np.zeros(n, dtype=bool)
-    for k in cliques:
-        in_clique[k.vertices] = True
+    in_clique[members] = True
     return Decomposition(n=n, v_sparse=np.flatnonzero(~in_clique).tolist(), cliques=cliques)
 
 
@@ -313,31 +353,38 @@ def verify_decomposition(
     dec: Decomposition, oracle: Graph, eps: float, delta: int
 ) -> DecompReport:
     report = DecompReport()
-    seen: dict[int, int] = {}
-    for i, k in enumerate(dec.cliques):
-        for v in k.vertices:
-            if v in seen:
-                report.violations.append(f"vertex {v} in cliques {seen[v]} and {i}")
-            seen[v] = i
-    for v in dec.v_sparse:
-        if v in seen:
-            report.violations.append(f"vertex {v} both sparse and in clique {seen[v]}")
-    if len(dec.v_sparse) + sum(len(k) for k in dec.cliques) != dec.n:
-        report.violations.append("partition does not cover all vertices")
-
-    # near[x] = i*n + u: u has hits[x] neighbors among the members of clique i
     n = oracle.n
     sizes = np.array([len(k) for k in dec.cliques], dtype=np.int64)
     label = np.repeat(np.arange(sizes.size), sizes)
     verts = np.array([v for k in dec.cliques for v in k.vertices], dtype=np.int64)
+    # every listing of a vertex after its first, against the one before it
+    order = np.argsort(verts, kind="stable")
+    again = np.flatnonzero(verts[order][1:] == verts[order][:-1])
+    before, later = order[again], order[again + 1]
+    by = np.argsort(later)
+    before, later = before[by], later[by]
+    report.violations += [f"vertex {v} in cliques {i} and {j}" for v, i, j in zip(
+        verts[later].tolist(), label[before].tolist(), label[later].tolist())]
+    sparse_v = np.asarray(dec.v_sparse, dtype=np.int64)
+    last = np.full(dec.n, -1, dtype=np.int64)  # the last clique that lists a vertex
+    np.maximum.at(last, verts, label)
+    both = sparse_v[last[sparse_v] >= 0]
+    report.violations += [f"vertex {v} both sparse and in clique {i}"
+                          for v, i in zip(both.tolist(), last[both].tolist())]
+    if sparse_v.size + verts.size != dec.n:
+        report.violations.append("partition does not cover all vertices")
+
+    # one label pass over each (clique, member) once counts the neighbors inside
     member = sorted_unique(label * n + verts)
-    owner, nbrs = oracle.rows_of(member % n)
-    near, hits = np.unique((member // n)[owner] * n + nbrs, return_counts=True)
+    owner, nbrs, same = _label_pass(oracle, member % n, member // n)
+    codes = (member // n)[owner] * n + nbrs
+    same[~same] = _find(member, codes[~same])[1]  # a neighbor listed in two cliques
+    inside = np.bincount(owner[same], minlength=member.size)
+    inside = inside[_find(member, label * n + verts)[0]]  # per listing
+    # near[x] = i*n + u: u is outside clique i and adjacent to hits[x] of its members
+    near, hits = np.unique(codes[~same], return_counts=True)
 
     slack = 10 * eps * delta
-    pos, found = _find(near, label * n + verts)
-    inside = np.zeros(verts.size, dtype=np.int64)
-    inside[found] = hits[pos[found]]
     non_nbrs = sizes[label] - 1 - inside
     outside = oracle.degrees[verts] - inside
     msgs: list[list[str]] = [[] for _ in dec.cliques]
@@ -349,8 +396,7 @@ def verify_decomposition(
             msgs[i].append(f"clique {i}: {v} has {int(outside[j])} neighbors outside")
     # an outsider qualifies when size - hits < slack; one with no neighbor
     # inside qualifies only for a clique smaller than the slack
-    _, is_member = _find(member, near)
-    outsiders = near[~is_member & (sizes[near // n] - hits < slack)]
+    outsiders = near[sizes[near // n] - hits < slack]
     for i, k in enumerate(dec.cliques):
         size = len(k)
         if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
@@ -363,10 +409,8 @@ def verify_decomposition(
         report.violations += [
             f"clique {i}: outsider {u} has too few non-neighbors inside" for u in flagged
         ]
-    sparse = is_eps_sparse(oracle, eps, delta)
-    for v in dec.v_sparse:
-        if not sparse[v]:
-            report.violations.append(f"sparse vertex {v} is not eps-sparse")
+    dense = sparse_v[~is_eps_sparse(oracle, eps, delta)[sparse_v]]
+    report.violations += [f"sparse vertex {v} is not eps-sparse" for v in dense.tolist()]
     return report
 
 

@@ -16,7 +16,7 @@ bitsets, one column tile at a time, and ANDs and popcounts the two rows of
 every edge: m * ceil(n/64) words.  `pair_counts` is an edge-iterator
 triangle pass (Schank & Wagner 2005; Latapy 2008): it enumerates the pairs
 inside every list and looks them up among the edges, one binary search per
-pair.  `packed_pays` picks between them from those two work counts, so the
+pair, a sorted chunk of pairs at a time.  `packed_pays` picks between them from those two work counts, so the
 pair pass runs only where n/Delta is large and the bitsets mostly zeros.
 """
 
@@ -89,11 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        r = self.row(u)
-        i = int(np.searchsorted(r, v))
-        return i < r.size and int(r[i]) == v
-
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of every list entry, in row-major order."""
         return np.repeat(np.arange(self.n), self.degrees), self.indices
@@ -118,12 +113,14 @@ class Graph:
 
     def within(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Adjacencies inside a vertex set: for sorted distinct verts, the
-        positions (i, j) with verts[j] a neighbor of verts[i], i ascending."""
-        if verts.size == 0:
-            return verts, verts
+        positions (i, j) with verts[j] a neighbor of verts[i], ascending by
+        (i, j).  Each neighbor's position is one gather from an n-entry
+        table, -1 outside the set."""
+        at = np.full(self.n, -1, dtype=np.int64)
+        at[verts] = np.arange(verts.size)
         i, nbrs = self.rows_of(verts)
-        j = np.minimum(np.searchsorted(verts, nbrs), verts.size - 1)
-        hit = verts[j] == nbrs
+        j = at[nbrs]
+        hit = j >= 0
         return i[hit], j[hit]
 
     @cached_property
@@ -165,8 +162,9 @@ def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.nd
     hold both of its endpoints; for each list entry (a position of
     ``lists.indices``), the number of the pairs it forms in its list that
     are edges.  The pairs are enumerated with one ``np.triu_indices`` per
-    list length, at most about PAIR_CHUNK at a time, and found by binary
-    search.
+    list length, at most about PAIR_CHUNK at a time, and each chunk's codes
+    are sorted before they are found by binary search, so that the search
+    walks the edge codes in order; the counts do not depend on the order.
     """
     n, m = lists.n, edge_codes.size
     per_code = np.zeros(m, dtype=np.int64)
@@ -185,12 +183,14 @@ def pair_counts(lists: Graph, edge_codes: np.ndarray) -> tuple[np.ndarray, np.nd
                 pb = (base + jj[lo : lo + PAIR_CHUNK]).ravel()
                 q = lists.indices[pa] * n
                 q += lists.indices[pb]
+                order = np.argsort(q)  # sorted keys walk the table in order
+                q = q[order]
                 pos = np.searchsorted(edge_codes, q)
                 np.minimum(pos, m - 1, out=pos)
                 hit = edge_codes[pos] == q
                 np.add.at(per_code, pos[hit], 1)
-                np.add.at(per_entry, pa[hit], 1)
-                np.add.at(per_entry, pb[hit], 1)
+                np.add.at(per_entry, pa[order[hit]], 1)
+                np.add.at(per_entry, pb[order[hit]], 1)
     return per_code, per_entry
 
 

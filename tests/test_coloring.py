@@ -31,6 +31,7 @@ from streamcolor.pipeline import RunConfig, color_run
 from conftest import (
     brute_non_edges,
     build_conflict_graph,
+    has_edge,
     measure_gap,
     oracle_from_edges,
     uniform_palettes,
@@ -466,7 +467,7 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
     pal = sample_palettes(inst.n, delta, params, seed=4)
     K = list(range(inst.n))
     F = [
-        (a, b) for a in K for b in K if a < b and not oracle.has_edge(a, b)
+        (a, b) for a in K for b in K if a < b and not has_edge(oracle, a, b)
     ]
     h = _conflict_from(inst.n, inst.edges.tolist())
     C = PartialColoring(inst.n, delta, h)
@@ -478,7 +479,7 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
         assert len(ends) == len(set(ends))
         assert len({c for _, _, c in matched}) == len(matched)
         for a, b, c in matched:
-            assert not oracle.has_edge(a, b)
+            assert not has_edge(oracle, a, b)
             assert l4[a, i, c - 1] and l4[b, i, c - 1]
     assert not C.colors.any()
 
@@ -498,7 +499,7 @@ def _holey_phase4_case(rng, delta, seed):
     n = k + extra
     K = list(range(k))
     truth = oracle_from_edges(k, inst.edges)
-    non_edges = [(a, b) for a in K for b in K if a < b and not truth.has_edge(a, b)]
+    non_edges = [(a, b) for a in K for b in K if a < b and not has_edge(truth, a, b)]
     listed_edges = inst.edges[rng.choice(len(inst.edges), size=5)].tolist()
     F = non_edges + [(b, a) for a, b in non_edges[::2]] + non_edges[::3] + listed_edges
     F = [tuple(F[i]) for i in rng.permutation(len(F))]

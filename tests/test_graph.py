@@ -9,6 +9,8 @@ import pytest
 from streamcolor import graph
 from streamcolor.graph import PAIR_CHUNK, Graph, packed_common, pair_counts
 
+from conftest import has_edge
+
 
 def _sets(n, edges):
     nbrs = [set() for _ in range(n)]
@@ -161,7 +163,7 @@ def test_within_and_rows_of():
     assert owner.tolist() == [0, 0, 0, 1] and nbrs.tolist() == [0, 1, 5, 3]
     i, j = g.within(np.array([0, 2, 5]))
     assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    assert g.has_edge(5, 2) and not g.has_edge(0, 5)
+    assert has_edge(g, 5, 2) and not has_edge(g, 0, 5)
     assert g.m == 5 and g.degrees.tolist() == [2, 2, 3, 1, 1, 1]
 
 

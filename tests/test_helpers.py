@@ -21,6 +21,7 @@ from streamcolor.stream import stream_source
 from conftest import (
     collect_samples,
     decline_phase4,
+    has_edge,
     oracle_from_edges,
     shadow_of,
     source_of,
@@ -47,9 +48,9 @@ def test_critical_helper_finds_the_missing_edge():
     [h] = find_critical_helper([K], bank)
     assert h is not None
     # the recovered pair is exactly the removed edge
-    assert not oracle.has_edge(h.u, h.v)
+    assert not has_edge(oracle, h.u, h.v)
     assert {h.u, h.v} == {
-        a for a in K for b in K if a != b and not oracle.has_edge(a, b)
+        a for a in K for b in K if a != b and not has_edge(oracle, a, b)
     }
     assert h.n_v == oracle.neighbors(h.v)
     # cheapest useful level: within a factor 4 of twice the max non-edge degree
@@ -76,7 +77,7 @@ def test_critical_helper_statistical():
         oracle = oracle_from_edges(inst.n, inst.edges)
         [h] = find_critical_helper([list(range(delta + 1))], bank)
         if h is not None:
-            assert not oracle.has_edge(h.u, h.v)
+            assert not has_edge(oracle, h.u, h.v)
             assert h.n_v == oracle.neighbors(h.v)
             found += 1
     assert found >= 99
@@ -103,7 +104,7 @@ def test_batched_critical_search_equals_the_per_clique_one():
     assert got[1] is None
     assert [h.rate for h in got if h is not None] == [1, 2, 1]
     for h in filter(None, got):
-        assert not oracle.has_edge(h.u, h.v)
+        assert not has_edge(oracle, h.u, h.v)
         assert h.n_v == oracle.neighbors(h.v)
 
 
@@ -191,9 +192,9 @@ def test_friendly_helper_structure():
     assert h is not None
     assert h.u == k.witness and h.u not in k.vset
     assert h.v in k.vset and h.w in k.vset
-    assert oracle.has_edge(h.u, h.v)
-    assert not oracle.has_edge(h.u, h.w)
-    assert oracle.has_edge(h.v, h.w)
+    assert has_edge(oracle, h.u, h.v)
+    assert not has_edge(oracle, h.u, h.w)
+    assert has_edge(oracle, h.v, h.w)
     assert h.n_v == oracle.neighbors(h.v)
     assert h.n_w == oracle.neighbors(h.w)
 
@@ -291,4 +292,4 @@ def test_recovery_graph_contents():
     assert g.known == {h.v}
     assert g.m == len(h.n_v) == oracle.degree(h.v)
     for x in g.neighbors(h.v):
-        assert oracle.has_edge(h.v, x)
+        assert has_edge(oracle, h.v, x)

@@ -20,6 +20,7 @@ from streamcolor.params import ParamSet
 
 from conftest import (
     build_conflict_graph,
+    has_edge,
     oracle_from_edges,
     palette_union,
     source_of,
@@ -134,7 +135,7 @@ def test_h_subgraph_and_no_false_drops_exhaustive():
     oracle = oracle_from_edges(inst.n, inst.edges)
     for u in range(inst.n):
         for v in h.neighbors(u):
-            assert oracle.has_edge(u, v)
+            assert has_edge(oracle, u, v)
     for u, v in inst.edges.tolist():
         if palette_union(pal, u) & palette_union(pal, v):
             assert v in h.neighbors(u)

@@ -18,7 +18,7 @@ from streamcolor.stream import (
 from streamcolor.generators import generate_instance
 from streamcolor.pipeline import _prepass
 
-from conftest import reference_edge_list, shadow_of, source_of
+from conftest import has_edge, reference_edge_list, shadow_of, source_of
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -429,7 +429,7 @@ def test_shadow_rows_and_counts():
     # path 0-1-2 plus the chord 0-2: one triangle
     sh = shadow_of(StreamSource(4, np.array([(0, 1), (1, 2), (0, 2)])))
     assert sh.neighbors(1) == {0, 2}
-    assert sh.row(3).size == 0 and not sh.has_edge(0, 3)
+    assert sh.row(3).size == 0 and not has_edge(sh, 0, 3)
     assert sh.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
     assert sh.common.tolist() == [1, 1, 1]
     assert sh.triangles().tolist() == [1, 1, 1, 0]
