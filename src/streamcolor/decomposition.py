@@ -155,26 +155,26 @@ def _label_pass(graph: Graph, verts: np.ndarray, of: np.ndarray):
 
 def _violations(graph: Graph, verts: np.ndarray, of: np.ndarray, count: int,
                 eps: float, delta: int) -> dict[int, str]:
-    """The first failed almost-clique check of every failing cluster of
-    count, from one label pass: its size, else its smallest member with
-    too many non-neighbors inside or neighbors outside.  verts[j] is in
-    cluster of[j], of ascending and each cluster's members ascending."""
+    """For each failing cluster among 0..count-1, its first failed
+    almost-clique check, from one label pass: its size, else its smallest
+    member with too many non-neighbors inside or neighbors outside.
+    verts[j] is in cluster of[j], of ascending and each cluster's members
+    ascending."""
     sizes = np.bincount(of, minlength=count)
     owner, _, same = _label_pass(graph, verts, of)
     inside = np.bincount(owner[same], minlength=verts.size)
     non_nbrs = sizes[of] - 1 - inside
     outside = graph.degrees[verts] - inside
     slack = 10 * eps * delta
+    ranged = ((1 - 5 * eps) * delta <= sizes) & (sizes <= (1 + 5 * eps) * delta)
+    why = {c: f"size {sizes[c]} outside [(1-5e)D, (1+5e)D]"
+           for c in np.flatnonzero((sizes > 0) & ~ranged).tolist()}
     bad = np.flatnonzero((non_nbrs > slack) | (outside > slack))
     first = bad[np.diff(of[bad], prepend=-1) != 0]  # each cluster's smallest
-    why = {}
     for c, v, a, b in zip(of[first].tolist(), verts[first].tolist(),
                           non_nbrs[first].tolist(), outside[first].tolist()):
-        why[c] = (f"vertex {v} has {a} non-neighbors inside" if a > slack
-                  else f"vertex {v} has {b} neighbors outside")
-    ranged = ((1 - 5 * eps) * delta <= sizes) & (sizes <= (1 + 5 * eps) * delta)
-    for c in np.flatnonzero((sizes > 0) & ~ranged).tolist():
-        why[c] = f"size {sizes[c]} outside [(1-5e)D, (1+5e)D]"
+        why.setdefault(c, f"vertex {v} has {a} non-neighbors inside" if a > slack
+                       else f"vertex {v} has {b} neighbors outside")
     return why
 
 
