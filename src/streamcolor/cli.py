@@ -15,7 +15,6 @@ import numpy as np
 
 from streamcolor.field import (
     MAX_PRIME,
-    Measurement,
     canonical_prime,
     check_prime,
     column_sums,
@@ -210,13 +209,12 @@ def cmd_demo_recover(args) -> int:
     supp = np.flatnonzero(x)
     # one measurement row: x's columns times its values
     vec, check = column_sums(p, args.seed, 8, r, np.zeros_like(supp), supp, 1, x[supp])
-    meas = Measurement(r=r, vec=vec % p, check=check % p)
     print(f"n={n} p={p} true sparsity k={args.k} recovery bound r={r}")
     print(f"support: {supp.tolist()} values: {x[supp].tolist()}")
-    [got] = safe_recover(meas, p, n, args.seed, 8)
+    [got] = safe_recover(vec % p, check % p, p, n, args.seed, 8)
     if got is None:
         print("safe recovery: fail (refused; measurement not r-sparse or check mismatch)")
-        [raw] = decode_rows(meas.vec, r, p, n)
+        [raw] = decode_rows(vec, r, p, n)
         print(f"unverified decode said: {'no sparse preimage' if raw is None else 'candidate ' + str(raw[0].tolist())}")
         return EXIT_OK
     exact = np.array_equal(got[0], supp) and np.array_equal(got[1], x[supp])

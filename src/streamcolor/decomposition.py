@@ -33,9 +33,14 @@ FRIENDLY, LONELY = "friendly", "lonely"
 
 
 class DecompositionFailed(RuntimeError):
+    """A decomposition that fails verification.  The decomposer names the
+    dense cluster at fault; the verification gate passes an empty
+    ``cluster``, and its message is ``why`` alone."""
+
     def __init__(self, cluster, why: str):
         self.cluster = sorted(cluster)
-        super().__init__(f"dense cluster {self.cluster[:8]}... fails verification: {why}")
+        super().__init__(f"dense cluster {self.cluster[:8]}... fails verification: {why}"
+                         if self.cluster else why)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ vector x of its neighbors, where vertex j has node a_j = (j + 1) mod p (a
 Vandermonde sketch), and ``z(w)``, an alpha-row random-matrix sketch that
 verifies whatever the syndromes decode to.  The bank stores the sums over
 the edges H drops and adds H's share when a row is read (`SketchBank`).
-`add_columns` is the one way columns are summed into rows: the bank's
-stream update, and through `column_sums` the bank's H share, the sketch
-of a vertex set (`sketch_of`) and any sparse vector.
+`add_columns` sums columns into rows for the bank's stream update and,
+through `column_sums`, for H's share of a bank row, the helper search's
+clique sums and any sparse vector.  `safe_recover` sums only its
+candidates' alpha check columns, by `_check_terms`, since the builder
+would also build 2r power columns per entry.
 
 Recovery takes a block of syndrome rows at one sketch level, the way the
 helper search measures every member it still needs at that level.
@@ -41,7 +43,6 @@ before it is summed, which is exact for p up to MAX_PRIME.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def canonical_prime(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Measurement matrices
+# Sketch columns
 # ---------------------------------------------------------------------------
 
 
@@ -208,17 +209,6 @@ def column_sums(p: int, zseed: int, alpha: int, r: int, owner: np.ndarray, vs: n
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Measurement:
-    """A 2r-entry syndrome plus its alpha-entry verification companion, or
-    a block of them: ``vec`` (k, 2r) and ``check`` (k, alpha), one row per
-    measured vector."""
-
-    r: int
-    vec: np.ndarray
-    check: np.ndarray
-
-
 class SketchBank:
     """Per-rate sampled vertex sets with running y/z sketches.
 
@@ -280,12 +270,13 @@ class SketchBank:
         v's row over every edge; the sum is still fewer than deg(v) < p
         residues, below p^2, and is reduced mod p once."""
         i = self.rates.index(r)
-        if not np.all(self._member[i, v]):
-            raise KeyError(f"vertex {v} not sampled at rate {r}")
+        verts = np.atleast_1d(v)
+        missed = verts[~self._member[i, verts]]
+        if missed.size:
+            raise KeyError(f"vertex {missed[0]} not sampled at rate {r}")
         c = 2 * self.rates[-1] + i * self.alpha  # rate r's check block
         y, z = self._W[v, : 2 * r], self._W[v, c : c + self.alpha]
         if self.h is not None:
-            verts = np.atleast_1d(v)
             owner, nbrs = self.h.rows_of(verts)
             hy, hz = column_sums(self.p, self.zseed, self.alpha, r, owner, nbrs, verts.size)
             y, z = y + hy.reshape(y.shape), z + hz.reshape(z.shape)
@@ -295,30 +286,6 @@ class SketchBank:
         logp = int(np.ceil(np.log2(self.p)))
         stored = self._member.sum(axis=1).tolist()
         return sum(s * (2 * r + self.alpha) * logp for s, r in zip(stored, self.rates))
-
-
-def sketch_of(bank: SketchBank, r: int, sets) -> Measurement:
-    """Level-r measurements of the indicators of vertex sets, one row per
-    set: what a vertex whose neighborhood is exactly that set would store."""
-    sets = [np.asarray(sorted(s), dtype=np.int64) for s in sets]
-    owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-    # a row sums at most n <= p residues, below p^2
-    vec, check = column_sums(bank.p, bank.zseed, bank.alpha, r, owner,
-                             np.concatenate(sets), len(sets))
-    return Measurement(r=r, vec=vec % bank.p, check=check % bank.p)
-
-
-def measure_relative(bank: SketchBank, v, r: int, ref: Measurement) -> Measurement:
-    """Measurement of x = chi(N(v)) - chi(ref) over F_p; for an array of
-    vertices, a block with one row per vertex.  ``ref`` measures the
-    reference set (`sketch_of`, or any level-r measurement) and broadcasts
-    against v's rows, so one reference serves many vertices.
-
-    Entries of x are 1 on N(v) \\ ref, p-1 on ref \\ N(v), 0 elsewhere, so
-    x is sparse whenever v's neighborhood nearly matches the reference set.
-    """
-    y, z = bank.raw(v, r)
-    return Measurement(r=r, vec=(y - ref.vec) % bank.p, check=(z - ref.check) % bank.p)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +430,11 @@ def decode_rows(S: np.ndarray, r: int, p: int, n: int) -> list[Sparse | None]:
     return out
 
 
-def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
+def safe_recover(vec: np.ndarray, check: np.ndarray, p: int, n: int, zseed: int,
                  alpha: int) -> list[Sparse | None]:
     """Verified recovery of every row of a measurement block at one sketch
-    level: ``meas.vec`` is (k, 2r), ``meas.check`` is (k, alpha).
+    level r: ``vec`` is the (k, 2r) syndrome block, ``check`` the (k, alpha)
+    check block, so r is half vec's width.
 
     Row i gives (support, values) of the recovered vector, or None when it
     is refused (not sparse enough, or the check disagrees), never a wrong
@@ -474,18 +442,18 @@ def safe_recover(meas: Measurement, p: int, n: int, zseed: int,
     random check; one PRF call materializes the check columns of all
     candidates' supports.
     """
-    out = decode_rows(meas.vec, meas.r, p, n)
+    r = np.shape(vec)[-1] // 2
+    out = decode_rows(vec, r, p, n)
     cand = [i for i, got in enumerate(out) if got is not None]
     if not cand:
         return out
     owner = np.repeat(np.arange(len(cand)), [out[i][0].size for i in cand])
-    terms = _check_terms(zseed, meas.r,
+    terms = _check_terms(zseed, r,
                          np.concatenate([out[i][0] for i in cand]),
                          np.concatenate([out[i][1] for i in cand]), alpha, p)
     got = np.zeros((len(cand), alpha), dtype=np.int64)
     np.add.at(got, owner, terms)
-    want = np.asarray(meas.check, dtype=np.int64)[cand]
+    want = np.asarray(check, dtype=np.int64)[cand]
     for j in np.flatnonzero((got % p != want % p).any(axis=1)).tolist():
         out[cand[j]] = None
     return out
-

@@ -83,12 +83,6 @@ class Graph:
     def row(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(self.row(v).tolist())
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of every list entry, in row-major order."""
         return np.repeat(np.arange(self.n), self.degrees), self.indices

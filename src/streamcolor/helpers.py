@@ -11,17 +11,18 @@ routes those to phase 5 or 6 and asks the pipeline for their helpers.
 Neighborhoods come from verified sparse recovery (`streamcolor.field`).
 Both searches run one level-by-level block search (`_resolve`) over all
 their cliques: at each sketch level, one `safe_recover` call covers every
-unresolved stored member of every clique still searching.  Below the top
-level, member w is measured against chi(K \\ {w}): chi(N(w)) - chi(K \\ {w})
-has one entry per non-neighbor inside K and one per neighbor outside, so
-it is sparse for a near-clique member.  At the top level the search
-recovers chi(N(w)) itself, which always decodes because
-deg(w) <= delta <= r_top.  A recovered vector is exact whenever the
-verifier accepts it, and `_decode_neighborhood` refuses any that cannot
-be a neighborhood indicator.  A critical clique stops at the first level
-where `_critical_choice` names a pair; a friendly clique stops once every
-member stored at the top level is resolved, and `_friendly_choice` picks
-its triple from those exact sets.
+unresolved stored member of every clique still searching.  Every level
+reads member w's bank row, chi(N(w)).  Below the top level the search
+subtracts chi(K \\ {w}) from it, the clique's column sums less w's own
+column: chi(N(w)) - chi(K \\ {w}) has one entry per non-neighbor inside K
+and one per neighbor outside, so it is sparse for a near-clique member.
+At the top level the search recovers chi(N(w)) itself, which always
+decodes because deg(w) <= delta <= r_top.  A recovered vector is exact
+whenever the verifier accepts it, and `_decode_neighborhood` refuses any
+that cannot be a neighborhood indicator.  A critical clique stops at the
+first level where `_critical_choice` names a pair; a friendly clique
+stops once every member stored at the top level is resolved, and
+`_friendly_choice` picks its triple from those exact sets.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcolor.field import (
-    Measurement,
-    SketchBank,
-    column_sums,
-    measure_relative,
-    safe_recover,
-    sketch_of,
-)
+from streamcolor.field import SketchBank, column_sums, safe_recover
 from streamcolor.graph import Graph
 
 
@@ -118,17 +112,20 @@ def _resolve(bank: SketchBank, verts: list[list[int]], members: list[list[int]],
                 todo[c] = ws
         if todo:
             ws = np.concatenate(list(todo.values()))
+            vec, check = bank.raw(ws, r)
             if r < top:
-                # chi(K) of each member's clique, minus the member's own column
-                ref = sketch_of(bank, r, [verts[c] for c in todo])
-                own = np.repeat(np.arange(len(todo)), [a.size for a in todo.values()])
-                vec, check = column_sums(bank.p, bank.zseed, bank.alpha, r,
-                                         np.arange(ws.size), ws, ws.size)
-                meas = measure_relative(bank, ws, r, Measurement(
-                    r=r, vec=ref.vec[own] - vec, check=ref.check[own] - check))
-            else:
-                meas = Measurement(r, *bank.raw(ws, r))
-            got = iter(safe_recover(meas, bank.p, bank.n, bank.zseed, bank.alpha))
+                # less chi(K \ {w}): the clique's columns, less w's own column;
+                # a clique's row sums at most n <= p residues, below p^2
+                kv = [verts[c] for c in todo]
+                ky, kz = column_sums(bank.p, bank.zseed, bank.alpha, r,
+                                     np.repeat(np.arange(len(kv)), [len(vs) for vs in kv]),
+                                     np.concatenate(kv), len(kv))
+                own = np.repeat(np.arange(len(kv)), [a.size for a in todo.values()])
+                wy, wz = column_sums(bank.p, bank.zseed, bank.alpha, r,
+                                     np.arange(ws.size), ws, ws.size)
+                vec, check = vec - ky[own] + wy, check - kz[own] + wz
+            got = iter(safe_recover(vec % bank.p, check % bank.p, bank.p, bank.n,
+                                    bank.zseed, bank.alpha))
             for c, cws in todo.items():
                 for w, sv in zip(cws.tolist(), got):
                     ref_set = ksets[c] - {w} if r < top else set()

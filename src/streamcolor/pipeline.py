@@ -153,9 +153,8 @@ def _attempt(src, n, delta, params, run_seed, shadow):
     palettes, conflict, isample = _main_pass(src, n, delta, params, run_seed, bank)
     dec, report = _decompose(shadow, isample, conflict, params, delta)
     if report is not None and not report.ok:
-        raise DecompositionFailed(
-            report.violations[:3], "verification gate rejected the decomposition"
-        )
+        raise DecompositionFailed([], "verification gate rejected the decomposition: "
+                                  + "; ".join(report.violations[:3]))
 
     def find_helpers(critical, friendly):
         # one batched search for each kind; failures are reported in clique

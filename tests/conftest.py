@@ -37,6 +37,11 @@ def has_edge(graph, u, v) -> bool:
     return bool((graph.row(u) == v).any())
 
 
+def neighbors(graph, v) -> set[int]:
+    """Row v of the graph, as a set."""
+    return set(graph.row(v).tolist())
+
+
 def brute_non_edges(vertices, graph) -> list[tuple[int, int]]:
     """The pairs a < b of the vertices that the graph does not join,
     ascending, listed one `has_edge` call at a time."""
@@ -146,7 +151,7 @@ def planted_mistakes():
 def measure_gap(v: int, C, oracle, delta: int) -> int:
     """Available colors minus remaining uncolored degree (reads true
     adjacency)."""
-    nbrs = oracle.neighbors(v)
+    nbrs = neighbors(oracle, v)
     used = {int(C.colors[u]) for u in nbrs if C.colors[u]}
     avail = delta - len(used)
     colored = sum(1 for u in nbrs if C.colors[u])

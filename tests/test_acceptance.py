@@ -17,7 +17,6 @@ from streamcolor.decomposition import (
     verify_decomposition,
 )
 from streamcolor.field import (
-    Measurement,
     SketchBank,
     canonical_prime,
     column_sums,
@@ -36,6 +35,7 @@ from conftest import (
     collect_samples,
     dense,
     has_edge,
+    neighbors,
     oracle_from_edges,
     random_sparse_vector,
     shadow_of,
@@ -112,8 +112,8 @@ def test_criterion_02_verified_recovery_safety():
         X = np.array(xs)
         owner, supp = np.nonzero(X)
         _, check = column_sums(p, zseed, alpha, r, owner, supp, len(xs), X[owner, supp])
-        meas = Measurement(r=r, vec=np.array([syndrome_of(x, r, p) for x in xs]), check=check % p)
-        for x, got in zip(xs, safe_recover(meas, p, n, zseed, alpha)):
+        vec = np.array([syndrome_of(x, r, p) for x in xs])
+        for x, got in zip(xs, safe_recover(vec, check % p, p, n, zseed, alpha)):
             if got is None:
                 refused += 1
             elif not np.array_equal(dense(got, n), x):
@@ -293,7 +293,7 @@ def test_criterion_06_helper_recovery():
             continue
         # zero-tolerance structure checks
         assert h.u != h.v and not has_edge(oracle, h.u, h.v)
-        assert h.n_v == oracle.neighbors(h.v)
+        assert h.n_v == neighbors(oracle, h.v)
         crit_hits += 1
 
     friendly_hits = 0
@@ -315,8 +315,8 @@ def test_criterion_06_helper_recovery():
         assert has_edge(oracle, h.u, h.v)
         assert not has_edge(oracle, h.u, h.w)
         assert has_edge(oracle, h.v, h.w)
-        assert h.n_v == oracle.neighbors(h.v)
-        assert h.n_w == oracle.neighbors(h.w)
+        assert h.n_v == neighbors(oracle, h.v)
+        assert h.n_w == neighbors(oracle, h.w)
         friendly_hits += 1
 
     _verdict(
@@ -374,10 +374,10 @@ def e2e_stats():
                         word, bit = (c - 1) // 64, (c - 1) % 64
                         in_list = bool(pal.masks[v, word] >> np.uint64(bit) & np.uint64(1))
                         if not in_list:
-                            if v not in rec.known or rec.neighbors(v) != shadow.neighbors(v):
+                            if v not in rec.known or neighbors(rec, v) != neighbors(shadow, v):
                                 out_viol += 1
                     for v in rec.known:
-                        if rec.neighbors(v) != shadow.neighbors(v):
+                        if neighbors(rec, v) != neighbors(shadow, v):
                             known_bad += 1
                 stats.append(
                     RunStats(family, delta, seed, ok, passes, attempts, out_viol, known_bad)

@@ -209,6 +209,43 @@ def test_paper_mode_fails_honestly_at_desk_scale():
     assert res.status == "pipeline-failed"
 
 
+def test_gate_failure_names_the_first_violations_in_verifier_order(monkeypatch):
+    # the gate's detail is its violations, not a dense cluster: out of
+    # text order on purpose, so sorting them as a cluster's vertices shows
+    from streamcolor.decomposition import DecompReport
+
+    violations = ["sparse vertex 245 is not eps-sparse", "sparse vertex 76 is not eps-sparse",
+                  "partition does not cover all vertices", "vertex 3 in cliques 0 and 1"]
+    monkeypatch.setattr(pl, "verify_decomposition",
+                        lambda *a, **k: DecompReport(list(violations)))
+    res = pl.color_run(pl.RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1, retries=2))
+    assert res.status == "pipeline-failed"
+    assert res.report["failures"] == [{
+        "attempt": 0, "phase": "decomposition",
+        "detail": "verification gate rejected the decomposition: "
+                  "sparse vertex 245 is not eps-sparse; sparse vertex 76 is not eps-sparse; "
+                  "partition does not cover all vertices",
+    }]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "is_eps_sparse counts non-edges only among a vertex's d neighbours and needs d >= 2, "
+    "so a low-degree vertex is neither sparse nor dense and the gate rejects the graph; "
+    "--no-shadow and --budget color it"))
+@pytest.mark.parametrize("n, extra", [
+    (403, [(400, 401), (401, 402), (400, 402)]),  # a disjoint triangle
+    (401, []),                                    # an isolated vertex
+], ids=["triangle", "isolated-vertex"])
+def test_low_degree_vertices_pass_the_gate(tmp_path, n, extra):
+    from streamcolor.generators import instance_from_spec
+
+    edges = instance_from_spec("random-regular:delta=16,n=400,seed=1").edges
+    graph = tmp_path / "g.txt"
+    cli.write_edge_list(graph, n, np.vstack([edges, np.array(extra, dtype=np.int64).reshape(-1, 2)]))
+    res = pl.color_run(pl.RunConfig(source=str(graph), seed=1))
+    assert res.status == "success", res.report["failures"]
+
+
 def test_demo_recover_paths(capsys):
     assert run(["demo-recover", "--n", 32, "--k", 3]) == 0
     out = capsys.readouterr().out

@@ -35,6 +35,7 @@ from conftest import (
     brute_non_edges,
     collect_samples,
     dropping_palettes,
+    neighbors,
     oracle_from_edges,
     planted_mistakes,
     shadow_of,
@@ -354,7 +355,7 @@ def _reference_decomposition(graph, eps, delta):
     """compute_decomposition with the shadow, over Python sets, one cluster
     and one vertex at a time: (cliques, whether any cluster shed)."""
     n = graph.n
-    nbrs = [graph.neighbors(v) for v in range(n)]
+    nbrs = [neighbors(graph, v) for v in range(n)]
     cut = (1 - 10 * eps) * delta
     linked = [{u for u in nbrs[v] if len(nbrs[u] & nbrs[v]) >= cut} for v in range(n)]
     dense = {v for v in range(n) if len(linked[v]) >= cut}
@@ -466,7 +467,7 @@ def test_decomposition_equals_the_set_oracle():
 def _reference_violations(dec, graph, eps, delta):
     """verify_decomposition over Python sets, one vertex at a time."""
     n = graph.n
-    nbrs = [graph.neighbors(v) for v in range(n)]
+    nbrs = [neighbors(graph, v) for v in range(n)]
     out, seen = [], {}
     for i, k in enumerate(dec.cliques):
         for v in k.vertices:
@@ -691,7 +692,7 @@ def test_hard_phase6_classified_friendly_with_witness():
     assert k.kind == FRIENDLY
     assert k.witness is not None and k.witness not in k.vset
     # the witness really is a non-stranger
-    assert len(oracle.neighbors(k.witness) & k.vset) >= 16 / ParamSet.desk(inst.n, 16).beta
+    assert len(neighbors(oracle, k.witness) & k.vset) >= 16 / ParamSet.desk(inst.n, 16).beta
 
 
 def test_isolated_block_classified_lonely():

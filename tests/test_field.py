@@ -8,7 +8,6 @@ import pytest
 from streamcolor._kernels import prf_mod
 from streamcolor.field import (
     MAX_PRIME,
-    Measurement,
     SketchBank,
     _recurrences,
     canonical_prime,
@@ -16,10 +15,8 @@ from streamcolor.field import (
     column_sums,
     decode_rows,
     is_prime,
-    measure_relative,
     next_prime,
     safe_recover,
-    sketch_of,
 )
 from streamcolor.generators import instance_from_spec
 from streamcolor.graph import Graph
@@ -39,11 +36,11 @@ def _decode_one(meas, r, p, n):
     return dense(decode_rows(np.reshape(meas, (1, -1)), r, p, n)[0], n)
 
 
-def _measure(x, r, p, zseed, alpha) -> Measurement:
-    """One-row measurement of x from the library's column sums."""
+def _measure(x, r, p, zseed, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """One-row (vec, check) measurement of x from the library's column sums."""
     supp = np.flatnonzero(x)
     vec, check = column_sums(p, zseed, alpha, r, np.zeros_like(supp), supp, 1, x[supp])
-    return Measurement(r=r, vec=vec % p, check=check % p)
+    return vec % p, check % p
 
 
 def test_prime_selection():
@@ -178,7 +175,7 @@ def test_random_check_rejects_a_wrong_candidate(rng):
     zseed = 99
 
     def passes(check, y):
-        return np.array_equal(_measure(y, r, p, zseed, alpha).check[0], check % p)
+        return np.array_equal(_measure(y, r, p, zseed, alpha)[1][0], check % p)
 
     x = random_sparse_vector(rng, n, 3, p)
     # the zero candidate meets the zero check
@@ -186,7 +183,7 @@ def test_random_check_rejects_a_wrong_candidate(rng):
     # perturbed candidate: false except with probability ~p^-alpha
     wrong = 0
     for _ in range(300):
-        check = _measure(x, r, p, zseed, alpha).check[0]
+        check = _measure(x, r, p, zseed, alpha)[1][0]
         y = x.copy()
         y[0] = (y[0] + 1) % p
         if passes(check, y):
@@ -201,21 +198,20 @@ def test_safe_recover_paths(rng):
     zseed = 7
     # true 2-sparse: recovered
     x = random_sparse_vector(rng, n, 2, p)
-    meas = _measure(x, 2, p, zseed, alpha)
-    assert np.array_equal(meas.vec[0], syndrome_of(x, 2, p))
-    [got] = safe_recover(meas, p, n, zseed, alpha)
+    vec, check = _measure(x, 2, p, zseed, alpha)
+    assert np.array_equal(vec[0], syndrome_of(x, 2, p))
+    [got] = safe_recover(vec, check, p, n, zseed, alpha)
     assert np.array_equal(dense(got, n), x)
     # zero vector
-    z = Measurement(r=2, vec=np.zeros((1, 4), dtype=np.int64),
-                    check=np.zeros((1, alpha), dtype=np.int64))
-    [got] = safe_recover(z, p, n, zseed, alpha)
+    [got] = safe_recover(np.zeros((1, 4), dtype=np.int64), np.zeros((1, alpha), dtype=np.int64),
+                         p, n, zseed, alpha)
     assert np.array_equal(dense(got, n), np.zeros(n))
     # 3-sparse at bound 2: fail, never a wrong vector
     wrongs = 0
     fails = 0
     for _ in range(500):
         x = random_sparse_vector(rng, n, 3, p)
-        [got] = safe_recover(_measure(x, 2, p, zseed, alpha), p, n, zseed, alpha)
+        [got] = safe_recover(*_measure(x, 2, p, zseed, alpha), p, n, zseed, alpha)
         if got is None:
             fails += 1
         elif not np.array_equal(dense(got, n), x):
@@ -232,12 +228,10 @@ def _check_of(x, r, p, zseed, alpha) -> np.ndarray:
                      for t in range(alpha)], dtype=np.int64)
 
 
-def _measure_rows(xs, r, p, zseed, alpha) -> Measurement:
-    return Measurement(
-        r=r,
-        vec=np.array([syndrome_of(x, r, p) for x in xs]).reshape(-1, 2 * r),
-        check=np.array([_check_of(x, r, p, zseed, alpha) for x in xs]).reshape(-1, alpha),
-    )
+def _measure_rows(xs, r, p, zseed, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(vec, check) blocks of the vectors xs, one row each, from the oracles."""
+    return (np.array([syndrome_of(x, r, p) for x in xs]).reshape(-1, 2 * r),
+            np.array([_check_of(x, r, p, zseed, alpha) for x in xs]).reshape(-1, alpha))
 
 
 def _same(a, b) -> bool:
@@ -253,12 +247,11 @@ def test_roundtrip_at_large_prime(p, rng):
     for k in range(1, 9):
         xs = [random_sparse_vector(rng, n, k, p) for _ in range(12)]
         meas = _measure_rows(xs, k, p, zseed, alpha)
-        batch = safe_recover(meas, p, n, zseed, alpha)
-        for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
-            assert np.array_equal(_measure(x, k, p, zseed, alpha).check[0], check)
+        batch = safe_recover(*meas, p, n, zseed, alpha)
+        for x, got, vec, check in zip(xs, batch, *meas):
+            assert np.array_equal(_measure(x, k, p, zseed, alpha)[1][0], check)
             assert np.array_equal(dense(got, n), x)
-            [one] = safe_recover(Measurement(r=k, vec=vec[None], check=check[None]),
-                                 p, n, zseed, alpha)
+            [one] = safe_recover(vec[None], check[None], p, n, zseed, alpha)
             assert one is not None and np.array_equal(dense(one, n), x)
 
 
@@ -280,13 +273,12 @@ def test_batch_matches_single_and_brute_force(n):
                 x[n - 1], x[j] = x[j], 0
             xs.append(x)
         meas = _measure_rows(xs, r, p, zseed, alpha)
-        batch = safe_recover(meas, p, n, zseed, alpha)
+        batch = safe_recover(*meas, p, n, zseed, alpha)
         assert len(batch) == len(xs)
         # the brute-force oracle enumerates all C(n, r) supports
         oracle = r <= 3 and comb(n, r) <= 200_000
-        for x, got, vec, check in zip(xs, batch, meas.vec, meas.check):
-            [one] = safe_recover(Measurement(r=r, vec=vec[None], check=check[None]),
-                                 p, n, zseed, alpha)
+        for x, got, vec, check in zip(xs, batch, *meas):
+            [one] = safe_recover(vec[None], check[None], p, n, zseed, alpha)
             one = dense(one, n)
             assert _same(dense(got, n), one)
             assert _same(one, x if np.count_nonzero(x) <= r else None)
@@ -317,7 +309,7 @@ def test_degree_one_locators_against_brute_force(n, p):
             assert _same(_decode_one(row, r, p, n), x)
         check = np.array([_check_of(x if x is not None else np.zeros(n, dtype=np.int64),
                                     r, p, zseed, alpha) for x in xs])
-        batch = safe_recover(Measurement(r=r, vec=S, check=check), p, n, zseed, alpha)
+        batch = safe_recover(S, check, p, n, zseed, alpha)
         assert all(_same(dense(got, n), x) for got, x in zip(batch, xs))
 
 
@@ -330,7 +322,7 @@ def test_root_search_memory_is_bounded():
     meas = _measure_rows(xs, r, p, zseed, alpha)
     tracemalloc.start()
     try:
-        got = safe_recover(meas, p, n, zseed, alpha)
+        got = safe_recover(*meas, p, n, zseed, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,6 +409,21 @@ def test_sketch_no_edges_is_zero():
             assert not y.any() and not z.any()
 
 
+def _set_sketch(bank, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """Level-r (y, z) of the indicator of the vertex set s: what a vertex
+    whose neighborhood is exactly s would store."""
+    vs = np.asarray(sorted(s), dtype=np.int64)
+    y, z = column_sums(bank.p, bank.zseed, bank.alpha, r, np.zeros_like(vs), vs, 1)
+    return y[0] % bank.p, z[0] % bank.p
+
+
+def _relative(bank, v, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """Level-r (y, z) of chi(N(v)) - chi(s): v's bank row less the set's
+    column sums, mod p."""
+    (y, z), (sy, sz) = bank.raw(v, r), _set_sketch(bank, r, s)
+    return (y - sy) % bank.p, (z - sz) % bank.p
+
+
 def test_sketch_matches_neighborhood_indicator():
     # after edges to {1, 2}: y(v) equals the sketch of that indicator
     n, delta = 10, 3
@@ -424,7 +431,7 @@ def test_sketch_matches_neighborhood_indicator():
     r = bank.rates[0]
     if 0 in bank.sampled(r):
         y, _ = bank.raw(0, r)
-        assert np.array_equal(y, sketch_of(bank, r, [[1, 2]]).vec[0])
+        assert np.array_equal(y, _set_sketch(bank, r, [1, 2])[0])
 
 
 def test_bank_read_through_h_temporaries_stay_bounded():
@@ -465,10 +472,10 @@ def test_measure_relative_cases():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
     bank = _bank_for(edges, n, delta)
     r = bank.rates[-1]
-    m_exact = measure_relative(bank, 0, r, sketch_of(bank, r, [{1, 2, 3, 4}]))
-    assert not m_exact.vec.any() and not m_exact.check.any()
-    m_empty = measure_relative(bank, 0, r, sketch_of(bank, r, [set()]))
-    assert np.array_equal(m_empty.vec, sketch_of(bank, r, [{1, 2, 3, 4}]).vec)
+    y_exact, z_exact = _relative(bank, 0, r, {1, 2, 3, 4})
+    assert not y_exact.any() and not z_exact.any()
+    y_empty, _ = _relative(bank, 0, r, set())
+    assert np.array_equal(y_empty, _set_sketch(bank, r, {1, 2, 3, 4})[0])
 
 
 def test_measure_relative_unsampled_vertex_errors():
@@ -477,9 +484,13 @@ def test_measure_relative_unsampled_vertex_errors():
     params = ParamSet.desk(n, delta, beta=2)
     bank = SketchBank(n, delta, params, seed=11)
     r = bank.rates[-1]
-    unsampled = next(v for v in range(n) if v not in bank.sampled(r))
+    unsampled = [v for v in range(n) if v not in bank.sampled(r)]
     with pytest.raises(KeyError):
-        measure_relative(bank, unsampled, r, sketch_of(bank, r, [set()]))
+        _relative(bank, unsampled[0], r, set())
+    # a block read names its first unsampled vertex, not the whole block
+    block = np.concatenate([bank.sampled(r), unsampled[1:]])
+    with pytest.raises(KeyError, match=rf"^'vertex {unsampled[1]} not sampled at rate {r}'$"):
+        bank.raw(block, r)
 
 
 def test_measure_relative_clique_minus_edge_signs():
@@ -489,8 +500,8 @@ def test_measure_relative_clique_minus_edge_signs():
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     bank = _bank_for(edges, n, delta, seed=3)
     r = bank.rates[-1]
-    meas = measure_relative(bank, 0, r, sketch_of(bank, r, [range(5)]))
-    x = _decode_one(meas.vec, r, bank.p, n)
+    y, _ = _relative(bank, 0, r, range(5))
+    x = _decode_one(y, r, bank.p, n)
     assert x is not None
     # x = chi(N(0)) - chi(K): -1 at 0 itself (not its own neighbor) and at 1
     expect = np.zeros(n, dtype=np.int64)

@@ -23,7 +23,7 @@ from streamcolor.params import ParamSet
 from streamcolor.pipeline import RunConfig, _main_pass, color_run, decompose_run, verify_coloring
 from streamcolor.stream import stream_source
 
-from conftest import decline_phase4, planted_mistakes, shadow_of
+from conftest import decline_phase4, neighbors, planted_mistakes, shadow_of
 
 # spec -> sha256 of (colors bytes, report["cliques"] JSON, report["space"] JSON,
 # provenance bytes); both shadow modes give the same four digests on these
@@ -271,7 +271,7 @@ def test_forced_deferral_golden(spec, no_shadow, monkeypatch):
                >> (c % 64).astype(np.uint64)) & np.uint64(1)
     for v in np.flatnonzero(in_list == 0).tolist():
         assert v in res.phase_result.recovery.known
-        assert res.phase_result.recovery.neighbors(v) == shadow.neighbors(v)
+        assert neighbors(res.phase_result.recovery, v) == neighbors(shadow, v)
     assert _run_digests(res) == DEFERRED_RUNS[spec]
 
 

@@ -22,6 +22,7 @@ from conftest import (
     collect_samples,
     decline_phase4,
     has_edge,
+    neighbors,
     oracle_from_edges,
     shadow_of,
     source_of,
@@ -52,7 +53,7 @@ def test_critical_helper_finds_the_missing_edge():
     assert {h.u, h.v} == {
         a for a in K for b in K if a != b and not has_edge(oracle, a, b)
     }
-    assert h.n_v == oracle.neighbors(h.v)
+    assert h.n_v == neighbors(oracle, h.v)
     # cheapest useful level: within a factor 4 of twice the max non-edge degree
     assert h.rate <= 4 * 2 * 1
 
@@ -78,7 +79,7 @@ def test_critical_helper_statistical():
         [h] = find_critical_helper([list(range(delta + 1))], bank)
         if h is not None:
             assert not has_edge(oracle, h.u, h.v)
-            assert h.n_v == oracle.neighbors(h.v)
+            assert h.n_v == neighbors(oracle, h.v)
             found += 1
     assert found >= 99
 
@@ -105,7 +106,7 @@ def test_batched_critical_search_equals_the_per_clique_one():
     assert [h.rate for h in got if h is not None] == [1, 2, 1]
     for h in filter(None, got):
         assert not has_edge(oracle, h.u, h.v)
-        assert h.n_v == oracle.neighbors(h.v)
+        assert h.n_v == neighbors(oracle, h.v)
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +196,8 @@ def test_friendly_helper_structure():
     assert has_edge(oracle, h.u, h.v)
     assert not has_edge(oracle, h.u, h.w)
     assert has_edge(oracle, h.v, h.w)
-    assert h.n_v == oracle.neighbors(h.v)
-    assert h.n_w == oracle.neighbors(h.w)
+    assert h.n_v == neighbors(oracle, h.v)
+    assert h.n_w == neighbors(oracle, h.w)
 
 
 def test_friendly_ladder_returns_the_top_level_helper(monkeypatch):
@@ -204,9 +205,9 @@ def test_friendly_ladder_returns_the_top_level_helper(monkeypatch):
     k = dec.cliques[0]
     levels, real = [], helpers.safe_recover
 
-    def spy(meas, *rest):
-        levels.append(meas.r)
-        return real(meas, *rest)
+    def spy(vec, *rest):
+        levels.append(vec.shape[1] // 2)
+        return real(vec, *rest)
 
     monkeypatch.setattr(helpers, "safe_recover", spy)
     [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
@@ -219,8 +220,8 @@ def test_friendly_ladder_returns_the_top_level_helper(monkeypatch):
     [top] = find_friendly_helper([(k.vertices, k.witness)], bank)
     assert set(levels) == {bank.rates[-1]}
     assert top == h
-    assert top.n_v == oracle.neighbors(top.v)
-    assert top.n_w == oracle.neighbors(top.w)
+    assert top.n_v == neighbors(oracle, top.v)
+    assert top.n_w == neighbors(oracle, top.w)
 
 
 @pytest.mark.parametrize("seed, triple", [
@@ -235,9 +236,9 @@ def test_friendly_search_recovers_one_block_per_level(monkeypatch, seed, triple)
     assert k.kind == FRIENDLY
     calls, real = [], helpers.safe_recover
 
-    def spy(meas, *rest):
-        calls.append((meas.r, len(meas.vec)))
-        return real(meas, *rest)
+    def spy(vec, *rest):
+        calls.append((vec.shape[1] // 2, len(vec)))
+        return real(vec, *rest)
 
     monkeypatch.setattr(helpers, "safe_recover", spy)
     [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
@@ -245,7 +246,7 @@ def test_friendly_search_recovers_one_block_per_level(monkeypatch, seed, triple)
     assert stored == 16
     assert calls == [(bank.rates[0], stored)]
     assert (h.u, h.v, h.w) == triple
-    assert h.n_v == oracle.neighbors(h.v) and h.n_w == oracle.neighbors(h.w)
+    assert h.n_v == neighbors(oracle, h.v) and h.n_w == neighbors(oracle, h.w)
 
 
 def test_friendly_helper_all_adjacent_witness_fails():
@@ -271,8 +272,8 @@ def test_friendly_helper_statistical():
             continue
         [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
         if h is not None:
-            assert h.n_v == oracle.neighbors(h.v)
-            assert h.n_w == oracle.neighbors(h.w)
+            assert h.n_v == neighbors(oracle, h.v)
+            assert h.n_w == neighbors(oracle, h.w)
             hits += 1
     assert hits >= 95
 
@@ -290,6 +291,6 @@ def test_recovery_graph_contents():
     g = build_recovery_graph(inst.n, {0: h}, {})
     # the star of the recovered vertex, nothing else
     assert g.known == {h.v}
-    assert g.m == len(h.n_v) == oracle.degree(h.v)
-    for x in g.neighbors(h.v):
+    assert g.m == len(h.n_v) == oracle.degrees[h.v]
+    for x in neighbors(g, h.v):
         assert has_edge(oracle, h.v, x)

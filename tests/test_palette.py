@@ -21,6 +21,7 @@ from streamcolor.params import ParamSet
 from conftest import (
     build_conflict_graph,
     has_edge,
+    neighbors,
     oracle_from_edges,
     palette_union,
     source_of,
@@ -134,11 +135,11 @@ def test_h_subgraph_and_no_false_drops_exhaustive():
     h = build_conflict_graph(source_of(inst).open(), pal)
     oracle = oracle_from_edges(inst.n, inst.edges)
     for u in range(inst.n):
-        for v in h.neighbors(u):
+        for v in neighbors(h, u):
             assert has_edge(oracle, u, v)
     for u, v in inst.edges.tolist():
         if palette_union(pal, u) & palette_union(pal, v):
-            assert v in h.neighbors(u)
+            assert v in neighbors(h, u)
 
 
 def test_space_report_formula_exact():
