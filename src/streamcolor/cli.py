@@ -160,11 +160,11 @@ def cmd_decompose(args) -> int:
     if report is None:
         print("verification: skipped (no shadow copy)")
         return EXIT_OK
-    if report.ok:
+    if not report:
         print("verification: OK (0 violations)")
         return EXIT_OK
-    print(f"verification: {len(report.violations)} violation(s)")
-    for v in report.violations[:10]:
+    print(f"verification: {len(report)} violation(s)")
+    for v in report[:10]:
         print(f"  {v}")
     return EXIT_VERIFY
 

@@ -86,7 +86,6 @@ class PartialColoring:
     def __init__(self, n: int, delta: int, conflict: Graph):
         self.n = n
         self.delta = delta
-        self.conflict = conflict
         self.stored = conflict  # every stored edge: H, then H + H+
         self.colors = np.zeros(n, dtype=np.int64)
         self.provenance = np.zeros(n, dtype=np.int8)
@@ -303,7 +302,7 @@ def one_shot(C: PartialColoring, palettes: PaletteSet, params: ParamSet, seed: i
     rng = rng_for(seed, "oneshot")
     active = rng.random(C.n) < params.activation_rate()
     x = np.where(active, palettes.l1, 0)
-    e = C.conflict.edges()
+    e = C.stored.edges()
     clash = e[(x[e[:, 0]] == x[e[:, 1]]) & (x[e[:, 0]] != 0)]
     keep = x != 0
     keep[clash.ravel()] = False
@@ -400,13 +399,16 @@ def colorful_matchings(
     cliques sharing no stored edge) and every list index i of the packed
     (n, beta, words) pair-lists (`PaletteSet.l4`), the greedy shared-color
     matching of the clique's non-edges under list i, as (a, b, color)
-    triples with a < b; C is left untouched.
+    triples; C is left untouched.
 
-    Colors go in ascending order.  Each goes to the first alive pair
-    (ascending) whose endpoints are uncolored, both hold the color in
-    list i, and have no stored neighbor holding it; the endpoints of a
-    matched pair leave every later pair.  A listed pair that is a stored
-    edge never matches: a shared sampled color would have put it in H.
+    Each listing is read unchecked, as `annotate_cliques` leaves it: pairs
+    a < b, ascending, each once, none a stored edge (phase 4 runs before H+
+    is stored); a listed stored edge would reach `PartialColoring.assign`,
+    which raises `ColoringError` and leaves C as it was.  Colors go in
+    ascending order.  Each goes to the first listed pair whose endpoints
+    are uncolored, both hold the color in list i, and have no stored
+    neighbor holding it; the endpoints of a matched pair leave every later
+    pair.
 
     One (pairs, beta, delta) hit tensor covers the pairs of every clique.
     Its nonzeros, in (list, color, pair) order and stably sorted by
@@ -418,29 +420,16 @@ def colorful_matchings(
     flat: list[list[tuple[int, int, int]]] = [[] for _ in range(len(non_edges) * beta)]
     trials = [flat[j * beta : (j + 1) * beta] for j in range(len(non_edges))]
     f = [np.asarray(F, dtype=np.int64).reshape(-1, 2) for F in non_edges]
-    if not sum(len(F) for F in f):
-        return trials
     owner = np.repeat(np.arange(len(f)), [len(F) for F in f])
-    f = np.concatenate(f)
-    codes = f.min(axis=1) * C.n + f.max(axis=1)
-    order = np.lexsort((codes, owner))
-    codes, owner = codes[order], owner[order]
-    first = np.concatenate([[True], (codes[1:] != codes[:-1]) | (owner[1:] != owner[:-1])])
-    codes, owner = codes[first], owner[first]
-    a, b = codes // C.n, codes % C.n
+    a, b = np.concatenate(f).T
+    alive = (C.colors[a] == UNCOLORED) & (C.colors[b] == UNCOLORED)
+    a, b, owner = a[alive], b[alive], owner[alive]
+    if not a.size:
+        return trials
     verts = sorted_unique(np.concatenate([a, b]))
     at = np.zeros(C.n, dtype=np.int64)  # a listed vertex's position in verts
     at[verts] = np.arange(verts.size)
     la, lb = at[a], at[b]
-    adj_i, adj_j = C.stored.within(verts)
-    # the stored pairs' codes come ascending; a sentinel caps the search
-    joined = np.append(adj_i * verts.size + adj_j, verts.size ** 2)
-    listed = la * verts.size + lb
-    edge = joined[np.searchsorted(joined, listed)] == listed
-    alive = ~edge & (C.colors[a] == UNCOLORED) & (C.colors[b] == UNCOLORED)
-    a, b, la, lb, owner = a[alive], b[alive], la[alive], lb[alive], owner[alive]
-    if not a.size:
-        return trials
     # usable[x, i, c - 1]: color c is in list i of verts[x], unblocked there
     usable = unpack_rows(lists[verts], C.delta) & ~C.blocked_rows(verts)[:, None, :]
     hit = usable[la] & usable[lb]  # hit[p, i, c - 1]: both ends of pair p can take c
@@ -561,7 +550,6 @@ def run_phases(
     find_helpers,
     params: ParamSet,
     seed: int,
-    on_phase=None,
 ) -> PhaseResult:
     """Run phases 1..6 in order and return a total coloring.
 
@@ -578,12 +566,7 @@ def run_phases(
     colored_by: dict[int, int] = {}
     responsible = {i: responsible_phase(k) for i, k in enumerate(dec.cliques)}
 
-    def snap(tag: str):
-        if on_phase is not None:
-            on_phase(tag, C.colors.copy())
-
     one_shot(C, palettes, params, seed)
-    snap("phase1")
 
     def by_wave(indices: list[int]):
         Ks = [dec.cliques[i].vertices for i in indices]
@@ -595,16 +578,13 @@ def run_phases(
         if not ok.all():
             raise RunFailure("phase2", f"matching failed on clique {idx[int(np.argmin(ok))]}")
         colored_by.update(dict.fromkeys(idx, 2))
-    snap("phase2")
 
     greedy_sparse(C, dec.v_sparse, palettes)
-    snap("phase3")
 
     keep = list(dec.v_sparse)
     for i in colored_by:
         keep += dec.cliques[i].vertices
     strip_residue(C, keep)
-    snap("strip")
 
     deferred: list[int] = []
     for idx, Ks in by_wave([i for i in responsible if i not in colored_by]):
@@ -614,7 +594,6 @@ def run_phases(
                 colored_by[i] = 4
             else:
                 deferred.append(i)
-    snap("phase4")
 
     critical: list[int] = []
     friendly: list[int] = []
@@ -641,7 +620,6 @@ def run_phases(
         else:
             phase6_friendly(k.vertices, friendly_helpers[i], C, palettes, i_u, params)
             colored_by[i] = 6
-        snap(f"phase{colored_by[i]}")
 
     missing = np.flatnonzero(C.colors == UNCOLORED)
     if missing.size:

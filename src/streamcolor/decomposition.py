@@ -19,7 +19,7 @@ read through a label array over the n vertices, not a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,6 +290,9 @@ def compute_decomposition(graph: Graph, params: ParamSet, delta: int,
 def annotate_cliques(dec: Decomposition, params: ParamSet, delta: int, graph: Graph) -> None:
     """Fill non-edge pairs, their counts and holey flags as judged from the
     graph: the shadow when there is one, the stored edges of H otherwise.
+    Each clique's ``non_edge_pairs`` is a (k, 2) int64 array of pairs a < b,
+    ascending, each once, none an edge of that graph, which holds H; phase
+    4 reads it as it is.
 
     H stands in for a missing shadow soundly for phase 4: a G-edge that H
     lacks joins disjoint union lists, which no shared-color matching picks.
@@ -337,15 +340,6 @@ def annotate_cliques(dec: Decomposition, params: ParamSet, delta: int, graph: Gr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecompReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of keys in a sorted table, and whether each key is there."""
     pos = np.searchsorted(table, keys)
@@ -356,8 +350,8 @@ def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_decomposition(
     dec: Decomposition, oracle: Graph, eps: float, delta: int
-) -> DecompReport:
-    report = DecompReport()
+) -> list[str]:
+    violations: list[str] = []
     n = oracle.n
     sizes = np.array([len(k) for k in dec.cliques], dtype=np.int64)
     label = np.repeat(np.arange(sizes.size), sizes)
@@ -368,16 +362,16 @@ def verify_decomposition(
     before, later = order[again], order[again + 1]
     by = np.argsort(later)
     before, later = before[by], later[by]
-    report.violations += [f"vertex {v} in cliques {i} and {j}" for v, i, j in zip(
+    violations += [f"vertex {v} in cliques {i} and {j}" for v, i, j in zip(
         verts[later].tolist(), label[before].tolist(), label[later].tolist())]
     sparse_v = np.asarray(dec.v_sparse, dtype=np.int64)
     last = np.full(dec.n, -1, dtype=np.int64)  # the last clique that lists a vertex
     np.maximum.at(last, verts, label)
     both = sparse_v[last[sparse_v] >= 0]
-    report.violations += [f"vertex {v} both sparse and in clique {i}"
-                          for v, i in zip(both.tolist(), last[both].tolist())]
+    violations += [f"vertex {v} both sparse and in clique {i}"
+                   for v, i in zip(both.tolist(), last[both].tolist())]
     if sparse_v.size + verts.size != dec.n:
-        report.violations.append("partition does not cover all vertices")
+        violations.append("partition does not cover all vertices")
 
     # one label pass over each (clique, member) once counts the neighbors inside
     member = sorted_unique(label * n + verts)
@@ -405,18 +399,18 @@ def verify_decomposition(
     for i, k in enumerate(dec.cliques):
         size = len(k)
         if not (1 - 5 * eps) * delta <= size <= (1 + 5 * eps) * delta:
-            report.violations.append(f"clique {i}: size {size} out of range")
-        report.violations += msgs[i]
+            violations.append(f"clique {i}: size {size} out of range")
+        violations += msgs[i]
         if size < slack:
             flagged = sorted(set(range(dec.n)) - k.vset)
         else:
             flagged = (outsiders[outsiders // n == i] % n).tolist()
-        report.violations += [
+        violations += [
             f"clique {i}: outsider {u} has too few non-neighbors inside" for u in flagged
         ]
     dense = sparse_v[~is_eps_sparse(oracle, eps, delta)[sparse_v]]
-    report.violations += [f"sparse vertex {v} is not eps-sparse" for v in dense.tolist()]
-    return report
+    violations += [f"sparse vertex {v} is not eps-sparse" for v in dense.tolist()]
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ class SketchBank:
 
     Rates are powers of two up to just past the max degree; each vertex
     joins level r independently with probability min(1, beta/(eps*r)).
+    That is 1 at every level for n > delta >= 8 in both modes (least
+    unclamped value 1.5625), so the bank stores every vertex at every level.
 
     One int64 state matrix holds every sketch, one row per vertex: the
     2*r_max power sums of the top rate, then alpha check columns for each

@@ -105,18 +105,6 @@ class Graph:
         first = np.repeat(self.indptr[verts] - np.cumsum(deg) + deg, deg)
         return owner, self.indices[first + np.arange(owner.size)]
 
-    def within(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacencies inside a vertex set: for sorted distinct verts, the
-        positions (i, j) with verts[j] a neighbor of verts[i], ascending by
-        (i, j).  Each neighbor's position is one gather from an n-entry
-        table, -1 outside the set."""
-        at = np.full(self.n, -1, dtype=np.int64)
-        at[verts] = np.arange(verts.size)
-        i, nbrs = self.rows_of(verts)
-        j = at[nbrs]
-        hit = j >= 0
-        return i[hit], j[hit]
-
     @cached_property
     def common(self) -> np.ndarray:
         """Common-neighbor count of every edge, in edges() order.

@@ -137,8 +137,8 @@ def _main_pass(src, n, delta, params, seed, bank=None):
 
 def _decompose(shadow, isample, conflict, params, delta):
     """Partition, annotate and classify; verified against the shadow when
-    there is one (the report is None in heuristic mode, which reads H and
-    the neighbor sample)."""
+    there is one (the violations are None in heuristic mode, which reads H
+    and the neighbor sample)."""
     graph = conflict if shadow is None else shadow
     dec = compute_decomposition(graph, params, delta, isample if shadow is None else None)
     report = None if shadow is None else verify_decomposition(dec, shadow, params.eps, delta)
@@ -152,9 +152,9 @@ def _attempt(src, n, delta, params, run_seed, shadow):
     bank = SketchBank(n, delta, params, run_seed)
     palettes, conflict, isample = _main_pass(src, n, delta, params, run_seed, bank)
     dec, report = _decompose(shadow, isample, conflict, params, delta)
-    if report is not None and not report.ok:
+    if report:
         raise DecompositionFailed([], "verification gate rejected the decomposition: "
-                                  + "; ".join(report.violations[:3]))
+                                  + "; ".join(report[:3]))
 
     def find_helpers(critical, friendly):
         # one batched search for each kind; failures are reported in clique
@@ -326,8 +326,8 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     """Partition + classification for the `decompose` subcommand, from the
     same pre-pass and main pass as the first attempt of `color_run`.
 
-    Returns (decomposition, verification report); the report is None in
-    heuristic (no-shadow) mode where there is nothing to verify against.
+    Returns (decomposition, the verifier's violations); the list is None
+    in heuristic (no-shadow) mode where there is nothing to verify against.
     """
     src = stream_source(source, seed=seed)
     degrees, _, shadow, _ = _prepass(src, want_shadow=not no_shadow)

@@ -24,7 +24,6 @@ delta-coloring.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 
 import numpy as np
@@ -89,12 +88,11 @@ class EdgeStream:
 class StreamSource:
     """Parsed edge data that opens seeded single-pass streams and counts them."""
 
-    def __init__(self, n: int, edges: np.ndarray, seed: int = 0, name: str = "<edges>"):
+    def __init__(self, n: int, edges: np.ndarray, seed: int = 0):
         if n < 1:
             raise ParseError("vertex count must be >= 1")
         self.n = n
         self.seed = seed
-        self.name = name
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.passes = 0
         self._delivery = None  # drawn by the first pass
@@ -162,7 +160,7 @@ class StreamSource:
             raise ParseError(f"duplicate edge {tuple(edges[i].tolist())}", int(lines[i]))
         if fault is not None:
             raise fault
-        return cls(n, edges, seed=seed, name=os.path.basename(path))
+        return cls(n, edges, seed=seed)
 
 
 # ---------------------------------------------------------------------------

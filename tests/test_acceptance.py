@@ -254,7 +254,7 @@ def test_criterion_05_decomposition_fidelity():
                 params = ParamSet.desk(inst.n, delta)
                 dec = compute_decomposition(oracle, params, delta)
                 rep = verify_decomposition(dec, oracle, params.eps, delta)
-                violations += len(rep.violations)
+                violations += len(rep)
                 got = sorted(tuple(k.vertices) for k in dec.cliques)
                 want = sorted(tuple(sorted(c)) for c in inst.cores)
                 if got != want:

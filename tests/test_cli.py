@@ -212,12 +212,9 @@ def test_paper_mode_fails_honestly_at_desk_scale():
 def test_gate_failure_names_the_first_violations_in_verifier_order(monkeypatch):
     # the gate's detail is its violations, not a dense cluster: out of
     # text order on purpose, so sorting them as a cluster's vertices shows
-    from streamcolor.decomposition import DecompReport
-
     violations = ["sparse vertex 245 is not eps-sparse", "sparse vertex 76 is not eps-sparse",
                   "partition does not cover all vertices", "vertex 3 in cliques 0 and 1"]
-    monkeypatch.setattr(pl, "verify_decomposition",
-                        lambda *a, **k: DecompReport(list(violations)))
+    monkeypatch.setattr(pl, "verify_decomposition", lambda *a, **k: list(violations))
     res = pl.color_run(pl.RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1, retries=2))
     assert res.status == "pipeline-failed"
     assert res.report["failures"] == [{

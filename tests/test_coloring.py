@@ -444,13 +444,18 @@ def test_colorful_matching_single_pair():
     assert not C.colors.any()  # a computation: C is never written
 
 
-def test_colorful_matching_skips_true_edges():
-    # a "non-edge" that is actually stored never matches
+def test_phase4_refuses_a_listed_stored_edge():
+    # the listing is read as given: a stored edge whose ends can share a
+    # color is matched, and the checked assignment refuses it
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, [(0, 3)]))
-    assert colorful_matchings(C, pal.l4, [[(0, 3)]])[0] == [[]] * pal.beta
-    assert not C.colors.any()
+    C.assign(1, 1, 2)
+    colors, provenance = C.colors.copy(), C.provenance.copy()
+    with pytest.raises(ColoringError, match="conflict assigning 2"):
+        phase4_wave([[0, 1, 2, 3]], C, pal, [[(0, 3)]])
+    assert np.array_equal(C.colors, colors)
+    assert np.array_equal(C.provenance, provenance)
 
 
 def test_colorful_matching_is_a_non_edge_matching(rng):
@@ -486,8 +491,8 @@ def test_colorful_matching_is_a_non_edge_matching(rng):
 
 def _holey_phase4_case(rng, delta, seed):
     """A holey clique K with 8 stored outside neighbors, as (K, C, pal, F):
-    F lists K's non-edges with repeats in both orientations plus a few
-    stored edges; the outside vertices and three of K are pre-colored."""
+    F lists K's non-edges as `annotate_cliques` does; the outside vertices
+    and three of K are pre-colored."""
     from streamcolor.generators import generate_instance
     from streamcolor.graph import Graph
     from streamcolor.palette import sample_palettes
@@ -498,11 +503,7 @@ def _holey_phase4_case(rng, delta, seed):
     k, extra = inst.n, 8
     n = k + extra
     K = list(range(k))
-    truth = oracle_from_edges(k, inst.edges)
-    non_edges = [(a, b) for a in K for b in K if a < b and not has_edge(truth, a, b)]
-    listed_edges = inst.edges[rng.choice(len(inst.edges), size=5)].tolist()
-    F = non_edges + [(b, a) for a, b in non_edges[::2]] + non_edges[::3] + listed_edges
-    F = [tuple(F[i]) for i in rng.permutation(len(F))]
+    F = brute_non_edges(K, oracle_from_edges(k, inst.edges))
     outside = np.stack([rng.integers(0, k, 4 * extra), rng.integers(k, n, 4 * extra)], axis=1)
     C = PartialColoring(n, delta, Graph(n, np.concatenate([inst.edges, outside])))
     pal = sample_palettes(n, delta, ParamSet.desk(n, delta), seed=seed)
@@ -564,12 +565,12 @@ def test_phase4_color_equals_trial_and_undo_oracle(rng):
     assert outcomes == {True, False}
 
 
-def _shared_vertex_case(rng, delta, stored_only=False):
+def _shared_vertex_case(rng, delta):
     """(C, l4, F) on 12 vertices: F lists every pair a random stored graph
-    leaves out, so each vertex sits in several listed pairs; or, with
-    stored_only, only stored edges.  Three vertices are pre-colored, and
-    the pair-lists are drawn per list at random densities, packed as
-    `PaletteSet.l4` holds them."""
+    leaves out, as `annotate_cliques` does, so each vertex sits in several
+    listed pairs.  Three vertices are pre-colored, and the pair-lists are
+    drawn per list at random densities, packed as `PaletteSet.l4` holds
+    them."""
     from streamcolor.graph import Graph
 
     n = 12
@@ -581,8 +582,9 @@ def _shared_vertex_case(rng, delta, stored_only=False):
         C.assign(v, int(rng.choice(free)), 2)
     beta = int(rng.integers(2, 6))
     l4 = pack_rows(rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1)))
-    F = stored if stored_only else np.array([f for f in pairs.tolist() if f not in stored.tolist()])
-    return C, l4, [tuple(f) for f in F[rng.permutation(len(F))].tolist()]
+    F = brute_non_edges(range(n), C.stored)
+    rng.permutation(len(F))  # unused; kept so the cases drawn after it stay the same
+    return C, l4, F
 
 
 @pytest.mark.parametrize("delta", [8, 64])
@@ -599,20 +601,6 @@ def test_colorful_matching_with_shared_vertices_equals_oracle(rng, delta):
         assert np.array_equal(C.colors, before)
         ends = [x for trial in want for a, b, _ in trial for x in (a, b)]
         assert len(ends) > len(set(ends))  # some vertex matched in two lists
-
-
-def test_colorful_matching_of_stored_edges_only_is_empty(rng):
-    import copy
-
-    from conftest import oracle_phase4_matching
-
-    for _ in range(10):
-        C, l4, F = _shared_vertex_case(rng, 16, stored_only=True)
-        want, best_i = oracle_phase4_matching(copy.deepcopy(C), l4, F)
-        assert want == [[]] * l4.shape[1] and best_i is None
-        before = C.colors.copy()
-        assert colorful_matchings(C, l4, [F])[0] == want
-        assert np.array_equal(C.colors, before)
 
 
 @pytest.mark.parametrize("F", [[], np.zeros((0, 2), dtype=np.int64)])
@@ -940,29 +928,33 @@ def test_responsible_phase_table():
 # ---- extension discipline across phases --------------------------------------
 
 
-def test_phase_extension_discipline():
-    from streamcolor.pipeline import RunConfig, color_run
-
-    snaps = {}
-    # piggyback on the pipeline by re-running its phases with a hook
-    from streamcolor import pipeline as pl
+def test_phase_extension_discipline(monkeypatch):
     from streamcolor import coloring as col
 
-    cfg = RunConfig(source="mixed:delta=16,seed=4", seed=4, retries=0)
-    res = color_run(cfg)
-    assert res.status == "success"
+    # snapshots of the colors around the steps of run_phases, taken by
+    # wrapping the names it calls: the phase-2 result is what phase 3 finds
+    snaps = {}
 
-    # re-run the phases with the attached artifacts and a snapshot hook
-    pr = res.phase_result
-    col.run_phases(
-        res.conflict,
-        res.palettes,
-        res.dec,
-        lambda critical, friendly: (pr.critical_helpers, pr.friendly_helpers, pr.recovery),
-        res.params,
-        cfg.seed,
-        on_phase=lambda tag, colors: snaps.setdefault(tag, colors),
-    )
+    def spy(name, before=None, after=None, at=0):
+        run = getattr(col, name)
+
+        def wrapped(*args):
+            if before:
+                snaps.setdefault(before, args[at].colors.copy())
+            out = run(*args)
+            snaps[after] = args[at].colors.copy()
+            return out
+
+        monkeypatch.setattr(col, name, wrapped)
+
+    spy("one_shot", after="phase1")
+    spy("greedy_sparse", before="phase2", after="phase3")
+    spy("strip_residue", after="strip")
+    spy("phase4_wave", after="phase4", at=1)
+    res = color_run(RunConfig(source="mixed:delta=16,seed=4", seed=4, retries=0))
+    assert res.status == "success"
+    assert snaps.keys() == {"phase1", "phase2", "phase3", "strip", "phase4"}
+
     # phases 2 and 3 extend what came before
     for before, after in (("phase1", "phase2"), ("phase2", "phase3")):
         prev, cur = snaps[before], snaps[after]
@@ -971,13 +963,12 @@ def test_phase_extension_discipline():
     # strip only removes colors
     prev, cur = snaps["phase3"], snaps["strip"]
     assert not ((prev != cur) & (cur != 0)).any()
-    # phase 4/5 extend the strip
-    last = "phase4" if "phase4" in snaps else "strip"
-    prev, cur = snaps["strip"], snaps[last]
+    # phase 4 extends the strip
+    prev, cur = snaps["strip"], snaps["phase4"]
     changed = (prev != cur) & (prev != 0)
     assert not changed.any()
-    # and every snapshot is proper on the true graph
-    for colors in snaps.values():
+    # and every snapshot, and the final coloring, is proper on the true graph
+    for colors in [*snaps.values(), res.colors]:
         for u, v in res.shadow.edges():
             assert not (colors[u] and colors[u] == colors[v])
 

@@ -35,6 +35,7 @@ from conftest import (
     brute_non_edges,
     collect_samples,
     dropping_palettes,
+    has_edge,
     neighbors,
     oracle_from_edges,
     planted_mistakes,
@@ -230,7 +231,7 @@ def test_single_block_is_one_clique():
     assert len(dec.cliques) == 1
     assert dec.cliques[0].vertices == list(range(delta + 1))
     assert dec.v_sparse == []
-    assert verify_decomposition(dec, oracle, params.eps, delta).ok
+    assert verify_decomposition(dec, oracle, params.eps, delta) == []
 
 
 def test_sparse_only_graph_has_no_cliques():
@@ -254,7 +255,7 @@ def test_clique_pairs_yield_two_cliques_per_pair(count):
     got = sorted(tuple(k.vertices) for k in dec.cliques)
     want = sorted(tuple(sorted(c)) for c in inst.cores)
     assert got == want
-    assert verify_decomposition(dec, oracle, params.eps, delta).ok
+    assert verify_decomposition(dec, oracle, params.eps, delta) == []
 
 
 def test_partition_totality_across_families():
@@ -275,10 +276,10 @@ def test_verify_catches_planted_mistakes():
     # must object; the merged blocks give inside-non-neighbor violations
     (moved, oracle, params, delta), (merged, oracle2, _, _) = planted_mistakes()
     rep = verify_decomposition(moved, oracle, params.eps, delta)
-    assert any("not eps-sparse" in v for v in rep.violations)
+    assert any("not eps-sparse" in v for v in rep)
 
     rep2 = verify_decomposition(merged, oracle2, params.eps, delta)
-    assert any("non-neighbors inside" in v or "size" in v for v in rep2.violations)
+    assert any("non-neighbors inside" in v or "size" in v for v in rep2)
 
 
 def test_failed_cluster_names_its_smallest_violator():
@@ -532,7 +533,7 @@ def test_verify_counts_equal_the_set_oracle():
                 rng.shuffle(K)
         wrong = Decomposition(n=inst.n, v_sparse=sparse,
                               cliques=[AlmostClique(vertices=K) for K in cliques])
-        got = verify_decomposition(wrong, graph, params.eps, delta).violations
+        got = verify_decomposition(wrong, graph, params.eps, delta)
         assert got == _reference_violations(wrong, graph, params.eps, delta)
         kinds |= {re.sub(r"\d+", "#", v) for v in got}
     assert {
@@ -555,7 +556,7 @@ def test_hand_built_valid_decomposition_passes():
     dec = Decomposition(
         n=inst.n, v_sparse=[], cliques=[AlmostClique(vertices=list(range(inst.n)))]
     )
-    assert verify_decomposition(dec, oracle, params.eps, delta).ok
+    assert verify_decomposition(dec, oracle, params.eps, delta) == []
 
 
 # ---- non-edge listing and size classes --------------------------------------
@@ -621,6 +622,23 @@ def test_annotate_cliques_lists_every_cliques_non_edges_in_one_pass(rng):
         assert k.holey == (k.non_edges >= params.holey_threshold(delta))
     counts = [k.non_edges for k in dec.cliques]
     assert counts[:3] == [0, 6, 0] and all(counts[3:])
+
+
+@pytest.mark.parametrize("no_shadow", [False, True])
+@pytest.mark.parametrize("spec", [
+    "mixed:delta=16,count=3", "mixed:delta=32,count=2", "clique-pairs:delta=16,count=4",
+    "hard-phase6:delta=24,count=2", "holey-clique:delta=32,count=3"])
+def test_listed_non_edges_keep_the_form_phase4_reads(spec, no_shadow):
+    # phase 4 reads each clique's listing as it is: pairs a < b, ascending,
+    # each once, and none of them an edge of H
+    res = color_run(RunConfig(source=f"{spec},seed=1", seed=1, no_shadow=no_shadow))
+    assert res.status == "success" and res.dec.cliques
+    n, h = res.report["n"], res.conflict
+    for k in res.dec.cliques:
+        a, b = k.non_edge_pairs.T
+        assert (a < b).all()
+        assert (np.diff(a * n + b) > 0).all()
+        assert not any(has_edge(h, u, v) for u, v in zip(a.tolist(), b.tolist()))
 
 
 def test_size_classes():

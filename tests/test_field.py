@@ -20,7 +20,7 @@ from streamcolor.field import (
 )
 from streamcolor.generators import instance_from_spec
 from streamcolor.graph import Graph
-from streamcolor.params import ParamSet
+from streamcolor.params import ParamSet, sketch_rates
 
 from conftest import (
     berlekamp_massey,
@@ -407,6 +407,22 @@ def test_sketch_no_edges_is_zero():
         for v in bank.sampled(r):
             y, z = bank.raw(v, r)
             assert not y.any() and not z.any()
+
+
+@pytest.mark.parametrize("mode", ["desk", "paper"])
+def test_every_vertex_is_sketched_at_every_level(mode):
+    # beta/(eps*r) and L3's rate clamp to 1 over the whole desk range, so
+    # the bank stores every vertex at every level and L3 is every color
+    least = np.inf
+    for delta in range(8, 257):
+        for n in (delta + 1, delta + 2, 2 * delta, 10 * delta, 10**4, 10**6):
+            params = ParamSet.make(mode, n, delta)
+            assert params.l3_rate(n, delta) == 1
+            for r in sketch_rates(delta):
+                assert params.vr_rate(r) == 1
+                least = min(least, params.beta / (params.eps * r))
+    if mode == "desk":
+        assert least == 1.5625  # beta 10, eps 1/40 at delta=129, n=130, r=256
 
 
 def _set_sketch(bank, r, s) -> tuple[np.ndarray, np.ndarray]:

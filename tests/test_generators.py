@@ -98,7 +98,7 @@ def test_lonely_clique_sparse_at_high_delta():
         oracle = oracle_from_edges(inst.n, inst.edges)
         params = ParamSet.desk(inst.n, delta)
         dec = compute_decomposition(oracle, params, delta)
-        assert verify_decomposition(dec, oracle, params.eps, delta).ok
+        assert verify_decomposition(dec, oracle, params.eps, delta) == []
         assert [sorted(k.vertices) for k in dec.cliques] == [sorted(inst.cores[0])]
         assert is_eps_sparse(oracle, params.eps, delta)[dec.v_sparse].all()
 

@@ -161,24 +161,5 @@ def test_within_and_rows_of():
     g = Graph(6, np.array([(0, 1), (0, 2), (1, 2), (2, 5), (3, 4)]))
     owner, nbrs = g.rows_of(np.array([2, 4]))
     assert owner.tolist() == [0, 0, 0, 1] and nbrs.tolist() == [0, 1, 5, 3]
-    i, j = g.within(np.array([0, 2, 5]))
-    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert has_edge(g, 5, 2) and not has_edge(g, 0, 5)
     assert g.m == 5 and g.degrees.tolist() == [2, 2, 3, 1, 1, 1]
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_within_equals_the_set_oracle(seed):
-    """Every adjacency inside a vertex set, as positions in it, ascending
-    by (i, j): random sets, the empty set and the whole vertex set."""
-    rng = np.random.default_rng(300 + seed)
-    n = int(rng.integers(1, 80))
-    g = Graph(n, _random_edges(rng, n, rng.uniform(0, 0.5)))
-    nbrs = _sets(n, g.edges().tolist())
-    picks = [np.arange(n), np.empty(0, dtype=np.int64)]
-    picks += [np.flatnonzero(rng.random(n) < p) for p in (0.1, 0.5, 0.9)]
-    for verts in picks:
-        i, j = g.within(verts)
-        at = {v: x for x, v in enumerate(verts.tolist())}
-        want = [(at[v], at[u]) for v in verts.tolist() for u in sorted(nbrs[v]) if u in at]
-        assert list(zip(i.tolist(), j.tolist())) == want

@@ -433,5 +433,3 @@ def test_shadow_rows_and_counts():
     assert sh.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
     assert sh.common.tolist() == [1, 1, 1]
     assert sh.triangles().tolist() == [1, 1, 1, 0]
-    i, j = sh.within(np.array([0, 1, 3]))
-    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]

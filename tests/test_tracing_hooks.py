@@ -21,14 +21,19 @@ def _load_tracing():
     return module
 
 
+def _traced(tracing, source):
+    """A traced `color_run` of source at seed 1: (tracer, result)."""
+    with tracing.Tracer() as tracer:
+        res = tracer.wrap(tracing.ROOT_SPAN, color_run)(RunConfig(source=source, seed=1))
+    return tracer, res
+
+
 def test_tracer_hooks_exist_and_record_a_run():
     tracing = _load_tracing()
     for name in tracing.PIPELINE_NAMES:
         assert hasattr(pipeline, name), name
 
-    with tracing.Tracer() as tracer:
-        cfg = RunConfig(source="random-regular:delta=16,n=200,seed=1", seed=1)
-        res = tracer.wrap(tracing.ROOT_SPAN, color_run)(cfg)
+    tracer, res = _traced(tracing, "random-regular:delta=16,n=200,seed=1")
     assert res.status == SUCCESS
     assert tracer.gate_violations() == []
     names = {span[0] for span in tracer.spans}
@@ -46,9 +51,7 @@ def test_tracer_records_helper_spans(monkeypatch):
     # both recover through safe_recover
     decline_phase4(monkeypatch)
     tracing = _load_tracing()
-    with tracing.Tracer() as tracer:
-        cfg = RunConfig(source="mixed:delta=16,count=1,seed=1", seed=1)
-        res = tracer.wrap(tracing.ROOT_SPAN, color_run)(cfg)
+    tracer, res = _traced(tracing, "mixed:delta=16,count=1,seed=1")
     assert res.status == SUCCESS
     assert tracer.gate_violations() == []
     names = [span[0] for span in tracer.spans]
@@ -62,3 +65,13 @@ def test_tracer_records_helper_spans(monkeypatch):
     # every vertex carries the phase that colored it
     phases = [summary[f"coloring.phase{k}_vertices"] for k in range(1, 7)]
     assert sum(phases) == res.report["n"]
+
+
+def test_every_traced_name_records_a_span(monkeypatch):
+    # a patched name that is still defined but no longer called would read
+    # 0 s for its layer; between them the two runs above reach every one
+    tracing = _load_tracing()
+    names = {span[0] for span in _traced(tracing, "random-regular:delta=16,n=200,seed=1")[0].spans}
+    decline_phase4(monkeypatch)
+    names |= {span[0] for span in _traced(tracing, "mixed:delta=16,count=1,seed=1")[0].spans}
+    assert sorted(names) == tracing.SPAN_NAMES
