@@ -412,4 +412,4 @@ def source_from_spec(spec: str, seed: int = 0):
     from streamcolor.stream import StreamSource
 
     inst = instance_from_spec(spec, seed)
-    return StreamSource(inst.n, inst.edges, seed=seed)
+    return StreamSource(inst.n, inst.edges)

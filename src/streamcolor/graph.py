@@ -7,7 +7,7 @@ and the neighbor samples are all graphs of this type, built in one
 vectorized sort from an array of edges or (row, column) pairs.  A graph is
 not changed once built, so what is derived from it is derived once: the
 edge list `edges()`, the counts `common` and `triangles()` are computed on
-first use and cached, and the cached arrays are read-only, so a caller
+first use and cached; they and the CSR arrays are read-only, so a caller
 that writes into one raises instead of changing what later callers read.
 
 Both counts give |row(u) & row(v)| for a set of edges, and with it t(v),
@@ -65,10 +65,11 @@ class Graph:
     def _fill(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
         codes = sorted_unique(rows * n + cols)
         self.n = n
-        self.indices = codes % n
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes // n, minlength=n), out=self.indptr[1:])
-        self.degrees = np.diff(self.indptr)
+        self.indices = _read_only(codes % n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+        self.indptr = _read_only(indptr)
+        self.degrees = _read_only(np.diff(indptr))
 
     @property
     def m(self) -> int:
@@ -79,9 +80,6 @@ class Graph:
         """Every list entry at ceil(log2 n) bits: both directions of each
         undirected edge, each pair once in directed lists."""
         return self.indices.size * max(1, int(np.ceil(np.log2(max(2, self.n)))))
-
-    def row(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of every list entry, in row-major order."""

@@ -158,18 +158,29 @@ def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteS
 
 
 class ConflictGraph:
-    """The stored (possibly-monochromatic) edges, kept chunk by chunk during
-    the pass; `build` turns them into the graph H."""
+    """The graph H of the stored (possibly-monochromatic) edges, fed the
+    filter's verdicts chunk by chunk.  Over a base holding every streamed
+    edge (the shadow) only the dropped edges are stored, and `build`
+    returns the base object itself when there are none, else the base
+    less them; without a base the kept edges are stored and sorted."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, base: Graph | None = None):
         self.n = n
+        self.base = base
         self._chunks: list[np.ndarray] = []
 
-    def add_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        self._chunks.append(np.stack([us, vs], axis=1))
+    def add_chunk(self, us: np.ndarray, vs: np.ndarray, keep: np.ndarray) -> None:
+        store = keep if self.base is None else ~keep
+        if store.any():
+            self._chunks.append(np.stack([us[store], vs[store]], axis=1))
 
     def build(self) -> Graph:
+        if self.base is not None and not self._chunks:
+            return self.base
         edges = np.concatenate(self._chunks) if self._chunks else np.empty((0, 2), dtype=np.int64)
+        if self.base is not None:  # a streamed edge may come in either orientation
+            e, n = self.base.edges(), self.n
+            edges = e[~np.isin(e[:, 0] * n + e[:, 1], edges.min(axis=1) * n + edges.max(axis=1))]
         return Graph(self.n, edges)
 
 

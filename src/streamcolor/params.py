@@ -135,7 +135,6 @@ def sketch_rates(delta: int) -> list[int]:
 
 # Stable per-component sub-seeds so retries can re-seed everything at once.
 _TAGS = {
-    "stream": 1,
     "palette": 2,
     "oneshot": 3,
     "isample": 6,

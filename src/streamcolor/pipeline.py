@@ -8,9 +8,10 @@ sketch bank simultaneously; the bank sees only the edges the filter drops
 and reads the rest from H.  So does the sampler while its rate is clamped
 to 1: its sample is H plus the dropped edges, and H itself when none is
 dropped, as on every run: L3's rate is 1 for every n and delta in both
-modes, so H keeps every edge.  The shadow is always built apart from both.
-Each retry re-seeds every randomized component and costs one more main
-pass.
+modes, so H keeps every edge.  With a shadow, H is the shadow less the
+dropped edges, so on every shadow run the shadow, H and the sample are
+one object.  Each retry re-seeds every randomized component and costs
+one more main pass.
 """
 
 from __future__ import annotations
@@ -81,50 +82,46 @@ class RunResult:
 
 
 def _prepass(src: StreamSource, want_shadow: bool):
-    """Degrees, union-find roots (and the shadow) in a single pass:
+    """Degrees and union-find roots in a single pass, and the shadow:
     (degrees, roots, shadow or None, m).
 
-    Without the shadow this holds O(n) words; the shadow itself is the
-    explicitly out-of-budget structure.
+    Without the shadow this holds O(n) words; the shadow, the graph of the
+    source's edges, is the explicitly out-of-budget structure.
     """
     n = src.n
     degrees = np.zeros(n, dtype=np.int64)
     parent = np.arange(n, dtype=np.int64)
-    blocks = [] if want_shadow else None
     m = 0
     for block in src.open().chunks():
         degrees += np.bincount(block[:, 0], minlength=n)
         degrees += np.bincount(block[:, 1], minlength=n)
         uf_union_batch(parent, block[:, 0], block[:, 1])
         m += block.shape[0]
-        if blocks is not None:
-            blocks.append(block)    # a view; the concatenation is the one copy
-    shadow = None
-    if blocks is not None:
-        edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-        shadow = AdjacencyOracle(n, edges)
+    shadow = AdjacencyOracle(n, src.edges) if want_shadow else None
     return degrees, uf_roots(parent), shadow, m
 
 
-def _main_pass(src, n, delta, params, seed, bank=None):
+def _main_pass(src, n, delta, params, seed, bank=None, shadow=None):
     """The one main pass: every edge chunk feeds the palette filter into H,
     the neighbor sampler and, when one is given, the sketch bank together.
 
-    The bank is fed only the edges the filter drops, and is then given H:
-    its stored row of v plus the columns over v's row of H is v's row over
-    every edge, the sum still below p^2 (`SketchBank`).  While the sample's
-    rate is clamped to 1 the sampler, too, is fed only the dropped edges,
-    and its sample is H plus those (`SampleCollector.finalize`).  H keeps
-    every edge unless the palettes are hand-built or the ParamSet
-    overridden, so neither is fed any, and the sample is H."""
+    H is the shadow less the edges the filter drops when the shadow is
+    given (`ConflictGraph`), else the graph of the kept edges.  The bank
+    is fed only the dropped edges, and is then given H: its stored row of
+    v plus the columns over v's row of H is v's row over every edge, the
+    sum still below p^2 (`SketchBank`).  While the sample's rate is clamped
+    to 1 the sampler, too, is fed only the dropped edges, and its sample
+    is H plus those (`SampleCollector.finalize`).  H keeps every edge
+    unless the palettes are hand-built or the ParamSet overridden, so
+    neither is fed any, and the sample is H: the shadow, when given."""
     palettes = sample_palettes(n, delta, params, seed)
-    conflict = ConflictGraph(n)
+    conflict = ConflictGraph(n, shadow)
     collector = SampleCollector(n, delta, params, seed)
     for block in src.open().chunks():
         us = np.ascontiguousarray(block[:, 0])
         vs = np.ascontiguousarray(block[:, 1])
         keep = conflict_keep_chunk(us, vs, palettes)
-        conflict.add_chunk(us[keep], vs[keep])
+        conflict.add_chunk(us, vs, keep)
         dropped = us[~keep], vs[~keep]
         collector.update_chunk(*(dropped if collector.clamped else (us, vs)))
         if bank is not None:
@@ -150,7 +147,7 @@ def _decompose(shadow, isample, conflict, params, delta):
 def _attempt(src, n, delta, params, run_seed, shadow):
     """One main pass plus post-processing; raises RunFailure on bad luck."""
     bank = SketchBank(n, delta, params, run_seed)
-    palettes, conflict, isample = _main_pass(src, n, delta, params, run_seed, bank)
+    palettes, conflict, isample = _main_pass(src, n, delta, params, run_seed, bank, shadow)
     dec, report = _decompose(shadow, isample, conflict, params, delta)
     if report:
         raise DecompositionFailed([], "verification gate rejected the decomposition: "
@@ -335,7 +332,7 @@ def decompose_run(source: str, seed: int = 0, mode: str = "desk",
     params = ParamSet.make(mode, src.n, delta)
     params.validate_for(delta)
 
-    _, conflict, isample = _main_pass(src, src.n, delta, params, seed)
+    _, conflict, isample = _main_pass(src, src.n, delta, params, seed, shadow=shadow)
     return _decompose(shadow, isample, conflict, params, delta)
 
 

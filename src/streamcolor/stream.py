@@ -12,9 +12,9 @@ carriage return is whitespace, so CRLF files read the same). A faulty
 file raises `ParseError` naming its earliest faulty line, counted from 1.
 
 The stream abstraction materializes its source once (file or generator),
-then hands out strictly sequential single-consumption passes.  Arrival
-order is a deterministic shuffle of the source order by the stream seed,
-so every run exercises an arbitrary-looking but reproducible order.
+then hands out strictly sequential single-consumption passes, each in
+source order.  Every consumer of a pass is order-invariant, so a file's
+row order and each row's orientation change no output.
 
 `check_colorability` reads the pre-pass's degree and union-find root
 arrays as whole arrays and lists only the components with no
@@ -27,8 +27,6 @@ import itertools
 import re
 
 import numpy as np
-
-from streamcolor.params import rng_for
 
 
 class StreamError(RuntimeError):
@@ -86,16 +84,14 @@ class EdgeStream:
 
 
 class StreamSource:
-    """Parsed edge data that opens seeded single-pass streams and counts them."""
+    """Parsed edge data that opens single-pass streams and counts them."""
 
-    def __init__(self, n: int, edges: np.ndarray, seed: int = 0):
+    def __init__(self, n: int, edges: np.ndarray):
         if n < 1:
             raise ParseError("vertex count must be >= 1")
         self.n = n
-        self.seed = seed
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.passes = 0
-        self._delivery = None  # drawn by the first pass
 
     @property
     def m(self) -> int:
@@ -108,15 +104,12 @@ class StreamSource:
         return self._edges
 
     def open(self) -> EdgeStream:
-        """Start a new pass (same delivery order every time)."""
-        if self._delivery is None:
-            order = rng_for(self.seed, "stream").permutation(self.m)
-            self._delivery = np.take(self._edges, order, axis=0)
+        """Start a new pass over the edges in source order."""
         self.passes += 1
-        return EdgeStream(self.n, self._delivery)
+        return EdgeStream(self.n, self._edges)
 
     @classmethod
-    def from_file(cls, path: str, seed: int = 0) -> "StreamSource":
+    def from_file(cls, path: str) -> "StreamSource":
         """Read an edge-list file: a vertex-count header n >= 1, then one
         edge 'u v' per line with u != v, both in [0, n), and no edge twice
         in either orientation. Edges keep file order, each as (min, max).
@@ -160,7 +153,7 @@ class StreamSource:
             raise ParseError(f"duplicate edge {tuple(edges[i].tolist())}", int(lines[i]))
         if fault is not None:
             raise fault
-        return cls(n, edges, seed=seed)
+        return cls(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +323,13 @@ def first_repeat(keys: np.ndarray) -> int:
 
 
 def stream_source(source: str, seed: int = 0) -> StreamSource:
+    """The source a file path or generator spec names; `seed` picks the
+    generator's instance."""
     from streamcolor.generators import is_generator_spec, source_from_spec
 
     if is_generator_spec(source):
         return source_from_spec(source, seed=seed)
-    return StreamSource.from_file(source, seed=seed)
+    return StreamSource.from_file(source)
 
 
 # ---------------------------------------------------------------------------

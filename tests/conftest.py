@@ -32,14 +32,19 @@ def oracle_from_edges(n, edges) -> Graph:
     return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
+def row(graph, v) -> np.ndarray:
+    """Row v of the graph: v's neighbours, ascending."""
+    return graph.indices[graph.indptr[v] : graph.indptr[v + 1]]
+
+
 def has_edge(graph, u, v) -> bool:
     """Whether v is in row u of the graph."""
-    return bool((graph.row(u) == v).any())
+    return bool((row(graph, u) == v).any())
 
 
 def neighbors(graph, v) -> set[int]:
     """Row v of the graph, as a set."""
-    return set(graph.row(v).tolist())
+    return set(row(graph, v).tolist())
 
 
 def brute_non_edges(vertices, graph) -> list[tuple[int, int]]:
@@ -90,8 +95,8 @@ def reference_edge_list(path) -> tuple[int, np.ndarray]:
     return n, np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def source_of(inst, seed=0) -> StreamSource:
-    return StreamSource(inst.n, inst.edges, seed=seed)
+def source_of(inst) -> StreamSource:
+    return StreamSource(inst.n, inst.edges)
 
 
 def shadow_of(src) -> Graph:
@@ -114,8 +119,8 @@ def build_conflict_graph(stream, palettes) -> Graph:
     """Filter one full pass into the conflict graph H."""
     h = ConflictGraph(stream.n)
     for block in stream.chunks():
-        keep = conflict_keep_chunk(block[:, 0], block[:, 1], palettes)
-        h.add_chunk(block[keep, 0], block[keep, 1])
+        us, vs = block[:, 0], block[:, 1]
+        h.add_chunk(us, vs, conflict_keep_chunk(us, vs, palettes))
     return h.build()
 
 
@@ -245,7 +250,7 @@ def oracle_colorful_matching(C, list_of, non_edges) -> list[tuple[int, int, int]
     """
 
     def try_assign(v, c):
-        if (C.colors[C.stored.row(v)] == c).any():
+        if (C.colors[row(C.stored, v)] == c).any():
             return False
         C.colors[v] = c
         C.provenance[v] = 4

@@ -274,7 +274,7 @@ def test_criterion_05_decomposition_fidelity():
 
 def _bank_of(inst, params, seed):
     bank = SketchBank(inst.n, inst.delta, params, seed)
-    for block in source_of(inst, seed=seed).open().chunks():
+    for block in source_of(inst).open().chunks():
         bank.update_chunk(
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
         )
@@ -299,7 +299,7 @@ def test_criterion_06_helper_recovery():
     friendly_hits = 0
     for seed in range(100):
         inst = generate_instance("hard-phase6", delta, count=1, seed=seed)
-        src = source_of(inst, seed=seed)
+        src = source_of(inst)
         oracle = shadow_of(src)
         params = ParamSet.desk(inst.n, delta)
         dec = compute_decomposition(oracle, params, delta)

@@ -34,6 +34,7 @@ from conftest import (
     has_edge,
     measure_gap,
     oracle_from_edges,
+    row,
     uniform_palettes,
 )
 
@@ -570,21 +571,31 @@ def _shared_vertex_case(rng, delta):
     leaves out, as `annotate_cliques` does, so each vertex sits in several
     listed pairs.  Three vertices are pre-colored, and the pair-lists are
     drawn per list at random densities, packed as `PaletteSet.l4` holds
-    them."""
+    them.
+
+    A shared vertex is planted: uncolored x, y and z with (x, y) and (x, z)
+    listed, and a color c that no vertex holds, so none blocks it, which
+    list i gives only x and y and list j only x and z.  Neither y in list
+    i nor z in list j holds a color below c, so each trial matches x."""
     from streamcolor.graph import Graph
 
     n = 12
     pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)])
     stored = pairs[rng.random(len(pairs)) < rng.uniform(0.2, 0.7)]
-    C = PartialColoring(n, delta, Graph(n, stored))
-    for v in rng.choice(n, size=3, replace=False).tolist():
+    x, y, z = rng.choice(n, size=3, replace=False).tolist()
+    planted = [min(x, w) * n + max(x, w) for w in (y, z)]
+    C = PartialColoring(n, delta, Graph(n, stored[~np.isin(stored @ [n, 1], planted)]))
+    for v in rng.choice(np.setdiff1d(np.arange(n), [x, y, z]), size=3, replace=False).tolist():
         free = np.flatnonzero(~C.blocked(v)) + 1
         C.assign(v, int(rng.choice(free)), 2)
     beta = int(rng.integers(2, 6))
-    l4 = pack_rows(rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1)))
-    F = brute_non_edges(range(n), C.stored)
-    rng.permutation(len(F))  # unused; kept so the cases drawn after it stay the same
-    return C, l4, F
+    rows = rng.random((n, beta, delta)) < rng.uniform(0.05, 0.6, size=(1, beta, 1))
+    c = min(set(range(1, delta + 1)) - set(C.colors.tolist()))
+    for i, w in zip(rng.choice(beta, size=2, replace=False).tolist(), (y, z)):
+        rows[:, i, c - 1] = False
+        rows[[x, w], i, c - 1] = True
+        rows[w, i, : c - 1] = False
+    return C, pack_rows(rows), brute_non_edges(range(n), C.stored)
 
 
 @pytest.mark.parametrize("delta", [8, 64])
@@ -600,7 +611,7 @@ def test_colorful_matching_with_shared_vertices_equals_oracle(rng, delta):
         assert colorful_matchings(C, l4, [F])[0] == want
         assert np.array_equal(C.colors, before)
         ends = [x for trial in want for a, b, _ in trial for x in (a, b)]
-        assert len(ends) > len(set(ends))  # some vertex matched in two lists
+        assert len(ends) > len(set(ends))  # the planted vertex matched in two lists
 
 
 @pytest.mark.parametrize("F", [[], np.zeros((0, 2), dtype=np.int64)])
@@ -841,9 +852,9 @@ def test_phase5_statistical_on_clique_minus_edge():
         inst = generate_instance("clique-minus-edge", delta, count=1, seed=seed)
         params = ParamSet.desk(inst.n, delta)
         pal = sample_palettes(inst.n, delta, params, seed=seed)
-        h = build_conflict_graph(source_of(inst, seed=seed).open(), pal)
+        h = build_conflict_graph(source_of(inst).open(), pal)
         bank = SketchBank(inst.n, delta, params, seed)
-        src = source_of(inst, seed=seed)
+        src = source_of(inst)
         for block in src.open().chunks():
             bank.update_chunk(np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1]))
         [helper] = find_critical_helper([list(range(delta + 1))], bank)
@@ -997,7 +1008,9 @@ def test_decompose_run_shows_the_decomposition_color_run_used(no_shadow, monkeyp
 
     assert dec.cliques and fields(dec) == fields(res.dec)
     assert dec.v_sparse == res.dec.v_sparse
-    # each clique lists its non-edges over the graph it was judged from
+    # each clique lists its non-edges over the graph it was judged from;
+    # with a shadow, H is the shadow object
+    assert (res.conflict is res.shadow) != no_shadow
     judged_on = res.conflict if no_shadow else res.shadow
     for k in res.dec.cliques:
         assert [tuple(p) for p in k.non_edge_pairs.tolist()] == brute_non_edges(
@@ -1031,7 +1044,7 @@ def test_offline_route_checks_its_coloring(no_shadow, monkeypatch):
 
     def corrupted(g, delta):
         colors = offline_brooks(g, delta)
-        colors[0] = colors[min(g.row(0))]
+        colors[0] = colors[min(row(g, 0))]
         return colors
 
     monkeypatch.setattr(col, "offline_brooks", corrupted)
@@ -1064,7 +1077,7 @@ def test_shared_witness_is_recolored_twice():
     edges += [(v, w) for v in K1[: delta // 2]]
     edges += [(v, w) for v in K2[: delta // 2]]
     n = 2 * delta + 1
-    src = StreamSource(n, np.array(edges), seed=3)
+    src = StreamSource(n, np.array(edges))
     oracle = shadow_of(src)
     params = ParamSet.desk(n, delta)
 
@@ -1135,7 +1148,7 @@ def test_brooks_k4_minus_edge():
     g = oracle_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     colors = offline_brooks(g, 3)
     for u in range(4):
-        for v in g.row(u):
+        for v in row(g, u):
             assert colors[u] != colors[v]
     assert colors.max() <= 3 and colors.min() >= 1
 
@@ -1147,7 +1160,7 @@ def test_brooks_petersen():
     g = oracle_from_edges(10, outer + inner + spokes)
     colors = offline_brooks(g, 3)
     for u in range(10):
-        for v in g.row(u):
+        for v in row(g, u):
             assert colors[u] != colors[v]
     assert set(np.unique(colors)) <= {1, 2, 3}
 
@@ -1159,7 +1172,7 @@ def test_brooks_even_cycle_and_path():
     g2 = oracle_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     colors2 = offline_brooks(g2, 2)
     for u in range(4):
-        for v in g2.row(u):
+        for v in row(g2, u):
             assert colors2[u] != colors2[v]
 
 
@@ -1211,7 +1224,7 @@ def _random_connected_graph(rng, n):
         stack = [0]
         while stack:
             x = stack.pop()
-            for y in g.row(x).tolist():
+            for y in row(g, x).tolist():
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

@@ -39,6 +39,7 @@ from conftest import (
     neighbors,
     oracle_from_edges,
     planted_mistakes,
+    row,
     shadow_of,
     source_of,
 )
@@ -203,7 +204,7 @@ def test_one_rule_picks_the_common_count(shape, monkeypatch):
     def check(counts, rows, edges):
         assert ran == [want]
         ran.clear()
-        held = [set(rows.row(v).tolist()) for v in range(n)]
+        held = [set(row(rows, v).tolist()) for v in range(n)]
         assert counts.tolist() == [len(held[u] & held[v]) for u, v in edges.tolist()]
 
     g = Graph(n, inst.edges)
@@ -690,7 +691,7 @@ def test_tie_at_threshold_is_stranger():
 
 def _classified(fam, delta, seed):
     inst = generate_instance(fam, delta, count=1, seed=seed)
-    src = source_of(inst, seed=seed)
+    src = source_of(inst)
     oracle = shadow_of(src)
     params = ParamSet.desk(inst.n, delta)
     dec = compute_decomposition(oracle, params, delta)

@@ -82,6 +82,14 @@ def test_derived_arrays_are_cached_and_read_only():
     assert g.triangles().tolist() == [1, 1, 1, 0, 0]
 
 
+def test_csr_arrays_are_read_only():
+    # H may be the shadow object, so a write would change the verifier's graph
+    for g in (Graph(4, [(0, 1), (1, 2)]), Graph.from_pairs(4, [0, 2], [1, 3])):
+        for a in (g.indices, g.indptr, g.degrees):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
+
+
 def test_pair_counts_long_list_spans_chunks():
     # a hub of degree 420 forms more pairs than one chunk holds
     rng = np.random.default_rng(7)

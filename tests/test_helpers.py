@@ -31,7 +31,7 @@ from conftest import (
 
 def _bank_from(inst, params, seed):
     bank = SketchBank(inst.n, inst.delta, params, seed)
-    src = source_of(inst, seed=seed)
+    src = source_of(inst)
     for block in src.open().chunks():
         bank.update_chunk(
             np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1])
@@ -175,7 +175,7 @@ def test_helpers_are_recovered_only_for_deferred_cliques(monkeypatch, deferred):
 
 def _friendly_setup(seed, delta=16):
     inst = generate_instance("hard-phase6", delta, count=1, seed=seed)
-    src = source_of(inst, seed=seed)
+    src = source_of(inst)
     oracle = shadow_of(src)
     params = ParamSet.desk(inst.n, delta)
     dec = compute_decomposition(oracle, params, delta)

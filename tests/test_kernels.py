@@ -218,7 +218,9 @@ def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
     """Both passes read at chunk sizes 1, 977, 4096, the default and m:
     the census, the shadow, the sketch rows of every sampled vertex, H and
     the neighbor samples come out the same, also with palettes that drop
-    edges, so that the bank stores some."""
+    edges, so that the bank stores some.  H built as the shadow less the
+    dropped edges equals H built from the kept edges, and is the shadow
+    itself when none is dropped."""
     src = stream_source(spec, seed=3)
     n, m = src.n, src.m
     delta = int(_prepass(src, want_shadow=False)[0].max())
@@ -232,6 +234,9 @@ def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
         bank = SketchBank(n, delta, params, 3)
         _, h, samples = _main_pass(src, n, delta, params, 3, bank)
         assert (bank.edges_received > 0) == drop
+        over = _main_pass(src, n, delta, params, 3, shadow=shadow)[1]
+        assert (over is shadow) != drop
+        assert np.array_equal(over.indptr, h.indptr) and np.array_equal(over.indices, h.indices)
         return [roots, degrees, *_bank_rows(bank),
                 *(a for g in (shadow, h, samples) for a in (g.indptr, g.indices))]
 
@@ -239,6 +244,28 @@ def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
     for size in (1, 977, 4096, m):
         got = passes(size)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), size
+
+
+def test_shadow_main_pass_holds_no_second_edge_set():
+    """With the shadow given and desk palettes, H, the bank's H and the
+    neighbor sample are the shadow object, so the main pass's traced peak
+    (the bank built before tracing) stays below four times the 16 bytes
+    per edge of one (m, 2) int64 edge array: the palettes and one chunk's
+    temporaries.  Sorting the kept edges into a graph of their own, as H
+    is built without a shadow, peaks at about 9 x 16m bytes here."""
+    src = stream_source("random-regular:delta=32,n=4000", seed=1)
+    degrees, _, shadow, m = _prepass(src, want_shadow=True)
+    delta = int(degrees.max())
+    params = ParamSet.desk(src.n, delta)
+    bank = SketchBank(src.n, delta, params, 1)
+    tracemalloc.start()
+    try:
+        _, h, samples = _main_pass(src, src.n, delta, params, 1, bank, shadow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h is shadow and bank.h is h and samples is h
+    assert peak < 4 * 16 * m, f"peak {peak / (16 * m):.2f} x 16m bytes"
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["desk", "dropping"])

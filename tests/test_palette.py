@@ -126,6 +126,23 @@ def test_conflict_graph_extremes():
     assert h2.m == 0
 
 
+def test_conflict_graph_over_a_base_is_the_base_less_the_dropped_edges():
+    # a 5-cycle streamed in two chunks, some edges as (v, u)
+    base = oracle_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    us, vs = np.array([1, 2, 3, 4, 0]), np.array([0, 1, 2, 3, 4])
+    kept = ConflictGraph(5, base)
+    for s in (slice(0, 2), slice(2, 5)):
+        kept.add_chunk(us[s], vs[s], np.ones(us[s].size, dtype=bool))
+    assert kept.build() is base
+    h = ConflictGraph(5, base)
+    h.add_chunk(us[:2], vs[:2], np.array([True, False]))
+    h.add_chunk(us[2:], vs[2:], np.array([True, False, True]))
+    assert h.build().edges().tolist() == [[0, 1], [0, 4], [2, 3]]
+    plain = ConflictGraph(5)
+    plain.add_chunk(us, vs, np.array([True, False, True, False, True]))
+    assert plain.build().edges().tolist() == h.build().edges().tolist()
+
+
 def test_h_subgraph_and_no_false_drops_exhaustive():
     # every stored edge is a real edge, and every real edge with
     # intersecting lists is stored; exhaustive on a 12-vertex instance

@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from streamcolor import stream
+from streamcolor import pipeline, stream
+from streamcolor.cli import write_edge_list
 from streamcolor.stream import (
     CLIQUE_COMPONENT,
     ODD_CYCLE_COMPONENT,
@@ -15,10 +17,18 @@ from streamcolor.stream import (
     chunk_edges,
     stream_source,
 )
-from streamcolor.generators import generate_instance
-from streamcolor.pipeline import _prepass
+from streamcolor.generators import generate_instance, instance_from_spec
+from streamcolor.pipeline import PIPELINE_FAILED, RunConfig, _prepass, color_run
 
-from conftest import has_edge, neighbors, reference_edge_list, shadow_of, source_of
+from conftest import (
+    dropping_palettes,
+    has_edge,
+    neighbors,
+    reference_edge_list,
+    row,
+    shadow_of,
+    source_of,
+)
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -286,14 +296,41 @@ def test_chunk_size_below_one_raises(size, monkeypatch):
     assert [b.shape[0] for b in chunks] == [2, 1]
 
 
-def test_delivery_order_is_seeded_shuffle():
-    spec = "clique-pairs:delta=4,count=2,seed=5"  # pin the instance; vary delivery
-    a = _edges(stream_source(spec, seed=1).open())
-    b = _edges(stream_source(spec, seed=1).open())
-    c = _edges(stream_source(spec, seed=2).open())
-    assert a == b
-    assert sorted(a) == sorted(c)
-    assert a != c
+def test_a_pass_delivers_the_source_order():
+    src = stream_source("clique-pairs:delta=4,count=2,seed=5")
+    assert _edges(src.open()) == _edges(src.open()) == [tuple(e) for e in src.edges.tolist()]
+
+
+def _outcome(path, no_shadow):
+    res = color_run(RunConfig(path, seed=1, no_shadow=no_shadow))
+    colors = None if res.colors is None else res.colors.tobytes()
+    return res.status, colors, json.dumps(res.report, sort_keys=True)
+
+
+@pytest.mark.parametrize("spec", ["mixed:delta=32,count=6", "holey-clique:delta=16,count=2,t=5"])
+def test_row_order_and_orientation_change_no_output(spec, tmp_path, monkeypatch):
+    """One instance written in generator order, and with its rows permuted
+    and about half of them flipped to (v, u): both files give the same
+    status, colors and report in both modes.  The holey clique's shadow
+    run fails the gate, so a pipeline-failed report is compared too; the
+    mixed one is also run with palettes that drop edges."""
+    inst = instance_from_spec(spec, 1)
+    rng = np.random.default_rng(1)
+    shuffled = inst.edges[rng.permutation(inst.edges.shape[0])]
+    flip = rng.random(shuffled.shape[0]) < 0.5
+    shuffled[flip] = shuffled[flip, ::-1]
+    paths = [str(tmp_path / "source.txt"), str(tmp_path / "shuffled.txt")]
+    write_edge_list(paths[0], inst.n, inst.edges)
+    write_edge_list(paths[1], inst.n, shuffled)
+    statuses = set()
+    for no_shadow in (False, True):
+        source, permuted = (_outcome(path, no_shadow) for path in paths)
+        assert source == permuted, no_shadow
+        statuses.add(source[0])
+    assert (PIPELINE_FAILED in statuses) == spec.startswith("holey")
+    if spec.startswith("mixed"):
+        monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
+        assert _outcome(paths[0], False) == _outcome(paths[1], False)
 
 
 def test_degree_census_small_cases(tmp_path):
@@ -388,7 +425,8 @@ def test_gate_matches_a_per_root_scan_on_many_components(delta):
         planted += bad * copies
     perm = rng.permutation(n)
     edges = perm[np.array(edges, dtype=np.int64).reshape(-1, 2)]
-    degrees, roots = _census(StreamSource(n, edges, seed=delta))
+    edges = edges[rng.permutation(edges.shape[0])]
+    degrees, roots = _census(StreamSource(n, edges))
     assert degrees.max() == delta and np.unique(roots).size == 3000
     got = check_colorability(roots, degrees, delta)
     assert len(got) == planted
@@ -429,7 +467,7 @@ def test_shadow_rows_and_counts():
     # path 0-1-2 plus the chord 0-2: one triangle
     sh = shadow_of(StreamSource(4, np.array([(0, 1), (1, 2), (0, 2)])))
     assert neighbors(sh, 1) == {0, 2}
-    assert sh.row(3).size == 0 and not has_edge(sh, 0, 3)
+    assert row(sh, 3).size == 0 and not has_edge(sh, 0, 3)
     assert sh.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
     assert sh.common.tolist() == [1, 1, 1]
     assert sh.triangles().tolist() == [1, 1, 1, 0]
