@@ -11,6 +11,13 @@ a comment that runs to the end of the line; a line ends at a line feed (a
 carriage return is whitespace, so CRLF files read the same). A faulty
 file raises `ParseError` naming its earliest faulty line, counted from 1.
 
+A block of plain lines, 'digits SP digits LF' after the header with no
+token over 18 digits (what `streamcolor gen`, `write_edge_list` and
+`write_coloring` write), is split at its separators alone. Every other
+block goes through the general tokenizer, which is the reference for
+every input outside that form and the only path that words a syntax
+fault.
+
 The stream abstraction materializes its source once (file or generator),
 then hands out strictly sequential single-consumption passes, each in
 source order.  Every consumer of a pass is order-invariant, so a file's
@@ -243,10 +250,21 @@ def read_pairs(path: str, messages: tuple[str, str, str], header: bool = False):
     line holds a single integer, the vertex count, which must be >= 1; a
     fault there raises at once.
 
-    The file is read in blocks of `BLOCK_BYTES` cut at their last newline.
-    Each block is tokenized as whole arrays: a whitespace mask, token
-    starts and ends, a token -> line map from a running newline count, the
-    arity of each line from a `bincount`, and one int64 value per token.
+    The file is read in blocks of `BLOCK_BYTES` cut at their last newline,
+    each tokenized as whole arrays in one of two ways:
+    - A block of plain lines, the form `cli.write_edge_list` and
+      `write_coloring` write, is split at one `flatnonzero` of its
+      separators (`_plain_tokens`). Plain means: after the header, only
+      ASCII digits, spaces and line feeds, alternating 'digits SP digits
+      LF', no token over 18 digits. Such a block has no syntax fault, and
+      its k-th pair sits on its k-th line. A header line of digits alone
+      is read first, so the rest of its block can be plain.
+    - Any other block goes through the general tokenizer (`_fields`): a
+      whitespace mask, token starts and ends, a token -> line map from a
+      running newline count, and the arity of each line from a
+      `bincount`. It is the reference for every input the plain form does
+      not cover, and the only path that words a syntax fault.
+    Either way each token becomes one int64 value in `_integers`.
 
     Returns (header or None, pairs, lines, fault): pairs is (k, 2) int64 in
     file order, lines the file line (from 1) of each pair, and fault a
@@ -260,15 +278,22 @@ def read_pairs(path: str, messages: tuple[str, str, str], header: bool = False):
     fault = None
     first_line = 1
     for data in _blocks(path):
+        if header and n is None:
+            cut = data.find(b"\n")
+            if data[:cut].isdigit():                # a header of digits alone
+                n = _vertex_count(path, first_line, 1)
+                data, first_line = data[cut + 1 :], first_line + 1
+                if not data:
+                    continue
         buf = np.frombuffer(data, dtype=np.uint8)
-        newlines = np.cumsum(buf == ord("\n"), dtype=np.int32)
-        space = (buf == ord(" ")) | ((buf - ord("\t")) < 5)   # space, \t \n \v \f \r
-        if b"#" in data:
-            space |= _comments(buf, newlines)
-        nlines = int(newlines[-1])
-        bounds = np.flatnonzero(np.diff(~space, prepend=False))
-        starts, ends = bounds[0::2], bounds[1::2]
-        tline = newlines[starts]            # block line (from 0) of each token
+        plain = None if header and n is None else _plain_tokens(buf)
+        if plain is not None:
+            vals = _integers(buf, *plain, np.empty(0, dtype=np.int64))[0]
+            pairs.append(vals.reshape(-1, 2))
+            lines.append(np.arange(first_line, first_line + vals.size // 2, dtype=np.int32))
+            first_line += vals.size // 2
+            continue
+        space, starts, ends, tline, nlines = _fields(buf, data)
         if header and n is None:
             if not starts.size:
                 first_line += nlines
@@ -297,6 +322,37 @@ def read_pairs(path: str, messages: tuple[str, str, str], header: bool = False):
     if not pairs:
         return n, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), fault
     return n, np.concatenate(pairs), np.concatenate(lines), fault
+
+
+def _plain_tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Token starts and ends of a block of plain lines 'digits SP digits
+    LF' with no token over `_MAX_DIGITS` digits, or None for any other
+    block. Every byte below '0' is a separator, so one `flatnonzero` finds
+    them all; the block ends in a line feed, so an odd count of them fails
+    the check for spaces."""
+    if buf.max() > ord("9"):
+        return None
+    ends = np.flatnonzero(buf < ord("0"))
+    seps = buf[ends]
+    if (seps[0::2] != ord(" ")).any() or (seps[1::2] != ord("\n")).any():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = ends - starts
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    return starts, ends
+
+
+def _fields(buf: np.ndarray, data: bytes):
+    """The general tokenizer: (whitespace mask, token starts, token ends,
+    block line (from 0) of each token, lines in the block)."""
+    newlines = np.cumsum(buf == ord("\n"), dtype=np.int32)
+    space = (buf == ord(" ")) | ((buf - ord("\t")) < 5)   # space, \t \n \v \f \r
+    if b"#" in data:
+        space |= _comments(buf, newlines)
+    bounds = np.flatnonzero(np.diff(~space, prepend=False))
+    starts = bounds[0::2]
+    return space, starts, bounds[1::2], newlines[starts], int(newlines[-1])
 
 
 def _comments(buf: np.ndarray, newlines: np.ndarray) -> np.ndarray:
