@@ -672,8 +672,6 @@ def _articulation_point(adj, comp, index, low) -> int | None:
     """The smallest cut vertex of the component comp, or None (Tarjan's
     low-link DFS, iterative).  index and low are vertex-indexed lists
     shared by every component; only comp's own entries are reset."""
-    if len(comp) < 3:
-        return None
     for v in comp:
         index[v] = -1
     root = min(comp)

@@ -111,10 +111,6 @@ class AlmostClique:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def vset(self) -> set[int]:
-        return set(self.vertices)
-
 
 @dataclass
 class Decomposition:
@@ -402,7 +398,7 @@ def verify_decomposition(
             violations.append(f"clique {i}: size {size} out of range")
         violations += msgs[i]
         if size < slack:
-            flagged = sorted(set(range(dec.n)) - k.vset)
+            flagged = np.setdiff1d(np.arange(dec.n), k.vertices).tolist()
         else:
             flagged = (outsiders[outsiders // n == i] % n).tolist()
         violations += [
@@ -444,9 +440,12 @@ def classify_friendly_lonely(
     label = np.full(n, -1, dtype=np.int64)
     for i, k in enumerate(dec.cliques):
         label[k.vertices] = i
-    holder, held = isample.pairs()
-    into = label[held]
-    touch = (into >= 0) & (label[holder] != into)
+    # only the sample's entries that land in a clique count, so only
+    # their holders are found: row v holds the hits in indptr[v]..indptr[v+1]
+    hit = np.flatnonzero((label >= 0)[isample.indices])
+    holder = np.repeat(np.arange(n), np.diff(np.searchsorted(hit, isample.indptr)))
+    into = label[isample.indices[hit]]
+    touch = label[holder] != into
     # one entry per (clique, outside vertex): its sampled edges into the clique
     codes, sampled = np.unique(into[touch] * n + holder[touch], return_counts=True)
     friend = friend_stranger_test(sampled, params, delta) == FRIEND

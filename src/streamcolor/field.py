@@ -236,13 +236,15 @@ class SketchBank:
     and ``h``'s part together sum fewer than deg(v) < n <= p residues, so
     a row stays below p^2, which int64 holds for p <= MAX_PRIME; a bank
     whose prime is above it is refused.
+
+    The ParamSet and seed are read once, at construction: the bank keeps
+    only what it derives from them (alpha, the rates, each level's members
+    and the check seed).
     """
 
     def __init__(self, n: int, delta: int, params: ParamSet, seed: int):
         self.n = n
         self.delta = delta
-        self.params = params
-        self.seed = seed
         self.p = canonical_prime(n)
         check_prime(self.p, n)
         self.alpha = params.alpha
@@ -255,33 +257,31 @@ class SketchBank:
         self._W = np.zeros((n, 2 * self.rates[-1] + len(self.rates) * self.alpha),
                            dtype=np.int64, order="F")
         self.h: Graph | None = None  # the edges kept out of the stored rows
-        self.edges_received = 0      # edges fed through update_chunk
 
     def sampled(self, r: int) -> np.ndarray:
         return np.flatnonzero(self._member[self.rates.index(r)])
 
     def update_chunk(self, us: np.ndarray, vs: np.ndarray) -> None:
-        self.edges_received += us.size
         add_columns(self._W, np.concatenate([us, vs]), np.concatenate([vs, us]),
                     self.rates, self.alpha, self.p, self.zseed)
 
-    def raw(self, v, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """y and z of vertex v, or their rows for an array of vertices.
+    def raw(self, verts: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The y and z rows, (k, 2r) and (k, alpha), of an array of k
+        vertices, each sampled at rate r.
 
         The stored row plus the columns summed over v's row of ``h`` is
         v's row over every edge; the sum is still fewer than deg(v) < p
         residues, below p^2, and is reduced mod p once."""
         i = self.rates.index(r)
-        verts = np.atleast_1d(v)
         missed = verts[~self._member[i, verts]]
         if missed.size:
             raise KeyError(f"vertex {missed[0]} not sampled at rate {r}")
         c = 2 * self.rates[-1] + i * self.alpha  # rate r's check block
-        y, z = self._W[v, : 2 * r], self._W[v, c : c + self.alpha]
+        y, z = self._W[verts, : 2 * r], self._W[verts, c : c + self.alpha]
         if self.h is not None:
             owner, nbrs = self.h.rows_of(verts)
             hy, hz = column_sums(self.p, self.zseed, self.alpha, r, owner, nbrs, verts.size)
-            y, z = y + hy.reshape(y.shape), z + hz.reshape(z.shape)
+            y, z = y + hy, z + hz
         return y % self.p, z % self.p
 
     def stored_bits(self) -> int:

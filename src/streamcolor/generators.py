@@ -12,6 +12,9 @@ NetworkX 3.6's generators: random-regular is the Steger-Wormald pairing
 model, erdos-renyi is Gilbert's G(n, p) followed by a degree trim and a
 local-sparsity repair.  At the same seed both give NetworkX's edges in
 NetworkX's order.
+
+An instance is plain arrays; `stream.stream_source` turns one into an
+edge stream, so this module imports nothing of `stream`.
 """
 
 from __future__ import annotations
@@ -406,10 +409,3 @@ def instance_from_spec(spec: str, seed: int = 0) -> Instance:
     if "delta" not in params:
         raise GeneratorSpecError(f"spec {spec!r} must set delta")
     return generate_instance(family, **({"seed": seed} | params))
-
-
-def source_from_spec(spec: str, seed: int = 0):
-    from streamcolor.stream import StreamSource
-
-    inst = instance_from_spec(spec, seed)
-    return StreamSource(inst.n, inst.edges)

@@ -5,7 +5,9 @@ list is a row over the palette in which color c sits at column (or bit)
 c-1: L2, L3, L4* and L5 are (n, delta) bool arrays and the 2*beta
 recolor lists L6 are (n, 2*beta, delta); the beta pair-lists L4 are held
 as (n, beta, words) uint64, bit c-1 for color c, the layout of the union
-masks (`pack_rows`, `unpack_rows`); L1 is one color per vertex.
+masks, and each of their drawn blocks is packed by the one packer
+(`pack_rows`, undone by `unpack_rows`); L1 is one color per vertex.  The
+list count beta is the second axis of L4.
 
 A family whose per-color rate clamps to 1 holds the whole palette in
 every list.  It draws nothing and is kept as a read-only, zero-stride
@@ -64,16 +66,14 @@ def _draw_lists(rng, shape: tuple[int, ...], rate: float) -> np.ndarray:
 
 def _draw_packed_lists(rng, n: int, k: int, delta: int, rate: float) -> np.ndarray:
     """`_draw_lists` of an (n, k, delta) family, from the same draws, held
-    as (n, k, words) uint64: each block is written into one zero-padded
-    bool buffer and packed flat."""
+    as (n, k, words) uint64: each drawn (n, delta) block is packed by
+    `pack_rows`."""
     full = pack_rows(np.ones(delta, dtype=bool))
     if rate >= 1.0:
         return np.broadcast_to(full, (n, k, full.size))
     out = np.empty((n, k, full.size), dtype=np.uint64)
-    bits = np.zeros((n, 64 * full.size), dtype=bool)
     for i in range(k):
-        np.less(rng.random((n, delta)), rate, out=bits[:, :delta])
-        out[:, i] = np.packbits(bits.reshape(-1), bitorder="little").view("<u8").reshape(n, -1)
+        out[:, i] = pack_rows(rng.random((n, delta)) < rate)
     return out
 
 
@@ -83,7 +83,6 @@ class PaletteSet:
 
     n: int
     delta: int
-    beta: int
     l1: np.ndarray                       # (n,) one uniform color per vertex
     l2: np.ndarray                       # (n, delta) bool
     l3: np.ndarray                       # (n, delta) bool
@@ -152,7 +151,7 @@ def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteS
     l5 = _draw_lists(rng, (n, delta), rates["l5"])
     l6 = _draw_lists(rng, (n, 2 * beta, delta), rates["l6"])
     return PaletteSet(
-        n=n, delta=delta, beta=beta, l1=l1, l2=l2, l3=l3,
+        n=n, delta=delta, l1=l1, l2=l2, l3=l3,
         l4_star=l4_star, l4=l4, l5=l5, l6=l6, full=frozenset(clamped),
     )
 
@@ -193,11 +192,8 @@ def conflict_keep_chunk(us: np.ndarray, vs: np.ndarray, palettes: PaletteSet) ->
 def palette_space_report(palettes: PaletteSet, h: Graph) -> dict:
     """Deterministic bit accounting; shadow structures are not included."""
     log_delta = max(1, int(np.ceil(np.log2(max(2, palettes.delta)))))
-    entries = palettes.total_list_entries()
     return {
-        "list_entries": entries,
-        "list_bits": entries * log_delta,
+        "list_bits": palettes.total_list_entries() * log_delta,
         "h_edges": h.m,
         "h_bits": h.stored_bits(),
-        "bits": entries * log_delta + h.stored_bits(),
     }

@@ -18,10 +18,13 @@ block goes through the general tokenizer, which is the reference for
 every input outside that form and the only path that words a syntax
 fault.
 
-The stream abstraction materializes its source once (file or generator),
-then hands out strictly sequential single-consumption passes, each in
-source order.  Every consumer of a pass is order-invariant, so a file's
-row order and each row's orientation change no output.
+The stream abstraction materializes its source once, then hands out
+strictly sequential single-consumption passes, each in source order.
+Every consumer of a pass is order-invariant, so a file's row order and
+each row's orientation change no output.  `stream_source` reads a file,
+or builds the source from the edges of the instance that
+`generators.instance_from_spec` makes for a generator spec; this module
+imports `generators`, never the other way round.
 
 `check_colorability` reads the pre-pass's degree and union-find root
 arrays as whole arrays and lists only the components with no
@@ -34,6 +37,8 @@ import itertools
 import re
 
 import numpy as np
+
+from streamcolor.generators import instance_from_spec, is_generator_spec
 
 
 class StreamError(RuntimeError):
@@ -99,10 +104,6 @@ class StreamSource:
         self.n = n
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.passes = 0
-
-    @property
-    def m(self) -> int:
-        return self._edges.shape[0]
 
     @property
     def edges(self) -> np.ndarray:
@@ -381,10 +382,9 @@ def first_repeat(keys: np.ndarray) -> int:
 def stream_source(source: str, seed: int = 0) -> StreamSource:
     """The source a file path or generator spec names; `seed` picks the
     generator's instance."""
-    from streamcolor.generators import is_generator_spec, source_from_spec
-
     if is_generator_spec(source):
-        return source_from_spec(source, seed=seed)
+        inst = instance_from_spec(source, seed)
+        return StreamSource(inst.n, inst.edges)
     return StreamSource.from_file(source)
 
 

@@ -442,7 +442,7 @@ def uniform_palettes(n, delta, lists, params=None):
     for v, colors in enumerate(lists):
         rows[v, [c - 1 for c in colors]] = True
     return PaletteSet(
-        n=n, delta=delta, beta=beta,
+        n=n, delta=delta,
         l1=np.array([min(colors) for colors in lists], dtype=np.int64),
         l2=rows.copy(), l3=rows.copy(), l4_star=rows.copy(),
         l4=np.repeat(pack_rows(rows)[:, None], beta, axis=1),

@@ -311,7 +311,8 @@ def test_criterion_06_helper_recovery():
         [h] = find_friendly_helper([(k.vertices, k.witness)], _bank_of(inst, params, seed))
         if h is None:
             continue
-        assert h.u not in k.vset and h.v in k.vset and h.w in k.vset
+        kset = set(k.vertices)
+        assert h.u not in kset and h.v in kset and h.w in kset
         assert has_edge(oracle, h.u, h.v)
         assert not has_edge(oracle, h.u, h.w)
         assert has_edge(oracle, h.v, h.w)

@@ -6,8 +6,11 @@ import pytest
 from streamcolor import cli
 from streamcolor import pipeline as pl
 from streamcolor.coloring import RunFailure
+from streamcolor.decomposition import verify_decomposition
 from streamcolor.field import MAX_PRIME, next_prime
 from streamcolor.stream import stream_source
+
+from conftest import planted_mistakes
 
 
 def run(argv):
@@ -149,6 +152,24 @@ def test_usage_errors(tmp_path, capsys):
     assert err.count("error: ") == 2
 
 
+def test_argument_errors_exit_4_and_help_exits_0(tmp_path, capsys):
+    assert run(["color"]) == 4                    # neither --input nor --gen
+    assert run(["no-such-command"]) == 4
+    assert run(["color", "--gen", "mixed:delta=16", "--retries", -1, "--out", tmp_path / "r"]) == 4
+    assert capsys.readouterr().err.endswith("error: retries must be >= 0\n")
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: streamcolor")
+
+
+def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys):
+    def too_large(*args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "instance_from_spec", too_large)
+    assert run(["gen", "--spec", "mixed:delta=16", "--out", tmp_path / "g.txt"]) == 4
+    assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
+
+
 def test_no_shadow_mode_still_colors(tmp_path):
     out = tmp_path / "ns.colors"
     graph = tmp_path / "ns.txt"
@@ -165,6 +186,27 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert run(["decompose", "--gen", "mixed:delta=16,seed=2", "--no-shadow"]) == 0
     out = capsys.readouterr().out
     assert "skipped" in out
+
+
+def test_decompose_prints_at_most_ten_violations_and_exits_1(monkeypatch, capsys):
+    # the planted decomposition that merges two blocks into one clique
+    dec, oracle, params, delta = planted_mistakes()[1]
+    violations = verify_decomposition(dec, oracle, params.eps, delta)
+    assert len(violations) > 10
+    monkeypatch.setattr(cli, "decompose_run", lambda *args, **kwargs: (dec, violations))
+    assert run(["decompose", "--gen", "mixed:delta=16,seed=2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index(f"verification: {len(violations)} violation(s)")
+    assert out[at + 1 :] == [f"  {v}" for v in violations[:10]]
+
+
+def test_report_whose_parts_do_not_sum_exits_1(tmp_path, capsys):
+    space = {"palette_bits": 1, "h_bits": 2, "sample_bits": 3, "sketch_bits": 4,
+             "hplus_bits": 5, "total_bits": 16, "shadow_excluded": True}
+    path = tmp_path / "r.report.json"
+    path.write_text(json.dumps({"n": 3, "status": "success", "space": space}))
+    assert run(["report", "--run", path]) == 1
+    assert "(components DO NOT SUM)" in capsys.readouterr().out
 
 
 def test_sparse_only_graph_needs_no_clique_phases(tmp_path):
@@ -336,6 +378,13 @@ def test_verify_coloring_reports_the_first_monochromatic_edge_of_the_file(tmp_pa
     assert src.edges.tolist() == [[2, 3], [0, 1], [1, 2]] and src.passes == 0
     assert pl.verify_coloring(str(graph), np.array([1, 1, 2, 2]), 2, seed=1) == (
         False, "monochromatic edge (2,3)")
+
+
+def test_verify_coloring_refuses_an_array_of_the_wrong_length(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n0 1\n1 2\n")
+    assert pl.verify_coloring(str(graph), np.array([1, 2]), 2) == (
+        False, "coloring covers 2 of 3 vertices")
 
 
 def _write_lines(path, header, pairs):

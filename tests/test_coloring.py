@@ -433,7 +433,7 @@ def test_strip_residue():
 def test_colorful_matching_empty_f():
     C = PartialColoring(4, 3, _conflict_from(4, []))
     pal = uniform_palettes(4, 3, [{1, 2, 3}] * 4)
-    assert colorful_matchings(C, pal.l4, [[]])[0] == [[]] * pal.beta
+    assert colorful_matchings(C, pal.l4, [[]])[0] == [[]] * pal.l4.shape[1]
     assert not C.colors.any()
 
 
@@ -441,7 +441,7 @@ def test_colorful_matching_single_pair():
     n, delta = 4, 3
     pal = uniform_palettes(n, delta, [{2}] * n)
     C = PartialColoring(n, delta, _conflict_from(n, []))
-    assert colorful_matchings(C, pal.l4, [[(0, 3)]])[0] == [[(0, 3, 2)]] * pal.beta
+    assert colorful_matchings(C, pal.l4, [[(0, 3)]])[0] == [[(0, 3, 2)]] * pal.l4.shape[1]
     assert not C.colors.any()  # a computation: C is never written
 
 
@@ -1151,6 +1151,22 @@ def test_brooks_k4_minus_edge():
         for v in row(g, u):
             assert colors[u] != colors[v]
     assert colors.max() <= 3 and colors.min() >= 1
+
+
+def test_brooks_cut_vertex_as_dfs_root():
+    # the 4-regular cut-k5-k5 graph of the golden offline runs, renumbered so
+    # that the cut is vertex 0: the DFS starts at the cut, which is a cut
+    # vertex because the root has two DFS children
+    edges = [(a, b) for base in (0, 5) for a in range(base, base + 5)
+             for b in range(a + 1, base + 5) if (a, b) != (base, base + 1)]
+    edges += [(0, 10), (1, 10), (5, 10), (6, 10)]
+    g = oracle_from_edges(11, [((u + 1) % 11, (v + 1) % 11) for u, v in edges])
+    assert set(row(g, 0)) == {1, 2, 6, 7} and (g.degrees == 4).all()
+    colors = offline_brooks(g, 4)
+    for u in range(11):
+        for v in row(g, u):
+            assert colors[u] != colors[v]
+    assert colors.min() >= 1 and colors.max() <= 4
 
 
 def test_brooks_petersen():

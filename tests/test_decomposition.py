@@ -267,8 +267,8 @@ def test_partition_totality_across_families():
         dec = compute_decomposition(oracle, params, 16)
         covered = set(dec.v_sparse)
         for k in dec.cliques:
-            assert not (covered & k.vset)
-            covered |= k.vset
+            assert not (covered & set(k.vertices))
+            covered |= set(k.vertices)
         assert covered == set(range(inst.n))
 
 
@@ -708,10 +708,11 @@ def test_lonely_clique_classified_lonely():
 def test_hard_phase6_classified_friendly_with_witness():
     inst, oracle, dec = _classified("hard-phase6", 16, 3)
     k = dec.cliques[0]
+    kset = set(k.vertices)
     assert k.kind == FRIENDLY
-    assert k.witness is not None and k.witness not in k.vset
+    assert k.witness is not None and k.witness not in kset
     # the witness really is a non-stranger
-    assert len(neighbors(oracle, k.witness) & k.vset) >= 16 / ParamSet.desk(inst.n, 16).beta
+    assert len(neighbors(oracle, k.witness) & kset) >= 16 / ParamSet.desk(inst.n, 16).beta
 
 
 def test_isolated_block_classified_lonely():

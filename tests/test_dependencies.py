@@ -1,6 +1,6 @@
 """The package's shape: the declared dependencies are exactly the
-third-party modules it imports, and it defines no function it never
-names."""
+third-party modules it imports, it imports only at module top level, and
+it defines no function it never names."""
 
 import ast
 import re
@@ -67,3 +67,17 @@ def test_every_function_is_referenced_in_the_package():
     unused = [f"{module}.{name}" for module, name, method in sorted(defined)
               if name not in attrs and (method or name not in names)]
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    """Every import of the package sits at a module's top level, so an
+    import cycle between two modules cannot hide in a function body."""
+    inside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [f"{path.stem}.{fn.name}:{node.lineno}"
+                           for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []

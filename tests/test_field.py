@@ -385,28 +385,27 @@ def test_sketch_is_linear_and_order_invariant():
     bank_a = _bank_for(edges, n, delta)
     bank_b = _bank_for(edges[::-1], n, delta)
     for r in bank_a.rates:
-        for v in bank_a.sampled(r):
-            ya, za = bank_a.raw(v, r)
-            yb, zb = bank_b.raw(v, r)
-            assert np.array_equal(ya, yb) and np.array_equal(za, zb)
+        vs = bank_a.sampled(r)
+        ya, za = bank_a.raw(vs, r)
+        yb, zb = bank_b.raw(vs, r)
+        assert np.array_equal(ya, yb) and np.array_equal(za, zb)
     # split-stream additivity over F_p
     bank_c = _bank_for(edges[:2], n, delta)
     bank_d = _bank_for(edges[2:], n, delta)
     for r in bank_a.rates:
-        for v in bank_a.sampled(r):
-            ya, za = bank_a.raw(v, r)
-            yc, zc = bank_c.raw(v, r)
-            yd, zd = bank_d.raw(v, r)
-            assert np.array_equal(ya, (yc + yd) % bank_a.p)
-            assert np.array_equal(za, (zc + zd) % bank_a.p)
+        vs = bank_a.sampled(r)
+        ya, za = bank_a.raw(vs, r)
+        yc, zc = bank_c.raw(vs, r)
+        yd, zd = bank_d.raw(vs, r)
+        assert np.array_equal(ya, (yc + yd) % bank_a.p)
+        assert np.array_equal(za, (zc + zd) % bank_a.p)
 
 
 def test_sketch_no_edges_is_zero():
     bank = _bank_for(np.empty((0, 2)), 8, 3)
     for r in bank.rates:
-        for v in bank.sampled(r):
-            y, z = bank.raw(v, r)
-            assert not y.any() and not z.any()
+        y, z = bank.raw(bank.sampled(r), r)
+        assert not y.any() and not z.any()
 
 
 @pytest.mark.parametrize("mode", ["desk", "paper"])
@@ -436,8 +435,8 @@ def _set_sketch(bank, r, s) -> tuple[np.ndarray, np.ndarray]:
 def _relative(bank, v, r, s) -> tuple[np.ndarray, np.ndarray]:
     """Level-r (y, z) of chi(N(v)) - chi(s): v's bank row less the set's
     column sums, mod p."""
-    (y, z), (sy, sz) = bank.raw(v, r), _set_sketch(bank, r, s)
-    return (y - sy) % bank.p, (z - sz) % bank.p
+    (y, z), (sy, sz) = bank.raw(np.array([v]), r), _set_sketch(bank, r, s)
+    return (y[0] - sy) % bank.p, (z[0] - sz) % bank.p
 
 
 def test_sketch_matches_neighborhood_indicator():
@@ -446,8 +445,8 @@ def test_sketch_matches_neighborhood_indicator():
     bank = _bank_for([(0, 1), (0, 2)], n, delta)
     r = bank.rates[0]
     if 0 in bank.sampled(r):
-        y, _ = bank.raw(0, r)
-        assert np.array_equal(y, _set_sketch(bank, r, [1, 2])[0])
+        y, _ = bank.raw(np.array([0]), r)
+        assert np.array_equal(y[0], _set_sketch(bank, r, [1, 2])[0])
 
 
 def test_bank_read_through_h_temporaries_stay_bounded():
@@ -458,7 +457,8 @@ def test_bank_read_through_h_temporaries_stay_bounded():
     (entries, 2r) column table per read peaks near 520 MiB and fails."""
     inst = instance_from_spec("mixed:delta=128,count=2", seed=1)
     delta = r = 128
-    bank = SketchBank(inst.n, delta, ParamSet.desk(inst.n, delta), 1)
+    params = ParamSet.desk(inst.n, delta)
+    bank = SketchBank(inst.n, delta, params, 1)
     bank.h = Graph(inst.n, inst.edges)
     vs = np.array(sorted(v for core in inst.cores for v in core), dtype=np.int64)
     assert vs.size == 1028 and np.isin(vs, bank.sampled(r)).all()
@@ -468,7 +468,7 @@ def test_bank_read_through_h_temporaries_stay_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    full = SketchBank(inst.n, delta, bank.params, 1)
+    full = SketchBank(inst.n, delta, params, 1)
     full.update_chunk(np.ascontiguousarray(inst.edges[:, 0]), np.ascontiguousarray(inst.edges[:, 1]))
     want = full.raw(vs, r)
     assert np.array_equal(y, want[0]) and np.array_equal(z, want[1])

@@ -29,6 +29,17 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("support, values, ref, center, delta", [
+    ([3], [2], {1, 2}, 0, 4),              # off ref: neither 0 nor 1
+    ([1], [1], {1, 2}, 0, 4),              # on ref: neither 0 nor p-1
+    ([0, 3], [1, 1], set(), 0, 4),         # the set holds its center
+    ([1, 2, 3], [1, 1, 1], set(), 0, 2),   # more than delta neighbors
+], ids=["off-ref", "on-ref", "center", "over-delta"])
+def test_decode_neighborhood_refuses_what_no_neighborhood_is(support, values, ref, center, delta):
+    assert helpers._decode_neighborhood(
+        np.array(support), np.array(values), ref, center, 101, delta) is None
+
+
 def _bank_from(inst, params, seed):
     bank = SketchBank(inst.n, inst.delta, params, seed)
     src = source_of(inst)
@@ -191,8 +202,9 @@ def test_friendly_helper_structure():
     assert k.kind == FRIENDLY
     [h] = find_friendly_helper([(k.vertices, k.witness)], bank)
     assert h is not None
-    assert h.u == k.witness and h.u not in k.vset
-    assert h.v in k.vset and h.w in k.vset
+    kset = set(k.vertices)
+    assert h.u == k.witness and h.u not in kset
+    assert h.v in kset and h.w in kset
     assert has_edge(oracle, h.u, h.v)
     assert not has_edge(oracle, h.u, h.w)
     assert has_edge(oracle, h.v, h.w)

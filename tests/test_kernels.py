@@ -48,6 +48,20 @@ def _bank_digest(bank) -> str:
     return _digest(*_bank_rows(bank))
 
 
+def _fed_edges(monkeypatch) -> list[int]:
+    """Spy on `SketchBank.update_chunk`: the edge count of every chunk any
+    bank is fed, in order."""
+    fed = []
+    update = SketchBank.update_chunk
+
+    def spy(bank, us, vs):
+        fed.append(us.size)
+        update(bank, us, vs)
+
+    monkeypatch.setattr(SketchBank, "update_chunk", spy)
+    return fed
+
+
 def test_prf_uniform_stays_below_one(monkeypatch):
     top = np.array([2**64 - 1, 2**64 - 2**10, 0], dtype=np.uint64)
     monkeypatch.setattr(_kernels, "prf_u64", lambda *args: top)
@@ -222,18 +236,20 @@ def test_pass_consumers_are_chunk_size_invariant(spec, drop, monkeypatch):
     dropped edges equals H built from the kept edges, and is the shadow
     itself when none is dropped."""
     src = stream_source(spec, seed=3)
-    n, m = src.n, src.m
+    n, m = src.n, len(src.edges)
     delta = int(_prepass(src, want_shadow=False)[0].max())
     params = ParamSet.desk(n, delta)
     if drop:
         monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
+    fed = _fed_edges(monkeypatch)
 
     def passes(size):
         monkeypatch.setattr(stream, "chunk_edges", lambda _: size)
         degrees, roots, shadow, _ = _prepass(src, want_shadow=True)
         bank = SketchBank(n, delta, params, 3)
+        fed.clear()
         _, h, samples = _main_pass(src, n, delta, params, 3, bank)
-        assert (bank.edges_received > 0) == drop
+        assert (sum(fed) > 0) == drop
         over = _main_pass(src, n, delta, params, 3, shadow=shadow)[1]
         assert (over is shadow) != drop
         assert np.array_equal(over.indptr, h.indptr) and np.array_equal(over.indices, h.indices)
@@ -275,13 +291,15 @@ def test_main_pass_feeds_the_bank_only_the_edges_h_drops(drop, monkeypatch):
     if drop:
         monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
     bank = SketchBank(src.n, 16, params, 3)
+    fed = _fed_edges(monkeypatch)
     _, h, _ = _main_pass(src, src.n, 16, params, 3, bank)
+    m = len(src.edges)
     assert bank.h is h
-    assert bank.edges_received == src.m - h.m
+    assert sum(fed) == m - h.m
     if drop:
-        assert 0 < bank.edges_received < src.m
+        assert 0 < sum(fed) < m
     else:
-        assert bank.edges_received == 0      # at desk sizes H keeps every edge
+        assert sum(fed) == 0      # at desk sizes H keeps every edge
 
 
 @pytest.mark.parametrize("no_shadow", [False, True], ids=["shadow", "no-shadow"])
@@ -294,25 +312,25 @@ def test_bank_rows_are_all_edges_rows_when_h_drops_edges(no_shadow, monkeypatch)
     class RecordingBank(SketchBank):
         def __init__(self, *args):
             super().__init__(*args)
-            banks.append(self)
+            banks.append((self, args))
 
     monkeypatch.setattr(pipeline, "SketchBank", RecordingBank)
     monkeypatch.setattr(pipeline, "sample_palettes", dropping_palettes)
     src = stream_source(SPEC, seed=3)
     pipeline.color_run(pipeline.RunConfig(SPEC, seed=3, no_shadow=no_shadow))
     assert banks
-    for bank in banks:
-        assert 0 < bank.h.m < src.m
-        full = SketchBank(bank.n, bank.delta, bank.params, bank.seed)
+    for bank, args in banks:
+        assert 0 < bank.h.m < len(src.edges)
+        full = SketchBank(*args)
         full.update_chunk(np.ascontiguousarray(src.edges[:, 0]),
                           np.ascontiguousarray(src.edges[:, 1]))
         for r in bank.rates:
             vs = bank.sampled(r)
             rows = bank.raw(vs, r)
             assert all(np.array_equal(a, b) for a, b in zip(rows, full.raw(vs, r))), r
-            for i, v in enumerate(vs.tolist()):
-                y, z = bank.raw(v, r)
-                assert np.array_equal(y, rows[0][i]) and np.array_equal(z, rows[1][i]), (r, v)
+            for i in range(vs.size):  # a one-vertex block reads its row of the whole block
+                y, z = bank.raw(vs[i : i + 1], r)
+                assert np.array_equal(y[0], rows[0][i]) and np.array_equal(z[0], rows[1][i]), (r, i)
 
 
 def test_sketch_bank_refuses_a_prime_past_int64():

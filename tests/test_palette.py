@@ -167,8 +167,8 @@ def test_space_report_formula_exact():
     rep = palette_space_report(pal, h)
     log_delta = int(np.ceil(np.log2(8)))
     log_n = int(np.ceil(np.log2(inst.n)))
-    want = pal.total_list_entries() * log_delta + h.m * 2 * log_n
-    assert rep["bits"] == want
+    assert rep["list_bits"] == pal.total_list_entries() * log_delta
+    assert rep["h_bits"] == h.m * 2 * log_n
     assert rep["h_edges"] == h.m
 
     empty = ConflictGraph(4).build()
@@ -185,7 +185,8 @@ def test_space_growth_under_doubling():
         params = ParamSet.desk(n, delta)
         pal = sample_palettes(n, delta, params, seed=5)
         h = build_conflict_graph(source_of(inst).open(), pal)
-        bits.append(palette_space_report(pal, h)["bits"])
+        rep = palette_space_report(pal, h)
+        bits.append(rep["list_bits"] + rep["h_bits"])
     for small, big in zip(bits, bits[1:]):
         assert 1.5 <= big / small <= 3.0
 
@@ -201,7 +202,7 @@ def _partial_palettes(rng, n, delta, beta):
         return rng.random(shape + (delta,)) < rng.uniform(0.002, 0.01)
 
     return PaletteSet(
-        n=n, delta=delta, beta=beta, l1=rng.integers(1, delta + 1, size=n),
+        n=n, delta=delta, l1=rng.integers(1, delta + 1, size=n),
         l2=draw(n), l3=draw(n), l4_star=draw(n), l4=pack_rows(draw(n, beta)),
         l5=draw(n), l6=draw(n, 2 * beta),
     )

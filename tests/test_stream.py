@@ -278,7 +278,7 @@ def test_written_files_take_the_plain_path(tmp_path, monkeypatch):
     for block in (stream.BLOCK_BYTES, 1 << 12):
         monkeypatch.setattr(stream, "BLOCK_BYTES", block)
         src = StreamSource.from_file(graph)
-        assert src.n == inst.n and src.m == inst.edges.shape[0] == 3200
+        assert src.n == inst.n and len(src.edges) == inst.edges.shape[0] == 3200
         assert np.array_equal(src.edges, np.sort(inst.edges, axis=1))
         assert read_coloring(colored) == dict(enumerate(colors.tolist()))
 
@@ -304,7 +304,7 @@ def test_reader_memory_bound(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert src.m == 1024000
+    assert len(src.edges) == 1024000
     assert peak < 96e6, f"peak {peak / 1e6:.1f} MB"
 
 
