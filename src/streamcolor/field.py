@@ -48,7 +48,7 @@ import numpy as np
 
 from streamcolor._kernels import prf_mod
 from streamcolor.graph import Graph
-from streamcolor.params import ParamSet, child_seed, rng_for, sketch_rates
+from streamcolor.params import ParamSet, bernoulli, child_seed, rng_for, sketch_rates
 
 # ---------------------------------------------------------------------------
 # Primes
@@ -250,8 +250,10 @@ class SketchBank:
         self.alpha = params.alpha
         self.rates = sketch_rates(delta)
         self.zseed = child_seed(seed, "phir")
+        # a clamped level holds every vertex and builds no generator
         self._member = np.stack([
-            rng_for(seed, "vr", extra=r).random(n) < params.vr_rate(r) for r in self.rates
+            bernoulli(rng_for(seed, "vr", extra=r), (n,), params.vr_rate(r))
+            if params.vr_rate(r) < 1.0 else np.ones(n, dtype=bool) for r in self.rates
         ])
         # column-major: a chunk adds each column at its endpoints
         self._W = np.zeros((n, 2 * self.rates[-1] + len(self.rates) * self.alpha),

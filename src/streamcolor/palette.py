@@ -7,7 +7,8 @@ recolor lists L6 are (n, 2*beta, delta); the beta pair-lists L4 are held
 as (n, beta, words) uint64, bit c-1 for color c, the layout of the union
 masks, and each of their drawn blocks is packed by the one packer
 (`pack_rows`, undone by `unpack_rows`); L1 is one color per vertex.  The
-list count beta is the second axis of L4.
+list count beta is the second axis of L4.  Every membership of L2..L6 is
+drawn by `params.bernoulli`, one (n, delta) block per list index.
 
 A family whose per-color rate clamps to 1 holds the whole palette in
 every list.  It draws nothing and is kept as a read-only, zero-stride
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from streamcolor.graph import Graph
-from streamcolor.params import ParamSet, rng_for
+from streamcolor.params import ParamSet, bernoulli, rng_for
 
 FAMILIES = ("l2", "l3", "l4_star", "l4", "l5", "l6")
 
@@ -52,20 +53,20 @@ def unpack_rows(words: np.ndarray, delta: int) -> np.ndarray:
     return np.unpackbits(data, axis=-1, count=delta, bitorder="little").view(bool)
 
 
-def _draw_lists(rng, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Independent Bernoulli(rate) memberships for an (n, [k,] delta)
-    bool array of lists, drawn one (n, delta) block per list index."""
+def _draw_lists(rng, n: int, k: int, delta: int, rate: float) -> np.ndarray:
+    """Independent Bernoulli(rate) memberships for an (n, k, delta) bool
+    family of lists, drawn by `bernoulli` one (n, delta) block per list
+    index."""
     if rate >= 1.0:
-        return np.broadcast_to(True, shape)
-    n, delta = shape[0], shape[-1]
-    out = np.empty(shape, dtype=bool)
-    for block in out.reshape(n, -1, delta).transpose(1, 0, 2):
-        np.less(rng.random((n, delta)), rate, out=block)
+        return bernoulli(rng, (n, k, delta), rate)
+    out = np.empty((n, k, delta), dtype=bool)
+    for i in range(k):
+        out[:, i] = bernoulli(rng, (n, delta), rate)
     return out
 
 
 def _draw_packed_lists(rng, n: int, k: int, delta: int, rate: float) -> np.ndarray:
-    """`_draw_lists` of an (n, k, delta) family, from the same draws, held
+    """`_draw_lists` of an (n, k, delta) family, block for block, held
     as (n, k, words) uint64: each drawn (n, delta) block is packed by
     `pack_rows`."""
     full = pack_rows(np.ones(delta, dtype=bool))
@@ -73,7 +74,7 @@ def _draw_packed_lists(rng, n: int, k: int, delta: int, rate: float) -> np.ndarr
         return np.broadcast_to(full, (n, k, full.size))
     out = np.empty((n, k, full.size), dtype=np.uint64)
     for i in range(k):
-        out[:, i] = pack_rows(rng.random((n, delta)) < rate)
+        out[:, i] = pack_rows(bernoulli(rng, (n, delta), rate))
     return out
 
 
@@ -144,12 +145,12 @@ def sample_palettes(n: int, delta: int, params: ParamSet, seed: int) -> PaletteS
         warnings.warn(f"paper-mode rates clamped to 1 at delta={delta}: {clamped}")
 
     l1 = rng.integers(1, delta + 1, size=n).astype(np.int64)
-    l2 = _draw_lists(rng, (n, delta), rates["l2"])
-    l3 = _draw_lists(rng, (n, delta), rates["l3"])
-    l4_star = _draw_lists(rng, (n, delta), rates["l4_star"])
+    l2 = bernoulli(rng, (n, delta), rates["l2"])
+    l3 = bernoulli(rng, (n, delta), rates["l3"])
+    l4_star = bernoulli(rng, (n, delta), rates["l4_star"])
     l4 = _draw_packed_lists(rng, n, beta, delta, rates["l4"])
-    l5 = _draw_lists(rng, (n, delta), rates["l5"])
-    l6 = _draw_lists(rng, (n, 2 * beta, delta), rates["l6"])
+    l5 = bernoulli(rng, (n, delta), rates["l5"])
+    l6 = _draw_lists(rng, n, 2 * beta, delta, rates["l6"])
     return PaletteSet(
         n=n, delta=delta, l1=l1, l2=l2, l3=l3,
         l4_star=l4_star, l4=l4, l5=l5, l6=l6, full=frozenset(clamped),

@@ -152,3 +152,26 @@ def child_seed(seed: int, tag: str, extra: int = 0) -> int:
 
 def rng_for(seed: int, tag: str, extra: int = 0) -> np.random.Generator:
     return np.random.default_rng(child_seed(seed, tag, extra))
+
+
+def bernoulli(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """Independent Bernoulli(rate) bools of the given shape.
+
+    A rate >= 1 draws nothing and gives a read-only broadcast of True.
+    Otherwise each entry is one little-endian 16-bit lane of the raw
+    words.  With s = rate * 2**16 and t = floor(s), a lane below t is in,
+    a lane equal to t is in iff one uniform falls below s - t, and any
+    other lane is out, so P(in) = rate exactly.
+    """
+    if rate >= 1.0:
+        return np.broadcast_to(True, shape)
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    lanes = words.astype("<u8", copy=False).view("<u2")[:size].reshape(shape)
+    s = rate * 2**16
+    t = math.floor(s)
+    out = lanes < t
+    if s > t:
+        tie = lanes == t
+        out[tie] = rng.random(np.count_nonzero(tie)) < s - t
+    return out

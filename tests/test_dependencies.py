@@ -81,3 +81,44 @@ def test_no_import_inside_a_function():
                            for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inside == []
+
+
+# The draws allowed to compare a `.random(` uniform with a rate: the one
+# Bernoulli sampler's tie-break, the one-shot activation (n uniforms, kept
+# so the activation stream stays as it is), and the G(n, p) generator,
+# whose Python `random.Random` coins reproduce NetworkX's stream.
+_UNIFORM_COINS = {"params.bernoulli", "coloring.one_shot", "generators._erdos_renyi"}
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_ORDERING_UFUNCS = {"less", "less_equal", "greater", "greater_equal"}
+
+
+
+def _calls_random(node) -> bool:
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr == "random" for sub in ast.walk(node))
+
+
+def _uniform_coins(node, scope: str):
+    """(scope, line) of each ordering of a `.random(` call under the node,
+    by operator or by numpy ufunc; the scope is the dotted name of the
+    innermost enclosing function or class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    elif isinstance(node, ast.Compare):
+        if any(isinstance(op, _ORDERINGS) for op in node.ops) and _calls_random(node):
+            yield scope, node.lineno
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _ORDERING_UFUNCS:
+        if any(_calls_random(arg) for arg in node.args):
+            yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _uniform_coins(child, scope)
+
+
+def test_one_bernoulli_sampler():
+    """Independent coins are drawn by `params.bernoulli`: outside the
+    functions named above, no code compares a `.random(` uniform with a
+    rate, so a second Bernoulli path cannot creep back."""
+    coins = [(scope, f"{path.name}:{line}") for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in _uniform_coins(ast.parse(path.read_text()), path.stem)]
+    assert [where for scope, where in coins if scope not in _UNIFORM_COINS] == []
+    assert {scope for scope, _ in coins} == _UNIFORM_COINS

@@ -32,26 +32,26 @@ RUNS = {
     "random-regular:delta=16,n=400,seed=1": (
         "149898e2b8165bf0dc610c61352e9d3c092f4c3f1d654185706065059d82947e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "d5c0aaf23022bb3e4ec58a0055c95cfea8500e2b32a69a218f663c1c79edd1ea",
+        "729cadc8f6fdbecde191279db696d9937e0833b839d6b08ec4997fbb0df4976b",
         "bc0eb9f0c41ad964388f86401f990893dc23a3c7614d827e53292de00183ff57",
     ),
     "mixed:delta=32,count=2,seed=1": (
-        "b5224c016b150588121fa0723addde30dc991a35545e301e9f74b601446a173f",
+        "4a31c4dad6844342ced4d5b78f3b91a242c9c13990c071ffe683b4e7eea336b3",
         "7ea26bd02ad11a4ce9fe12fbfee5a4f8adfea9a0559fb4b4b5ee48c768136894",
-        "da1488b9077bee7b415d97f802c2ee683e0a63bce0d6196e9f5edd363e0a6894",
+        "756022ffc3b64cca59c48d3d8967249bbb3cf000123092abb421a7cdbaae0fbd",
         "64bc871e6c6b5af717b62e2a01513fa6c6d392e8b13abe5f430f4df7e990afe6",
     ),
     "clique-pairs:delta=16,count=4,seed=1": (
-        "82da737ac57de11e27c31033b76966dc2f14ef8fea4aedf7e6b6a8bd12092ae6",
+        "b6415264dac76aeb2f78a5e6b33b308d8953aa0603b7def60392f8f8491f34a5",
         "e9d84c32ce0bb67554fee29c016d07273386a084ad9351573ef302de75f9ec61",
-        "fab98acfcc734f95ff8356cdb8826675a5002853b741943760fce6883f603b1e",
+        "5927b4e8f93c98d22ea79a9d42524ddb2f271c430d9ac652b0015c13272a40b5",
         "b4ebf43892ee2980cc4c19104150d7000026e8ff5c6a98f338858179e21580ba",
     ),
     # samples its neighbors at rate 225/256 and L6 below 1
     "mixed:delta=256,count=1,seed=1": (
-        "ef8995a77d3d125c5ddaffa93281bd20855d92281313263dbeb6a2a01c913621",
+        "fc4012ae15da45e0d7ceee35a53755c680718d9dc1c15ab0cff6ed177b60e96a",
         "2cd0fef93b63f3eb8439d156f0494a24a74964db7522be68fdff084352c0298c",
-        "290d6720b6d148bf59228be551280d48c8e8e204940fa72a5979bbb3e6c2bd36",
+        "a631596363ce10c1fe80bf6d8f77c645caea0fadb3412df0813a701e24b77191",
         "0ee29adb664ffa933d8ccf72947f6e173bc4676e09a6f1a7a08f833d30c8df03",
     ),
 }
@@ -75,15 +75,15 @@ SAMPLES = {
 # agree here too.
 DEFERRED_RUNS = {
     "mixed:delta=16,count=1,seed=1": (
-        "6f7db7552ac86a818a956dcd341a0c872f0335bfaaf7da0dfc317436eb153ccd",
+        "ec8f975fccff7eab55a49f957b959bb3f53a3c0140cf27604a91a4e4d4be92f4",
         "0d76602fa990fd3fab36d568ec6a8d3ef6f867e59d10ce54456e2544d08970bd",
-        "a3746200eb95d928faafd60e3cc4fcbb17c1b350acd6e301c62df3e379a06a16",
+        "d8003389261dfdf1d0a13bdafa4f4e54ef0422fc941f5547dba578a157f6d60a",
         "3c8d4b4861dd5eff650a1b6216d831561265840d3bfc2fb0e9677256f557c29d",
     ),
     "mixed:delta=32,count=2,seed=1": (
-        "3ccef1aeaa9e5105a20d61f23746191df54128a4279a5ce5d63a4dcd357eee03",
+        "9e692d8ed7451b62c2fea087c89cc988cc4c6e3d2fe9b638a928b71c984aac3b",
         "251e90349f81bec849fd988b33bd2c2211358fdecaf759ed4e87c928dc52e08b",
-        "7706908d115981014b390c9889fae452875455406a74eda4ac79616b37b3d4e0",
+        "f5ed8bb90e82038bf12d3287c511130fc109893a06d516451719589d93617377",
         "46c87bb7b233e1c477144134cad0002f508cf09fc5fa0e5bd8d146f1af10711f",
     ),
 }

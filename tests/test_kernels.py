@@ -25,7 +25,7 @@ SPEC = "random-regular:delta=16,n=400,seed=3"
 MIXED = "mixed:delta=32,count=2,seed=3"
 GOLDEN = {
     "main_bank": "7fac1eb1d646e188797ac0c652af49e3e6b95b37f4f9e8b780f57fb4a1daefc6",
-    "subset_bank": "aee28d9813ddbfff9728c6ab9d7ac218e1d8623721bfdafa4f01cfc6da8a240a",
+    "subset_bank": "eff038922fadd00b718b23ae059d49bba001c4e3c11849bb3c26ba44f73841c8",
     "uf_roots": "d02cdc21c6890cf61eceda3fc719c8ac0bfd7cf4b98b6e48549c094640504543",
 }
 

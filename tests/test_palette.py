@@ -281,7 +281,8 @@ def test_packed_rows_round_trip():
 def test_sample_palettes_memory_bound():
     """At n=4000, delta=256 L3 and L6 are full and hold nothing, and L4 is
     packed words: the sampled lists hold under 8 MiB (about 56 MB as bool
-    arrays).  Drawing adds one float64 (n, delta) block and little else."""
+    arrays).  Drawing a block adds its 16-bit lanes (two bytes an entry)
+    and the bool mask of its ties, and little else."""
     n, delta = 4000, 256
     params = ParamSet.desk(n, delta)
     tracemalloc.start()
@@ -292,5 +293,5 @@ def test_sample_palettes_memory_bound():
         tracemalloc.stop()
     assert pal.full == {"l3", "l6"}
     assert held < 8 * 2**20, f"held {held / 2**20:.2f} MiB"
-    bound = held + 8 * n * delta + 2**20
+    bound = held + 4 * n * delta + 2**20
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
